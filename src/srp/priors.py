@@ -16,12 +16,37 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from .operators import DimensionMismatch
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _JITTERS = (0.0, 1e-12, 1e-10)  # escalation ladder before giving up
+
+
+def _logsumexp(a, keepdims=False):
+    """log(sum(exp(a))) over the last axis, bit-identical to scipy's.
+
+    It follows ``scipy.special.logsumexp``'s arithmetic for real input: the
+    maximal terms are split out of the shifted sum and re-enter through
+    ``log1p``, and rows whose result is not finite (infinite or nan terms)
+    take the direct form. Plain numpy skips scipy's array-API dispatch, which
+    cost more than the sum itself on the solver's few-element rows.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1,
+                      keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+            out = np.where(finite, out, direct)
+    if keepdims:
+        return out
+    out = out[..., 0]
+    return out[()] if out.ndim == 0 else out
 
 
 class FactorizationError(RuntimeError):
@@ -181,7 +206,7 @@ class GmmPrior:
                 quad = np.sum((diff / chol) ** 2, axis=-1)
                 logdet = 2.0 * np.sum(np.log(chol))
             per[..., k] = -0.5 * (quad + logdet + self.dim * _LOG_2PI)
-        return logsumexp(per + np.log(self.weights), axis=-1)
+        return _logsumexp(per + np.log(self.weights))
 
 
 def _check_points(x, dim):
@@ -244,38 +269,63 @@ class LinearGaussianPosterior:
         z = scipy.linalg.cho_solve(self._chos[k], flat.T).T
         return z.reshape(r.shape)
 
-    def component_loglik(self, s):
-        """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
-        s = _check_points(s, self.obs.H.out_dim)
+    def _shift(self, k, z):
+        """Sigma_k Hᵀ z: component k's correction to its prior mean."""
+        if self._iso:
+            return self._cvals[k] * self.obs.H.adjoint_apply(z)
+        return z @ self._cross[k].T
+
+    def _innovations(self, s):
+        """Per-component log N(s; H mu_k, S_k), shape (..., K), and the
+        innovation solves z_k = S_k^{-1} (s - H mu_k) behind them."""
         m = self.obs.H.out_dim
-        out = np.empty(s.shape[:-1] + (self.prior.n_components,))
-        for k in range(self.prior.n_components):
-            r = s - self.h_mu[k]
-            quad = np.sum(r * self._solve(k, r), axis=-1)
-            out[..., k] = -0.5 * (quad + self._logdets[k] + m * _LOG_2PI)
-        return out
-
-    def logpdf(self, s):
-        return logsumexp(self.component_loglik(s) + self.log_w, axis=-1)
-
-    def responsibilities(self, s):
-        logp = self.component_loglik(s) + self.log_w
-        return np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
-
-    def posterior_mean(self, s, with_responsibilities=False):
-        s = _check_points(s, self.obs.H.out_dim)
-        resp = self.responsibilities(s)
-        mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
+        loglik = np.empty(s.shape[:-1] + (self.prior.n_components,))
+        zs = []
         for k in range(self.prior.n_components):
             r = s - self.h_mu[k]
             z = self._solve(k, r)
-            if self._iso:
-                shift = self._cvals[k] * self.obs.H.adjoint_apply(z)
-            else:
-                shift = z @ self._cross[k].T
-            mean += resp[..., k, None] * (self.prior.means[k] + shift)
-        if with_responsibilities:
-            return mean, resp
+            loglik[..., k] = -0.5 * (np.sum(r * z, axis=-1) + self._logdets[k]
+                                     + m * _LOG_2PI)
+            zs.append(z)
+        return loglik, zs
+
+    def _responsibilities(self, loglik):
+        logp = loglik + self.log_w
+        return np.exp(logp - _logsumexp(logp, keepdims=True))
+
+    def component_loglik(self, s):
+        """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
+        s = _check_points(s, self.obs.H.out_dim)
+        return self._innovations(s)[0]
+
+    def logpdf(self, s):
+        return _logsumexp(self.component_loglik(s) + self.log_w)
+
+    def responsibilities(self, s):
+        return self._responsibilities(self.component_loglik(s))
+
+    def posterior_mean(self, s):
+        """E[x | s, H], batched over leading axes of s.
+
+        One innovation solve per component feeds both the responsibilities
+        and the shift. With one component the responsibilities are exactly
+        1 and are skipped. Isotropic mixtures fold the K adjoints into one,
+        Hᵀ Σ_k r_k c_k z_k, which reorders the sum: that case agrees with
+        the per-component form to rounding, every other case bit for bit.
+        """
+        s = _check_points(s, self.obs.H.out_dim)
+        means = self.prior.means
+        if self.prior.n_components == 1:
+            return means[0] + self._shift(0, self._solve(0, s - self.h_mu[0]))
+        loglik, zs = self._innovations(s)
+        resp = self._responsibilities(loglik)
+        if self._iso:
+            acc = sum((c * resp[..., k, None]) * z
+                      for k, (c, z) in enumerate(zip(self._cvals, zs)))
+            return resp @ means + self.obs.H.adjoint_apply(acc)
+        mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
+        for k, z in enumerate(zs):
+            mean += resp[..., k, None] * (means[k] + self._shift(k, z))
         return mean
 
     def score(self, s):

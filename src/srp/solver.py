@@ -148,6 +148,20 @@ def select_operator(selection, ens, k, rng, fixed_index=0):
     raise ValueError(f"unknown selection strategy {selection!r}")
 
 
+def _selection_stream(cfg, ens, rng):
+    """Member indices for every iteration, shape (iterations, batch).
+
+    iid selection draws the whole stream in one ``choice`` call, which
+    consumes the generator exactly as one ``choice`` per iteration (of size
+    ``batch``, or one ``sample_degradation`` when batch is 1) would.
+    """
+    t = cfg.iterations
+    if cfg.selection == "iid-by-weights":
+        return rng.choice(ens.size, size=(t, cfg.batch), p=ens.weights)
+    idx = [select_operator(cfg.selection, ens, k, rng, cfg.fixed_index) for k in range(t)]
+    return np.array(idx).reshape(t, 1)
+
+
 def _initial_point(cfg, problem):
     if isinstance(cfg.x0, str):
         if cfg.x0 == "zeros":
@@ -215,35 +229,25 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None, f_fn="auto", grad_fn="auto
         iterates[0] = x
     f_initial = float(f_fn(x)) if f_fn else None
 
+    draws = _selection_stream(cfg, ens, sel_rng)
     for k in range(t):
-        if grad_true_norm is not None:
-            grad_true_norm[k] = np.linalg.norm(grad_fn(x))
         # overflow en route to the divergence check is expected and handled
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.batch == 1:
-                idx = select_operator(cfg.selection, ens, k, sel_rng, cfg.fixed_index)
-                H = ens.members[idx]
+            if grad_true_norm is not None:
+                grad_true_norm[k] = np.linalg.norm(grad_fn(x))
+            terms = np.empty((cfg.batch, x.size))
+            for i, j in enumerate(draws[k]):
+                H = ens.members[j]
                 s = H.apply(x) + ens.sigma * noise_rng.standard_normal(H.out_dim)
-                term = scale * H.gram_apply(x - restorer.restore(s, H))
-            else:
-                draws = sel_rng.choice(ens.size, size=cfg.batch, p=ens.weights)
-                idx = int(draws[0])  # trace records the first draw of the batch
-                terms = np.empty((cfg.batch, x.size))
-                for i, j in enumerate(draws):
-                    H = ens.members[int(j)]
-                    s = H.apply(x) + ens.sigma * noise_rng.standard_normal(H.out_dim)
-                    terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
-                term = np.mean(terms, axis=0)
-            ghat = fidelity_grad(problem, x) + term
+                terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
+            ghat = fidelity_grad(problem, x) + terms.sum(axis=0) / cfg.batch
             x_new = x - cfg.gamma * ghat
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(k + 1, x)
-
-        op_index[k] = idx
-        diff = x_new - x
-        step_sq[k] = float(np.dot(diff, diff))
-        grad_hat_norm[k] = float(np.linalg.norm(ghat))
-        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(x_new)):
+                raise DivergenceError(k + 1, x)
+            op_index[k] = draws[k, 0]  # the trace records the first draw of a batch
+            diff = x_new - x
+            step_sq[k] = float(np.dot(diff, diff))
+            grad_hat_norm[k] = float(np.linalg.norm(ghat))
             if f_value is not None:
                 f_value[k] = float(f_fn(x_new))
             if psnr_vals is not None:

@@ -1,9 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 
-from srp.operators import CoordinateMask, DenseMatrix, FoldDownsample, Identity, Scale
+from srp.operators import (
+    CircularConvolution,
+    Composition,
+    ConvexCombination,
+    CoordinateMask,
+    DenseMatrix,
+    FoldDownsample,
+    Identity,
+    Scale,
+    masked_fourier,
+    uniform_row_mask,
+)
 from srp.oracle import QuadratureGrid, oracle_mmse
 from srp.priors import (
+    _logsumexp,
     FactorizationError,
     GmmPrior,
     LinearGaussianPosterior,
@@ -260,3 +275,132 @@ class TestObservationScore:
             assert gap < tol, f"trial {trial}: gap {gap}"
             worst = max(worst, gap)
         assert worst < 1e-6
+
+
+class TestLogsumexp:
+    CASES = [
+        np.array([[0.0, -1.0, -2.5], [3.0, 3.0, -np.inf], [1e-3, 2e-3, -7.0]]),
+        np.array([[-np.inf, -np.inf, -np.inf], [0.5, -np.inf, 0.25]]),
+        np.array([[np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, -np.inf, 0.0],
+                  [np.inf, np.inf, 2.0], [np.nan, np.inf, -np.inf]]),
+        np.array([[1e300, -1e300, 0.0], [1e308, 1e308, -1e308], [-1e300, -1e300, -2e300]]),
+        np.array([[4.0]]),
+        np.array([1.0, 2.0, 3.0]),
+        np.random.default_rng(12).standard_normal((5, 4, 3)) * 30.0,
+    ]
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_bit_identical_to_scipy_without_warnings(self, case, keepdims):
+        a = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = scipy.special.logsumexp(a, axis=-1, keepdims=keepdims)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(a, keepdims=keepdims)
+        assert np.shape(got) == np.shape(expected)
+        np.testing.assert_array_equal(got, expected)
+
+
+# Contract of the posterior fast path against the per-component reference:
+# bit-identical for one component and for non-isotropic priors; isotropic
+# mixtures fold K adjoints into one, which reorders a sum.
+FOLD_RTOL = 1e-13
+
+
+def reference_posterior_mean(post, s):
+    """Per-component form: scipy logsumexp, component_loglik, K adjoints."""
+    logp = post.component_loglik(s) + post.log_w
+    resp = np.exp(logp - scipy.special.logsumexp(logp, axis=-1, keepdims=True))
+    H, prior = post.obs.H, post.prior
+    mean = np.zeros(s.shape[:-1] + (prior.dim,))
+    for k in range(prior.n_components):
+        r = s - H.apply(prior.means[k])
+        if prior.is_isotropic:
+            c = float(prior.covariances[k])
+            shift = c * H.adjoint_apply(H.innovation_solve(c, post.sigma2, r))
+        else:
+            shift = post._solve(k, r) @ (prior.cov_matrix(k) @ H.to_dense().T).T
+        mean += resp[..., k, None] * (prior.means[k] + shift)
+    return mean
+
+
+def _fast_path_operators():
+    n = 16
+    kernel = np.zeros(n)
+    kernel[[0, 1, -1]] = [0.5, 0.25, 0.25]
+    rng = np.random.default_rng(13)
+    return {
+        "coordinate-mask": CoordinateMask(n, [0, 3, 4, 9, 15]),
+        "masked-fourier": masked_fourier((4, 2), uniform_row_mask(4, 2, acs_lines=2)),
+        "blur-fold": Composition([CircularConvolution(n, kernel), FoldDownsample(n, 4)]),
+        "convex-combo": ConvexCombination(0.6, CircularConvolution(n, kernel)),
+        "dense-matrix": DenseMatrix(rng.standard_normal((10, n))),
+    }
+
+
+def _fast_path_priors(rng, n):
+    means = rng.standard_normal((3, n))
+    return {
+        "single": GmmPrior([1.0], means[:1], [np.asarray(0.7)]),
+        "isotropic": GmmPrior([0.2, 0.5, 0.3], means, [np.asarray(v) for v in (0.4, 0.9, 1.3)]),
+        "diagonal": GmmPrior([0.2, 0.5, 0.3], means,
+                             [rng.uniform(0.4, 1.2, size=n) for _ in range(3)]),
+        "single-full": GmmPrior([1.0], means[:1], [np.diag(rng.uniform(0.4, 1.2, size=n))]),
+    }
+
+
+FAST_PATH_CASES = [(op, pr) for op in _fast_path_operators()
+                   for pr in ("single", "isotropic", "diagonal", "single-full")]
+
+
+class TestPosteriorFastPath:
+    def _setup(self, op_name, prior_name):
+        H = _fast_path_operators()[op_name]
+        rng = np.random.default_rng(14)
+        prior = _fast_path_priors(rng, H.in_dim)[prior_name]
+        post = LinearGaussianPosterior(prior, ObservationModel(H, 0.6))
+        # a few rows near each component mean so responsibilities are mixed
+        x = prior.means[rng.integers(0, prior.n_components, size=40)]
+        s = H.apply(x + 0.5 * rng.standard_normal(x.shape))
+        return post, s
+
+    @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
+    def test_matches_reference(self, op_name, prior_name):
+        post, s = self._setup(op_name, prior_name)
+        got = post.posterior_mean(s)
+        expected = reference_posterior_mean(post, s)
+        if post.prior.n_components > 1 and post.prior.is_isotropic:
+            np.testing.assert_allclose(got, expected, rtol=FOLD_RTOL,
+                                       atol=FOLD_RTOL * np.abs(expected).max())
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
+    def test_batch_matches_rows(self, op_name, prior_name):
+        post, s = self._setup(op_name, prior_name)
+        batch = post.posterior_mean(s)
+        rows = np.stack([post.posterior_mean(row) for row in s])
+        np.testing.assert_allclose(batch, rows, rtol=FOLD_RTOL,
+                                   atol=FOLD_RTOL * np.abs(rows).max())
+
+    @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
+    def test_one_solve_per_component(self, op_name, prior_name):
+        post, s = self._setup(op_name, prior_name)
+        H, calls = post.obs.H, {"solve": 0, "innovation_solve": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        post._solve = counted("solve", post._solve)
+        H.innovation_solve = counted("innovation_solve", H.innovation_solve)
+        H.adjoint_apply = counted("adjoint", H.adjoint_apply)
+        post.posterior_mean(s)
+        k = post.prior.n_components
+        assert calls["solve"] == k
+        assert calls["innovation_solve"] == (k if post.prior.is_isotropic else 0)
+        assert calls["adjoint"] == (1 if post.prior.is_isotropic else 0)

@@ -14,6 +14,7 @@ from srp.operators import (
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
+    FoldDownsample,
     Identity,
     sample_degradation,
 )
@@ -24,6 +25,7 @@ from srp.solver import (
     DivergenceError,
     SolverConfig,
     TRACE_HEADER,
+    Trace,
     audit_convergence,
     run,
     select_operator,
@@ -187,6 +189,61 @@ class TestBatch:
         with pytest.raises(ValueError):
             SolverConfig(gamma=0.1, tau=1.0, iterations=5, batch=4,
                          selection="cyclic")
+
+
+class TestPredrawnSelection:
+    """run() draws the selection stream up front; a loop drawing per
+    iteration is the reference, bit for bit."""
+
+    def _instance(self):
+        prior = GmmPrior([0.3, 0.7], [[0.5, 0.0, -0.2, 0.1], [-1.0, 0.3, 0.8, 0.0]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+        ens = DegradationEnsemble(
+            [Identity(4), CoordinateMask(4, [0, 2]), FoldDownsample(4, 2)],
+            sigma=0.5, weights=[0.5, 0.3, 0.2],
+        )
+        reg = Regularizer(tau=0.4, prior=prior, ens=ens)
+        problem = Problem(DenseMatrix(np.eye(4) + 0.1), np.array([0.2, -0.1, 0.5, 0.3]))
+        return problem, reg, ExactMmse(prior, 0.5)
+
+    def _reference(self, problem, reg, restorer, gamma, t, seed, batch):
+        ens, scale = reg.ens, reg.tau / (reg.ens.sigma ** 2)
+        sel_rng, noise_rng = solver_streams(seed)
+        x = np.zeros(4)
+        xs, op_index, step_sq, grad_hat_norm = [x], [], [], []
+        for _ in range(t):
+            if batch == 1:
+                draws = [sample_degradation(ens, sel_rng)[0]]
+            else:
+                draws = sel_rng.choice(ens.size, size=batch, p=ens.weights)
+            terms = []
+            for j in draws:
+                H = ens.members[int(j)]
+                s = H.apply(x) + ens.sigma * noise_rng.standard_normal(H.out_dim)
+                terms.append(scale * H.gram_apply(x - restorer.restore(s, H)))
+            term = terms[0] if batch == 1 else np.mean(terms, axis=0)
+            ghat = fidelity_grad(problem, x) + term
+            x_new = x - gamma * ghat
+            op_index.append(int(draws[0]))
+            step_sq.append(float(np.dot(x_new - x, x_new - x)))
+            grad_hat_norm.append(float(np.linalg.norm(ghat)))
+            x = x_new
+            xs.append(x)
+        trace = Trace(np.array(op_index), np.array(step_sq), np.array(grad_hat_norm),
+                      None, None, None, None, x)
+        return np.array(xs), trace
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_per_iteration_draws(self, batch):
+        problem, reg, restorer = self._instance()
+        gamma, t, seed = 0.1, 40, 17
+        cfg = SolverConfig(gamma=gamma, tau=0.4, iterations=t, seed=seed, batch=batch,
+                           x0="zeros", record_iterates=True)
+        _, trace = run(problem, reg, restorer, cfg)
+        xs, ref = self._reference(problem, reg, restorer, gamma, t, seed, batch)
+        assert len(set(trace.op_index.tolist())) == 3
+        assert np.array_equal(trace.iterates, xs)
+        assert trace.csv_text() == ref.csv_text()
 
 
 class TestDivergence:
