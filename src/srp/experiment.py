@@ -105,7 +105,7 @@ def run_single(built, seed_value):
     t0 = time.perf_counter()
     sim_rng, solver_seed = _seed_streams(cfg.seed, seed_value)
     x_true, y = simulate_measurement(built, sim_rng)
-    problem = Problem(built.A, y, noise_sigma_meas=built.noise_sigma)
+    problem = Problem(built.A, y)
     reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
     scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
 
@@ -264,7 +264,7 @@ def audit_experiment(cfg, probes=None, slack=0.05):
     cfg = built.cfg
     sim_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     x_true, y = simulate_measurement(built, sim_rng)
-    problem = Problem(built.A, y, noise_sigma_meas=built.noise_sigma)
+    problem = Problem(built.A, y)
     reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
 
     runs = []

@@ -37,7 +37,6 @@ class Problem:
 
     A: object
     y: np.ndarray
-    noise_sigma_meas: float = 0.0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)

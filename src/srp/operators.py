@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 DENSE_CAP = 2 ** 22  # max in_dim * out_dim entries for to_dense()
+_UNSET = object()  # marks a write-once cache that has not been filled yet
 
 
 class DimensionMismatch(ValueError):
@@ -63,9 +64,10 @@ class LinearOperator:
 
     Subclasses implement ``_apply`` and ``_adjoint`` on arrays of shape
     (..., dim); ``apply``/``adjoint_apply`` add dimension checks. The
-    ``innovation_*`` methods solve against (c * H Hᵀ + σ² I); structured
-    kinds override the cheap hooks, everything else falls back to a cached
-    dense factorization.
+    ``innovation_*`` methods solve against (c * H Hᵀ + σ² I): by a diagonal
+    when H Hᵀ is diagonal, by real FFTs when it is circulant (its DFT
+    eigenvalues come from ``_gram_dual_spectrum``), and by a cached dense
+    Cholesky factorization otherwise.
     """
 
     kind = "abstract"
@@ -75,6 +77,7 @@ class LinearOperator:
         self.out_dim = int(out_dim)
         self._dense = None
         self._gram_out = None
+        self._spectrum = _UNSET
         self._innovation_cache = {}
 
     # -- core action ------------------------------------------------------
@@ -143,6 +146,20 @@ class LinearOperator:
         """Full-FFT symbol t with H = circulant(t) (so H Hᵀ has spectrum |t|²)."""
         return None
 
+    def _circulant_spectrum(self):
+        """DFT eigenvalues of H Hᵀ when it is circulant, else None."""
+        t = self._gram_dual_symbol()
+        return None if t is None else np.abs(t) ** 2
+
+    def _gram_dual_spectrum(self):
+        """``_circulant_spectrum``, computed once per operator."""
+        if self._spectrum is _UNSET:
+            lam = self._circulant_spectrum()
+            if lam is not None:
+                lam.flags.writeable = False
+            self._spectrum = lam
+        return self._spectrum
+
     def _gram_out_dense(self):
         if self._gram_out is None:
             hd = self.to_dense()
@@ -166,10 +183,11 @@ class LinearOperator:
         d = self._gram_dual_diagonal()
         if d is not None:
             return r / (c * d + sigma2)
-        t = self._gram_dual_symbol()
-        if t is not None:
-            denom = c * np.abs(t) ** 2 + sigma2
-            return np.fft.ifft(np.fft.fft(r, axis=-1) / denom, axis=-1).real
+        lam = self._gram_dual_spectrum()
+        if lam is not None:
+            m = self.out_dim
+            denom = c * lam[: m // 2 + 1] + sigma2
+            return np.fft.irfft(np.fft.rfft(r, axis=-1) / denom, n=m, axis=-1)
         cho = self._innovation_factor(c, sigma2)
         r = np.asarray(r, dtype=float)
         flat = r.reshape(-1, self.out_dim)
@@ -184,9 +202,9 @@ class LinearOperator:
         d = self._gram_dual_diagonal()
         if d is not None:
             return float(np.sum(np.log(c * d + sigma2)))
-        t = self._gram_dual_symbol()
-        if t is not None:
-            return float(np.sum(np.log(c * np.abs(t) ** 2 + sigma2)))
+        lam = self._gram_dual_spectrum()
+        if lam is not None:
+            return float(np.sum(np.log(c * lam + sigma2)))
         cho, _ = self._innovation_factor(c, sigma2)
         return float(2.0 * np.sum(np.log(np.diag(cho))))
 
@@ -198,9 +216,9 @@ class LinearOperator:
         d = self._gram_dual_diagonal()
         if d is not None:
             return float(np.sum(1.0 / (c * d + sigma2)))
-        t = self._gram_dual_symbol()
-        if t is not None:
-            return float(np.sum(1.0 / (c * np.abs(t) ** 2 + sigma2)))
+        lam = self._gram_dual_spectrum()
+        if lam is not None:
+            return float(np.sum(1.0 / (c * lam + sigma2)))
         cho, _ = self._innovation_factor(c, sigma2)
         linv = scipy.linalg.solve_triangular(
             cho, np.eye(self.out_dim), lower=True
@@ -361,7 +379,10 @@ class DiscreteFourier(LinearOperator):
 
 
 class CircularConvolution(LinearOperator):
-    """Circular convolution on real signals; kernel taps sit at lags 0..L-1."""
+    """Circular convolution on real signals; kernel taps sit at lags 0..L-1.
+
+    Apply and adjoint are real FFT pairs against the symbol's half spectrum.
+    """
 
     kind = "circular-convolution"
 
@@ -376,14 +397,18 @@ class CircularConvolution(LinearOperator):
         padded[: kernel.size] = kernel
         self._symbol = np.fft.fft(padded)
         self._symbol.flags.writeable = False
+        self._half = self._symbol[: dim // 2 + 1]
+        self._half_conj = np.conj(self._half)
+        self._half_conj.flags.writeable = False
+
+    def _convolve(self, v, half):
+        return np.fft.irfft(np.fft.rfft(v, axis=-1) * half, n=self.in_dim, axis=-1)
 
     def _apply(self, v):
-        return np.fft.ifft(np.fft.fft(v, axis=-1) * self._symbol, axis=-1).real
+        return self._convolve(v, self._half)
 
     def _adjoint(self, u):
-        return np.fft.ifft(
-            np.fft.fft(u, axis=-1) * np.conj(self._symbol), axis=-1
-        ).real
+        return self._convolve(u, self._half_conj)
 
     def _gram_dual_symbol(self):
         return self._symbol
@@ -436,6 +461,7 @@ class Composition(LinearOperator):
                 )
         super().__init__(stages[0].in_dim, stages[-1].out_dim)
         self.stages = stages
+        self._reduced = None
 
     def _apply(self, v):
         for stage in self.stages:
@@ -453,14 +479,30 @@ class Composition(LinearOperator):
 
     def _gram_reduced(self):
         # C = Sk...S1 and S1 S1ᵀ = I make C Cᵀ equal (Sk...S2)(Sk...S2)ᵀ.
-        stages = list(self.stages)
-        peeled = False
-        while len(stages) > 1 and stages[0].has_orthonormal_rows:
-            stages.pop(0)
-            peeled = True
-        if not peeled:
-            return self
-        return stages[0] if len(stages) == 1 else Composition(stages)
+        # Kept, so the reduced operator's caches outlive one call.
+        if self._reduced is None:
+            stages = list(self.stages)
+            while len(stages) > 1 and stages[0].has_orthonormal_rows:
+                stages.pop(0)
+            if len(stages) == len(self.stages):
+                self._reduced = self
+            else:
+                self._reduced = stages[0] if len(stages) == 1 else Composition(stages)
+        return self._reduced
+
+    def _circulant_spectrum(self):
+        # Folding by f | n keeps every f-th lag of the circulant G = head headᵀ,
+        # so D G Dᵀ is circulant on the coarse grid with G's spectrum aliased
+        # f ways: λ_j = mean_a G[j + a n/f].
+        *head, last = self.stages
+        if not (head and isinstance(last, FoldDownsample)
+                and last.in_dim % last.factor == 0):
+            return None
+        head = head[0] if len(head) == 1 else Composition(head)
+        g = head._gram_dual_spectrum()
+        if g is None:
+            return None
+        return g.reshape(last.factor, -1).mean(axis=0)
 
 
 class ConvexCombination(LinearOperator):

@@ -290,8 +290,12 @@ class LinearGaussianPosterior:
         return loglik, zs
 
     def _responsibilities(self, loglik):
+        # Normalized by their sum, not by exp(logsumexp): they then sum to 1
+        # even where the log-likelihoods are too large for log(count) to
+        # register. Rows whose log-likelihoods are all -inf stay nan.
         logp = loglik + self.log_w
-        return np.exp(logp - _logsumexp(logp, keepdims=True))
+        e = np.exp(logp - np.max(logp, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
 
     def component_loglik(self, s):
         """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from srp.operators import (
     CircularConvolution,
@@ -51,6 +52,10 @@ def operator_zoo(rng):
         ConvexCombination(0.0, Scale(6, 2.0)),
         ConvexCombination(1.0, Scale(6, 2.0)),
         masked_fourier((4, 4), np.array([True, False, True, False])),
+        # 4 does not divide 10: the dense fallback
+        Composition(
+            [CircularConvolution(10, rng.standard_normal(3)), FoldDownsample(10, 4)]
+        ),
     ]
 
 
@@ -241,6 +246,103 @@ class TestInnovationSystem:
             np.testing.assert_allclose(
                 batch[i], op.innovation_solve(0.4, 0.2, r[i]), atol=1e-12
             )
+
+
+def _dense_circulant(n, kernel):
+    """Independent oracle: entry (i, j) is the tap at lag (i - j) mod n."""
+    padded = np.zeros(n)
+    padded[: kernel.size] = kernel
+    lags = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return padded[lags]
+
+
+@st.composite
+def circulant_systems(draw):
+    """A circulant-based operator, its dense form, and an innovation system.
+
+    Kinds: plain blur, convex combination with a blur, and blur followed by
+    a fold (factor dividing n or not), optionally behind a unitary DFT that
+    the innovation paths peel off.
+    """
+    factor = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        n = factor * draw(st.integers(1, 10))
+    else:
+        n = draw(st.integers(max(factor, 2), 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kernel = rng.standard_normal(draw(st.integers(1, n)))
+    alpha = draw(st.floats(0.0, 1.0))
+    blur = CircularConvolution(n, kernel)
+    dense = _dense_circulant(n, kernel)
+    kind = draw(st.sampled_from(["blur", "convex", "blur-fold", "convex-fold", "dft-blur-fold"]))
+    if kind.startswith("convex"):
+        blur = ConvexCombination(alpha, blur)
+        dense = (1.0 - alpha) * np.eye(n) + alpha * dense
+    if kind.endswith("fold"):
+        fold = FoldDownsample(n, factor)
+        op = Composition([blur, fold])
+        dense = dense[::factor]
+        if kind == "dft-blur-fold" and n % 2 == 0:
+            dft = DiscreteFourier((n // 2,))
+            op = Composition([dft, blur, fold])
+            dense = dense @ dft.to_dense()
+    else:
+        op = blur
+    c = draw(st.floats(0.0, 5.0))
+    sigma2 = draw(st.floats(0.05, 2.0))
+    return op, dense, c, sigma2, rng
+
+
+class TestSpectralProperties:
+    """Circulant innovation paths and real-FFT convolution vs dense linear algebra."""
+
+    @given(circulant_systems())
+    def test_innovation_matches_dense(self, system):
+        op, dense, c, sigma2, rng = system
+        s_mat = c * dense @ dense.T + sigma2 * np.eye(op.out_dim)
+        r = rng.standard_normal(op.out_dim)
+        np.testing.assert_allclose(
+            op.innovation_solve(c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
+        )
+        np.testing.assert_allclose(
+            op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
+        )
+        np.testing.assert_allclose(
+            op.innovation_inverse_trace(c, sigma2),
+            np.trace(np.linalg.inv(s_mat)),
+            atol=1e-9,
+        )
+
+    @given(circulant_systems())
+    def test_divisible_folds_take_the_spectral_path(self, system):
+        op, _, c, sigma2, rng = system
+        op.innovation_solve(c, sigma2, rng.standard_normal(op.out_dim))
+        red = op._gram_reduced()
+        fold = red.stages[-1] if isinstance(red, Composition) else None
+        spectral = fold is None or fold.in_dim % fold.factor == 0
+        assert (red._gram_dual_spectrum() is not None) == spectral
+        assert (not red._innovation_cache) == spectral
+
+    @given(circulant_systems())
+    def test_batched_solve_matches_rows(self, system):
+        op, _, c, sigma2, rng = system
+        r = rng.standard_normal((4, op.out_dim))
+        batch = op.innovation_solve(c, sigma2, r)
+        rows = np.stack([op.innovation_solve(c, sigma2, row) for row in r])
+        if op._gram_reduced()._gram_dual_spectrum() is not None:
+            np.testing.assert_array_equal(batch, rows)
+        else:
+            np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
+
+    @given(circulant_systems())
+    def test_convolution_matches_dense(self, system):
+        op, dense, _, _, rng = system
+        v = rng.standard_normal((3, op.in_dim))
+        u = rng.standard_normal((3, op.out_dim))
+        np.testing.assert_allclose(op.apply(v), v @ dense.T, atol=1e-10)
+        np.testing.assert_allclose(op.adjoint_apply(u), u @ dense, atol=1e-10)
+        np.testing.assert_allclose(op.to_dense(), dense, atol=1e-10)
+        assert adjoint_mismatch(op, rng, trials=10) < 1e-10
 
 
 class TestEnsemble:

@@ -230,6 +230,26 @@ class TestMmseRestore:
             assert expected_sq_error(perturbed) >= base
 
 
+class TestResponsibilityScale:
+    """Tied components share the posterior mass at any observation scale."""
+
+    @pytest.mark.parametrize("s", [1e17, 1e150])
+    def test_tied_components_split_evenly(self, s):
+        p = GmmPrior([0.5, 0.5], [[0.0], [0.0]], [np.asarray(1.0)] * 2)
+        post = LinearGaussianPosterior(p, ObservationModel(Identity(1), 1.0))
+        np.testing.assert_array_equal(post.responsibilities(np.array([s])), [0.5, 0.5])
+        np.testing.assert_allclose(post.posterior_mean(np.array([s])), [s / 2],
+                                   rtol=4 * np.finfo(float).eps)
+
+    def test_all_infinite_logliks_stay_nan(self):
+        # s² overflows, so every log-likelihood is -inf; the solver's
+        # divergence check, not the posterior, stops such a run
+        p = GmmPrior([0.5, 0.5], [[0.0], [0.0]], [np.asarray(1.0)] * 2)
+        post = LinearGaussianPosterior(p, ObservationModel(Identity(1), 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isnan(post.responsibilities(np.array([1e155]))))
+
+
 class TestObservationScore:
     def test_worked_example(self):
         p = standard_normal_prior()
@@ -310,9 +330,10 @@ FOLD_RTOL = 1e-13
 
 
 def reference_posterior_mean(post, s):
-    """Per-component form: scipy logsumexp, component_loglik, K adjoints."""
+    """Per-component form: sum-normalized responsibilities, K adjoints."""
     logp = post.component_loglik(s) + post.log_w
-    resp = np.exp(logp - scipy.special.logsumexp(logp, axis=-1, keepdims=True))
+    e = np.exp(logp - np.max(logp, axis=-1, keepdims=True))
+    resp = e / np.sum(e, axis=-1, keepdims=True)
     H, prior = post.obs.H, post.prior
     mean = np.zeros(s.shape[:-1] + (prior.dim,))
     for k in range(prior.n_components):
@@ -384,6 +405,17 @@ class TestPosteriorFastPath:
         rows = np.stack([post.posterior_mean(row) for row in s])
         np.testing.assert_allclose(batch, rows, rtol=FOLD_RTOL,
                                    atol=FOLD_RTOL * np.abs(rows).max())
+
+    def test_blur_fold_builds_no_dense_form(self):
+        # f | n makes the member's innovation system circulant: a silent
+        # fallback to the dense Cholesky path fails here
+        post, s = self._setup("blur-fold", "isotropic")
+        post.posterior_mean(s)
+        post.logpdf(s)
+        H = post.obs.H
+        assert H.in_dim % H.stages[-1].factor == 0
+        assert H._dense is None
+        assert not H._innovation_cache
 
     @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
     def test_one_solve_per_component(self, op_name, prior_name):
