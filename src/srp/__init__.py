@@ -67,7 +67,6 @@ from .solver import (
     Trace,
     audit_convergence,
     run,
-    select_operator,
     solver_streams,
 )
 from .metrics import magnitude, psnr, ssim

@@ -6,8 +6,10 @@ Subcommands:
   audit <config>               run all seeds and check the convergence bound
   sweep <config> --grid <file> cartesian parameter sweep over config overrides
 
-Exit codes: 0 success, 2 config error, 3 validation/audit failure,
-4 divergence.
+Exit codes: 0 success, 2 config or input error, 3 validation/audit failure,
+4 divergence. Input errors are unreadable array files, mismatched
+dimensions, refused dense materializations and covariances that do not
+factor; each is reported on one stderr line, without a traceback.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import json
 import sys
 from pathlib import Path
 
+from .arrayio import ArrayFileError
 from .config import ConfigError, ExperimentConfig
 from .experiment import audit_experiment, run_experiment
+from .operators import DenseCapExceeded, DimensionMismatch
+from .priors import FactorizationError
 from .solver import AuditError, DivergenceError
 from .validation import format_table, validation_suite
 
@@ -153,6 +158,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ArrayFileError, DimensionMismatch, DenseCapExceeded,
+            FactorizationError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AuditError as exc:
         print(f"audit error: {exc}", file=sys.stderr)

@@ -168,25 +168,17 @@ def reg_value_exact(reg, x):
 def reg_value_mc(reg, x, mc_samples, rng):
     """Unbiased Monte Carlo estimate of h(x) with its standard error.
 
-    Draw order is (member indices, then per-member noise blocks), so two
-    calls with identically seeded generators share their randomness; that is
-    what makes common-random-number finite differences work.
+    Draws come from ``DegradationEnsemble.observe``, so two calls with
+    identically seeded generators share their randomness; that is what makes
+    common-random-number finite differences work.
     """
     if mc_samples < 2:
         raise ValueError("mc_samples must be at least 2")
     x = np.asarray(x, dtype=float)
     posts = _posteriors(reg)
-    sigma = reg.ens.sigma
-    idx = rng.choice(reg.ens.size, size=int(mc_samples), p=reg.ens.weights)
     vals = np.empty(int(mc_samples))
-    for j, H in enumerate(reg.ens.members):
-        sel = idx == j
-        c = int(np.sum(sel))
-        if c == 0:
-            continue
-        noise = rng.standard_normal((c, H.out_dim))
-        s = H.apply(x) + sigma * noise
-        vals[sel] = -posts[j].logpdf(s)
+    for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
+        vals[rows] = -posts[j].logpdf(s)
     est = reg.tau * float(np.mean(vals))
     se = reg.tau * float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
     return est, se
@@ -205,15 +197,9 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
     posts = _posteriors(reg)
     sigma = reg.ens.sigma
     scale = reg.tau / (sigma * sigma)
-    idx = rng.choice(reg.ens.size, size=int(mc_samples), p=reg.ens.weights)
     total = np.zeros(reg.prior.dim)
     total_sq = np.zeros(reg.prior.dim)
-    for j, H in enumerate(reg.ens.members):
-        c = int(np.sum(idx == j))
-        if c == 0:
-            continue
-        noise = rng.standard_normal((c, H.out_dim))
-        s = H.apply(x) + sigma * noise
+    for j, H, _, s in reg.ens.observe(x, mc_samples, rng):
         terms = scale * H.gram_apply(x - posts[j].posterior_mean(s))
         total += np.sum(terms, axis=0)
         total_sq += np.sum(terms ** 2, axis=0)
@@ -257,31 +243,34 @@ def gaussian_objective_minimum(problem, reg):
 # -- stochastic gradient -----------------------------------------------------------
 
 
+def regularizer_step(reg, restorer, x, members, rng):
+    """Regularizer term of one stochastic step, averaged over ``members``.
+
+    For each member index j, in draw order, draws one noise vector and forms
+    (tau/sigma²) H_jᵀH_j (x - R(H_j x + sigma n, H_j)).
+    """
+    ens = reg.ens
+    scale = reg.tau / (ens.sigma * ens.sigma)
+    terms = np.empty((len(members), x.size))
+    for i, j in enumerate(members):
+        H = ens.members[j]
+        s = H.apply(x) + ens.sigma * rng.standard_normal(H.out_dim)
+        terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
+    return terms.sum(axis=0) / len(members)
+
+
 def stochastic_grad(problem, reg, restorer, x, rng, batch=1):
     """One stochastic gradient ∇g(x) + (tau/sigma²) HᵀH (x - R(s, H)).
 
     ``batch`` > 1 averages that many independent (H, s) draws of the
-    regularizer term; batch = 1 is the plain single-draw update.
+    regularizer term; batch = 1 is the plain single-draw update. All member
+    indices are drawn first, in one ``choice`` call, then the noise.
     """
     if batch < 1:
         raise ValueError("batch must be at least 1")
     x = np.asarray(x, dtype=float)
-    sigma = reg.ens.sigma
-    scale = reg.tau / (sigma * sigma)
-    if batch == 1:
-        j = int(rng.choice(reg.ens.size, p=reg.ens.weights))
-        H = reg.ens.members[j]
-        s = H.apply(x) + sigma * rng.standard_normal(H.out_dim)
-        term = scale * H.gram_apply(x - restorer.restore(s, H))
-    else:
-        idx = rng.choice(reg.ens.size, size=int(batch), p=reg.ens.weights)
-        terms = np.empty((int(batch), reg.prior.dim))
-        for i, j in enumerate(idx):
-            H = reg.ens.members[int(j)]
-            s = H.apply(x) + sigma * rng.standard_normal(H.out_dim)
-            terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
-        term = np.mean(terms, axis=0)
-    return fidelity_grad(problem, x) + term
+    members = rng.choice(reg.ens.size, size=int(batch), p=reg.ens.weights)
+    return fidelity_grad(problem, x) + regularizer_step(reg, restorer, x, members, rng)
 
 
 def variance_probe(problem, reg, restorer, x, mc_samples, rng):
@@ -296,15 +285,9 @@ def variance_probe(problem, reg, restorer, x, mc_samples, rng):
     x = np.asarray(x, dtype=float)
     sigma = reg.ens.sigma
     scale = reg.tau / (sigma * sigma)
-    idx = rng.choice(reg.ens.size, size=int(mc_samples), p=reg.ens.weights)
     total = np.zeros(reg.prior.dim)
     sumsq = 0.0
-    for j, H in enumerate(reg.ens.members):
-        c = int(np.sum(idx == j))
-        if c == 0:
-            continue
-        noise = rng.standard_normal((c, H.out_dim))
-        s = H.apply(x) + sigma * noise
+    for _, H, _, s in reg.ens.observe(x, mc_samples, rng):
         terms = scale * H.gram_apply(x - restorer.restore(s, H))
         total += np.sum(terms, axis=0)
         sumsq += float(np.sum(terms ** 2))

@@ -100,10 +100,6 @@ class LinearOperator:
         """Hᵀ H v. Always the literal composition, so fused paths cannot drift."""
         return self.adjoint_apply(self.apply(v))
 
-    def adjoint(self):
-        """The adjoint as an operator; adjoint of the adjoint is self."""
-        return _Adjoint(self)
-
     # -- dense materialization ---------------------------------------------
 
     def to_dense(self, cap=DENSE_CAP):
@@ -227,23 +223,6 @@ class LinearOperator:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.out_dim}x{self.in_dim}>"
-
-
-class _Adjoint(LinearOperator):
-    kind = "adjoint"
-
-    def __init__(self, inner):
-        super().__init__(inner.out_dim, inner.in_dim)
-        self.inner = inner
-
-    def _apply(self, v):
-        return self.inner._adjoint(v)
-
-    def _adjoint(self, u):
-        return self.inner._apply(u)
-
-    def adjoint(self):
-        return self.inner
 
 
 class Identity(LinearOperator):
@@ -584,6 +563,22 @@ class DegradationEnsemble:
 
     def __iter__(self):
         return iter(self.members)
+
+    def observe(self, x, count, rng):
+        """``count`` degraded observations of x, grouped by member.
+
+        Draws all member indices in one ``choice`` call, then one
+        (c, out_dim) noise block per member drawn c > 0 times, in member
+        order; yields (j, H, rows, s) with ``rows`` the draw positions of
+        member j and ``s = H x + sigma * noise``. Identically seeded calls
+        therefore share their randomness (common random numbers).
+        """
+        idx = rng.choice(self.size, size=int(count), p=self.weights)
+        for j, H in enumerate(self.members):
+            rows = np.flatnonzero(idx == j)
+            if rows.size:
+                noise = rng.standard_normal((rows.size, H.out_dim))
+                yield j, H, rows, H.apply(x) + self.sigma * noise
 
 
 def sample_degradation(ens, rng):

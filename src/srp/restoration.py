@@ -153,12 +153,6 @@ class BiasReport:
     note: str = ""
 
 
-def _grouped_draws(ens, mc_samples, rng):
-    """Member indices for mc_samples draws, grouped for batched evaluation."""
-    idx = rng.choice(ens.size, size=int(mc_samples), p=ens.weights)
-    return [(j, int(np.sum(idx == j))) for j in range(ens.size)]
-
-
 def bias_vector(restorer, prior, ens, x, tau, mc_samples, rng):
     """Monte Carlo estimate of the bias vector b(x).
 
@@ -169,17 +163,10 @@ def bias_vector(restorer, prior, ens, x, tau, mc_samples, rng):
     exact = exact_counterpart(restorer)
     scale = float(tau) / (ens.sigma * ens.sigma)
     total = np.zeros(ens.in_dim)
-    count = 0
-    for j, c in _grouped_draws(ens, mc_samples, rng):
-        if c == 0:
-            continue
-        H = ens.members[j]
-        noise = rng.standard_normal((c, H.out_dim))
-        s = H.apply(x) + ens.sigma * noise
+    for _, H, _, s in ens.observe(x, mc_samples, rng):
         gap = exact.restore(s, H) - restorer.restore(s, H)
         total += np.sum(H.gram_apply(gap), axis=0)
-        count += c
-    return scale * total / count
+    return scale * total / int(mc_samples)
 
 
 def measure_bias(restorer, prior, ens, probe_points, tau, mc_samples, rng):

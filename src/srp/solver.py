@@ -35,9 +35,9 @@ from .objective import (
     fidelity_lipschitz,
     gaussian_objective_minimum,
     regularizer_curvature_bound,
+    regularizer_step,
     variance_probe,
 )
-from .operators import sample_degradation
 from .restoration import measure_bias
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
@@ -136,30 +136,20 @@ def solver_streams(seed):
     return np.random.default_rng(sel_seq), np.random.default_rng(noise_seq)
 
 
-def select_operator(selection, ens, k, rng, fixed_index=0):
-    """Index of the operator used at (0-based) iteration k."""
-    if selection == "iid-by-weights":
-        idx, _ = sample_degradation(ens, rng)
-        return idx
-    if selection == "cyclic":
-        return k % ens.size
-    if selection == "fixed":
-        return int(fixed_index)
-    raise ValueError(f"unknown selection strategy {selection!r}")
-
-
 def _selection_stream(cfg, ens, rng):
     """Member indices for every iteration, shape (iterations, batch).
 
-    iid selection draws the whole stream in one ``choice`` call, which
-    consumes the generator exactly as one ``choice`` per iteration (of size
-    ``batch``, or one ``sample_degradation`` when batch is 1) would.
+    iid selection draws the whole stream in one ``choice`` call, which yields
+    the same indices as one ``choice`` of size ``batch`` per iteration, or
+    one ``sample_degradation`` per iteration when batch is 1. Cyclic and
+    fixed selection draw nothing.
     """
     t = cfg.iterations
     if cfg.selection == "iid-by-weights":
         return rng.choice(ens.size, size=(t, cfg.batch), p=ens.weights)
-    idx = [select_operator(cfg.selection, ens, k, rng, cfg.fixed_index) for k in range(t)]
-    return np.array(idx).reshape(t, 1)
+    if cfg.selection == "cyclic":
+        return (np.arange(t) % ens.size).reshape(t, 1)
+    return np.full((t, 1), int(cfg.fixed_index))
 
 
 def _initial_point(cfg, problem):
@@ -214,7 +204,6 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None, f_fn="auto", grad_fn="auto
             grad_fn = auto_g
 
     sel_rng, noise_rng = solver_streams(cfg.seed)
-    scale = reg.tau / (ens.sigma * ens.sigma)
     t = cfg.iterations
     x = _initial_point(cfg, problem)
 
@@ -235,12 +224,8 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None, f_fn="auto", grad_fn="auto
         with np.errstate(over="ignore", invalid="ignore"):
             if grad_true_norm is not None:
                 grad_true_norm[k] = np.linalg.norm(grad_fn(x))
-            terms = np.empty((cfg.batch, x.size))
-            for i, j in enumerate(draws[k]):
-                H = ens.members[j]
-                s = H.apply(x) + ens.sigma * noise_rng.standard_normal(H.out_dim)
-                terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
-            ghat = fidelity_grad(problem, x) + terms.sum(axis=0) / cfg.batch
+            ghat = fidelity_grad(problem, x) + regularizer_step(
+                reg, restorer, x, draws[k], noise_rng)
             x_new = x - cfg.gamma * ghat
             if not np.all(np.isfinite(x_new)):
                 raise DivergenceError(k + 1, x)

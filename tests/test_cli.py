@@ -1,5 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+
+import srp
+from srp.arrayio import write_array
 from srp.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, main
 
 
@@ -76,6 +84,51 @@ class TestRun:
     def test_divergence_exit_code(self, tmp_path):
         path = write_config(tmp_path, gamma=50.0, iterations=2000)
         assert main(["run", str(path), "--quiet"]) == EXIT_DIVERGENCE
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so an escaping traceback would show."""
+    env = dict(os.environ, PYTHONPATH=str(Path(srp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "srp.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestInputErrors:
+    def assert_input_error(self, proc):
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+
+    def test_truncated_ground_truth_file(self, tmp_path):
+        gt = tmp_path / "truth.f64"
+        write_array(gt, np.zeros(128))
+        gt.write_bytes(gt.read_bytes()[:-8])  # drop the last value
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["problem"]["ground_truth"] = {"source": "file", "path": str(gt)}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc)
+        assert "expected 128 values, got 127" in proc.stderr
+
+    def test_non_positive_explicit_covariance(self, tmp_path):
+        cfg = {
+            "version": 1, "name": "bad-cov", "seed": 0, "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+            "problem": {"operator": {"kind": "identity", "dim": 1},
+                        "ground_truth": {"source": "prior"}, "noise_sigma": 0.1},
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0]],
+                      "covariances": [-1.0]},
+            "ensemble": {"members": [{"kind": "identity", "dim": 1}], "sigma": 1.0},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc)
+        assert "variance must be positive" in proc.stderr
 
 
 class TestValidate:

@@ -268,12 +268,38 @@ class TestStochasticGrad:
         np.testing.assert_array_equal(g, expected)
 
     def test_batched_mean(self):
-        reg = gauss_reg()
-        p = Problem(Identity(1), np.zeros(1))
-        r = ExactMmse(reg.prior, 1.0)
-        g = stochastic_grad(p, reg, r, np.array([1.0]), np.random.default_rng(14),
-                            batch=64)
-        assert np.isfinite(g).all()
+        self.check_against_reference(batch=3)
+
+    def test_single_draw_multi_member(self):
+        self.check_against_reference(batch=1)
+
+    @staticmethod
+    def check_against_reference(batch):
+        # in-test reference: all member indices in one choice, then one noise
+        # vector per draw in draw order; four calls share one generator
+        prior = GmmPrior([0.4, 0.6], [[0.5, -0.2, 0.1], [-0.3, 0.8, 0.0]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+        ens = DegradationEnsemble(
+            [Identity(3), CoordinateMask(3, [0, 2]),
+             DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
+            sigma=0.6, weights=[0.5, 0.2, 0.3],
+        )
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        p = Problem(DenseMatrix(np.eye(3) + 0.1), np.array([0.2, -0.1, 0.4]))
+        r = ExactMmse(prior, 0.6)
+        x = np.array([0.3, -1.1, 0.7])
+        scale = 0.8 / (0.6 * 0.6)
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(4):
+            g = stochastic_grad(p, reg, r, x, rng, batch=batch)
+            idx = ref_rng.choice(3, size=batch, p=ens.weights)
+            terms = np.empty((batch, 3))
+            for i, j in enumerate(idx):
+                H = ens.members[j]
+                s = H.apply(x) + 0.6 * ref_rng.standard_normal(H.out_dim)
+                terms[i] = scale * H.gram_apply(x - r.restore(s, H))
+            np.testing.assert_array_equal(
+                g, fidelity_grad(p, x) + terms.sum(axis=0) / batch)
 
 
 class TestVarianceProbe:

@@ -123,15 +123,60 @@ class TestAdjointExamples:
         for op in operator_zoo(rng):
             assert adjoint_mismatch(op, rng, trials=100) < 1e-10, op.kind
 
-    def test_double_adjoint_is_original(self):
-        rng = np.random.default_rng(3)
-        for op in operator_zoo(rng):
-            twice = op.adjoint().adjoint()
-            v = rng.standard_normal(op.in_dim)
-            a = op.apply(v)
-            b = twice.apply(v)
-            scale = max(float(np.linalg.norm(a)), 1.0)
-            assert float(np.linalg.norm(a - b)) / scale < 1e-12
+
+def random_stage(draw, rng, dim, square=False, convex=True):
+    """One operator with in_dim ``dim``; ``square`` keeps out_dim == dim."""
+    kinds = ["identity", "scale", "mask", "blur", "dense-square"]
+    if dim % 2 == 0:
+        kinds.append("dft")
+    if not square:
+        kinds += ["dense", "fold"]
+    if convex:
+        kinds.append("convex")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return Identity(dim)
+    if kind == "scale":
+        return Scale(dim, rng.standard_normal())
+    if kind == "mask":
+        return CoordinateMask(dim, np.flatnonzero(rng.random(dim) < 0.5))
+    if kind == "blur":
+        return CircularConvolution(dim, rng.standard_normal(draw(st.integers(1, dim))))
+    if kind == "dft":
+        return DiscreteFourier((dim // 2,))
+    if kind == "dense-square":
+        return DenseMatrix(rng.standard_normal((dim, dim)))
+    if kind == "dense":
+        return DenseMatrix(rng.standard_normal((draw(st.integers(1, 12)), dim)))
+    if kind == "fold":
+        return FoldDownsample(dim, draw(st.integers(1, 4)))
+    inner = random_stage(draw, rng, dim, square=True, convex=False)
+    return ConvexCombination(draw(st.floats(0.0, 1.0)), inner)
+
+
+@st.composite
+def compositions(draw, square=False):
+    """A 2- or 3-stage composition of random kinds with chained dimensions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 12))
+    stages = []
+    for _ in range(draw(st.integers(2, 3))):
+        stages.append(random_stage(draw, rng, dim, square))
+        dim = stages[-1].out_dim
+    return Composition(stages), rng
+
+
+class TestAdjointProperties:
+    @given(compositions())
+    def test_compositions(self, case):
+        op, rng = case
+        assert adjoint_mismatch(op, rng, trials=10) < 1e-10
+
+    @given(compositions(square=True), st.floats(0.0, 1.0))
+    def test_convex_combinations(self, case, alpha):
+        inner, rng = case
+        op = ConvexCombination(alpha, inner)
+        assert adjoint_mismatch(op, rng, trials=10) < 1e-10
 
 
 class TestGram:
@@ -343,6 +388,53 @@ class TestSpectralProperties:
         np.testing.assert_allclose(op.adjoint_apply(u), u @ dense, atol=1e-10)
         np.testing.assert_allclose(op.to_dense(), dense, atol=1e-10)
         assert adjoint_mismatch(op, rng, trials=10) < 1e-10
+
+
+@st.composite
+def observed_ensembles(draw):
+    """An ensemble with some zero weights and mixed out_dims, x and a count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, 5))
+    weights = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=size, max_size=size)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    n = draw(st.integers(1, 6))
+    members = [DenseMatrix(rng.standard_normal((draw(st.integers(1, 6)), n)))
+               for _ in range(size)]
+    ens = DegradationEnsemble(members, sigma=draw(st.floats(0.1, 2.0)),
+                              weights=weights / weights.sum())
+    return ens, rng.standard_normal(n), draw(st.integers(2, 40)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestObserve:
+    """DegradationEnsemble.observe against a loop written out in the test."""
+
+    @staticmethod
+    def reference(ens, x, count, rng):
+        idx = rng.choice(ens.size, size=count, p=ens.weights)
+        groups = []
+        for j in range(ens.size):
+            rows = [i for i in range(count) if idx[i] == j]
+            if rows:
+                H = ens.members[j]
+                noise = rng.standard_normal((len(rows), H.out_dim))
+                groups.append((j, rows, H.apply(x) + ens.sigma * noise))
+        return groups
+
+    @given(observed_ensembles())
+    def test_matches_reference_draw_order(self, case):
+        ens, x, count, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = list(ens.observe(x, count, rng))
+        expected = self.reference(ens, x, count, ref_rng)
+        assert [g[0] for g in got] == [e[0] for e in expected]
+        for (j, H, rows, s), (_, ref_rows, ref_s) in zip(got, expected):
+            assert H is ens.members[j] and ens.weights[j] > 0
+            assert rows.tolist() == ref_rows
+            np.testing.assert_array_equal(s, ref_s)
+        assert sorted(i for g in got for i in g[2]) == list(range(count))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEnsemble:

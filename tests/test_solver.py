@@ -28,7 +28,6 @@ from srp.solver import (
     Trace,
     audit_convergence,
     run,
-    select_operator,
     solver_streams,
 )
 
@@ -104,29 +103,29 @@ class TestRunBasics:
 
 
 class TestSelection:
+    @staticmethod
+    def op_index(ens, iterations, seed=0, **selection):
+        prior = normal_prior()
+        reg = Regularizer(tau=1.0, prior=prior, ens=ens)
+        problem = Problem(Identity(1), np.zeros(1))
+        cfg = SolverConfig(gamma=0.1, tau=1.0, iterations=iterations, seed=seed,
+                           x0="zeros", **selection)
+        return run(problem, reg, ExactMmse(prior, 1.0), cfg)[1].op_index.tolist()
+
     def test_cyclic(self):
         ens = DegradationEnsemble([Identity(1)] * 3, sigma=1.0)
-        rng = np.random.default_rng(0)
-        idx = [select_operator("cyclic", ens, k, rng) for k in range(4)]
-        assert idx == [0, 1, 2, 0]
+        assert self.op_index(ens, 4, selection="cyclic") == [0, 1, 2, 0]
 
     def test_fixed(self):
         ens = DegradationEnsemble([Identity(1)] * 3, sigma=1.0)
-        rng = np.random.default_rng(0)
-        assert all(
-            select_operator("fixed", ens, k, rng, fixed_index=2) == 2
-            for k in range(10)
-        )
+        assert self.op_index(ens, 10, selection="fixed", fixed_index=2) == [2] * 10
 
     def test_iid_matches_sample_degradation(self):
         ens = DegradationEnsemble([Identity(1)] * 4, sigma=1.0,
                                   weights=[0.1, 0.2, 0.3, 0.4])
-        a = [select_operator("iid-by-weights", ens, k, np.random.default_rng(5))
-             for k in range(20)]
-        b = [sample_degradation(ens, np.random.default_rng(5))[0]
-             for _ in range(20)]
-        # same single-draw consumption per call
-        assert a == b
+        sel_rng, _ = solver_streams(5)
+        expected = [sample_degradation(ens, sel_rng)[0] for _ in range(20)]
+        assert self.op_index(ens, 20, seed=5) == expected
 
 
 class TestReductions:
