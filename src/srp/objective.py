@@ -193,6 +193,8 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
     The integrand uses the exact restoration operator, so the estimator is
     unbiased for the true gradient of h.
     """
+    if mc_samples < 2:
+        raise ValueError("mc_samples must be at least 2")
     x = np.asarray(x, dtype=float)
     posts = _posteriors(reg)
     sigma = reg.ens.sigma

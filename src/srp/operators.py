@@ -14,6 +14,7 @@ memoizations and do not change observable behavior.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 DENSE_CAP = 2 ** 22  # max in_dim * out_dim entries for to_dense()
@@ -43,20 +44,20 @@ def _as_vec(v, dim, what):
 
 
 def interleave(z):
-    """Complex array (..., N) -> interleaved real array (..., 2N)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=float)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
+    """Complex array (..., N) -> interleaved real array (..., 2N), a fresh copy."""
+    return np.array(z, dtype=complex, order="C", ndmin=1).view(np.float64)
 
 
 def deinterleave(v):
-    """Interleaved real array (..., 2N) -> complex array (..., N)."""
-    v = np.asarray(v, dtype=float)
+    """Interleaved real array (..., 2N) -> complex array (..., N), a fresh copy.
+
+    Interleaved float64 pairs are the memory layout of complex128, so both
+    helpers are views plus one copy: exact for inf, nan and signed zeros.
+    """
+    v = np.array(v, dtype=float, order="C", ndmin=1)
     if v.shape[-1] % 2:
         raise ValueError(f"interleaved length must be even, got {v.shape[-1]}")
-    return v[..., 0::2] + 1j * v[..., 1::2]
+    return v.view(np.complex128)
 
 
 class LinearOperator:
@@ -337,11 +338,11 @@ class DiscreteFourier(LinearOperator):
 
     def _transform(self, v, inverse):
         lead = v.shape[:-1]
-        z = deinterleave(v).reshape(lead + self.shape)
+        z = np.ascontiguousarray(v).view(np.complex128).reshape(lead + self.shape)
         axes = tuple(range(-len(self.shape), 0))
-        fn = np.fft.ifftn if inverse else np.fft.fftn
+        fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
         z = fn(z, axes=axes, norm="ortho")
-        return interleave(z.reshape(lead + (-1,)))
+        return z.reshape(lead + (-1,)).view(np.float64)
 
     def _apply(self, v):
         return self._transform(v, inverse=False)

@@ -228,6 +228,13 @@ class TestRegGrad:
         closed = reg_grad_gaussian(reg, x)
         np.testing.assert_array_less(np.abs(grad - closed), 4 * se + 1e-12)
 
+    @pytest.mark.parametrize("mc_samples", [0, 1])
+    @pytest.mark.parametrize("return_se", [False, True])
+    def test_refuses_fewer_than_two_samples(self, mc_samples, return_se):
+        with pytest.raises(ValueError, match="at least 2"):
+            reg_grad_exact(gauss_reg(), np.zeros(1), mc_samples,
+                           np.random.default_rng(0), return_se=return_se)
+
 
 class TestStochasticGrad:
     def test_tau_zero_limit_is_fidelity(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -390,6 +392,149 @@ class TestSpectralProperties:
         assert adjoint_mismatch(op, rng, trials=10) < 1e-10
 
 
+def _dense_dft(shape):
+    """Independent oracle: the unitary DFT over a row-major grid as a complex
+    matrix, the Kronecker product of 1-D DFT matrices built from ``np.exp``."""
+    mat = np.ones((1, 1))
+    for n in shape:
+        k = np.arange(n)
+        mat = np.kron(mat, np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n))
+    return mat
+
+
+def _real_form(mat):
+    """Real matrix acting on interleaved [re, im, ...] vectors as ``mat`` does."""
+    out = np.empty((2 * mat.shape[0], 2 * mat.shape[1]))
+    out[0::2, 0::2] = mat.real
+    out[0::2, 1::2] = -mat.imag
+    out[1::2, 0::2] = mat.imag
+    out[1::2, 1::2] = mat.real
+    return out
+
+
+grid_shapes = st.one_of(
+    st.tuples(st.integers(1, 24)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+class TestFourierProperties:
+    """The DFT kernel: values against a dense oracle, bit-exact layouts."""
+
+    @given(grid_shapes, st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_dft(self, shape, seed):
+        op = DiscreteFourier(shape)
+        mat = _dense_dft(shape)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((3, op.in_dim))
+        z = deinterleave(v)
+        np.testing.assert_allclose(
+            op.apply(v), interleave(z @ mat.T), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            op.adjoint_apply(v), interleave(z @ mat.conj()), rtol=0, atol=1e-12
+        )
+
+    @given(grid_shapes, st.integers(0, 2 ** 32 - 1))
+    def test_layouts_are_bit_identical(self, shape, seed):
+        op = DiscreteFourier(shape)
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((4, 2 * op.in_dim))
+        v = np.ascontiguousarray(wide[:, : op.in_dim])
+        for f in (op.apply, op.adjoint_apply):
+            batch = f(v)
+            rows = np.stack([f(row) for row in v])
+            np.testing.assert_array_equal(batch, rows)
+            np.testing.assert_array_equal(f(wide[:, : op.in_dim]), batch)
+            np.testing.assert_array_equal(f(np.asfortranarray(v)), batch)
+            strided = wide[:, ::2]
+            np.testing.assert_array_equal(f(strided), f(strided.copy()))
+
+    def test_agrees_with_numpy_to_rounding(self):
+        op = DiscreteFourier((32, 32))
+        v = np.random.default_rng(16).standard_normal((20, op.in_dim))
+        z = deinterleave(v).reshape(20, 32, 32)
+        for f, ref in ((op.apply, np.fft.fftn), (op.adjoint_apply, np.fft.ifftn)):
+            want = interleave(ref(z, axes=(1, 2), norm="ortho").reshape(20, -1))
+            np.testing.assert_allclose(f(v), want, rtol=0, atol=1e-14)
+
+    @given(grid_shapes)
+    def test_output_does_not_alias_input(self, shape):
+        op = DiscreteFourier(shape)
+        v = np.arange(op.in_dim, dtype=float)
+        for f in (op.apply, op.adjoint_apply):
+            out = f(v)
+            out[:] = -1.0
+            np.testing.assert_array_equal(v, np.arange(op.in_dim, dtype=float))
+
+
+@st.composite
+def diagonal_and_dense_systems(draw):
+    """An operator on the diagonal or dense-Cholesky innovation path, an
+    independent dense form of it, and an innovation system.
+
+    Kinds: coordinate mask, scale, masked Fourier (the DFT is peeled off),
+    a convex combination of a mask (diagonal path), and a dense matrix
+    (Cholesky path).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["mask", "scale", "masked-fourier", "convex-mask", "dense"]))
+    if kind == "masked-fourier":
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        rows = rng.random(shape[0]) < 0.5
+        op = masked_fourier(shape, rows)
+        keep = np.zeros(op.out_dim)
+        keep[row_mask_indices(shape, rows)] = 1.0
+        dense = keep[:, None] * _real_form(_dense_dft(shape))
+    elif kind == "dense":
+        mat = rng.standard_normal((draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+        op = DenseMatrix(mat)
+        dense = mat.copy()
+    else:
+        n = draw(st.integers(1, 16))
+        if kind == "scale":
+            s = draw(st.floats(-3.0, 3.0))
+            op = Scale(n, s)
+            dense = s * np.eye(n)
+        else:
+            keep = rng.random(n) < 0.5
+            op = CoordinateMask(n, np.flatnonzero(keep))
+            dense = np.diag(keep.astype(float))
+            if kind == "convex-mask":
+                alpha = draw(st.floats(0.0, 1.0))
+                op = ConvexCombination(alpha, op)
+                dense = (1.0 - alpha) * np.eye(n) + alpha * dense
+    c = draw(st.floats(0.0, 5.0))
+    sigma2 = draw(st.floats(0.05, 2.0))
+    return kind, op, dense, c, sigma2, rng
+
+
+class TestDiagonalAndDenseProperties:
+    """Diagonal and dense-Cholesky innovation paths vs dense linear algebra."""
+
+    @given(diagonal_and_dense_systems())
+    def test_innovation_matches_dense(self, system):
+        kind, op, dense, c, sigma2, rng = system
+        np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)
+        s_mat = c * dense @ dense.T + sigma2 * np.eye(op.out_dim)
+        r = rng.standard_normal(op.out_dim)
+        np.testing.assert_allclose(
+            op.innovation_solve(c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
+        )
+        np.testing.assert_allclose(
+            op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
+        )
+        np.testing.assert_allclose(
+            op.innovation_inverse_trace(c, sigma2),
+            np.trace(np.linalg.inv(s_mat)),
+            atol=1e-9,
+        )
+        red = op._gram_reduced()
+        diagonal = kind != "dense"
+        assert (red._gram_dual_diagonal() is not None) == diagonal
+        assert (not red._innovation_cache) == diagonal
+
+
 @st.composite
 def observed_ensembles(draw):
     """An ensemble with some zero weights and mixed out_dims, x and a count."""
@@ -509,6 +654,28 @@ class TestInterleaving:
         rng = np.random.default_rng(14)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         np.testing.assert_array_equal(deinterleave(interleave(z)), z)
+
+    def test_exact_for_non_finite_and_signed_zero(self):
+        parts = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1.5]
+        z = np.array([complex(a, b) for a in parts for b in parts])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = interleave(z)
+            back = deinterleave(v)
+        for got, want in ((v[0::2], z.real), (v[1::2], z.imag),
+                          (back.real, z.real), (back.imag, z.imag)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_odd_length_raises(self):
+        with pytest.raises(ValueError, match="even"):
+            deinterleave(np.zeros((2, 5)))
+
+    def test_results_do_not_alias_inputs(self):
+        v = np.arange(8.0)
+        z = deinterleave(v)
+        assert not np.shares_memory(z, v)
+        assert not np.shares_memory(interleave(z), z)
 
 
 def test_gram_operator_norm_matches_eigs():
