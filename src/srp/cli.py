@@ -23,8 +23,7 @@ from pathlib import Path
 from .arrayio import ArrayFileError
 from .config import ConfigError, ExperimentConfig
 from .experiment import audit_experiment, run_experiment
-from .operators import DenseCapExceeded, DimensionMismatch
-from .priors import FactorizationError
+from .operators import DenseCapExceeded, DimensionMismatch, FactorizationError
 from .solver import AuditError, DivergenceError
 from .validation import format_table, validation_suite
 

@@ -26,6 +26,9 @@ from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
 # fallback; beyond 4 dimensions the node count is no longer reasonable.
 _GH_POINTS = {1: 64, 2: 40, 3: 16, 4: 10}
 
+# Largest signal dimension for the dense single-Gaussian closed forms.
+_DENSE_CAP_DIM = 512
+
 
 class ClosedFormUnavailable(ValueError):
     """reg_value_exact cannot handle this (components, dimension) combination."""
@@ -91,36 +94,31 @@ class SingleGaussianForms:
         h(x) = 0.5 (x - mu)ᵀ C (x - mu) + const,
         C    = tau * sum_j p_j H_jᵀ S_j^{-1} H_j,
     with S_j = H_j Sigma H_jᵀ + sigma² I, which also yields the exact gradient
-    and the exact curvature bound used by the convergence auditor.
+    and the exact curvature bound used by the convergence auditor. Every
+    S_j^{-1} and log det S_j comes from member j's posterior.
     """
 
-    def __init__(self, reg, dense_cap_dim=512):
+    def __init__(self, reg):
         prior, ens = reg.prior, reg.ens
         if prior.n_components != 1:
             raise ClosedFormUnavailable("single-Gaussian forms need one component")
-        if prior.dim > dense_cap_dim:
+        if prior.dim > _DENSE_CAP_DIM:
             raise ClosedFormUnavailable(
-                f"dense closed form capped at dim {dense_cap_dim}; "
+                f"dense closed form capped at dim {_DENSE_CAP_DIM}; "
                 "use reg_value_mc / reg_grad_exact"
             )
         self.tau = reg.tau
         self.mu = prior.means[0]
         sigma2 = ens.sigma ** 2
-        n = prior.dim
-        cov = prior.cov_matrix(0)
-        curvature = np.zeros((n, n))
+        curvature = np.zeros((prior.dim, prior.dim))
         const = 0.0
-        for H, p in zip(ens.members, ens.weights):
+        for post, H, p in zip(_posteriors(reg), ens.members, ens.weights):
             hd = H.to_dense()
             m = H.out_dim
-            s_mat = hd @ cov @ hd.T + sigma2 * np.eye(m)
-            chol = scipy.linalg.cholesky(s_mat, lower=True)
-            sinv_h = scipy.linalg.cho_solve((chol, True), hd)
+            sinv_h = post._solve(0, hd.T).T
             curvature += p * hd.T @ sinv_h
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            trinv = float(np.sum(scipy.linalg.solve_triangular(
-                chol, np.eye(m), lower=True) ** 2))
-            const += p * 0.5 * (m * _LOG_2PI + logdet + sigma2 * trinv)
+            trinv = float(np.trace(post._solve(0, np.eye(m))))
+            const += p * 0.5 * (m * _LOG_2PI + post._logdets[0] + sigma2 * trinv)
         self.curvature = self.tau * curvature
         self.constant = self.tau * const
 

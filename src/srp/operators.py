@@ -6,9 +6,10 @@ are carried as interleaved real pairs [re0, im0, re1, im1, ...]; under that
 convention the unitary discrete Fourier transform is an orthogonal real map
 whose adjoint is its inverse.
 
-Operators are immutable after construction and safe to share across threads.
-Internal caches (dense forms, innovation factorizations) are write-once
-memoizations and do not change observable behavior.
+An operator's parameters are fixed at construction. Its caches (dense form,
+Gram matrix, spectrum, innovation factorizations) are filled lazily on first
+use and never rewritten, so they do not change observable behavior; filling
+them is not synchronized across threads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import scipy.linalg
 
 DENSE_CAP = 2 ** 22  # max in_dim * out_dim entries for to_dense()
 _UNSET = object()  # marks a write-once cache that has not been filled yet
+_JITTERS = (0.0, 1e-12, 1e-10)  # escalation ladder before giving up
 
 
 class DimensionMismatch(ValueError):
@@ -33,6 +35,22 @@ class DimensionMismatch(ValueError):
 
 class DenseCapExceeded(ValueError):
     """Dense materialization refused because in_dim*out_dim exceeds the cap."""
+
+
+class FactorizationError(RuntimeError):
+    """A covariance (or innovation covariance) failed to factorize as SPD."""
+
+
+def _chol_with_jitter(mat, what):
+    """Lower Cholesky factor of mat + j I for the first j on the ladder that works."""
+    for jitter in _JITTERS:
+        try:
+            return scipy.linalg.cholesky(
+                mat + jitter * np.eye(mat.shape[0]), lower=True
+            )
+        except scipy.linalg.LinAlgError:
+            continue
+    raise FactorizationError(f"{what}: not positive definite (jitter up to 1e-10)")
 
 
 def _as_vec(v, dim, what):
@@ -68,7 +86,9 @@ class LinearOperator:
     ``innovation_*`` methods solve against (c * H Hᵀ + σ² I): by a diagonal
     when H Hᵀ is diagonal, by real FFTs when it is circulant (its DFT
     eigenvalues come from ``_gram_dual_spectrum``), and by a cached dense
-    Cholesky factorization otherwise.
+    Cholesky factorization otherwise. ``_innovation_factor`` is the one place
+    an innovation covariance is factored: it climbs the jitter ladder
+    (0, 1e-12, 1e-10) and raises ``FactorizationError`` past its end.
     """
 
     kind = "abstract"
@@ -166,10 +186,12 @@ class LinearOperator:
         return self._gram_out
 
     def _innovation_factor(self, c, sigma2):
+        """Lower Cholesky factor of c H Hᵀ + σ² I, cached per (c, σ²)."""
         key = (float(c), float(sigma2))
         if key not in self._innovation_cache:
             s = c * self._gram_out_dense() + sigma2 * np.eye(self.out_dim)
-            self._innovation_cache[key] = scipy.linalg.cho_factor(s, lower=True)
+            self._innovation_cache[key] = _chol_with_jitter(
+                s, f"{self.kind} innovation covariance")
         return self._innovation_cache[key]
 
     def innovation_solve(self, c, sigma2, r):
@@ -185,10 +207,10 @@ class LinearOperator:
             m = self.out_dim
             denom = c * lam[: m // 2 + 1] + sigma2
             return np.fft.irfft(np.fft.rfft(r, axis=-1) / denom, n=m, axis=-1)
-        cho = self._innovation_factor(c, sigma2)
+        chol = self._innovation_factor(c, sigma2)
         r = np.asarray(r, dtype=float)
         flat = r.reshape(-1, self.out_dim)
-        z = scipy.linalg.cho_solve(cho, flat.T).T
+        z = scipy.linalg.cho_solve((chol, True), flat.T).T
         return z.reshape(r.shape)
 
     def innovation_logdet(self, c, sigma2):
@@ -202,25 +224,8 @@ class LinearOperator:
         lam = self._gram_dual_spectrum()
         if lam is not None:
             return float(np.sum(np.log(c * lam + sigma2)))
-        cho, _ = self._innovation_factor(c, sigma2)
-        return float(2.0 * np.sum(np.log(np.diag(cho))))
-
-    def innovation_inverse_trace(self, c, sigma2):
-        """trace((c H Hᵀ + σ² I)^{-1})."""
-        red = self._gram_reduced()
-        if red is not self:
-            return red.innovation_inverse_trace(c, sigma2)
-        d = self._gram_dual_diagonal()
-        if d is not None:
-            return float(np.sum(1.0 / (c * d + sigma2)))
-        lam = self._gram_dual_spectrum()
-        if lam is not None:
-            return float(np.sum(1.0 / (c * lam + sigma2)))
-        cho, _ = self._innovation_factor(c, sigma2)
-        linv = scipy.linalg.solve_triangular(
-            cho, np.eye(self.out_dim), lower=True
-        )
-        return float(np.sum(linv ** 2))
+        chol = self._innovation_factor(c, sigma2)
+        return float(2.0 * np.sum(np.log(np.diag(chol))))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.out_dim}x{self.in_dim}>"

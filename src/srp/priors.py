@@ -17,10 +17,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .operators import DimensionMismatch
+from .operators import (
+    Composition,
+    DenseMatrix,
+    DimensionMismatch,
+    FactorizationError,
+    _chol_with_jitter,
+)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_JITTERS = (0.0, 1e-12, 1e-10)  # escalation ladder before giving up
 
 
 def _logsumexp(a, keepdims=False):
@@ -47,21 +52,6 @@ def _logsumexp(a, keepdims=False):
         return out
     out = out[..., 0]
     return out[()] if out.ndim == 0 else out
-
-
-class FactorizationError(RuntimeError):
-    """A covariance (or innovation covariance) failed to factorize as SPD."""
-
-
-def _chol_with_jitter(mat, what):
-    for jitter in _JITTERS:
-        try:
-            return scipy.linalg.cholesky(
-                mat + jitter * np.eye(mat.shape[0]), lower=True
-            )
-        except scipy.linalg.LinAlgError:
-            continue
-    raise FactorizationError(f"{what}: not positive definite (jitter up to 1e-10)")
 
 
 def _normalize_cov(cov, dim):
@@ -230,9 +220,11 @@ class ObservationModel:
 class LinearGaussianPosterior:
     """Precomputed closed-form machinery for one (prior, H, sigma) triple.
 
-    Isotropic component covariances route through the operator's innovation
-    hooks (cheap for masks, Fourier compositions and circulants); anything
-    else falls back to dense factorizations of H Sigma_k Hᵀ + sigma² I.
+    Component k's innovation system S_k = c_k W_k W_kᵀ + sigma² I is solved
+    by the operator W_k's innovation hooks. Isotropic priors use W_k = H and
+    c_k = Sigma_k (cheap for masks, Fourier compositions and circulants);
+    other priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and
+    c_k = 1, which takes the operator's dense Cholesky path.
     """
 
     def __init__(self, prior, obs):
@@ -245,29 +237,24 @@ class LinearGaussianPosterior:
         self.h_mu = np.stack([H.apply(mu) for mu in prior.means])
         self.log_w = np.log(prior.weights)
         self._iso = prior.is_isotropic
+        count = prior.n_components
         if self._iso:
             self._cvals = [float(c) for c in prior.covariances]
-            self._logdets = np.array(
-                [H.innovation_logdet(c, self.sigma2) for c in self._cvals]
-            )
+            self._ops = [H] * count
         else:
             hd = H.to_dense()
-            self._chos, self._cross, logdets = [], [], []
-            for k in range(prior.n_components):
-                cov = prior.cov_matrix(k)
-                s_mat = hd @ cov @ hd.T + self.sigma2 * np.eye(H.out_dim)
-                chol = _chol_with_jitter(s_mat, f"innovation covariance {k}")
-                self._chos.append((chol, True))
-                self._cross.append(cov @ hd.T)
-                logdets.append(2.0 * np.sum(np.log(np.diag(chol))))
-            self._logdets = np.array(logdets)
+            self._cvals = [1.0] * count
+            self._ops, self._cross = [], []
+            for k in range(count):
+                chol = prior._component_chol(k)
+                whiten = DenseMatrix(chol if chol.ndim == 2 else np.diag(chol))
+                self._ops.append(Composition([whiten, H]))
+                self._cross.append(prior.cov_matrix(k) @ hd.T)
+        self._logdets = np.array([op.innovation_logdet(c, self.sigma2)
+                                  for op, c in zip(self._ops, self._cvals)])
 
     def _solve(self, k, r):
-        if self._iso:
-            return self.obs.H.innovation_solve(self._cvals[k], self.sigma2, r)
-        flat = r.reshape(-1, self.obs.H.out_dim)
-        z = scipy.linalg.cho_solve(self._chos[k], flat.T).T
-        return z.reshape(r.shape)
+        return self._ops[k].innovation_solve(self._cvals[k], self.sigma2, r)
 
     def _shift(self, k, z):
         """Sigma_k Hᵀ z: component k's correction to its prior mean."""

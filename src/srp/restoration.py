@@ -153,7 +153,7 @@ class BiasReport:
     note: str = ""
 
 
-def bias_vector(restorer, prior, ens, x, tau, mc_samples, rng):
+def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     """Monte Carlo estimate of the bias vector b(x).
 
     For the exact operator the integrand is identically zero sample by
@@ -169,7 +169,7 @@ def bias_vector(restorer, prior, ens, x, tau, mc_samples, rng):
     return scale * total / int(mc_samples)
 
 
-def measure_bias(restorer, prior, ens, probe_points, tau, mc_samples, rng):
+def measure_bias(restorer, ens, probe_points, tau, mc_samples, rng):
     """||b(x)||_2 at each probe point; epsilon_hat is the maximum.
 
     This is a probed estimate over the supplied domain, not a proof of a
@@ -180,7 +180,7 @@ def measure_bias(restorer, prior, ens, probe_points, tau, mc_samples, rng):
         raise ValueError("measure_bias requires at least one probe point")
     per_point = []
     for x in probe_points:
-        b = bias_vector(restorer, prior, ens, x, tau, mc_samples, rng)
+        b = bias_vector(restorer, ens, x, tau, mc_samples, rng)
         per_point.append((x, float(np.linalg.norm(b))))
     eps = max(norm for _, norm in per_point)
     max_norm = max(float(np.linalg.norm(x)) for x in probe_points)

@@ -178,12 +178,12 @@ def _auto_diagnostics(problem, reg):
     return f_fn, grad_fn
 
 
-def run(problem, reg, restorer, cfg, *, psnr_fn=None, f_fn="auto", grad_fn="auto"):
+def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     """Execute the iteration; returns (final iterate, Trace).
 
-    ``f_fn``/``grad_fn`` are optional callables for per-iteration objective
-    values and true-gradient norms; "auto" installs the single-Gaussian
-    closed forms when available, otherwise those trace columns stay empty.
+    Per-iteration objective values and true-gradient norms come from the
+    single-Gaussian closed forms when available; otherwise those trace
+    columns stay empty.
     """
     ens = reg.ens
     if restorer.base_sigma != ens.sigma:
@@ -196,13 +196,7 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None, f_fn="auto", grad_fn="auto
     if cfg.selection == "fixed" and not 0 <= cfg.fixed_index < ens.size:
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 
-    if f_fn == "auto" or grad_fn == "auto":
-        auto_f, auto_g = _auto_diagnostics(problem, reg)
-        if f_fn == "auto":
-            f_fn = auto_f
-        if grad_fn == "auto":
-            grad_fn = auto_g
-
+    f_fn, grad_fn = _auto_diagnostics(problem, reg)
     sel_rng, noise_rng = solver_streams(cfg.seed)
     t = cfg.iterations
     x = _initial_point(cfg, problem)
@@ -403,8 +397,7 @@ def audit_convergence(runs, probes=None, slack=0.05):
         for p in points
     )
     bias_report = measure_bias(
-        restorer, reg.prior, reg.ens, points[: min(len(points), 10)],
-        reg.tau, probes.mc_bias, rng,
+        restorer, reg.ens, points[: min(len(points), 10)], reg.tau, probes.mc_bias, rng,
     )
     eps_hat = bias_report.epsilon_hat
     notes.append(bias_report.note)

@@ -130,6 +130,28 @@ class TestInputErrors:
         self.assert_input_error(proc)
         assert "variance must be positive" in proc.stderr
 
+    def test_unfactorable_innovation_covariance(self, tmp_path):
+        # two equal rows scaled by 1e4: at sigma = 1e-8 the innovation
+        # covariance keeps an exactly zero pivot past the last jitter (1e-10)
+        cfg = {
+            "version": 1, "name": "bad-member", "seed": 0, "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+            "problem": {"operator": {"kind": "identity", "dim": 2},
+                        "ground_truth": {"source": "prior"}, "noise_sigma": 0.1},
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0, 0.0]],
+                      "covariances": [1.0]},
+            "ensemble": {"members": [{"kind": "dense-matrix",
+                                      "matrix": [[1e4, 0.0], [1e4, 0.0], [0.0, 1e4]]}],
+                         "sigma": 1e-8},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc)
+        assert "not positive definite" in proc.stderr
+
 
 class TestValidate:
     def test_validate_passes(self, capsys):

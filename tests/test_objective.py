@@ -18,9 +18,12 @@ from srp.objective import (
     variance_probe,
 )
 from srp.operators import (
+    CircularConvolution,
+    Composition,
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
+    FoldDownsample,
     Identity,
     Scale,
 )
@@ -124,6 +127,61 @@ class TestRegValueExact:
         reg = Regularizer(tau=1.0, prior=prior, ens=ens)
         with pytest.raises(ClosedFormUnavailable, match="reg_value_mc"):
             reg_value_exact(reg, np.zeros(6))
+
+
+def _closed_form_members(n):
+    """Identity, a mask, blur→fold with a remainder, a rank-deficient matrix."""
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((3, n))
+    return {
+        "identity": Identity(n),
+        "coordinate-mask": CoordinateMask(n, [0, 2, 3, 7]),
+        "blur-fold": Composition([CircularConvolution(n, [0.5, 0.3, 0.2]),
+                                  FoldDownsample(n, 4)]),
+        "rank-deficient": DenseMatrix(np.vstack([rows, rows[:2] - rows[2]])),
+    }
+
+
+def _closed_form_covariance(kind, n):
+    rng = np.random.default_rng(32)
+    if kind == "isotropic":
+        return np.asarray(0.8)
+    if kind == "diagonal":
+        return rng.uniform(0.4, 1.2, size=n)
+    a = 0.4 * rng.standard_normal((n, n))
+    return a @ a.T + 0.5 * np.eye(n)
+
+
+class TestSingleGaussianClosedForms:
+    """Curvature and constant against np.linalg on the dense S_j."""
+
+    N = 10  # the fold by 4 leaves a remainder, so blur→fold is dense
+
+    @pytest.mark.parametrize("cov_kind", ["isotropic", "diagonal", "full"])
+    @pytest.mark.parametrize("member", ["identity", "coordinate-mask", "blur-fold",
+                                        "rank-deficient", "all"])
+    def test_matches_dense_formula(self, member, cov_kind):
+        n, tau, sigma = self.N, 1.3, 0.6
+        members = _closed_form_members(n)
+        members = list(members.values()) if member == "all" else [members[member]]
+        weights = np.arange(1.0, len(members) + 1)
+        ens = DegradationEnsemble(members, sigma=sigma, weights=weights / weights.sum())
+        cov = _closed_form_covariance(cov_kind, n)
+        prior = GmmPrior([1.0], [np.linspace(-1.0, 1.0, n)], [cov])
+        forms = SingleGaussianForms(Regularizer(tau=tau, prior=prior, ens=ens))
+
+        sigma_mat = prior.cov_matrix(0)
+        curvature, const = np.zeros((n, n)), 0.0
+        for H, p in zip(members, ens.weights):
+            hd = H.to_dense()
+            m = H.out_dim
+            s_mat = hd @ sigma_mat @ hd.T + sigma ** 2 * np.eye(m)
+            curvature += p * hd.T @ np.linalg.solve(s_mat, hd)
+            const += p * 0.5 * (m * np.log(2 * np.pi) + np.linalg.slogdet(s_mat)[1]
+                                + sigma ** 2 * np.trace(np.linalg.inv(s_mat)))
+        np.testing.assert_allclose(forms.curvature, tau * curvature, rtol=1e-10,
+                                   atol=1e-12)
+        np.testing.assert_allclose(forms.constant, tau * const, rtol=1e-12)
 
 
 class TestRegValueMc:

@@ -278,11 +278,6 @@ class TestInnovationSystem:
                 np.linalg.slogdet(s_mat)[1],
                 atol=1e-9,
             )
-            np.testing.assert_allclose(
-                op.innovation_inverse_trace(c, sigma2),
-                np.trace(np.linalg.inv(s_mat)),
-                atol=1e-9,
-            )
 
     def test_batched_solve(self):
         op = masked_fourier((4, 4), np.array([True, True, False, False]))
@@ -353,11 +348,6 @@ class TestSpectralProperties:
         )
         np.testing.assert_allclose(
             op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
-        )
-        np.testing.assert_allclose(
-            op.innovation_inverse_trace(c, sigma2),
-            np.trace(np.linalg.inv(s_mat)),
-            atol=1e-9,
         )
 
     @given(circulant_systems())
@@ -523,11 +513,6 @@ class TestDiagonalAndDenseProperties:
         )
         np.testing.assert_allclose(
             op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
-        )
-        np.testing.assert_allclose(
-            op.innovation_inverse_trace(c, sigma2),
-            np.trace(np.linalg.inv(s_mat)),
-            atol=1e-9,
         )
         red = op._gram_reduced()
         diagonal = kind != "dense"

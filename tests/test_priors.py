@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, strategies as st
 
 from srp.operators import (
     CircularConvolution,
@@ -436,3 +437,78 @@ class TestPosteriorFastPath:
         assert calls["solve"] == k
         assert calls["innovation_solve"] == (k if post.prior.is_isotropic else 0)
         assert calls["adjoint"] == (1 if post.prior.is_isotropic else 0)
+
+
+# Two equal rows make H Hᵀ singular. With unit isotropic covariance and
+# sigma = 1e-8 the second Cholesky pivot is (1 + 1e-16) - 1, exactly zero,
+# until the 1e-12 jitter; scaled by 1e4 it is (1e8 + 1e-10) - 1e8, still
+# exactly zero after the last (1e-10) jitter.
+RANK_DEFICIENT = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class TestInnovationJitter:
+    """Every dense innovation factorization climbs the jitter ladder."""
+
+    @pytest.mark.parametrize("cov", [np.asarray(1.0), np.array([1.0, 2.0]),
+                                     np.array([[1.0, 0.2], [0.2, 1.0]])],
+                             ids=["isotropic", "diagonal", "full"])
+    def test_rank_deficient_member_factors(self, cov):
+        prior = GmmPrior([1.0], [np.zeros(2)], [cov])
+        post = LinearGaussianPosterior(
+            prior, ObservationModel(DenseMatrix(RANK_DEFICIENT), 1e-8))
+        x = np.array([0.3, -0.7])
+        assert np.all(np.isfinite(post._logdets))
+        np.testing.assert_allclose(post.posterior_mean(RANK_DEFICIENT @ x), x,
+                                   atol=1e-6)
+
+    def test_beyond_the_ladder_raises(self):
+        H = DenseMatrix(1e4 * RANK_DEFICIENT)
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            LinearGaussianPosterior(standard_normal_prior(2), ObservationModel(H, 1e-8))
+
+
+@st.composite
+def non_isotropic_posteriors(draw):
+    """A posterior whose components have diagonal or full covariances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(
+        ["identity", "coordinate-mask", "blur-fold", "dense", "rank-deficient"]))
+    if kind == "identity":
+        H = Identity(n)
+    elif kind == "coordinate-mask":
+        H = CoordinateMask(n, np.flatnonzero(rng.random(n) < 0.5))
+    elif kind == "blur-fold":
+        H = Composition([CircularConvolution(n, rng.standard_normal(draw(st.integers(1, n)))),
+                         FoldDownsample(n, draw(st.integers(1, 4)))])
+    else:
+        rows = rng.standard_normal((draw(st.integers(1, 6)), n))
+        H = DenseMatrix(np.vstack([rows, rows]) if kind == "rank-deficient" else rows)
+    covs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            covs.append(rng.uniform(0.3, 1.5, size=n))
+        else:
+            a = 0.5 * rng.standard_normal((n, n))
+            covs.append(a @ a.T + rng.uniform(0.2, 1.0) * np.eye(n))
+    weights = rng.dirichlet(np.ones(len(covs)))
+    prior = GmmPrior(weights / weights.sum(), rng.standard_normal((len(covs), n)), covs)
+    sigma = draw(st.floats(0.2, 1.5))
+    return LinearGaussianPosterior(prior, ObservationModel(H, sigma)), rng
+
+
+class TestNonIsotropicInnovationProperties:
+    @given(non_isotropic_posteriors())
+    def test_component_systems_match_dense(self, case):
+        post, rng = case
+        H, prior = post.obs.H, post.prior
+        assert not prior.is_isotropic
+        hd = H.to_dense()
+        for k in range(prior.n_components):
+            s_mat = hd @ prior.cov_matrix(k) @ hd.T + post.sigma2 * np.eye(H.out_dim)
+            r = rng.standard_normal(H.out_dim)
+            np.testing.assert_allclose(post._solve(k, r), np.linalg.solve(s_mat, r),
+                                       atol=1e-9)
+            np.testing.assert_allclose(post._logdets[k], np.linalg.slogdet(s_mat)[1],
+                                       atol=1e-9)
+            assert (1.0, post.sigma2) in post._ops[k]._innovation_cache

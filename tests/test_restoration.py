@@ -69,7 +69,7 @@ class TestBiasVector:
         ens = DegradationEnsemble([Identity(3), CoordinateMask(3, [1])], sigma=0.7)
         r = ExactMmse(prior, 0.7)
         rng = np.random.default_rng(1)
-        b = bias_vector(r, prior, ens, np.array([0.4, -0.2, 0.9]), tau=1.3,
+        b = bias_vector(r, ens, np.array([0.4, -0.2, 0.9]), tau=1.3,
                         mc_samples=500, rng=rng)
         np.testing.assert_array_equal(b, np.zeros(3))
 
@@ -80,7 +80,7 @@ class TestBiasVector:
         c = np.array([0.3, -0.1])
         r = Biased(ExactMmse(prior, 1.0), ConstantOffset(c))
         rng = np.random.default_rng(2)
-        b = bias_vector(r, prior, ens, np.zeros(2), tau=1.0, mc_samples=200, rng=rng)
+        b = bias_vector(r, ens, np.zeros(2), tau=1.0, mc_samples=200, rng=rng)
         np.testing.assert_allclose(b, -c, atol=1e-12)
 
     def test_constant_offset_mask_ensemble_projects(self):
@@ -89,7 +89,7 @@ class TestBiasVector:
         c = np.array([0.3, 0.5, -0.2])
         r = Biased(ExactMmse(prior, 1.0), ConstantOffset(c))
         rng = np.random.default_rng(3)
-        b = bias_vector(r, prior, ens, np.zeros(3), tau=1.0, mc_samples=200, rng=rng)
+        b = bias_vector(r, ens, np.zeros(3), tau=1.0, mc_samples=200, rng=rng)
         np.testing.assert_allclose(b, [-0.3, 0.0, 0.2], atol=1e-12)
 
     def test_offset_bias_independent_of_x(self):
@@ -106,7 +106,7 @@ class TestBiasVector:
         expected = -scale * np.array([c[0], 0.5 * c[1]])
         se1 = scale * 0.5 * c[1] / np.sqrt(mc)
         for x in probes:
-            b = bias_vector(r, prior, ens, x, tau=1.0, mc_samples=mc, rng=rng)
+            b = bias_vector(r, ens, x, tau=1.0, mc_samples=mc, rng=rng)
             np.testing.assert_allclose(b[0], expected[0], atol=1e-12)
             assert abs(b[1] - expected[1]) < 3 * se1
 
@@ -125,7 +125,7 @@ class TestBiasVector:
         assert abs(oracle - x[0] / 4.0) < 1e-12
 
         rng = np.random.default_rng(5)
-        est = bias_vector(r, prior, ens, x, tau=1.0, mc_samples=200_000, rng=rng)
+        est = bias_vector(r, ens, x, tau=1.0, mc_samples=200_000, rng=rng)
         se = 0.5 * 0.25 / np.sqrt(200_000)  # sd of gap s/4 is 0.25
         assert abs(est[0] - oracle) < 4 * se
 
@@ -136,7 +136,7 @@ class TestMeasureBias:
         ens = DegradationEnsemble([Identity(2)], sigma=1.0)
         r = ExactMmse(prior, 1.0)
         rng = np.random.default_rng(6)
-        report = measure_bias(r, prior, ens, [np.zeros(2), np.ones(2)], tau=1.0,
+        report = measure_bias(r, ens, [np.zeros(2), np.ones(2)], tau=1.0,
                               mc_samples=100, rng=rng)
         assert report.epsilon_hat == 0.0
         assert report.samples_per_point == 100
@@ -147,7 +147,7 @@ class TestMeasureBias:
         c = np.array([0.3, 0.4])
         r = Biased(ExactMmse(prior, 1.0), ConstantOffset(c))
         rng = np.random.default_rng(7)
-        report = measure_bias(r, prior, ens, [np.zeros(2), np.ones(2)], tau=1.0,
+        report = measure_bias(r, ens, [np.zeros(2), np.ones(2)], tau=1.0,
                               mc_samples=100, rng=rng)
         np.testing.assert_allclose(report.epsilon_hat, 0.5, atol=1e-12)
         for _, norm in report.per_point:
@@ -161,8 +161,8 @@ class TestMeasureBias:
         probes = [np.zeros(2)]
         r1 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.1, 0.2]))
         r2 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.2, 0.4]))
-        e1 = measure_bias(r1, prior, ens, probes, 1.0, 5000, rng_a).epsilon_hat
-        e2 = measure_bias(r2, prior, ens, probes, 1.0, 5000, rng_b).epsilon_hat
+        e1 = measure_bias(r1, ens, probes, 1.0, 5000, rng_a).epsilon_hat
+        e2 = measure_bias(r2, ens, probes, 1.0, 5000, rng_b).epsilon_hat
         np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-10)
 
     def test_epsilon_is_max_over_probes(self):
@@ -171,7 +171,7 @@ class TestMeasureBias:
         r = Biased(ExactMmse(prior, 1.0), Gain(0.5))
         rng = np.random.default_rng(9)
         report = measure_bias(
-            r, prior, ens, [np.array([0.5]), np.array([2.0])], tau=1.0,
+            r, ens, [np.array([0.5]), np.array([2.0])], tau=1.0,
             mc_samples=50_000, rng=rng,
         )
         norms = [n for _, n in report.per_point]
@@ -182,5 +182,5 @@ class TestMeasureBias:
         prior = normal_prior()
         ens = DegradationEnsemble([Identity(1)], sigma=1.0)
         with pytest.raises(ValueError):
-            measure_bias(ExactMmse(prior, 1.0), prior, ens, [], 1.0, 10,
+            measure_bias(ExactMmse(prior, 1.0), ens, [], 1.0, 10,
                          np.random.default_rng(0))
