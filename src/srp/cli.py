@@ -85,11 +85,17 @@ def _set_path(d, dotted, value):
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config, args)
-    with open(args.grid) as fh:
-        grid = json.load(fh)
+    try:
+        with open(args.grid) as fh:
+            grid = json.load(fh)
+    except (IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"sweep grid {args.grid}: {exc}") from exc
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep grid must be a non-empty JSON object")
     keys = sorted(grid)
+    bad = [k for k in keys if not isinstance(grid[k], list)]
+    if bad:
+        raise ConfigError(f"sweep grid values must be lists: {bad}")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     base = Path(args.out) if args.out else Path(cfg.output_dir)
     base.mkdir(parents=True, exist_ok=True)
@@ -117,33 +123,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--quiet", action="store_true")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--curves", action="store_true",
-                       help="also write per-iteration mean/std curves")
+    flags = {
+        "--seed": dict(type=int, default=None, help="override config seed"),
+        "--out": dict(default=None, help="override output directory"),
+        "--quiet": dict(action="store_true"),
+        "--threads": dict(type=int, default=1),
+        "--curves": dict(action="store_true",
+                         help="also write per-iteration mean/std curves"),
+    }
+
+    def add_flags(p, *names):
+        """Register the named flags, each on the subcommands that read it."""
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
-    common(p_run)
+    add_flags(p_run, *flags)
     p_run.set_defaults(fn=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run the oracle self-checks")
-    common(p_val)
+    add_flags(p_val, "--seed", "--quiet")
     p_val.set_defaults(fn=_cmd_validate)
 
     p_audit = sub.add_parser("audit", help="audit the convergence bound")
     p_audit.add_argument("config")
-    common(p_audit)
+    add_flags(p_audit, "--seed", "--out", "--quiet")
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_sweep = sub.add_parser("sweep", help="cartesian config sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", required=True,
                          help="JSON file of dotted-key -> value list")
-    common(p_sweep)
+    add_flags(p_sweep, *flags)
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

@@ -69,11 +69,16 @@ class ExperimentConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        try:
+            seed = int(d["seed"])
+            seeds = [int(s) for s in d["seeds"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed and seeds must be integers: {exc}") from exc
         return cls(
             version=int(d["version"]),
             name=str(d["name"]),
-            seed=int(d["seed"]),
-            seeds=[int(s) for s in d["seeds"]],
+            seed=seed,
+            seeds=seeds,
             output_dir=str(d["output_dir"]),
             problem=d["problem"],
             prior=d["prior"],
@@ -106,8 +111,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.loads(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (IsADirectoryError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.loads(text)
 
 
 # -- operator recipes ------------------------------------------------------------

@@ -44,7 +44,9 @@ class Problem:
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         if self.y.shape != (self.A.out_dim,):
-            raise DimensionMismatch("measurement y", self.A.out_dim, self.y.shape[-1])
+            raise DimensionMismatch(
+                f"measurement y must be a vector, got shape {self.y.shape}",
+                self.A.out_dim, self.y.size)
 
 
 @dataclass
@@ -71,9 +73,9 @@ def fidelity_grad(problem, x):
     return problem.A.adjoint_apply(problem.A.apply(x) - problem.y)
 
 
-def fidelity_lipschitz(problem, iters=200):
+def fidelity_lipschitz(problem):
     """Power-iteration estimate of ||AᵀA||_2, the fidelity gradient's constant."""
-    return gram_operator_norm(problem.A, iters=iters)
+    return gram_operator_norm(problem.A)
 
 
 def _posteriors(reg):
@@ -220,11 +222,10 @@ def regularizer_curvature_bound(reg):
     """Lipschitz constant of ∇h: exact for one component, else the
     (tau/sigma²) max_j ||H_jᵀH_j|| upper bound (the posterior mean is a
     contraction for Gaussian priors, so the bound is safe but conservative)."""
-    if reg.prior.n_components == 1:
-        try:
-            return SingleGaussianForms(reg).curvature_norm(), "exact"
-        except ClosedFormUnavailable:
-            pass
+    try:
+        return SingleGaussianForms(reg).curvature_norm(), "exact"
+    except ClosedFormUnavailable:
+        pass
     worst = max(gram_operator_norm(H) for H in reg.ens.members)
     return reg.tau / reg.ens.sigma ** 2 * worst, "upper-bound"
 

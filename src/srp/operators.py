@@ -7,8 +7,8 @@ convention the unitary discrete Fourier transform is an orthogonal real map
 whose adjoint is its inverse.
 
 An operator's parameters are fixed at construction. Its caches (dense form,
-Gram matrix, spectrum, innovation factorizations) are filled lazily on first
-use and never rewritten, so they do not change observable behavior; filling
+H Hᵀ description, innovation factorizations) are filled lazily on first use
+and never rewritten, so they do not change observable behavior; filling
 them is not synchronized across threads.
 """
 
@@ -19,7 +19,6 @@ import scipy.fft
 import scipy.linalg
 
 DENSE_CAP = 2 ** 22  # max in_dim * out_dim entries for to_dense()
-_UNSET = object()  # marks a write-once cache that has not been filled yet
 _JITTERS = (0.0, 1e-12, 1e-10)  # escalation ladder before giving up
 
 
@@ -83,12 +82,13 @@ class LinearOperator:
 
     Subclasses implement ``_apply`` and ``_adjoint`` on arrays of shape
     (..., dim); ``apply``/``adjoint_apply`` add dimension checks. The
-    ``innovation_*`` methods solve against (c * H Hᵀ + σ² I): by a diagonal
-    when H Hᵀ is diagonal, by real FFTs when it is circulant (its DFT
-    eigenvalues come from ``_gram_dual_spectrum``), and by a cached dense
-    Cholesky factorization otherwise. ``_innovation_factor`` is the one place
-    an innovation covariance is factored: it climbs the jitter ladder
-    (0, 1e-12, 1e-10) and raises ``FactorizationError`` past its end.
+    ``innovation_*`` methods solve against (c * H Hᵀ + σ² I) through
+    ``_gram_dual``, which describes H Hᵀ once per operator from the
+    structural hooks: as a diagonal, as the DFT eigenvalues of a circulant
+    (solved by real FFTs), or as a dense matrix (solved by a cached Cholesky
+    factor). ``_innovation_factor`` is the one place an innovation covariance
+    is factored: it climbs the jitter ladder (0, 1e-12, 1e-10) and raises
+    ``FactorizationError`` past its end.
     """
 
     kind = "abstract"
@@ -97,8 +97,7 @@ class LinearOperator:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self._dense = None
-        self._gram_out = None
-        self._spectrum = _UNSET
+        self._dual = None
         self._innovation_cache = {}
 
     # -- core action ------------------------------------------------------
@@ -123,11 +122,12 @@ class LinearOperator:
 
     # -- dense materialization ---------------------------------------------
 
-    def to_dense(self, cap=DENSE_CAP):
+    def to_dense(self):
         """Dense (out_dim, in_dim) matrix; column j is H e_j."""
-        if self.in_dim * self.out_dim > cap:
+        if self.in_dim * self.out_dim > DENSE_CAP:
             raise DenseCapExceeded(
-                f"{self.kind}: {self.out_dim}x{self.in_dim} exceeds cap of {cap} entries"
+                f"{self.kind}: {self.out_dim}x{self.in_dim} exceeds cap of "
+                f"{DENSE_CAP} entries"
             )
         if self._dense is None:
             mat = self.apply(np.eye(self.in_dim)).T
@@ -146,19 +146,6 @@ class LinearOperator:
         """Entries d when H = diag(d) (square), else None."""
         return None
 
-    def _gram_reduced(self):
-        """Operator with the same H Hᵀ (compositions peel coisometric stages)."""
-        return self
-
-    def _gram_dual_diagonal(self):
-        """Diagonal d with H Hᵀ = diag(d), else None."""
-        d = self._diagonal_entries()
-        if d is not None:
-            return d * d
-        if self.has_orthonormal_rows:
-            return np.ones(self.out_dim)
-        return None
-
     def _gram_dual_symbol(self):
         """Full-FFT symbol t with H = circulant(t) (so H Hᵀ has spectrum |t|²)."""
         return None
@@ -168,44 +155,41 @@ class LinearOperator:
         t = self._gram_dual_symbol()
         return None if t is None else np.abs(t) ** 2
 
-    def _gram_dual_spectrum(self):
-        """``_circulant_spectrum``, computed once per operator."""
-        if self._spectrum is _UNSET:
-            lam = self._circulant_spectrum()
-            if lam is not None:
-                lam.flags.writeable = False
-            self._spectrum = lam
-        return self._spectrum
-
-    def _gram_out_dense(self):
-        if self._gram_out is None:
-            hd = self.to_dense()
-            g = hd @ hd.T
-            g.flags.writeable = False
-            self._gram_out = g
-        return self._gram_out
+    def _gram_dual(self):
+        """H Hᵀ as ("diagonal", d), ("circulant", λ) or ("dense", G), computed
+        once per operator; the data is read-only."""
+        if self._dual is None:
+            d = self._diagonal_entries()
+            if d is not None:
+                dual = ("diagonal", d * d)
+            elif self.has_orthonormal_rows:
+                dual = ("diagonal", np.ones(self.out_dim))
+            elif (lam := self._circulant_spectrum()) is not None:
+                dual = ("circulant", lam)
+            else:
+                hd = self.to_dense()
+                dual = ("dense", hd @ hd.T)
+            dual[1].flags.writeable = False
+            self._dual = dual
+        return self._dual
 
     def _innovation_factor(self, c, sigma2):
         """Lower Cholesky factor of c H Hᵀ + σ² I, cached per (c, σ²)."""
         key = (float(c), float(sigma2))
         if key not in self._innovation_cache:
-            s = c * self._gram_out_dense() + sigma2 * np.eye(self.out_dim)
+            s = c * self._gram_dual()[1] + sigma2 * np.eye(self.out_dim)
             self._innovation_cache[key] = _chol_with_jitter(
                 s, f"{self.kind} innovation covariance")
         return self._innovation_cache[key]
 
     def innovation_solve(self, c, sigma2, r):
         """Solve (c H Hᵀ + σ² I) z = r, batched over leading axes of r."""
-        red = self._gram_reduced()
-        if red is not self:
-            return red.innovation_solve(c, sigma2, r)
-        d = self._gram_dual_diagonal()
-        if d is not None:
-            return r / (c * d + sigma2)
-        lam = self._gram_dual_spectrum()
-        if lam is not None:
+        kind, data = self._gram_dual()
+        if kind == "diagonal":
+            return r / (c * data + sigma2)
+        if kind == "circulant":
             m = self.out_dim
-            denom = c * lam[: m // 2 + 1] + sigma2
+            denom = c * data[: m // 2 + 1] + sigma2
             return np.fft.irfft(np.fft.rfft(r, axis=-1) / denom, n=m, axis=-1)
         chol = self._innovation_factor(c, sigma2)
         r = np.asarray(r, dtype=float)
@@ -215,15 +199,9 @@ class LinearOperator:
 
     def innovation_logdet(self, c, sigma2):
         """log det(c H Hᵀ + σ² I)."""
-        red = self._gram_reduced()
-        if red is not self:
-            return red.innovation_logdet(c, sigma2)
-        d = self._gram_dual_diagonal()
-        if d is not None:
-            return float(np.sum(np.log(c * d + sigma2)))
-        lam = self._gram_dual_spectrum()
-        if lam is not None:
-            return float(np.sum(np.log(c * lam + sigma2)))
+        kind, data = self._gram_dual()
+        if kind != "dense":
+            return float(np.sum(np.log(c * data + sigma2)))
         chol = self._innovation_factor(c, sigma2)
         return float(2.0 * np.sum(np.log(np.diag(chol))))
 
@@ -359,9 +337,6 @@ class DiscreteFourier(LinearOperator):
     def has_orthonormal_rows(self):
         return True
 
-    def _gram_dual_diagonal(self):
-        return np.ones(self.out_dim)
-
 
 class CircularConvolution(LinearOperator):
     """Circular convolution on real signals; kernel taps sit at lags 0..L-1.
@@ -424,9 +399,6 @@ class FoldDownsample(LinearOperator):
     def has_orthonormal_rows(self):
         return True
 
-    def _gram_dual_diagonal(self):
-        return np.ones(self.out_dim)
-
 
 class Composition(LinearOperator):
     """Stages applied in list order: composition([A, B]) v = B(A(v))."""
@@ -446,7 +418,6 @@ class Composition(LinearOperator):
                 )
         super().__init__(stages[0].in_dim, stages[-1].out_dim)
         self.stages = stages
-        self._reduced = None
 
     def _apply(self, v):
         for stage in self.stages:
@@ -462,29 +433,30 @@ class Composition(LinearOperator):
     def has_orthonormal_rows(self):
         return all(s.has_orthonormal_rows for s in self.stages)
 
-    def _gram_reduced(self):
-        # C = Sk...S1 and S1 S1ᵀ = I make C Cᵀ equal (Sk...S2)(Sk...S2)ᵀ.
-        # Kept, so the reduced operator's caches outlive one call.
-        if self._reduced is None:
+    def _gram_dual(self):
+        # C = Sk...S1 and S1 S1ᵀ = I make C Cᵀ equal (Sk...S2)(Sk...S2)ᵀ, so
+        # leading coisometric stages are peeled; one stage left gives its own.
+        if self._dual is None:
             stages = list(self.stages)
             while len(stages) > 1 and stages[0].has_orthonormal_rows:
                 stages.pop(0)
-            if len(stages) == len(self.stages):
-                self._reduced = self
-            else:
-                self._reduced = stages[0] if len(stages) == 1 else Composition(stages)
-        return self._reduced
+            if len(stages) == 1:
+                self._dual = stages[0]._gram_dual()
+            elif len(stages) < len(self.stages):
+                self._dual = Composition(stages)._gram_dual()
+        return super()._gram_dual()
 
     def _circulant_spectrum(self):
         # Folding by f | n keeps every f-th lag of the circulant G = head headᵀ,
         # so D G Dᵀ is circulant on the coarse grid with G's spectrum aliased
         # f ways: λ_j = mean_a G[j + a n/f].
         *head, last = self.stages
-        if not (head and isinstance(last, FoldDownsample)
-                and last.in_dim % last.factor == 0):
+        if not head:
+            return last._circulant_spectrum()
+        if not (isinstance(last, FoldDownsample) and last.in_dim % last.factor == 0):
             return None
         head = head[0] if len(head) == 1 else Composition(head)
-        g = head._gram_dual_spectrum()
+        g = head._circulant_spectrum()
         if g is None:
             return None
         return g.reshape(last.factor, -1).mean(axis=0)
@@ -609,12 +581,12 @@ def adjoint_mismatch(op, rng, trials=100):
     return worst
 
 
-def gram_operator_norm(op, iters=200):
-    """Power-iteration estimate of ||Hᵀ H||_2 (deterministic start vector)."""
+def gram_operator_norm(op):
+    """||Hᵀ H||_2 by 200 power iterations from a deterministic start vector."""
     v = np.linspace(1.0, 2.0, op.in_dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = op.gram_apply(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:

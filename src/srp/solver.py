@@ -167,7 +167,7 @@ def _initial_point(cfg, problem):
 
 def _auto_diagnostics(problem, reg):
     """(f_fn, grad_fn) closed forms when the prior is a single small Gaussian."""
-    if reg.prior.n_components != 1 or reg.prior.dim > _AUTO_DIAG_DIM:
+    if reg.prior.dim > _AUTO_DIAG_DIM:
         return None, None
     try:
         forms = SingleGaussianForms(reg)
@@ -403,13 +403,10 @@ def audit_convergence(runs, probes=None, slack=0.05):
     notes.append(bias_report.note)
 
     f_initial = float(traces[0].f_initial)
-    if reg.prior.n_components == 1:
-        try:
-            _, f_star = gaussian_objective_minimum(problem, reg)
-            f_star_kind = "exact"
-        except ClosedFormUnavailable:
-            f_star, f_star_kind = None, ""
-    else:
+    try:
+        _, f_star = gaussian_objective_minimum(problem, reg)
+        f_star_kind = "exact"
+    except ClosedFormUnavailable:
         f_star, f_star_kind = None, ""
     if f_star is None:
         candidates = [f_initial]

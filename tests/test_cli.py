@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import srp
 from srp.arrayio import write_array
@@ -94,11 +95,41 @@ def run_cli(*argv):
 
 
 class TestInputErrors:
-    def assert_input_error(self, proc):
+    def assert_input_error(self, proc, prefix="input error: "):
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error: "), lines
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("seeds", 5)])
+    def test_non_integer_seeds(self, tmp_path, key, value):
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg[key] = value
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, "config error: ")
+        assert "seed" in proc.stderr
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8"])
+    def test_unreadable_config(self, tmp_path, content):
+        path = tmp_path / "cfg"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, "config error: cannot read config")
+
+    @pytest.mark.parametrize("content", [b"{not json", b'{"solver.gamma": 0.1}',
+                                         b"\xff\xfe not utf-8"])
+    def test_malformed_sweep_grid(self, tmp_path, content):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(content)
+        proc = run_cli("sweep", str(write_config(tmp_path)), "--grid", str(grid),
+                       "--quiet", "--out", str(tmp_path / "sweep"))
+        self.assert_input_error(proc, "config error: ")
+        assert "sweep grid" in proc.stderr
 
     def test_truncated_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"
@@ -158,6 +189,20 @@ class TestValidate:
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--curves"],
+    ["validate", "--threads", "4"],
+    ["validate", "--out", "x"],
+    ["audit", "cfg.json", "--curves"],
+    ["audit", "cfg.json", "--threads", "4"],
+])
+def test_flags_a_subcommand_ignores_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAudit:

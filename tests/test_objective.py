@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from srp.operators import (
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
+    DimensionMismatch,
     FoldDownsample,
     Identity,
     Scale,
@@ -87,6 +90,11 @@ class TestFidelity:
         p = Problem(DenseMatrix(m), np.zeros(4))
         expected = float(np.max(np.linalg.eigvalsh(m.T @ m)))
         np.testing.assert_allclose(fidelity_lipschitz(p), expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("y,shape", [(0.5, "()"), ([[1.0, 2.0, 3.0, 4.0]], "(1, 4)")])
+    def test_measurement_must_be_a_vector(self, y, shape):
+        with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(shape)}"):
+            Problem(DenseMatrix(np.ones((4, 2))), y)
 
 
 class TestRegValueExact:

@@ -236,7 +236,7 @@ class TestDense:
 
     def test_cap_refusal(self):
         with pytest.raises(DenseCapExceeded):
-            Identity(3000).to_dense(cap=2 ** 20)
+            Identity(3000).to_dense()
 
 
 class TestComposition:
@@ -278,6 +278,37 @@ class TestInnovationSystem:
                 np.linalg.slogdet(s_mat)[1],
                 atol=1e-9,
             )
+
+    def test_one_stage_composition_takes_its_stage_path(self):
+        # the mask's dense form (4096² entries) is past DENSE_CAP
+        rng = np.random.default_rng(17)
+        stages = [
+            (CoordinateMask(4096, range(0, 4096, 3)), "diagonal"),
+            (CircularConvolution(12, rng.standard_normal(5)), "circulant"),
+            (DenseMatrix(rng.standard_normal((5, 3))), "dense"),
+        ]
+        for stage, kind in stages:
+            op = Composition([stage])
+            r = rng.standard_normal((3, op.out_dim))
+            np.testing.assert_array_equal(
+                op.innovation_solve(0.7, 0.2, r), stage.innovation_solve(0.7, 0.2, r)
+            )
+            assert op.innovation_logdet(0.7, 0.2) == stage.innovation_logdet(0.7, 0.2)
+            assert op._gram_dual()[0] == kind
+            assert op._dense is None
+        # a one-stage head of a fold keeps the fold spectral
+        blur = stages[1][0]
+        nested = Composition([Composition([blur]), FoldDownsample(12, 3)])
+        flat = Composition([blur, FoldDownsample(12, 3)])
+        assert nested._gram_dual()[0] == "circulant"
+        np.testing.assert_array_equal(nested._gram_dual()[1], flat._gram_dual()[1])
+
+    def test_gram_dual_is_computed_once_and_read_only(self):
+        for op in operator_zoo(np.random.default_rng(18)):
+            kind, data = op._gram_dual()
+            assert kind in ("diagonal", "circulant", "dense")
+            assert op._gram_dual()[1] is data
+            assert not data.flags.writeable
 
     def test_batched_solve(self):
         op = masked_fourier((4, 4), np.array([True, True, False, False]))
@@ -354,11 +385,10 @@ class TestSpectralProperties:
     def test_divisible_folds_take_the_spectral_path(self, system):
         op, _, c, sigma2, rng = system
         op.innovation_solve(c, sigma2, rng.standard_normal(op.out_dim))
-        red = op._gram_reduced()
-        fold = red.stages[-1] if isinstance(red, Composition) else None
+        fold = op.stages[-1] if isinstance(op, Composition) else None
         spectral = fold is None or fold.in_dim % fold.factor == 0
-        assert (red._gram_dual_spectrum() is not None) == spectral
-        assert (not red._innovation_cache) == spectral
+        assert (op._gram_dual()[0] == "circulant") == spectral
+        assert (not op._innovation_cache) == spectral
 
     @given(circulant_systems())
     def test_batched_solve_matches_rows(self, system):
@@ -366,7 +396,7 @@ class TestSpectralProperties:
         r = rng.standard_normal((4, op.out_dim))
         batch = op.innovation_solve(c, sigma2, r)
         rows = np.stack([op.innovation_solve(c, sigma2, row) for row in r])
-        if op._gram_reduced()._gram_dual_spectrum() is not None:
+        if op._gram_dual()[0] == "circulant":
             np.testing.assert_array_equal(batch, rows)
         else:
             np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
@@ -514,10 +544,9 @@ class TestDiagonalAndDenseProperties:
         np.testing.assert_allclose(
             op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
         )
-        red = op._gram_reduced()
         diagonal = kind != "dense"
-        assert (red._gram_dual_diagonal() is not None) == diagonal
-        assert (not red._innovation_cache) == diagonal
+        assert (op._gram_dual()[0] == "diagonal") == diagonal
+        assert (not op._innovation_cache) == diagonal
 
 
 @st.composite
