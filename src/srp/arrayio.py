@@ -40,11 +40,16 @@ def read_array(path):
     raw = np.fromfile(path, dtype="<f8")
     if raw.size < _HEADER_LEN:
         raise ArrayFileError(f"{path}: truncated header")
-    magic, version, h, w, c = raw[0], raw[1], int(raw[2]), int(raw[3]), int(raw[4])
+    magic, version = raw[0], raw[1]
     if magic != MAGIC:
         raise ArrayFileError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ArrayFileError(f"{path}: unsupported version {version!r}")
+    dims = raw[2:5]
+    if not np.all(np.isfinite(dims) & (dims >= 0) & (dims == np.floor(dims))):
+        raise ArrayFileError(
+            f"{path}: dimensions must be non-negative integers, got {dims.tolist()}")
+    h, w, c = (int(d) for d in dims)
     body = raw[_HEADER_LEN:]
     if body.size != h * w * c:
         raise ArrayFileError(f"{path}: expected {h * w * c} values, got {body.size}")

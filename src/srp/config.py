@@ -9,6 +9,7 @@ object graph and cross-checks every dimension before any computation runs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,6 +41,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _seed_value(value, what):
+    """A non-negative integer seed; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     version: int
@@ -69,11 +77,13 @@ class ExperimentConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        try:
-            seed = int(d["seed"])
-            seeds = [int(s) for s in d["seeds"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed and seeds must be integers: {exc}") from exc
+        seed = _seed_value(d["seed"], "seed")
+        if not isinstance(d["seeds"], (list, tuple)) or not d["seeds"]:
+            raise ConfigError(f"seeds must be a non-empty list, got {d['seeds']!r}")
+        seeds = [_seed_value(s, "seeds entry") for s in d["seeds"]]
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, repeated: {repeated}")
         return cls(
             version=int(d["version"]),
             name=str(d["name"]),
@@ -141,7 +151,7 @@ def _mask_rows(shape, spec):
             acs_lines=int(spec.get("acs_lines", 0)),
         )
     if kind == "random-rows":
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(_seed_value(spec["seed"], "random-rows mask seed"))
         return random_row_mask(
             shape[0], int(spec["accel"]), int(spec.get("acs_lines", 0)), rng
         )
@@ -210,7 +220,7 @@ def build_prior(spec):
             means = np.atleast_2d(arr)
         return GmmPrior(spec["weights"], means, spec["covariances"])
     if kind == "gmm-recipe":
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(_seed_value(spec["seed"], "gmm-recipe seed"))
         k = int(spec["components"])
         cov_scale = float(spec["cov_scale"])
         if "shape" in spec:  # complex image prior, interleaved storage

@@ -183,7 +183,15 @@ class LinearOperator:
         return self._innovation_cache[key]
 
     def innovation_solve(self, c, sigma2, r):
-        """Solve (c H Hᵀ + σ² I) z = r, batched over leading axes of r."""
+        """Solve (c H Hᵀ + σ² I) z = r, batched over leading axes of r.
+
+        ``c`` is a scalar or a column of shape (K, 1); a column solves K
+        systems at once, row k of ``r``'s (..., K, m) trailing block against
+        c[k]. Every row is bit-identical to its scalar solve: the diagonal
+        path broadcasts the division, the circulant path runs one real-FFT
+        pair over all rows, and the dense path solves the rows in turn with
+        each c[k]'s cached factor.
+        """
         kind, data = self._gram_dual()
         if kind == "diagonal":
             return r / (c * data + sigma2)
@@ -191,8 +199,14 @@ class LinearOperator:
             m = self.out_dim
             denom = c * data[: m // 2 + 1] + sigma2
             return np.fft.irfft(np.fft.rfft(r, axis=-1) / denom, n=m, axis=-1)
-        chol = self._innovation_factor(c, sigma2)
         r = np.asarray(r, dtype=float)
+        if np.ndim(c) == 0:
+            return self._cholesky_solve(c, sigma2, r)
+        return np.stack([self._cholesky_solve(ck, sigma2, r[..., k, :])
+                         for k, ck in enumerate(np.ravel(c))], axis=-2)
+
+    def _cholesky_solve(self, c, sigma2, r):
+        chol = self._innovation_factor(c, sigma2)
         flat = r.reshape(-1, self.out_dim)
         z = scipy.linalg.cho_solve((chol, True), flat.T).T
         return z.reshape(r.shape)

@@ -222,9 +222,11 @@ class LinearGaussianPosterior:
 
     Component k's innovation system S_k = c_k W_k W_kᵀ + sigma² I is solved
     by the operator W_k's innovation hooks. Isotropic priors use W_k = H and
-    c_k = Sigma_k (cheap for masks, Fourier compositions and circulants);
-    other priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and
-    c_k = 1, which takes the operator's dense Cholesky path.
+    c_k = Sigma_k (cheap for masks, Fourier compositions and circulants), and
+    solve all K systems in one ``H.innovation_solve`` call with the column
+    c = (c_1..c_K)ᵀ against the stacked residuals, shape (..., K, m). Other
+    priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1,
+    which takes the operator's dense Cholesky path, one solve per component.
     """
 
     def __init__(self, prior, obs):
@@ -240,6 +242,7 @@ class LinearGaussianPosterior:
         count = prior.n_components
         if self._iso:
             self._cvals = [float(c) for c in prior.covariances]
+            self._ccol = np.array(self._cvals)[:, None]
             self._ops = [H] * count
         else:
             hd = H.to_dense()
@@ -264,17 +267,18 @@ class LinearGaussianPosterior:
 
     def _innovations(self, s):
         """Per-component log N(s; H mu_k, S_k), shape (..., K), and the
-        innovation solves z_k = S_k^{-1} (s - H mu_k) behind them."""
+        innovation solves z_k = S_k^{-1} (s - H mu_k) behind them, stacked
+        to shape (..., K, m)."""
+        r = s[..., None, :] - self.h_mu
+        if self._iso:
+            z = self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
+        else:
+            z = np.stack([self._solve(k, r[..., k, :])
+                          for k in range(self.prior.n_components)], axis=-2)
         m = self.obs.H.out_dim
-        loglik = np.empty(s.shape[:-1] + (self.prior.n_components,))
-        zs = []
-        for k in range(self.prior.n_components):
-            r = s - self.h_mu[k]
-            z = self._solve(k, r)
-            loglik[..., k] = -0.5 * (np.sum(r * z, axis=-1) + self._logdets[k]
-                                     + m * _LOG_2PI)
-            zs.append(z)
-        return loglik, zs
+        r *= z  # r is not read again; in place saves one (..., K, m) stack
+        loglik = -0.5 * (np.sum(r, axis=-1) + self._logdets + m * _LOG_2PI)
+        return loglik, z
 
     def _responsibilities(self, loglik):
         # Normalized by their sum, not by exp(logsumexp): they then sum to 1
@@ -298,9 +302,10 @@ class LinearGaussianPosterior:
     def posterior_mean(self, s):
         """E[x | s, H], batched over leading axes of s.
 
-        One innovation solve per component feeds both the responsibilities
-        and the shift. With one component the responsibilities are exactly
-        1 and are skipped. Isotropic mixtures fold the K adjoints into one,
+        The innovation solves (one batched call for isotropic mixtures, one
+        per component otherwise) feed both the responsibilities and the
+        shift. With one component the responsibilities are exactly 1 and are
+        skipped. Isotropic mixtures fold the K adjoints into one,
         Hᵀ Σ_k r_k c_k z_k, which reorders the sum: that case agrees with
         the per-component form to rounding, every other case bit for bit.
         """
@@ -308,15 +313,15 @@ class LinearGaussianPosterior:
         means = self.prior.means
         if self.prior.n_components == 1:
             return means[0] + self._shift(0, self._solve(0, s - self.h_mu[0]))
-        loglik, zs = self._innovations(s)
+        loglik, z = self._innovations(s)
         resp = self._responsibilities(loglik)
         if self._iso:
-            acc = sum((c * resp[..., k, None]) * z
-                      for k, (c, z) in enumerate(zip(self._cvals, zs)))
+            acc = sum((c * resp[..., k, None]) * z[..., k, :]
+                      for k, c in enumerate(self._cvals))
             return resp @ means + self.obs.H.adjoint_apply(acc)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
-        for k, z in enumerate(zs):
-            mean += resp[..., k, None] * (means[k] + self._shift(k, z))
+        for k in range(self.prior.n_components):
+            mean += resp[..., k, None] * (means[k] + self._shift(k, z[..., k, :]))
         return mean
 
     def score(self, s):

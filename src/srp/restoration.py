@@ -132,14 +132,20 @@ class Biased(RestorationOperator):
         return self.inner.base_sigma
 
 
+def _unwrap(restorer):
+    """(exact operator, its ``Biased`` wrappers innermost first)."""
+    links = []
+    while isinstance(restorer, Biased):
+        links.append(restorer)
+        restorer = restorer.inner
+    if not isinstance(restorer, ExactMmse):
+        raise TypeError(f"no exact counterpart for restorer kind {restorer.kind!r}")
+    return restorer, links[::-1]
+
+
 def exact_counterpart(restorer):
     """The exact-MMSE operator that a (possibly wrapped) restorer approximates."""
-    r = restorer
-    while isinstance(r, Biased):
-        r = r.inner
-    if not isinstance(r, ExactMmse):
-        raise TypeError(f"no exact counterpart for restorer kind {r.kind!r}")
-    return r
+    return _unwrap(restorer)[0]
 
 
 @dataclass
@@ -156,15 +162,21 @@ class BiasReport:
 def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     """Monte Carlo estimate of the bias vector b(x).
 
-    For the exact operator the integrand is identically zero sample by
-    sample, so the estimate is exactly zero.
+    Each draw is restored once: the exact estimate, then the restorer's
+    perturbation chain applied to it. For the exact operator the integrand
+    is identically zero sample by sample, so the estimate is exactly zero.
     """
     x = np.asarray(x, dtype=float)
-    exact = exact_counterpart(restorer)
+    exact, links = _unwrap(restorer)
     scale = float(tau) / (ens.sigma * ens.sigma)
     total = np.zeros(ens.in_dim)
     for _, H, _, s in ens.observe(x, mc_samples, rng):
-        gap = exact.restore(s, H) - restorer.restore(s, H)
+        # restorer.restore(s, H) without restoring again: the exact estimate
+        # passed through the perturbation chain, innermost link first
+        est = exact_est = exact.restore(s, H)
+        for link in links:
+            est = link.perturbation.perturb(est, link)
+        gap = exact_est - est
         total += np.sum(H.gram_apply(gap), axis=0)
     return scale * total / int(mc_samples)
 

@@ -101,7 +101,9 @@ class TestInputErrors:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
-    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("seeds", 5)])
+    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("seeds", 5), ("seeds", "12"),
+                                           ("seed", 1.7), ("seed", True),
+                                           ("seeds", [1, 1]), ("seeds", [])])
     def test_non_integer_seeds(self, tmp_path, key, value):
         path = write_config(tmp_path)
         cfg = json.loads(path.read_text())
@@ -110,6 +112,12 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, "config error: ")
         assert "seed" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_negative_seed_flag(self, tmp_path, command):
+        config = [str(write_config(tmp_path))] if command == "run" else []
+        proc = run_cli(command, *config, "--seed", "-1", "--quiet")
+        self.assert_input_error(proc, "config error: --seed must be a non-negative integer")
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8"])
     def test_unreadable_config(self, tmp_path, content):
@@ -142,6 +150,21 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc)
         assert "expected 128 values, got 127" in proc.stderr
+
+    @pytest.mark.parametrize("height", [float("nan"), -1.0, 2.5, float("inf")])
+    def test_malformed_ground_truth_header(self, tmp_path, height):
+        gt = tmp_path / "truth.f64"
+        write_array(gt, np.zeros(128))
+        raw = np.fromfile(gt, dtype="<f8")
+        raw[2] = height
+        raw.tofile(gt)
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["problem"]["ground_truth"] = {"source": "file", "path": str(gt)}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc)
+        assert "dimensions must be non-negative integers" in proc.stderr
 
     def test_non_positive_explicit_covariance(self, tmp_path):
         cfg = {

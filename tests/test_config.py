@@ -73,6 +73,31 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="version"):
             ExperimentConfig.from_dict(minimal_config_dict(version=99))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"seeds": "12"}, "seeds must be a non-empty list"),
+        ({"seeds": 5}, "seeds must be a non-empty list"),
+        ({"seeds": []}, "seeds must be a non-empty list"),
+        ({"seeds": [1, 1]}, r"seeds must be distinct, repeated: \[1\]"),
+        ({"seeds": [1, 2.0]}, "seeds entry must be a non-negative integer"),
+        ({"seeds": [True, 2]}, "seeds entry must be a non-negative integer"),
+        ({"seeds": [1, -2]}, "seeds entry must be a non-negative integer"),
+        ({"seeds": ["1"]}, "seeds entry must be a non-negative integer"),
+        ({"seed": 1.7}, "seed must be a non-negative integer, got 1.7"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"seed": "3"}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": None}, "seed must be a non-negative integer"),
+    ])
+    def test_seeds_refused(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(minimal_config_dict(**overrides))
+
+    def test_seeds_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            minimal_config_dict(seed=np.int64(0), seeds=(3, np.int32(1))))
+        assert cfg.seed == 0 and cfg.seeds == [3, 1]
+        assert all(type(s) is int for s in [cfg.seed, *cfg.seeds])
+
 
 class TestOperatorSpecs:
     def test_all_kinds_buildable(self):
@@ -160,8 +185,22 @@ class TestOperatorSpecs:
         v = np.random.default_rng(0).standard_normal(512)
         np.testing.assert_array_equal(a.apply(v), b.apply(v))
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_random_mask_seed_checked(self, seed):
+        spec = {"kind": "masked-fourier", "shape": [8, 8],
+                "mask": {"type": "random-rows", "accel": 4, "acs_lines": 2, "seed": seed}}
+        with pytest.raises(ConfigError, match="random-rows mask seed must be a non-negative"):
+            build_operator(spec)
+
 
 class TestPriorSpecs:
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_recipe_seed_checked(self, seed):
+        spec = {"type": "gmm-recipe", "dim": 4, "components": 2, "seed": seed,
+                "cov_scale": 0.1}
+        with pytest.raises(ConfigError, match="gmm-recipe seed must be a non-negative"):
+            build_prior(spec)
+
     def test_recipe_deterministic(self):
         spec = {"type": "gmm-recipe", "shape": [8, 8], "components": 2,
                 "seed": 7, "cov_scale": 0.05, "smoothness": 1.5}

@@ -100,3 +100,14 @@ class TestArrayFile:
         np.arange(3.0).tofile(path)
         with pytest.raises(ArrayFileError):
             read_array(path)
+
+    @pytest.mark.parametrize("index,value", [(2, np.nan), (2, -1.0), (2, 2.5), (2, np.inf),
+                                             (3, np.nan), (3, -4.0), (4, 0.5), (4, -np.inf)])
+    def test_malformed_dimensions_rejected(self, tmp_path, index, value):
+        path = tmp_path / "dims.f64"
+        write_array(path, np.ones((2, 3)))
+        raw = np.fromfile(path, dtype="<f8")
+        raw[index] = value
+        raw.tofile(path)
+        with pytest.raises(ArrayFileError, match="dimensions must be non-negative integers"):
+            read_array(path)

@@ -550,6 +550,59 @@ class TestDiagonalAndDenseProperties:
 
 
 @st.composite
+def column_systems(draw):
+    """An operator on each innovation path, a column c of K coefficients
+    (equal or distinct) and stacked residuals of shape lead + (K, m)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 12))
+    kernel = rng.standard_normal(draw(st.integers(1, n)))
+    kind, op = draw(st.sampled_from([
+        ("diagonal", CoordinateMask(n, np.flatnonzero(rng.random(n) < 0.5))),
+        ("diagonal", Scale(n, rng.uniform(-2.0, 2.0))),
+        ("diagonal", masked_fourier((2, 3), np.array([True, False]))),
+        ("circulant", CircularConvolution(n, kernel)),
+        ("circulant", ConvexCombination(0.6, CircularConvolution(n, kernel))),
+        ("circulant", Composition([CircularConvolution(2 * n, kernel), FoldDownsample(2 * n, 2)])),
+        ("dense", DenseMatrix(rng.standard_normal((draw(st.integers(1, 8)), n)))),
+        # 3 does not divide 3n + 1: the fold's remainder takes the dense path
+        ("dense", Composition([CircularConvolution(3 * n + 1, kernel),
+                               FoldDownsample(3 * n + 1, 3)])),
+    ]))
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        c = np.full(count, draw(st.floats(0.0, 5.0)))
+    else:
+        c = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=count, max_size=count)))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    sigma2 = draw(st.floats(0.05, 2.0))
+    r = rng.standard_normal(lead + (count, op.out_dim))
+    return kind, op, c[:, None], sigma2, r
+
+
+class TestColumnSolve:
+    """A column c solves K systems in one call, each bit for bit its scalar solve."""
+
+    @given(column_systems())
+    def test_column_matches_scalar_solves(self, system):
+        kind, op, c, sigma2, r = system
+        got = op.innovation_solve(c, sigma2, r)
+        expected = np.stack([op.innovation_solve(float(ck), sigma2, r[..., k, :])
+                             for k, ck in enumerate(c[:, 0])], axis=-2)
+        assert got.shape == r.shape
+        np.testing.assert_array_equal(got, expected)
+        assert op._gram_dual()[0] == kind
+
+    def test_dense_column_does_not_reenter_the_public_solve(self):
+        op = DenseMatrix(np.random.default_rng(19).standard_normal((4, 6)))
+        calls = []
+        solve = op.innovation_solve
+        op.innovation_solve = lambda *args: calls.append(args) or solve(*args)
+        op.innovation_solve(np.array([[0.5], [1.5], [0.5]]), 0.3, np.ones((2, 3, 4)))
+        assert len(calls) == 1
+        assert set(op._innovation_cache) == {(0.5, 0.3), (1.5, 0.3)}
+
+
+@st.composite
 def observed_ensembles(draw):
     """An ensemble with some zero weights and mixed out_dims, x and a count."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

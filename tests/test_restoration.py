@@ -130,6 +130,54 @@ class TestBiasVector:
         assert abs(est[0] - oracle) < 4 * se
 
 
+def two_restore_bias_vector(restorer, ens, x, tau, mc_samples, rng):
+    """b(x) restoring every draw twice: once exactly, once through the restorer."""
+    exact = exact_counterpart(restorer)
+    total = np.zeros(ens.in_dim)
+    for _, H, _, s in ens.observe(x, mc_samples, rng):
+        gap = exact.restore(s, H) - restorer.restore(s, H)
+        total += np.sum(H.gram_apply(gap), axis=0)
+    return float(tau) / (ens.sigma * ens.sigma) * total / int(mc_samples)
+
+
+class TestBiasVectorRestoresOnce:
+    """One exact restoration per draw, then the perturbation chain: the same
+    bits as restoring the draw again through the restorer."""
+
+    @pytest.mark.parametrize("chain", ["exact", "offset", "gain", "smoothing", "nested"])
+    def test_matches_two_restore_reference(self, chain):
+        prior = GmmPrior([0.3, 0.7], [[0.5, -1.0, 0.2, 1.5], [-0.4, 0.8, 1.1, -0.3]],
+                         [np.asarray(0.6), np.asarray(1.4)])
+        ens = DegradationEnsemble([Identity(4), CoordinateMask(4, [0, 2]),
+                                   CoordinateMask(4, [1, 2, 3])], sigma=0.8)
+        exact = ExactMmse(prior, 0.8)
+        restorer = {
+            "exact": exact,
+            "offset": Biased(exact, ConstantOffset([0.1, -0.2, 0.05, 0.3])),
+            "gain": Biased(exact, Gain(0.7)),
+            "smoothing": Biased(exact, Smoothing(3)),
+            "nested": Biased(Biased(Biased(exact, Gain(1.3)), Smoothing(2)),
+                             ConstantOffset([0.2, 0.0, -0.1, 0.1])),
+        }[chain]
+        x = np.array([0.9, -0.3, 1.7, 0.4])
+        got = bias_vector(restorer, ens, x, 1.2, 300, np.random.default_rng(21))
+        expected = two_restore_bias_vector(restorer, ens, x, 1.2, 300,
+                                           np.random.default_rng(21))
+        np.testing.assert_array_equal(got, expected)
+        assert (chain == "exact") == (not np.any(got))
+
+    def test_each_draw_is_restored_once(self):
+        prior = normal_prior(n=2)
+        ens = DegradationEnsemble([Identity(2), CoordinateMask(2, [0])], sigma=1.0)
+        exact = ExactMmse(prior, 1.0)
+        restorer = Biased(Biased(exact, Gain(0.5)), ConstantOffset([0.1, 0.2]))
+        calls = []
+        restore = exact.restore
+        exact.restore = lambda s, H: calls.append(len(s)) or restore(s, H)
+        bias_vector(restorer, ens, np.ones(2), 1.0, 50, np.random.default_rng(22))
+        assert sum(calls) == 50
+
+
 class TestMeasureBias:
     def test_exact_reports_zero(self):
         prior = normal_prior(n=2)
