@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .arrayio import ArrayFileError
-from .config import ConfigError, ExperimentConfig, _seed_value
+from .config import ConfigError, ExperimentConfig, _integer
 from .experiment import audit_experiment, run_experiment
 from .operators import DenseCapExceeded, DimensionMismatch, FactorizationError
 from .solver import AuditError, DivergenceError
@@ -36,7 +36,7 @@ EXIT_DIVERGENCE = 4
 def _load_config(path, args):
     cfg = ExperimentConfig.load(path)
     if args.seed is not None:
-        cfg.seed = _seed_value(args.seed, "--seed")
+        cfg.seed = _integer(args.seed, "--seed")
     if args.out is not None:
         cfg.output_dir = str(args.out)
     return cfg
@@ -56,7 +56,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    seed = 0 if args.seed is None else _seed_value(args.seed, "--seed")
+    seed = 0 if args.seed is None else _integer(args.seed, "--seed")
     rows = validation_suite(seed=seed)
     if not args.quiet:
         print(format_table(rows))
@@ -81,6 +81,9 @@ def _set_path(d, dotted, value):
     keys = dotted.split(".")
     for key in keys[:-1]:
         d = d.setdefault(key, {})
+        if not isinstance(d, dict):
+            raise ConfigError(
+                f"sweep grid key {dotted!r}: {key!r} is not an object")
     d[keys[-1]] = value
 
 
@@ -94,20 +97,23 @@ def _cmd_sweep(args):
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep grid must be a non-empty JSON object")
     keys = sorted(grid)
-    bad = [k for k in keys if not isinstance(grid[k], list)]
+    bad = [k for k in keys if not isinstance(grid[k], list) or not grid[k]]
     if bad:
-        raise ConfigError(f"sweep grid values must be lists: {bad}")
+        raise ConfigError(f"sweep grid values must be non-empty lists: {bad}")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     base = Path(args.out) if args.out else Path(cfg.output_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    index_lines = ["sweep_id," + ",".join(keys)]
+    # every combination is checked before the first one runs
+    subs = []
     for i, combo in enumerate(combos):
         d = cfg.to_dict()
         for key, value in zip(keys, combo):
             _set_path(d, key, value)
         d["output_dir"] = str(base / f"sweep_{i:03d}")
         d["name"] = f"{cfg.name}_sweep_{i:03d}"
-        sub = ExperimentConfig.from_dict(d)
+        subs.append(ExperimentConfig.from_dict(d))
+    base.mkdir(parents=True, exist_ok=True)
+    index_lines = ["sweep_id," + ",".join(keys)]
+    for i, (combo, sub) in enumerate(zip(combos, subs)):
         run_experiment(sub, threads=args.threads, curves=args.curves, quiet=True)
         index_lines.append(",".join([f"sweep_{i:03d}"] + [repr(v) for v in combo]))
         if not args.quiet:

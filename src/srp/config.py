@@ -9,6 +9,7 @@ object graph and cross-checks every dimension before any computation runs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
@@ -41,11 +42,25 @@ class ConfigError(ValueError):
     pass
 
 
-def _seed_value(value, what):
-    """A non-negative integer seed; bools, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+def _integer(value, what, minimum=0):
+    """An integer of at least ``minimum``; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
     return int(value)
+
+
+def _finite(value, what):
+    """A finite real number; bools, strings, nan and infinities are refused."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -77,10 +92,10 @@ class ExperimentConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        seed = _seed_value(d["seed"], "seed")
+        seed = _integer(d["seed"], "seed")
         if not isinstance(d["seeds"], (list, tuple)) or not d["seeds"]:
             raise ConfigError(f"seeds must be a non-empty list, got {d['seeds']!r}")
-        seeds = [_seed_value(s, "seeds entry") for s in d["seeds"]]
+        seeds = [_integer(s, "seeds entry") for s in d["seeds"]]
         repeated = sorted({s for s in seeds if seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct, repeated: {repeated}")
@@ -151,7 +166,7 @@ def _mask_rows(shape, spec):
             acs_lines=int(spec.get("acs_lines", 0)),
         )
     if kind == "random-rows":
-        rng = np.random.default_rng(_seed_value(spec["seed"], "random-rows mask seed"))
+        rng = np.random.default_rng(_integer(spec["seed"], "random-rows mask seed"))
         return random_row_mask(
             shape[0], int(spec["accel"]), int(spec.get("acs_lines", 0)), rng
         )
@@ -220,7 +235,7 @@ def build_prior(spec):
             means = np.atleast_2d(arr)
         return GmmPrior(spec["weights"], means, spec["covariances"])
     if kind == "gmm-recipe":
-        rng = np.random.default_rng(_seed_value(spec["seed"], "gmm-recipe seed"))
+        rng = np.random.default_rng(_integer(spec["seed"], "gmm-recipe seed"))
         k = int(spec["components"])
         cov_scale = float(spec["cov_scale"])
         if "shape" in spec:  # complex image prior, interleaved storage
@@ -252,8 +267,11 @@ def build_prior(spec):
 def build_ensemble(spec):
     try:
         members = [build_operator(s) for s in spec["members"]]
+        weights = spec.get("weights")
+        if weights is not None:
+            weights = [_finite(w, "ensemble.weights entry") for w in weights]
         return DegradationEnsemble(
-            members, sigma=float(spec["sigma"]), weights=spec.get("weights")
+            members, sigma=_finite(spec["sigma"], "ensemble.sigma"), weights=weights
         )
     except ConfigError:
         raise
@@ -291,12 +309,12 @@ def build_solver_config(spec, tau, seed):
         x0 = np.asarray(x0, dtype=float)
     try:
         return SolverConfig(
-            gamma=float(spec["gamma"]),
+            gamma=_finite(spec["gamma"], "solver.gamma"),
             tau=float(tau),
-            iterations=int(spec["iterations"]),
+            iterations=_integer(spec["iterations"], "solver.iterations", 1),
             selection=sel["strategy"],
-            fixed_index=int(sel.get("index", 0)),
-            batch=int(spec.get("batch", 1)),
+            fixed_index=_integer(sel.get("index", 0), "solver.selection.index"),
+            batch=_integer(spec.get("batch", 1), "solver.batch", 1),
             seed=int(seed),
             x0=x0,
         )
@@ -327,10 +345,10 @@ def build_experiment(cfg):
         A = build_operator(cfg.problem["operator"])
         prior = build_prior(cfg.prior)
         ensemble = build_ensemble(cfg.ensemble)
-        tau = float(cfg.solver["tau"])
+        tau = _finite(cfg.solver["tau"], "solver.tau")
         restorer = build_restorer(cfg.restorer, prior, ensemble.sigma)
         gt = cfg.problem.get("ground_truth", {"source": "prior"})
-        noise_sigma = float(cfg.problem.get("noise_sigma", 0.0))
+        noise_sigma = _finite(cfg.problem.get("noise_sigma", 0.0), "problem.noise_sigma")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"incomplete config: {exc}") from exc
 
@@ -342,6 +360,8 @@ def build_experiment(cfg):
         raise ConfigError(
             f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}"
         )
+    if tau <= 0:
+        raise ConfigError(f"solver.tau must be positive, got {tau!r}")
     if noise_sigma < 0:
         raise ConfigError("noise_sigma must be non-negative")
     if gt.get("source") == "file":
@@ -369,7 +389,12 @@ def build_experiment(cfg):
             )
 
     # instantiating the per-seed SolverConfig also validates the solver block
-    build_solver_config(cfg.solver, tau, cfg.seed)
+    scfg = build_solver_config(cfg.solver, tau, cfg.seed)
+    if scfg.selection == "fixed" and scfg.fixed_index >= ensemble.size:
+        raise ConfigError(
+            f"solver.selection.index {scfg.fixed_index} out of range for "
+            f"{ensemble.size} ensemble members"
+        )
 
     return BuiltExperiment(
         cfg=cfg,

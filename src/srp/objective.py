@@ -14,7 +14,7 @@ quadrature; everything else goes through the Monte Carlo estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -51,17 +51,32 @@ class Problem:
 
 @dataclass
 class Regularizer:
-    """Regularization strength tau, prior, and the degradation ensemble."""
+    """Regularization strength tau, prior, and the degradation ensemble.
+
+    The three are fixed at construction: the single-Gaussian closed forms are
+    built from them on first use and kept, like an operator's caches.
+    """
 
     tau: float
     prior: object
     ens: object
+    _forms: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.ens.in_dim != self.prior.dim:
             raise DimensionMismatch("ensemble in_dim", self.prior.dim, self.ens.in_dim)
+
+    def gaussian_forms(self):
+        """This regularizer's ``SingleGaussianForms``, built once on first use.
+
+        Raises ``ClosedFormUnavailable`` (before any dense work) when the
+        prior has more than one component or exceeds the dense cap.
+        """
+        if self._forms is None:
+            self._forms = SingleGaussianForms(self)
+        return self._forms
 
 
 def fidelity(problem, x):
@@ -122,6 +137,7 @@ class SingleGaussianForms:
             trinv = float(np.trace(post._solve(0, np.eye(m))))
             const += p * 0.5 * (m * _LOG_2PI + post._logdets[0] + sigma2 * trinv)
         self.curvature = self.tau * curvature
+        self.curvature.flags.writeable = False
         self.constant = self.tau * const
 
     def value(self, x):
@@ -144,7 +160,7 @@ def reg_value_exact(reg, x):
     """
     x = np.asarray(x, dtype=float)
     if reg.prior.n_components == 1:
-        return SingleGaussianForms(reg).value(x)
+        return reg.gaussian_forms().value(x)
     sigma = reg.ens.sigma
     total = 0.0
     for post, H, p in zip(_posteriors(reg), reg.ens.members, reg.ens.weights):
@@ -215,7 +231,7 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
 
 def reg_grad_gaussian(reg, x):
     """Exact ∇h for single-Gaussian priors (affine in x)."""
-    return SingleGaussianForms(reg).grad(x)
+    return reg.gaussian_forms().grad(x)
 
 
 def regularizer_curvature_bound(reg):
@@ -223,7 +239,7 @@ def regularizer_curvature_bound(reg):
     (tau/sigma²) max_j ||H_jᵀH_j|| upper bound (the posterior mean is a
     contraction for Gaussian priors, so the bound is safe but conservative)."""
     try:
-        return SingleGaussianForms(reg).curvature_norm(), "exact"
+        return reg.gaussian_forms().curvature_norm(), "exact"
     except ClosedFormUnavailable:
         pass
     worst = max(gram_operator_norm(H) for H in reg.ens.members)
@@ -232,7 +248,7 @@ def regularizer_curvature_bound(reg):
 
 def gaussian_objective_minimum(problem, reg):
     """Exact minimizer and minimum of f = g + h for single-Gaussian priors."""
-    forms = SingleGaussianForms(reg)
+    forms = reg.gaussian_forms()
     ad = problem.A.to_dense()
     lhs = ad.T @ ad + forms.curvature
     rhs = ad.T @ problem.y + forms.curvature @ forms.mu
@@ -248,15 +264,23 @@ def regularizer_step(reg, restorer, x, members, rng):
     """Regularizer term of one stochastic step, averaged over ``members``.
 
     For each member index j, in draw order, draws one noise vector and forms
-    (tau/sigma²) H_jᵀH_j (x - R(H_j x + sigma n, H_j)).
+    (tau/sigma²) H_jᵀH_j (x - R(H_j x + sigma n, H_j)). A single draw is
+    returned as its term plus 0.0, the bits of the one-row mean: the row sum
+    starts from +0.0, so it too turns -0.0 entries into +0.0.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
-    terms = np.empty((len(members), x.size))
-    for i, j in enumerate(members):
+
+    def term(j):
         H = ens.members[j]
         s = H.apply(x) + ens.sigma * rng.standard_normal(H.out_dim)
-        terms[i] = scale * H.gram_apply(x - restorer.restore(s, H))
+        return scale * H.gram_apply(x - restorer.restore(s, H))
+
+    if len(members) == 1:
+        return term(members[0]) + 0.0
+    terms = np.empty((len(members), x.size))
+    for i, j in enumerate(members):
+        terms[i] = term(j)
     return terms.sum(axis=0) / len(members)
 
 

@@ -596,17 +596,22 @@ def adjoint_mismatch(op, rng, trials=100):
 
 
 def gram_operator_norm(op):
-    """||Hᵀ H||_2 by 200 power iterations from a deterministic start vector."""
+    """||Hᵀ H||_2 by 200 power iterations from a deterministic start vector.
+
+    Each step makes one ``gram_apply`` (201 in all): the Hᵀ H v of a step's
+    Rayleigh quotient is the next step's power iterate.
+    """
     v = np.linspace(1.0, 2.0, op.in_dim)
     v /= np.linalg.norm(v)
+    w = op.gram_apply(v)
     lam = 0.0
     for _ in range(200):
-        w = op.gram_apply(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        lam = float(np.dot(v, op.gram_apply(v)))
+        w = op.gram_apply(v)
+        lam = float(np.dot(v, w))
     return lam
 
 

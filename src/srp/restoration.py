@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
+from .operators import DimensionMismatch
 from .priors import LinearGaussianPosterior, ObservationModel
 
 
@@ -164,10 +165,15 @@ def bias_vector(restorer, ens, x, tau, mc_samples, rng):
 
     Each draw is restored once: the exact estimate, then the restorer's
     perturbation chain applied to it. For the exact operator the integrand
-    is identically zero sample by sample, so the estimate is exactly zero.
+    is identically zero sample by sample, so the estimate is exactly zero:
+    it is returned without drawing, and ``rng`` is left untouched.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (ens.in_dim,):
+        raise DimensionMismatch("bias probe point", ens.in_dim, x.size)
     exact, links = _unwrap(restorer)
+    if not links:
+        return np.zeros(ens.in_dim)
     scale = float(tau) / (ens.sigma * ens.sigma)
     total = np.zeros(ens.in_dim)
     for _, H, _, s in ens.observe(x, mc_samples, rng):
@@ -185,7 +191,8 @@ def measure_bias(restorer, ens, probe_points, tau, mc_samples, rng):
     """||b(x)||_2 at each probe point; epsilon_hat is the maximum.
 
     This is a probed estimate over the supplied domain, not a proof of a
-    global bound (gain-type perturbations grow with ||x||).
+    global bound (gain-type perturbations grow with ||x||). An exact
+    restorer reports zero at every point and takes no draws from ``rng``.
     """
     probe_points = [np.asarray(p, dtype=float) for p in probe_points]
     if not probe_points:

@@ -29,9 +29,6 @@ import numpy as np
 from .objective import (
     ClosedFormUnavailable,
     Regularizer,
-    SingleGaussianForms,
-    fidelity,
-    fidelity_grad,
     fidelity_lipschitz,
     gaussian_objective_minimum,
     regularizer_curvature_bound,
@@ -165,17 +162,15 @@ def _initial_point(cfg, problem):
     return x0.copy()
 
 
-def _auto_diagnostics(problem, reg):
-    """(f_fn, grad_fn) closed forms when the prior is a single small Gaussian."""
+def _auto_diagnostics(reg):
+    """The regularizer's closed forms when the prior is a single small
+    Gaussian, else None."""
     if reg.prior.dim > _AUTO_DIAG_DIM:
-        return None, None
+        return None
     try:
-        forms = SingleGaussianForms(reg)
+        return reg.gaussian_forms()
     except ClosedFormUnavailable:
-        return None, None
-    f_fn = lambda x: fidelity(problem, x) + forms.value(x)
-    grad_fn = lambda x: fidelity_grad(problem, x) + forms.grad(x)
-    return f_fn, grad_fn
+        return None
 
 
 def run(problem, reg, restorer, cfg, *, psnr_fn=None):
@@ -183,7 +178,10 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
-    columns stay empty.
+    columns stay empty. The loop carries the residual r = A x - y: each
+    iterate makes one ``A.adjoint_apply`` (the fidelity gradient Aᵀ r, shared
+    by ghat and the true-gradient norm) and one ``A.apply`` (the next
+    residual, which also gives f), plus one ``A.apply`` for the start point.
     """
     ens = reg.ens
     if restorer.base_sigma != ens.sigma:
@@ -196,7 +194,8 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     if cfg.selection == "fixed" and not 0 <= cfg.fixed_index < ens.size:
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 
-    f_fn, grad_fn = _auto_diagnostics(problem, reg)
+    forms = _auto_diagnostics(reg)
+    A, y = problem.A, problem.y
     sel_rng, noise_rng = solver_streams(cfg.seed)
     t = cfg.iterations
     x = _initial_point(cfg, problem)
@@ -204,22 +203,24 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     op_index = np.zeros(t, dtype=int)
     step_sq = np.zeros(t)
     grad_hat_norm = np.zeros(t)
-    grad_true_norm = np.zeros(t) if grad_fn else None
-    f_value = np.zeros(t) if f_fn else None
+    grad_true_norm = np.zeros(t) if forms is not None else None
+    f_value = np.zeros(t) if forms is not None else None
     psnr_vals = np.zeros(t) if psnr_fn else None
     iterates = np.zeros((t + 1, x.size)) if cfg.record_iterates else None
     if iterates is not None:
         iterates[0] = x
-    f_initial = float(f_fn(x)) if f_fn else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = A.apply(x) - y
+    f_initial = None if forms is None else 0.5 * float(np.dot(r, r)) + forms.value(x)
 
     draws = _selection_stream(cfg, ens, sel_rng)
     for k in range(t):
         # overflow en route to the divergence check is expected and handled
         with np.errstate(over="ignore", invalid="ignore"):
-            if grad_true_norm is not None:
-                grad_true_norm[k] = np.linalg.norm(grad_fn(x))
-            ghat = fidelity_grad(problem, x) + regularizer_step(
-                reg, restorer, x, draws[k], noise_rng)
+            fg = A.adjoint_apply(r)
+            if forms is not None:
+                grad_true_norm[k] = np.linalg.norm(fg + forms.grad(x))
+            ghat = fg + regularizer_step(reg, restorer, x, draws[k], noise_rng)
             x_new = x - cfg.gamma * ghat
             if not np.all(np.isfinite(x_new)):
                 raise DivergenceError(k + 1, x)
@@ -227,8 +228,9 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
             diff = x_new - x
             step_sq[k] = float(np.dot(diff, diff))
             grad_hat_norm[k] = float(np.linalg.norm(ghat))
-            if f_value is not None:
-                f_value[k] = float(f_fn(x_new))
+            r = A.apply(x_new) - y
+            if forms is not None:
+                f_value[k] = 0.5 * float(np.dot(r, r)) + forms.value(x_new)
             if psnr_vals is not None:
                 psnr_vals[k] = float(psnr_fn(x_new))
         x = x_new

@@ -130,7 +130,10 @@ class TestInputErrors:
         self.assert_input_error(proc, "config error: cannot read config")
 
     @pytest.mark.parametrize("content", [b"{not json", b'{"solver.gamma": 0.1}',
-                                         b"\xff\xfe not utf-8"])
+                                         b"\xff\xfe not utf-8",
+                                         b'{"solver.gamma.x": [1]}',
+                                         b'{"solver.gamma": []}',
+                                         b'{"solver.tau": [0.01], "seeds.x": [1]}'])
     def test_malformed_sweep_grid(self, tmp_path, content):
         grid = tmp_path / "grid.json"
         grid.write_bytes(content)
@@ -138,6 +141,20 @@ class TestInputErrors:
                        "--quiet", "--out", str(tmp_path / "sweep"))
         self.assert_input_error(proc, "config error: ")
         assert "sweep grid" in proc.stderr
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("solver", "iterations", 2.7), ("solver", "gamma", float("nan")),
+        ("solver", "batch", "2"), ("ensemble", "sigma", float("inf")),
+        ("problem", "noise_sigma", float("nan"))])
+    def test_bad_numbers(self, tmp_path, block, key, value):
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg[block][key] = value
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, "config error: ")
+        assert f"{block}.{key} must be" in proc.stderr
 
     def test_truncated_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,45 @@ class TestBuildExperiment:
         d["problem"]["ground_truth"] = {"source": "file", "path": str(path)}
         with pytest.raises(ConfigError, match="ground truth"):
             build_experiment(ExperimentConfig.from_dict(d))
+
+    @pytest.mark.parametrize("block,key,value,message", [
+        ("solver", "iterations", 2.7, "solver.iterations must be an integer >= 1"),
+        ("solver", "iterations", "10", "solver.iterations must be an integer >= 1"),
+        ("solver", "iterations", 0, "solver.iterations must be an integer >= 1"),
+        ("solver", "batch", 1.5, "solver.batch must be an integer >= 1"),
+        ("solver", "batch", True, "solver.batch must be an integer >= 1"),
+        ("solver", "selection", {"strategy": "fixed", "index": 1.9},
+         "solver.selection.index must be a non-negative integer"),
+        ("solver", "selection", {"strategy": "fixed", "index": 1},
+         "solver.selection.index 1 out of range for 1 ensemble members"),
+        ("solver", "gamma", float("nan"), "solver.gamma must be a finite number"),
+        ("solver", "gamma", float("inf"), "solver.gamma must be a finite number"),
+        ("solver", "gamma", "0.1", "solver.gamma must be a finite number"),
+        ("solver", "gamma", True, "solver.gamma must be a finite number"),
+        ("solver", "tau", float("nan"), "solver.tau must be a finite number"),
+        ("solver", "tau", -float("inf"), "solver.tau must be a finite number"),
+        ("solver", "tau", 0.0, "solver.tau must be positive"),
+        ("solver", "tau", 10 ** 400, "solver.tau must be a finite number"),
+        ("ensemble", "sigma", float("inf"), "ensemble.sigma must be a finite number"),
+        ("ensemble", "sigma", float("nan"), "ensemble.sigma must be a finite number"),
+        ("ensemble", "sigma", "0.5", "ensemble.sigma must be a finite number"),
+        ("ensemble", "weights", [float("nan")], "ensemble.weights entry must be a finite"),
+        ("problem", "noise_sigma", float("nan"), "problem.noise_sigma must be a finite"),
+        ("problem", "noise_sigma", False, "problem.noise_sigma must be a finite number"),
+    ])
+    def test_numbers_refused(self, block, key, value, message):
+        d = minimal_config_dict()
+        d[block][key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_experiment(ExperimentConfig.from_dict(d))
+
+    def test_integral_numbers_accepted(self):
+        d = minimal_config_dict()
+        d["solver"].update(gamma=1, tau=2, iterations=3, batch=2)
+        d["ensemble"].update(sigma=1, weights=[1])
+        d["problem"]["noise_sigma"] = 0
+        built = build_experiment(ExperimentConfig.from_dict(d))
+        assert (built.tau, built.noise_sigma, built.ensemble.sigma) == (2.0, 0.0, 1.0)
 
     def test_bad_solver_block(self):
         d = minimal_config_dict()

@@ -9,6 +9,8 @@ from srp.experiment import (
     simulate_measurement,
 )
 from srp.metrics import magnitude, psnr
+from srp.objective import Regularizer, SingleGaussianForms
+from srp.solver import AuditProbes
 
 
 def small_complex_config(out_dir, seeds=(1, 2, 3), iterations=40, name="unit"):
@@ -249,3 +251,36 @@ class TestAuditExperiment:
         report = audit_experiment(cfg)
         assert report.passed
         assert report.f_star_kind == "exact"
+
+    def test_closed_forms_built_once(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict({
+            "version": 1, "name": "audit", "seed": 5, "seeds": [1, 2, 3],
+            "output_dir": str(tmp_path),
+            "problem": {"operator": {"kind": "dense-matrix", "matrix": [
+                [1.0, 0.2, 0.0, 0.0], [0.0, 0.9, 0.0, 0.0],
+                [0.0, 0.0, 0.7, 0.1], [0.0, 0.0, 0.0, 0.5]]},
+                        "noise_sigma": 0.1},
+            "prior": {"type": "explicit", "weights": [1.0],
+                      "means": [[0.5, -0.3, 0.2, 0.1]], "covariances": [0.8]},
+            "ensemble": {"members": [
+                {"kind": "identity", "dim": 4},
+                {"kind": "coordinate-mask", "dim": 4, "keep": [0, 1]},
+                {"kind": "coordinate-mask", "dim": 4, "keep": [2, 3]}],
+                "sigma": 0.7},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.3, "tau": 0.8, "iterations": 40},
+        })
+        probes = AuditProbes(mc_variance=500, mc_bias=200)
+        builds = []
+        init = SingleGaussianForms.__init__
+        monkeypatch.setattr(SingleGaussianForms, "__init__",
+                            lambda self, reg: builds.append(reg) or init(self, reg))
+        report = audit_experiment(cfg, probes=probes)
+        assert len(builds) == 1
+        # the same audit with a fresh build at every use: three runs, the
+        # curvature bound and the objective minimum
+        monkeypatch.setattr(Regularizer, "gaussian_forms",
+                            lambda reg: SingleGaussianForms(reg))
+        fresh = audit_experiment(cfg, probes=probes)
+        assert len(builds) == 1 + 5
+        assert report.to_text() == fresh.to_text()

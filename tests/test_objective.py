@@ -16,6 +16,8 @@ from srp.objective import (
     reg_grad_gaussian,
     reg_value_exact,
     reg_value_mc,
+    regularizer_curvature_bound,
+    regularizer_step,
     stochastic_grad,
     variance_probe,
 )
@@ -190,6 +192,68 @@ class TestSingleGaussianClosedForms:
         np.testing.assert_allclose(forms.curvature, tau * curvature, rtol=1e-10,
                                    atol=1e-12)
         np.testing.assert_allclose(forms.constant, tau * const, rtol=1e-12)
+
+
+class TestClosedFormsCache:
+    def test_built_once_per_regularizer(self, monkeypatch):
+        prior = GmmPrior([1.0], [[0.5, -0.3, 0.2]], [np.diag([0.8, 1.1, 0.6])])
+        ens = DegradationEnsemble([Identity(3), CoordinateMask(3, [0, 2]),
+                                   DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
+                                  sigma=0.6)
+        reg = Regularizer(tau=0.9, prior=prior, ens=ens)
+        p = Problem(DenseMatrix(np.eye(3) + 0.1), np.array([0.2, -0.1, 0.4]))
+        fresh = SingleGaussianForms(reg)
+        builds = []
+        init = SingleGaussianForms.__init__
+        monkeypatch.setattr(SingleGaussianForms, "__init__",
+                            lambda self, r: builds.append(r) or init(self, r))
+        x = np.array([0.3, -1.1, 0.7])
+        for _ in range(2):
+            assert reg_value_exact(reg, x) == fresh.value(x)
+            np.testing.assert_array_equal(reg_grad_gaussian(reg, x), fresh.grad(x))
+            assert regularizer_curvature_bound(reg) == (fresh.curvature_norm(), "exact")
+            x_star, f_star = gaussian_objective_minimum(p, reg)
+        assert builds == [reg]
+        np.testing.assert_array_equal(reg.gaussian_forms().curvature, fresh.curvature)
+        assert not reg.gaussian_forms().curvature.flags.writeable
+        # the cache takes no part in comparisons
+        assert reg == Regularizer(tau=0.9, prior=prior, ens=ens)
+
+    def test_mixture_refuses_every_time(self):
+        reg = Regularizer(tau=1.0, prior=GmmPrior([0.5, 0.5], [[0.0], [1.0]],
+                                                  [np.asarray(1.0)] * 2),
+                          ens=DegradationEnsemble([Identity(1)], sigma=1.0))
+        for _ in range(2):
+            with pytest.raises(ClosedFormUnavailable):
+                reg.gaussian_forms()
+
+
+class TestRegularizerStep:
+    def test_single_draw_matches_one_row_mean(self):
+        # the one-row (1, n) buffer-and-sum form, bit for bit, signed zeros
+        # included: the mask member zeroes negative entries of x - R to -0.0
+        prior = GmmPrior([0.4, 0.6], [[0.5, -0.2, 0.1, 0.0], [-0.3, 0.8, 0.0, 0.2]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+        ens = DegradationEnsemble([CoordinateMask(4, [0, 2]), Identity(4),
+                                   DenseMatrix(np.arange(12.0).reshape(3, 4) / 10)],
+                                  sigma=0.6)
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        r = ExactMmse(prior, 0.6)
+        scale = 0.8 / (0.6 * 0.6)
+        rng, ref_rng = np.random.default_rng(19), np.random.default_rng(19)
+        saw_negative_zero = False
+        for x in (np.array([0.3, -1.1, 0.7, -2.0]), np.array([-0.4, -0.2, 0.1, -3.0])):
+            for j in (0, 1, 2, 0):
+                got = regularizer_step(reg, r, x, np.array([j]), rng)
+                H = ens.members[j]
+                s = H.apply(x) + 0.6 * ref_rng.standard_normal(H.out_dim)
+                terms = np.empty((1, 4))
+                terms[0] = scale * H.gram_apply(x - r.restore(s, H))
+                saw_negative_zero |= bool(np.any(np.signbit(terms[0]) & (terms[0] == 0)))
+                expected = terms.sum(axis=0) / 1
+                np.testing.assert_array_equal(got, expected)
+                assert got.tobytes() == expected.tobytes()
+        assert saw_negative_zero
 
 
 class TestRegValueMc:

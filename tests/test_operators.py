@@ -751,3 +751,33 @@ def test_gram_operator_norm_matches_eigs():
     op = DenseMatrix(m)
     expected = float(np.max(np.linalg.eigvalsh(m.T @ m)))
     assert abs(gram_operator_norm(op) - expected) < 1e-8 * expected
+
+
+def two_gram_operator_norm(op):
+    """Power iteration with a second gram_apply for every Rayleigh quotient;
+    returns (estimate, gram_apply calls)."""
+    v = np.linspace(1.0, 2.0, op.in_dim)
+    v /= np.linalg.norm(v)
+    lam, calls = 0.0, 0
+    for _ in range(200):
+        w = op.gram_apply(v)
+        calls += 1
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0, calls
+        v = w / nw
+        lam = float(np.dot(v, op.gram_apply(v)))
+        calls += 1
+    return lam, calls
+
+
+@pytest.mark.parametrize("index", range(len(operator_zoo(np.random.default_rng(0)))))
+def test_gram_operator_norm_one_gram_per_step(index):
+    op = operator_zoo(np.random.default_rng(16))[index]
+    expected, ref_calls = two_gram_operator_norm(op)
+    calls = []
+    gram = op.gram_apply
+    op.gram_apply = lambda v: calls.append(1) or gram(v)
+    got = gram_operator_norm(op)
+    assert got == expected
+    assert len(calls) == (1 if ref_calls == 1 else 201)

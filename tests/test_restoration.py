@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srp.operators import CoordinateMask, DegradationEnsemble, Identity
+from srp.operators import CoordinateMask, DegradationEnsemble, DimensionMismatch, Identity
 from srp.priors import GmmPrior
 from srp.restoration import (
     Biased,
@@ -176,6 +176,47 @@ class TestBiasVectorRestoresOnce:
         exact.restore = lambda s, H: calls.append(len(s)) or restore(s, H)
         bias_vector(restorer, ens, np.ones(2), 1.0, 50, np.random.default_rng(22))
         assert sum(calls) == 50
+
+
+class TestExactBiasTakesNoDraws:
+    """An exact restorer's bias is zero by construction: it comes back as
+    zeros, bit for bit, without touching the generator."""
+
+    @staticmethod
+    def instance():
+        prior = GmmPrior([0.3, 0.7], [[0.5, -1.0, 0.2, 1.5], [-0.4, 0.8, 1.1, -0.3]],
+                         [np.asarray(0.6), np.asarray(1.4)])
+        ens = DegradationEnsemble([Identity(4), CoordinateMask(4, [0, 2]),
+                                   CoordinateMask(4, [1, 2, 3])], sigma=0.8)
+        return ExactMmse(prior, 0.8), ens
+
+    def test_bias_vector(self):
+        exact, ens = self.instance()
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        for x in ([0.9, -0.3, 1.7, 0.4], [0.0, 0.0, 0.0, 0.0], [-5.0, 2.0, 1e3, -0.0]):
+            b = bias_vector(exact, ens, np.array(x), 1.2, 300, rng)
+            np.testing.assert_array_equal(b, np.zeros(4))
+            assert b.tobytes() == np.zeros(4).tobytes()  # +0.0 throughout
+        assert rng.bit_generator.state == state
+
+    def test_measure_bias(self):
+        exact, ens = self.instance()
+        rng = np.random.default_rng(32)
+        state = rng.bit_generator.state
+        probes = [np.array([0.9, -0.3, 1.7, 0.4]), np.ones(4)]
+        report = measure_bias(exact, ens, probes, 1.2, 300, rng)
+        assert rng.bit_generator.state == state
+        assert report.epsilon_hat == 0.0
+        assert [norm for _, norm in report.per_point] == [0.0, 0.0]
+        assert report.samples_per_point == 300
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_probe_point_length_checked(self, biased):
+        exact, ens = self.instance()
+        restorer = Biased(exact, Gain(0.7)) if biased else exact
+        with pytest.raises(DimensionMismatch):
+            bias_vector(restorer, ens, np.zeros(3), 1.2, 10, np.random.default_rng(0))
 
 
 class TestMeasureBias:

@@ -6,9 +6,12 @@ import pytest
 from srp.objective import (
     Problem,
     Regularizer,
+    SingleGaussianForms,
+    fidelity,
     fidelity_grad,
     fidelity_lipschitz,
     regularizer_curvature_bound,
+    regularizer_step,
 )
 from srp.operators import (
     CoordinateMask,
@@ -243,6 +246,94 @@ class TestPredrawnSelection:
         assert len(set(trace.op_index.tolist())) == 3
         assert np.array_equal(trace.iterates, xs)
         assert trace.csv_text() == ref.csv_text()
+
+
+def lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=None):
+    """The solver loop with the fidelity recomputed from x at every use:
+    ``fidelity_grad`` for ghat, and f / true-gradient closures over the
+    closed forms (none for a mixture prior)."""
+    forms = SingleGaussianForms(reg) if reg.prior.n_components == 1 else None
+    f_fn = forms and (lambda x: fidelity(problem, x) + forms.value(x))
+    grad_fn = forms and (lambda x: fidelity_grad(problem, x) + forms.grad(x))
+    sel_rng, noise_rng = solver_streams(cfg.seed)
+    t, ens = cfg.iterations, reg.ens
+    draws = sel_rng.choice(ens.size, size=(t, cfg.batch), p=ens.weights)
+    x = (np.zeros(problem.A.in_dim) if cfg.x0 == "zeros"
+         else problem.A.adjoint_apply(problem.y))
+    cols = {"grad_true_norm": [], "f_value": [], "psnr": []}
+    op_index, step_sq, grad_hat_norm = [], [], []
+    f_initial = float(f_fn(x)) if f_fn else None
+    for k in range(t):
+        if grad_fn:
+            cols["grad_true_norm"].append(np.linalg.norm(grad_fn(x)))
+        ghat = fidelity_grad(problem, x) + regularizer_step(
+            reg, restorer, x, draws[k], noise_rng)
+        x_new = x - cfg.gamma * ghat
+        op_index.append(draws[k, 0])
+        step_sq.append(float(np.dot(x_new - x, x_new - x)))
+        grad_hat_norm.append(float(np.linalg.norm(ghat)))
+        if f_fn:
+            cols["f_value"].append(float(f_fn(x_new)))
+        if psnr_fn:
+            cols["psnr"].append(float(psnr_fn(x_new)))
+        x = x_new
+    return Trace(np.array(op_index), np.array(step_sq), np.array(grad_hat_norm),
+                 *(np.array(cols[c]) if cols[c] else None
+                   for c in ("grad_true_norm", "f_value", "psnr")),
+                 f_initial, x)
+
+
+class TestResidualCarry:
+    """run() carries r = A x - y: the same bits as recomputing the fidelity
+    from x at every use, with one A.apply and one A.adjoint_apply per iterate."""
+
+    @staticmethod
+    def instance(components):
+        means = [[0.5, -0.3, 0.2, 0.1], [-0.6, 0.4, 0.0, 0.9]][:components]
+        prior = GmmPrior(np.full(components, 1.0 / components), means,
+                         [np.asarray(0.8), np.asarray(1.3)][:components])
+        ens = DegradationEnsemble([Identity(4), CoordinateMask(4, [0, 1]),
+                                   CoordinateMask(4, [2, 3])], sigma=0.7)
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        A = DenseMatrix([[1.0, 0.2, 0.0, 0.0], [0.0, 0.9, 0.0, 0.0],
+                         [0.0, 0.0, 0.7, 0.1], [0.0, 0.0, 0.0, 0.5]])
+        problem = Problem(A, np.array([0.3, -0.2, 0.6, 0.1]))
+        return problem, reg, ExactMmse(prior, 0.7)
+
+    @pytest.mark.parametrize("components,batch,x0", [
+        (1, 1, "zeros"), (1, 3, "adjoint"), (2, 1, "adjoint"), (2, 2, "zeros")])
+    def test_matches_lambda_reference(self, components, batch, x0):
+        problem, reg, restorer = self.instance(components)
+        cfg = SolverConfig(gamma=0.3, tau=0.8, iterations=60, seed=5, batch=batch, x0=x0)
+        psnr_fn = lambda x: float(np.sum(x))
+        x, trace = run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        ref = lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        np.testing.assert_array_equal(x, ref.x_final)
+        for column in ("op_index", "step_sq", "grad_hat_norm", "grad_true_norm",
+                       "f_value", "psnr"):
+            got, want = getattr(trace, column), getattr(ref, column)
+            assert (got is None) == (want is None) == (
+                components == 2 and column in ("grad_true_norm", "f_value"))
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+        assert trace.f_initial == ref.f_initial
+        assert trace.csv_text() == ref.csv_text()
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_one_apply_and_one_adjoint_per_iterate(self, components):
+        problem, reg, restorer = self.instance(components)
+        A, calls = problem.A, {"apply": 0, "adjoint_apply": 0}
+        for name in calls:
+            def counted(v, name=name, method=getattr(A, name)):
+                calls[name] += 1
+                return method(v)
+            setattr(A, name, counted)
+        seen = []
+        psnr_fn = lambda x: seen.append((calls["apply"], calls["adjoint_apply"])) or 0.0
+        cfg = SolverConfig(gamma=0.3, tau=0.8, iterations=25, seed=6, x0="zeros")
+        run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        # the start point's residual, then one of each per iterate
+        assert seen == [(k + 2, k + 1) for k in range(25)]
 
 
 class TestDivergence:
