@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .arrayio import ArrayFileError
-from .config import ConfigError, ExperimentConfig, _integer
+from .config import ConfigError, ExperimentConfig, _integer, build_experiment
 from .experiment import audit_experiment, run_experiment
 from .operators import DenseCapExceeded, DimensionMismatch, FactorizationError
 from .solver import AuditError, DivergenceError
@@ -102,19 +102,24 @@ def _cmd_sweep(args):
         raise ConfigError(f"sweep grid values must be non-empty lists: {bad}")
     combos = list(itertools.product(*(grid[k] for k in keys)))
     base = Path(args.out) if args.out else Path(cfg.output_dir)
-    # every combination is checked before the first one runs
-    subs = []
+    # every combination is built, and so checked, before the first one runs
+    builds = []
     for i, combo in enumerate(combos):
         d = cfg.to_dict()
         for key, value in zip(keys, combo):
             _set_path(d, key, value)
         d["output_dir"] = str(base / f"sweep_{i:03d}")
         d["name"] = f"{cfg.name}_sweep_{i:03d}"
-        subs.append(ExperimentConfig.from_dict(d))
+        try:
+            builds.append(build_experiment(ExperimentConfig.from_dict(d)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep grid combination sweep_{i:03d}: {exc}") from exc
     base.mkdir(parents=True, exist_ok=True)
     index_lines = ["sweep_id," + ",".join(keys)]
-    for i, (combo, sub) in enumerate(zip(combos, subs)):
-        run_experiment(sub, threads=args.threads, curves=args.curves, quiet=True)
+    for i, combo in enumerate(combos):
+        # drop each build once it has run, with the caches it filled
+        built, builds[i] = builds[i], None
+        run_experiment(built, threads=args.threads, curves=args.curves, quiet=True)
         index_lines.append(",".join([f"sweep_{i:03d}"] + [repr(v) for v in combo]))
         if not args.quiet:
             print(f"sweep_{i:03d}: " + ", ".join(

@@ -14,7 +14,8 @@ quadrature; everything else goes through the Monte Carlo estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -49,18 +50,17 @@ class Problem:
                 self.A.out_dim, self.y.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Regularizer:
     """Regularization strength tau, prior, and the degradation ensemble.
 
-    The three are fixed at construction: the single-Gaussian closed forms are
-    built from them on first use and kept, like an operator's caches.
+    Frozen: the single-Gaussian closed forms are built from the three on
+    first use and kept, like an operator's caches.
     """
 
     tau: float
     prior: object
     ens: object
-    _forms: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -68,15 +68,15 @@ class Regularizer:
         if self.ens.in_dim != self.prior.dim:
             raise DimensionMismatch("ensemble in_dim", self.prior.dim, self.ens.in_dim)
 
+    @cached_property
     def gaussian_forms(self):
         """This regularizer's ``SingleGaussianForms``, built once on first use.
 
-        Raises ``ClosedFormUnavailable`` (before any dense work) when the
-        prior has more than one component or exceeds the dense cap.
+        Raises ``ClosedFormUnavailable`` (before any dense work, and on every
+        use) when the prior has more than one component or exceeds the dense
+        cap.
         """
-        if self._forms is None:
-            self._forms = SingleGaussianForms(self)
-        return self._forms
+        return SingleGaussianForms(self)
 
 
 def fidelity(problem, x):
@@ -160,7 +160,7 @@ def reg_value_exact(reg, x):
     """
     x = np.asarray(x, dtype=float)
     if reg.prior.n_components == 1:
-        return reg.gaussian_forms().value(x)
+        return reg.gaussian_forms.value(x)
     sigma = reg.ens.sigma
     total = 0.0
     for post, H, p in zip(_posteriors(reg), reg.ens.members, reg.ens.weights):
@@ -231,7 +231,7 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
 
 def reg_grad_gaussian(reg, x):
     """Exact ∇h for single-Gaussian priors (affine in x)."""
-    return reg.gaussian_forms().grad(x)
+    return reg.gaussian_forms.grad(x)
 
 
 def regularizer_curvature_bound(reg):
@@ -239,7 +239,7 @@ def regularizer_curvature_bound(reg):
     (tau/sigma²) max_j ||H_jᵀH_j|| upper bound (the posterior mean is a
     contraction for Gaussian priors, so the bound is safe but conservative)."""
     try:
-        return reg.gaussian_forms().curvature_norm(), "exact"
+        return reg.gaussian_forms.curvature_norm(), "exact"
     except ClosedFormUnavailable:
         pass
     worst = max(gram_operator_norm(H) for H in reg.ens.members)
@@ -248,7 +248,7 @@ def regularizer_curvature_bound(reg):
 
 def gaussian_objective_minimum(problem, reg):
     """Exact minimizer and minimum of f = g + h for single-Gaussian priors."""
-    forms = reg.gaussian_forms()
+    forms = reg.gaussian_forms
     ad = problem.A.to_dense()
     lhs = ad.T @ ad + forms.curvature
     rhs = ad.T @ problem.y + forms.curvature @ forms.mu
@@ -265,8 +265,9 @@ def regularizer_step(reg, restorer, x, members, rng):
 
     For each member index j, in draw order, draws one noise vector and forms
     (tau/sigma²) H_jᵀH_j (x - R(H_j x + sigma n, H_j)). A single draw is
-    returned as its term plus 0.0, the bits of the one-row mean: the row sum
-    starts from +0.0, so it too turns -0.0 entries into +0.0.
+    returned as its term plus 0.0, the bits of the one-row mean (whose sum
+    starts from +0.0). Batches keep the (b, n) buffer: for n = 1 numpy sums
+    its column pairwise, which a running sum does not reproduce.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
@@ -278,10 +279,7 @@ def regularizer_step(reg, restorer, x, members, rng):
 
     if len(members) == 1:
         return term(members[0]) + 0.0
-    terms = np.empty((len(members), x.size))
-    for i, j in enumerate(members):
-        terms[i] = term(j)
-    return terms.sum(axis=0) / len(members)
+    return np.sum([term(j) for j in members], axis=0) / len(members)
 
 
 def stochastic_grad(problem, reg, restorer, x, rng, batch=1):

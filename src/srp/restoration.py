@@ -170,7 +170,8 @@ def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (ens.in_dim,):
-        raise DimensionMismatch("bias probe point", ens.in_dim, x.size)
+        raise DimensionMismatch(f"1-D bias probe point, got shape {x.shape}",
+                                ens.in_dim, x.size)
     exact, links = _unwrap(restorer)
     if not links:
         return np.zeros(ens.in_dim)

@@ -168,7 +168,7 @@ def _auto_diagnostics(reg):
     if reg.prior.dim > _AUTO_DIAG_DIM:
         return None
     try:
-        return reg.gaussian_forms()
+        return reg.gaussian_forms
     except ClosedFormUnavailable:
         return None
 

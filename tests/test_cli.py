@@ -133,7 +133,9 @@ class TestInputErrors:
                                          b"\xff\xfe not utf-8",
                                          b'{"solver.gamma.x": [1]}',
                                          b'{"solver.gamma": []}',
-                                         b'{"solver.tau": [0.01], "seeds.x": [1]}'])
+                                         b'{"solver.tau": [0.01], "seeds.x": [1]}',
+                                         b'{"solver.tau": [0.1, 0]}',
+                                         b'{"solver.gamma": [0.1, "0.2"]}'])
     def test_malformed_sweep_grid(self, tmp_path, content):
         grid = tmp_path / "grid.json"
         grid.write_bytes(content)

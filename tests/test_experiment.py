@@ -280,7 +280,7 @@ class TestAuditExperiment:
         # the same audit with a fresh build at every use: three runs, the
         # curvature bound and the objective minimum
         monkeypatch.setattr(Regularizer, "gaussian_forms",
-                            lambda reg: SingleGaussianForms(reg))
+                            property(lambda reg: SingleGaussianForms(reg)))
         fresh = audit_experiment(cfg, probes=probes)
         assert len(builds) == 1 + 5
         assert report.to_text() == fresh.to_text()

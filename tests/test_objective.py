@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -214,10 +215,13 @@ class TestClosedFormsCache:
             assert regularizer_curvature_bound(reg) == (fresh.curvature_norm(), "exact")
             x_star, f_star = gaussian_objective_minimum(p, reg)
         assert builds == [reg]
-        np.testing.assert_array_equal(reg.gaussian_forms().curvature, fresh.curvature)
-        assert not reg.gaussian_forms().curvature.flags.writeable
-        # the cache takes no part in comparisons
+        np.testing.assert_array_equal(reg.gaussian_forms.curvature, fresh.curvature)
+        assert not reg.gaussian_forms.curvature.flags.writeable
+        # the cache takes no part in comparisons, and the fields it was
+        # built from cannot change under it
         assert reg == Regularizer(tau=0.9, prior=prior, ens=ens)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reg.tau = 1.0
 
     def test_mixture_refuses_every_time(self):
         reg = Regularizer(tau=1.0, prior=GmmPrior([0.5, 0.5], [[0.0], [1.0]],
@@ -225,7 +229,7 @@ class TestClosedFormsCache:
                           ens=DegradationEnsemble([Identity(1)], sigma=1.0))
         for _ in range(2):
             with pytest.raises(ClosedFormUnavailable):
-                reg.gaussian_forms()
+                reg.gaussian_forms
 
 
 class TestRegularizerStep:
@@ -254,6 +258,25 @@ class TestRegularizerStep:
                 np.testing.assert_array_equal(got, expected)
                 assert got.tobytes() == expected.tobytes()
         assert saw_negative_zero
+
+    @pytest.mark.parametrize("batch", [2, 8, 33])
+    def test_batch_matches_buffer_mean_in_one_dimension(self, batch):
+        # for n = 1 numpy sums the (b, 1) buffer's column pairwise from b = 8
+        # on, which a running sum of the terms does not reproduce
+        ens = DegradationEnsemble([Identity(1), Scale(1, 0.4)], sigma=0.7)
+        reg = Regularizer(tau=1.3, prior=normal_prior(), ens=ens)
+        r = ExactMmse(reg.prior, 0.7)
+        scale = 1.3 / (0.7 * 0.7)
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        members = np.arange(batch) % 2
+        for x in (np.array([0.9]), np.array([-2.4])):
+            got = regularizer_step(reg, r, x, members, rng)
+            terms = np.empty((batch, 1))
+            for i, j in enumerate(members):
+                H = ens.members[j]
+                s = H.apply(x) + 0.7 * ref_rng.standard_normal(H.out_dim)
+                terms[i] = scale * H.gram_apply(x - r.restore(s, H))
+            assert got.tobytes() == (terms.sum(axis=0) / batch).tobytes()
 
 
 class TestRegValueMc:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,11 @@ class TestExactBiasTakesNoDraws:
         restorer = Biased(exact, Gain(0.7)) if biased else exact
         with pytest.raises(DimensionMismatch):
             bias_vector(restorer, ens, np.zeros(3), 1.2, 10, np.random.default_rng(0))
+        # the right number of entries in a 2-D point is still refused, by shape
+        for shape in ((1, ens.in_dim), (ens.in_dim, 1)):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+                bias_vector(restorer, ens, np.zeros(shape), 1.2, 10,
+                            np.random.default_rng(0))
 
 
 class TestMeasureBias:
