@@ -23,6 +23,7 @@ from .operators import (
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
+    DimensionMismatch,
     DiscreteFourier,
     FoldDownsample,
     Identity,
@@ -61,6 +62,25 @@ def _finite(value, what):
     if not math.isfinite(number):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def _shape(value, what):
+    """Grid shape: a list of integers of at least 1 (a bare integer is 1-D)."""
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    return tuple(_integer(s, f"{what} entry", 1) for s in entries)
+
+
+def _check_keys(block, known, what):
+    """Refuse a block that is not an object, or that has a key nothing reads.
+
+    Without this a misspelt key is silently ignored, and a sweep over it
+    runs one experiment repeatedly.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
 
 
 @dataclass
@@ -158,19 +178,19 @@ def _mask_rows(shape, spec):
         rows[idx] = True
         return rows
     kind = spec.get("type")
+    if kind not in ("uniform-rows", "random-rows"):
+        raise ConfigError(f"unknown mask recipe {spec!r}")
+    accel = _integer(spec["accel"], f"{kind} mask accel", 1)
+    acs_lines = _integer(spec.get("acs_lines", 0), f"{kind} mask acs_lines")
     if kind == "uniform-rows":
-        return uniform_row_mask(
-            shape[0],
-            int(spec["accel"]),
-            offset=int(spec.get("offset", 0)),
-            acs_lines=int(spec.get("acs_lines", 0)),
-        )
-    if kind == "random-rows":
-        rng = np.random.default_rng(_integer(spec["seed"], "random-rows mask seed"))
-        return random_row_mask(
-            shape[0], int(spec["accel"]), int(spec.get("acs_lines", 0)), rng
-        )
-    raise ConfigError(f"unknown mask recipe {spec!r}")
+        offset = _integer(spec.get("offset", 0), "uniform-rows mask offset")
+        return uniform_row_mask(shape[0], accel, offset=offset, acs_lines=acs_lines)
+    rng = np.random.default_rng(_integer(spec["seed"], "random-rows mask seed"))
+    return random_row_mask(shape[0], accel, acs_lines, rng)
+
+
+def _dim(spec, kind):
+    return _integer(spec["dim"], f"{kind}.dim", 1)
 
 
 def build_operator(spec):
@@ -180,25 +200,27 @@ def build_operator(spec):
     kind = spec["kind"]
     try:
         if kind == "identity":
-            return Identity(int(spec["dim"]))
+            return Identity(_dim(spec, kind))
         if kind == "scale":
-            return Scale(int(spec["dim"]), float(spec["factor"]))
+            return Scale(_dim(spec, kind), _finite(spec["factor"], "scale.factor"))
         if kind == "coordinate-mask":
-            return CoordinateMask(int(spec["dim"]), spec["keep"])
+            return CoordinateMask(_dim(spec, kind), spec["keep"])
         if kind == "dense-matrix":
             return DenseMatrix(spec["matrix"])
         if kind == "discrete-fourier":
-            return DiscreteFourier(spec["shape"])
+            return DiscreteFourier(_shape(spec["shape"], "discrete-fourier.shape"))
         if kind == "circular-convolution":
-            return CircularConvolution(int(spec["dim"]), spec["kernel"])
+            return CircularConvolution(_dim(spec, kind), spec["kernel"])
         if kind == "fold-downsample":
-            return FoldDownsample(int(spec["dim"]), int(spec["factor"]))
+            factor = _integer(spec["factor"], "fold-downsample.factor", 1)
+            return FoldDownsample(_dim(spec, kind), factor)
         if kind == "composition":
             return Composition([build_operator(s) for s in spec["stages"]])
         if kind == "convex-combo":
-            return ConvexCombination(float(spec["alpha"]), build_operator(spec["inner"]))
+            alpha = _finite(spec["alpha"], "convex-combo.alpha")
+            return ConvexCombination(alpha, build_operator(spec["inner"]))
         if kind == "masked-fourier":
-            shape = tuple(int(s) for s in spec["shape"])
+            shape = _shape(spec["shape"], "masked-fourier.shape")
             return masked_fourier(shape, _mask_rows(shape, spec["mask"]))
     except ConfigError:
         raise
@@ -233,14 +255,19 @@ def build_prior(spec):
         if isinstance(means, dict) and "file" in means:
             arr = arrayio.read_array(means["file"])
             means = np.atleast_2d(arr)
-        return GmmPrior(spec["weights"], means, spec["covariances"])
+        try:
+            return GmmPrior(spec["weights"], means, spec["covariances"])
+        except DimensionMismatch:
+            raise
+        except ValueError as exc:  # weights or means out of range
+            raise ConfigError(f"bad explicit prior: {exc}") from exc
     if kind == "gmm-recipe":
         rng = np.random.default_rng(_integer(spec["seed"], "gmm-recipe seed"))
-        k = int(spec["components"])
-        cov_scale = float(spec["cov_scale"])
+        k = _integer(spec["components"], "gmm-recipe components", 1)
+        cov_scale = _finite(spec["cov_scale"], "gmm-recipe cov_scale")
         if "shape" in spec:  # complex image prior, interleaved storage
-            shape = tuple(int(s) for s in spec["shape"])
-            decay = float(spec.get("smoothness", 1.5))
+            shape = _shape(spec["shape"], "gmm-recipe shape")
+            decay = _finite(spec.get("smoothness", 1.5), "gmm-recipe smoothness")
             means = []
             for _ in range(k):
                 field = smooth_random_field(shape, rng, decay=decay)
@@ -252,8 +279,8 @@ def build_prior(spec):
                 means.append(mean)
             means = np.stack(means)
         else:
-            dim = int(spec["dim"])
-            mean_scale = float(spec.get("mean_scale", 1.0))
+            dim = _integer(spec["dim"], "gmm-recipe dim", 1)
+            mean_scale = _finite(spec.get("mean_scale", 1.0), "gmm-recipe mean_scale")
             means = mean_scale * rng.standard_normal((k, dim))
         weights = np.full(k, 1.0 / k)
         covs = [np.asarray(cov_scale ** 2) for _ in range(k)]
@@ -265,6 +292,7 @@ def build_prior(spec):
 
 
 def build_ensemble(spec):
+    _check_keys(spec, ("members", "sigma", "weights"), "ensemble")
     try:
         members = [build_operator(s) for s in spec["members"]]
         weights = spec.get("weights")
@@ -301,9 +329,11 @@ def build_restorer(spec, prior, sigma):
 
 
 def build_solver_config(spec, tau, seed):
+    _check_keys(spec, ("gamma", "tau", "iterations", "selection", "batch", "x0"), "solver")
     sel = spec.get("selection", {"strategy": "iid-by-weights"})
     if isinstance(sel, str):
         sel = {"strategy": sel}
+    _check_keys(sel, ("strategy", "index"), "solver.selection")
     x0 = spec.get("x0", "adjoint")
     if isinstance(x0, list):
         x0 = np.asarray(x0, dtype=float)
@@ -341,6 +371,7 @@ class BuiltExperiment:
 
 def build_experiment(cfg):
     """Build and cross-validate every component named by the config."""
+    _check_keys(cfg.problem, ("operator", "ground_truth", "noise_sigma"), "problem")
     try:
         A = build_operator(cfg.problem["operator"])
         prior = build_prior(cfg.prior)

@@ -6,6 +6,14 @@ are carried as interleaved real pairs [re0, im0, re1, im1, ...]; under that
 convention the unitary discrete Fourier transform is an orthogonal real map
 whose adjoint is its inverse.
 
+Every transform on an apply, adjoint or innovation-solve path goes through
+one FFT layer (``_fftn``, ``_rfft``, ``_irfft``) that calls pocketfft's
+kernels directly, as ``scipy.fft`` does internally, without the public
+functions' per-call argument checks and dispatch. The kernel module is
+private scipy API; its outputs are pinned bit for bit against
+``scipy.fft.fftn``/``ifftn`` and ``np.fft.rfft``/``irfft`` by the test suite.
+The layer runs single-threaded, so ``scipy.fft.set_workers`` does not reach it.
+
 An operator's parameters are fixed at construction. Its caches (dense form,
 H Hᵀ description, innovation factorizations) are filled lazily on first use
 and never rewritten, so they do not change observable behavior; filling
@@ -15,8 +23,8 @@ them is not synchronized across threads.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 DENSE_CAP = 2 ** 22  # max in_dim * out_dim entries for to_dense()
 _JITTERS = (0.0, 1e-12, 1e-10)  # escalation ladder before giving up
@@ -50,6 +58,37 @@ def _chol_with_jitter(mat, what):
         except scipy.linalg.LinAlgError:
             continue
     raise FactorizationError(f"{what}: not positive definite (jitter up to 1e-10)")
+
+
+# -- FFT layer ------------------------------------------------------------------
+# The argument order is pocketfft's (a, axes, [lastsize,] forward, inorm, out,
+# nthreads); inorm 1 divides by sqrt(N). ``out=None`` makes every output a fresh
+# array. Inputs are coerced as the public functions coerce them: the kernels
+# refuse lists and integer arrays, and would run float32 in single precision.
+
+
+def _fftn(z, ndim, inverse):
+    """Unitary DFT over the last ``ndim`` axes, taking z as complex;
+    scipy.fft.(i)fftn(z, norm="ortho") for complex z."""
+    z = np.asarray(z, dtype=complex)
+    return _pocketfft.c2c(z, tuple(range(-ndim, 0)), not inverse, 1, None, 1)
+
+
+def _rfft(v):
+    """Half spectrum along the last axis; np.fft.rfft(v)."""
+    return _pocketfft.r2c(np.asarray(v, dtype=float), (-1,), True, 0, None, 1)
+
+
+def _irfft(z, n):
+    """Length-n real signal from half spectra along the last axis; np.fft.irfft(z, n).
+
+    The 1/n scale is applied here, as numpy applies it: pocketfft's own
+    (inorm 2) computes 1/n in long double, which rounds differently from the
+    double 1/n at some lengths (on x86-64, 2731 is the first).
+    """
+    out = _pocketfft.c2r(np.asarray(z, dtype=complex), (-1,), n, False, 0, None, 1)
+    out *= 1.0 / n
+    return out
 
 
 def _as_vec(v, dim, what):
@@ -198,7 +237,7 @@ class LinearOperator:
         if kind == "circulant":
             m = self.out_dim
             denom = c * data[: m // 2 + 1] + sigma2
-            return np.fft.irfft(np.fft.rfft(r, axis=-1) / denom, n=m, axis=-1)
+            return _irfft(_rfft(r) / denom, m)
         r = np.asarray(r, dtype=float)
         if np.ndim(c) == 0:
             return self._cholesky_solve(c, sigma2, r)
@@ -336,9 +375,7 @@ class DiscreteFourier(LinearOperator):
     def _transform(self, v, inverse):
         lead = v.shape[:-1]
         z = np.ascontiguousarray(v).view(np.complex128).reshape(lead + self.shape)
-        axes = tuple(range(-len(self.shape), 0))
-        fn = scipy.fft.ifftn if inverse else scipy.fft.fftn
-        z = fn(z, axes=axes, norm="ortho")
+        z = _fftn(z, len(self.shape), inverse)
         return z.reshape(lead + (-1,)).view(np.float64)
 
     def _apply(self, v):
@@ -376,7 +413,7 @@ class CircularConvolution(LinearOperator):
         self._half_conj.flags.writeable = False
 
     def _convolve(self, v, half):
-        return np.fft.irfft(np.fft.rfft(v, axis=-1) * half, n=self.in_dim, axis=-1)
+        return _irfft(_rfft(v) * half, self.in_dim)
 
     def _apply(self, v):
         return self._convolve(v, self._half)
@@ -533,13 +570,15 @@ class DegradationEnsemble:
         weights = np.array(weights, dtype=float)
         if weights.shape != (len(members),):
             raise ValueError("weights length must match member count")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be finite, got {weights!r}")
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         sigma = float(sigma)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         weights.flags.writeable = False
         self.members = members
         self.weights = weights

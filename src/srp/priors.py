@@ -57,6 +57,8 @@ def _logsumexp(a, keepdims=False):
 def _normalize_cov(cov, dim):
     """Covariance as a 0-d (isotropic), 1-d (diagonal) or 2-d array."""
     cov = np.asarray(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise FactorizationError("covariance must be finite")
     if cov.ndim == 0:
         if cov <= 0:
             raise FactorizationError("isotropic variance must be positive")
@@ -98,6 +100,8 @@ class GmmPrior:
             means = means[None, :]
         if weights.ndim != 1 or weights.shape[0] != means.shape[0]:
             raise ValueError("weights and means disagree on component count")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(means))):
+            raise ValueError("component weights and means must be finite")
         if np.any(weights <= 0):
             raise ValueError("component weights must be strictly positive")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -211,8 +215,8 @@ class ObservationModel:
 
     def __init__(self, H, sigma):
         sigma = float(sigma)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.H = H
         self.sigma = sigma
 

@@ -135,7 +135,8 @@ class TestInputErrors:
                                          b'{"solver.gamma": []}',
                                          b'{"solver.tau": [0.01], "seeds.x": [1]}',
                                          b'{"solver.tau": [0.1, 0]}',
-                                         b'{"solver.gamma": [0.1, "0.2"]}'])
+                                         b'{"solver.gamma": [0.1, "0.2"]}',
+                                         b'{"solver.gama": [0.1, 0.2]}'])
     def test_malformed_sweep_grid(self, tmp_path, content):
         grid = tmp_path / "grid.json"
         grid.write_bytes(content)
@@ -157,6 +158,33 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, "config error: ")
         assert f"{block}.{key} must be" in proc.stderr
+
+    @pytest.mark.parametrize("block,key", [("solver", "gama"), ("ensemble", "sigmaa"),
+                                           ("problem", "noise")])
+    def test_unknown_block_keys(self, tmp_path, block, key):
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg[block][key] = 0.5
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, f"config error: unknown {block} keys: ['{key}']")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weights,means,message", [
+        ([float("nan")], [[0.0]], "must be finite"), ([0.5], [[0.0]], "must sum to 1"),
+        ([1.0], [[float("inf")]], "must be finite")])
+    def test_bad_explicit_prior(self, tmp_path, weights, means, message):
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["prior"] = {"type": "explicit", "weights": weights, "means": means,
+                        "covariances": [1.0]}
+        cfg["problem"]["operator"] = {"kind": "identity", "dim": 1}
+        cfg["ensemble"]["members"] = [{"kind": "identity", "dim": 1}]
+        del cfg["image"]
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, "config error: bad explicit prior: ")
+        assert message in proc.stderr
 
     def test_truncated_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"

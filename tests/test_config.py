@@ -13,7 +13,7 @@ from srp.config import (
     build_prior,
     build_restorer,
 )
-from srp.operators import Composition
+from srp.operators import Composition, masked_fourier, uniform_row_mask
 from srp.restoration import Biased, ExactMmse
 
 
@@ -186,6 +186,56 @@ class TestOperatorSpecs:
         v = np.random.default_rng(0).standard_normal(512)
         np.testing.assert_array_equal(a.apply(v), b.apply(v))
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "identity", "dim": 3.7}, "identity.dim must be an integer >= 1, got 3.7"),
+        ({"kind": "identity", "dim": 0}, "identity.dim must be an integer >= 1"),
+        ({"kind": "scale", "dim": 3, "factor": float("nan")},
+         "scale.factor must be a finite number"),
+        ({"kind": "coordinate-mask", "dim": "4", "keep": [0]},
+         "coordinate-mask.dim must be an integer >= 1"),
+        ({"kind": "circular-convolution", "dim": 6.0, "kernel": [1.0]},
+         "circular-convolution.dim must be an integer >= 1"),
+        ({"kind": "fold-downsample", "dim": 8, "factor": 2.5},
+         "fold-downsample.factor must be an integer >= 1, got 2.5"),
+        ({"kind": "fold-downsample", "dim": True, "factor": 2},
+         "fold-downsample.dim must be an integer >= 1"),
+        ({"kind": "discrete-fourier", "shape": [4, 0]},
+         "discrete-fourier.shape entry must be an integer >= 1"),
+        ({"kind": "convex-combo", "alpha": float("nan"),
+          "inner": {"kind": "identity", "dim": 2}}, "convex-combo.alpha must be a finite"),
+        ({"kind": "masked-fourier", "shape": [32.5, 32], "mask": {"rows": [0]}},
+         "masked-fourier.shape entry must be an integer >= 1, got 32.5"),
+        ({"kind": "masked-fourier", "shape": [8, 8],
+          "mask": {"type": "uniform-rows", "accel": 0}},
+         "uniform-rows mask accel must be an integer >= 1"),
+        ({"kind": "masked-fourier", "shape": [8, 8],
+          "mask": {"type": "uniform-rows", "accel": 2.0}},
+         "uniform-rows mask accel must be an integer >= 1"),
+        ({"kind": "masked-fourier", "shape": [8, 8],
+          "mask": {"type": "uniform-rows", "accel": 2, "offset": -1}},
+         "uniform-rows mask offset must be a non-negative integer"),
+        ({"kind": "masked-fourier", "shape": [8, 8],
+          "mask": {"type": "random-rows", "accel": 2, "acs_lines": 1.5, "seed": 1}},
+         "random-rows mask acs_lines must be a non-negative integer"),
+    ])
+    def test_recipe_numbers_refused(self, spec, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_operator(spec)
+
+    def test_integral_recipe_numbers_give_the_same_operators(self):
+        v = np.random.default_rng(3).standard_normal(128)
+        mask = {"type": "uniform-rows", "accel": np.int64(2), "offset": 1, "acs_lines": 2}
+        op = build_operator({"kind": "masked-fourier", "shape": [8, np.int32(8)],
+                             "mask": mask})
+        want = masked_fourier((8, 8), uniform_row_mask(8, 2, offset=1, acs_lines=2))
+        np.testing.assert_array_equal(op.apply(v), want.apply(v))
+        fold = build_operator({"kind": "fold-downsample", "dim": 128, "factor": 3})
+        assert (fold.in_dim, fold.out_dim, fold.factor) == (128, 43, 3)
+        scale = build_operator({"kind": "scale", "dim": 4, "factor": 2})
+        assert scale.factor == 2.0 and type(scale.factor) is float
+        dft = build_operator({"kind": "discrete-fourier", "shape": 6})
+        assert dft.shape == (6,)
+
     @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_random_mask_seed_checked(self, seed):
         spec = {"kind": "masked-fourier", "shape": [8, 8],
@@ -201,6 +251,38 @@ class TestPriorSpecs:
                 "cov_scale": 0.1}
         with pytest.raises(ConfigError, match="gmm-recipe seed must be a non-negative"):
             build_prior(spec)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"components": 2.7}, "gmm-recipe components must be an integer >= 1, got 2.7"),
+        ({"components": 0}, "gmm-recipe components must be an integer >= 1"),
+        ({"cov_scale": float("nan")}, "gmm-recipe cov_scale must be a finite number"),
+        ({"cov_scale": "0.1"}, "gmm-recipe cov_scale must be a finite number"),
+        ({"mean_scale": float("inf")}, "gmm-recipe mean_scale must be a finite number"),
+        ({"dim": 4.5}, "gmm-recipe dim must be an integer >= 1"),
+        ({"dim": None, "shape": [4, 4], "smoothness": float("nan")},
+         "gmm-recipe smoothness must be a finite number"),
+        ({"dim": None, "shape": [4.5, 4]}, "gmm-recipe shape entry must be an integer >= 1"),
+    ])
+    def test_recipe_numbers_refused(self, overrides, message):
+        spec = {"type": "gmm-recipe", "dim": 4, "components": 2, "seed": 1,
+                "cov_scale": 0.1}
+        spec.update(overrides)
+        if spec["dim"] is None:
+            del spec["dim"]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_prior(spec)
+
+    def test_integral_recipe_numbers_give_the_same_prior(self):
+        base = {"type": "gmm-recipe", "shape": [8, 8], "components": 2, "seed": 7,
+                "cov_scale": 1.0, "smoothness": 2.0}
+        a = build_prior(base)
+        b = build_prior(dict(base, components=np.int64(2), cov_scale=1, smoothness=2))
+        np.testing.assert_array_equal(a.means, b.means)
+        assert [float(c) for c in a.covariances] == [float(c) for c in b.covariances]
+        plain = {"type": "gmm-recipe", "dim": 5, "components": 3, "seed": 2,
+                 "cov_scale": 0.5, "mean_scale": 2.0}
+        np.testing.assert_array_equal(build_prior(plain).means,
+                                      build_prior(dict(plain, mean_scale=2)).means)
 
     def test_recipe_deterministic(self):
         spec = {"type": "gmm-recipe", "shape": [8, 8], "components": 2,
@@ -308,6 +390,37 @@ class TestBuildExperiment:
         d[block][key] = value
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_experiment(ExperimentConfig.from_dict(d))
+
+    @pytest.mark.parametrize("block,key", [
+        ("solver", "gama"), ("solver.selection", "idx"), ("ensemble", "sigmaa"),
+        ("problem", "noise"),
+    ])
+    def test_unknown_block_keys_refused(self, block, key):
+        d = minimal_config_dict()
+        d["solver"]["selection"] = {"strategy": "iid-by-weights"}
+        target = d
+        for part in block.split("."):
+            target = target[part]
+        target[key] = 0.5
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {block} keys: ['{key}']")):
+            build_experiment(ExperimentConfig.from_dict(d))
+
+    @pytest.mark.parametrize("block,message", [
+        ("ensemble", "ensemble must be an object"), ("problem", "problem must be an object"),
+        ("solver", "incomplete config"),  # its tau is read first
+    ])
+    def test_blocks_must_be_objects(self, block, message):
+        d = minimal_config_dict(**{block: [1]})
+        with pytest.raises(ConfigError, match=message):
+            build_experiment(ExperimentConfig.from_dict(d))
+
+    def test_selection_must_be_an_object_or_a_name(self):
+        d = minimal_config_dict()
+        d["solver"]["selection"] = 3
+        with pytest.raises(ConfigError, match="solver.selection must be an object"):
+            build_experiment(ExperimentConfig.from_dict(d))
+        d["solver"]["selection"] = "fixed"
+        assert build_experiment(ExperimentConfig.from_dict(d)).cfg.solver["selection"] == "fixed"
 
     def test_integral_numbers_accepted(self):
         d = minimal_config_dict()

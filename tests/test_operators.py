@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, strategies as st
 
 from srp.operators import (
@@ -17,6 +18,9 @@ from srp.operators import (
     FoldDownsample,
     Identity,
     Scale,
+    _fftn,
+    _irfft,
+    _rfft,
     adjoint_mismatch,
     deinterleave,
     gram_operator_norm,
@@ -488,6 +492,103 @@ class TestFourierProperties:
             np.testing.assert_array_equal(v, np.arange(op.in_dim, dtype=float))
 
 
+def _assert_same_bits(got, want):
+    """Equal dtype, shape and bits, so -0.0 and nan payloads count; memory
+    order is not compared."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def _with_layout(x, layout):
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":  # every other entry of a doubled last axis
+        return np.repeat(x, 2, axis=-1)[..., ::2]
+    if layout == "read-only":
+        x = x.copy()
+        x.flags.writeable = False
+    return x
+
+
+@st.composite
+def fft_cases(draw):
+    """An array the FFT layer may receive, and how many trailing axes form its grid.
+
+    Grids are 1-D or 2-D with odd and even sizes, lengths 1, 2 and 3 among
+    them; leading batch axes have sizes 0 to 3. Some entries are replaced by
+    signed zeros, infinities or nan; the memory is C, Fortran, strided or
+    read-only.
+    """
+    size = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 40))
+    grid = tuple(draw(st.lists(size, min_size=1, max_size=2)))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(lead + grid)
+    if draw(st.booleans()):
+        flat = x.reshape(-1)
+        picks = rng.integers(0, max(flat.size, 1), size=min(flat.size, 3))
+        flat[picks] = rng.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=picks.size)
+    layout = draw(st.sampled_from(["C", "fortran", "strided", "read-only"]))
+    return x, len(grid), layout
+
+
+class TestFftLayer:
+    """The private FFT layer against the public functions it replaces, bit for bit.
+
+    The layer calls a private scipy module; this is the test that fails if
+    scipy moves it or changes what its kernels compute.
+    """
+
+    @given(fft_cases())
+    def test_helpers_match_public_functions(self, case):
+        x, ndim, layout = case
+        n = x.shape[-1]
+        z = x.astype(complex)
+        z.imag = x[..., ::-1]
+        z, x = _with_layout(z, layout), _with_layout(x, layout)
+        axes = tuple(range(-ndim, 0))
+        with np.errstate(all="ignore"):
+            half = np.fft.rfft(x)
+            pairs = [
+                (_fftn(z, ndim, False), scipy.fft.fftn(z, axes=axes, norm="ortho")),
+                (_fftn(z, ndim, True), scipy.fft.ifftn(z, axes=axes, norm="ortho")),
+                (_rfft(x), half),
+                (_irfft(half, n), np.fft.irfft(half, n=n)),
+                (_irfft(_with_layout(half, layout), n),
+                 np.fft.irfft(_with_layout(half, layout), n=n)),
+            ]
+        for got, want in pairs:
+            _assert_same_bits(got, want)
+            assert not np.shares_memory(got, z) and not np.shares_memory(got, half)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 2731, 4623])
+    def test_irfft_scales_as_numpy_at_every_length(self, n):
+        # pocketfft's own 1/n rounds differently from numpy's at n = 2731, 4623
+        half = np.fft.rfft(np.random.default_rng(n).standard_normal((2, n)))
+        _assert_same_bits(_irfft(half, n), np.fft.irfft(half, n=n))
+
+    def test_coerces_as_the_public_functions_do(self):
+        ints = np.arange(7)
+        for v in (ints, ints.tolist(), ints.astype(np.float32)):
+            _assert_same_bits(_rfft(v), np.fft.rfft(ints.astype(float)))
+        half = np.fft.rfft(ints.astype(float))
+        _assert_same_bits(_irfft(half.tolist(), 7), np.fft.irfft(half, n=7))
+        _assert_same_bits(_irfft(half.astype(np.complex64), 7),
+                          np.fft.irfft(half.astype(np.complex64).astype(complex), n=7))
+        grid = (ints[:6].reshape(2, 3) + 1j).tolist()
+        _assert_same_bits(_fftn(grid, 2, False), scipy.fft.fftn(np.array(grid), norm="ortho"))
+
+    @pytest.mark.parametrize("r", [[1, -2, 3, 0, 5, -1, 2, 4], np.arange(-4, 4)])
+    def test_circulant_solve_takes_lists_and_ints(self, r):
+        # the circulant innovation solve as written on np.fft before the layer
+        op = CircularConvolution(8, [0.5, 0.3, 0.2])
+        kind, lam = op._gram_dual()
+        assert kind == "circulant"
+        want = np.fft.irfft(np.fft.rfft(r, axis=-1) / (0.7 * lam[:5] + 0.2), n=8, axis=-1)
+        _assert_same_bits(op.innovation_solve(0.7, 0.2, r), want)
+
+
 @st.composite
 def diagonal_and_dense_systems(draw):
     """An operator on the diagonal or dense-Cholesky innovation path, an
@@ -683,6 +784,18 @@ class TestEnsemble:
             DegradationEnsemble([Identity(2), Identity(3)], sigma=1.0)
         with pytest.raises(ValueError):
             DegradationEnsemble([Identity(2)], sigma=1.0, weights=[0.9])
+
+    @pytest.mark.parametrize("sigma,weights,message", [
+        (float("nan"), None, "sigma must be positive and finite"),
+        (float("inf"), None, "sigma must be positive and finite"),
+        (1.0, [float("nan")], "weights must be finite"),
+        (1.0, [float("inf"), 0.0], "weights must be finite"),
+        (1.0, [float("nan"), 1.0], "weights must be finite"),
+    ])
+    def test_non_finite_refused(self, sigma, weights, message):
+        members = [Identity(2)] * (1 if weights is None else len(weights))
+        with pytest.raises(ValueError, match=message):
+            DegradationEnsemble(members, sigma=sigma, weights=weights)
 
 
 class TestRowMasks:

@@ -74,6 +74,28 @@ class TestPriorValidation:
         p = GmmPrior([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], 0.9)
         assert p.is_isotropic and p.n_components == 2
 
+    @pytest.mark.parametrize("weights,means,covs,error", [
+        ([np.nan], [[0.0]], [1.0], ValueError),
+        ([0.5, np.nan], [[0.0], [1.0]], [1.0, 1.0], ValueError),
+        ([1.0], [[np.nan, 0.0]], [1.0], ValueError),
+        ([1.0], [[np.inf, 0.0]], [1.0], ValueError),
+        ([1.0], [[0.0]], [np.nan], FactorizationError),
+        ([1.0], [[0.0]], [np.inf], FactorizationError),
+        ([1.0], [[0.0, 0.0]], [np.array([1.0, np.inf])], FactorizationError),
+        ([1.0], [[0.0, 0.0]], [np.array([[1.0, np.nan], [np.nan, 1.0]])],
+         FactorizationError),
+        ([1.0], [[0.0, 0.0]], [np.array([[np.inf, 0.0], [0.0, 1.0]])],
+         FactorizationError),
+    ])
+    def test_non_finite_parameters_refused(self, weights, means, covs, error):
+        with pytest.raises(error, match="finite"):
+            GmmPrior(weights, means, covs)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    def test_observation_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ObservationModel(Identity(1), sigma)
+
     def test_bare_matrix_covariance_rejected_as_ambiguous(self):
         with pytest.raises(ValueError, match="ambiguous"):
             GmmPrior([1.0], [[0.0, 0.0]], np.eye(2))
