@@ -33,7 +33,6 @@ from .priors import (
     mmse_restore,
     observation_logpdf,
     observation_score,
-    sample_prior,
 )
 from .restoration import (
     Biased,
@@ -52,7 +51,6 @@ from .objective import (
     fidelity_grad,
     fidelity_lipschitz,
     reg_grad_exact,
-    reg_grad_gaussian,
     reg_value_exact,
     reg_value_mc,
     stochastic_grad,

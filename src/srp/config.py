@@ -70,6 +70,16 @@ def _shape(value, what):
     return tuple(_integer(s, f"{what} entry", 1) for s in entries)
 
 
+def _indices(value, what):
+    """Index list of integers, range-checked by the caller (a bare integer is
+    one entry); bools, floats and strings are refused, not truncated."""
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    for i in entries:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ConfigError(f"{what} entries must be integers, got {i!r}")
+    return [int(i) for i in entries]
+
+
 def _check_keys(block, known, what):
     """Refuse a block that is not an object, or that has a key nothing reads.
 
@@ -169,7 +179,7 @@ class ExperimentConfig:
 
 def _mask_rows(shape, spec):
     if "rows" in spec:
-        idx = np.asarray(spec["rows"], dtype=int)
+        idx = np.asarray(_indices(spec["rows"], "mask rows"), dtype=int)
         if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
             raise ConfigError(
                 f"mask rows out of range [0, {shape[0]}): {spec['rows']!r}"
@@ -204,7 +214,8 @@ def build_operator(spec):
         if kind == "scale":
             return Scale(_dim(spec, kind), _finite(spec["factor"], "scale.factor"))
         if kind == "coordinate-mask":
-            return CoordinateMask(_dim(spec, kind), spec["keep"])
+            keep = _indices(spec["keep"], "coordinate-mask.keep")
+            return CoordinateMask(_dim(spec, kind), keep)
         if kind == "dense-matrix":
             return DenseMatrix(spec["matrix"])
         if kind == "discrete-fourier":
@@ -267,6 +278,9 @@ def build_prior(spec):
         cov_scale = _finite(spec["cov_scale"], "gmm-recipe cov_scale")
         if "shape" in spec:  # complex image prior, interleaved storage
             shape = _shape(spec["shape"], "gmm-recipe shape")
+            if len(shape) != 2:
+                raise ConfigError(
+                    f"gmm-recipe shape must have 2 entries, got {spec['shape']!r}")
             decay = _finite(spec.get("smoothness", 1.5), "gmm-recipe smoothness")
             means = []
             for _ in range(k):
@@ -317,13 +331,19 @@ def build_restorer(spec, prior, sigma):
         pkind = pspec.get("type")
         if pkind == "constant-offset":
             offset = pspec["offset"]
-            if np.isscalar(offset):
-                offset = np.full(prior.dim, float(offset))
+            if isinstance(offset, (list, tuple)):
+                if len(offset) != prior.dim:
+                    raise ConfigError(f"constant-offset.offset must have {prior.dim} "
+                                      f"entries (the prior dim), got {len(offset)}")
+                offset = [_finite(c, "constant-offset.offset entry") for c in offset]
+            else:
+                offset = np.full(prior.dim, _finite(offset, "constant-offset.offset"))
             return Biased(inner, ConstantOffset(offset))
         if pkind == "gain":
-            return Biased(inner, Gain(float(pspec["lam"])))
+            return Biased(inner, Gain(_finite(pspec["lam"], "gain.lam")))
         if pkind == "smoothing":
-            return Biased(inner, Smoothing(int(pspec["strength"])))
+            strength = _integer(pspec["strength"], "smoothing.strength", 1)
+            return Biased(inner, Smoothing(strength))
         raise ConfigError(f"unknown perturbation type {pkind!r}")
     raise ConfigError(f"unknown restorer type {kind!r}")
 

@@ -9,7 +9,9 @@ Outputs under the configured directory:
   report.json         config echo, metrics, timings, caveats
 
 Trace and summary CSVs are byte-deterministic for a fixed config: wall time
-is measured but written only to report.json.
+is measured but written only to report.json. When the operators share a
+unitary DFT head the solve runs behind it (``shared_head_peel``); every
+artifact is still in the original coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,10 @@ from . import arrayio
 from .config import BuiltExperiment, build_experiment, build_solver_config
 from .metrics import magnitude, psnr, ssim
 from .objective import Problem, Regularizer
-from .solver import AuditProbes, audit_convergence, run as solver_run
+from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
+from .priors import GmmPrior
+from .restoration import Biased, ConstantOffset, ExactMmse, Gain, _unwrap
+from .solver import AuditProbes, DivergenceError, audit_convergence, run as solver_run
 
 SUMMARY_HEADER = "run_id,seed,psnr_db,ssim,f_final,iters,wall_ms"
 CURVES_HEADER = (
@@ -84,6 +90,103 @@ def simulate_measurement(built, rng):
     return x_true, y
 
 
+class HeadPeel(NamedTuple):
+    """A unitary DFT U that heads ``A`` and every member, and the
+    experiment's inputs in the coordinates x̂ = U x."""
+
+    U: DiscreteFourier
+    A: object
+    ensemble: DegradationEnsemble
+    prior: GmmPrior
+    restorer: object
+
+
+def _behind_head(op, shape):
+    """op with its leading ``DiscreteFourier`` of ``shape`` removed, else None."""
+    head, *rest = op.stages if isinstance(op, Composition) else (op,)
+    if not isinstance(head, DiscreteFourier) or head.shape != shape:
+        return None
+    if not rest:
+        return Identity(head.out_dim)
+    return rest[0] if len(rest) == 1 else Composition(rest)
+
+
+def _peel(built):
+    A = built.A
+    U = A.stages[0] if isinstance(A, Composition) else A
+    if not isinstance(U, DiscreteFourier) or not built.prior.is_isotropic:
+        return None
+    ops = [_behind_head(H, U.shape) for H in (A, *built.ensemble.members)]
+    try:
+        exact, links = _unwrap(built.restorer)
+    except TypeError:
+        return None
+    if any(op is None for op in ops) or exact.prior is not built.prior:
+        return None
+    prior = built.prior
+    prior = GmmPrior(prior.weights, U.apply(prior.means), list(prior.covariances))
+    restorer = ExactMmse(prior, exact.sigma)
+    for link in links:
+        # an offset c becomes U c; a gain commutes with U, since its centre
+        # is the peeled prior's mean U μ̄; smoothing does not commute
+        p = link.perturbation
+        if isinstance(p, ConstantOffset):
+            p = ConstantOffset(U.apply(np.broadcast_to(p.offset, (U.in_dim,))))
+        elif not isinstance(p, Gain):
+            return None
+        restorer = Biased(restorer, p)
+    ens = built.ensemble
+    ensemble = DegradationEnsemble(ops[1:], ens.sigma, ens.weights)
+    return HeadPeel(U, ops[0], ensemble, prior, restorer)
+
+
+def shared_head_peel(built):
+    """The experiment's inputs behind a shared unitary DFT head, or None.
+
+    U orthogonal makes x̂ = U x map the iteration onto itself: ``A`` and the
+    members lose their head (a masked Fourier operator becomes a bare mask),
+    and the prior becomes (U μ_k, c_k I). The peel is taken when ``A`` and
+    every member start with a ``DiscreteFourier`` of one shape, the prior is
+    isotropic and the restorer is the exact posterior mean of that prior,
+    wrapped only in constant offsets and gains; otherwise this returns None.
+    Solves behind the head agree with the unpeeled ones to rounding, not bit
+    for bit. The peel is built on first use and kept on ``built``, so the
+    peeled posteriors' caches persist across passes.
+    """
+    cache = vars(built)
+    if "_head_peel" not in cache:
+        # setdefault keeps the first peel when threaded seeds race to build one
+        cache.setdefault("_head_peel", _peel(built))
+    return cache["_head_peel"]
+
+
+def _solver_inputs(built, y):
+    """(problem, regularizer, restorer, U): behind the shared head U when one
+    peels, else the experiment's own inputs with U None."""
+    peel = shared_head_peel(built)
+    if peel is None:
+        reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+        return Problem(built.A, y), reg, built.restorer, None
+    reg = Regularizer(tau=built.tau, prior=peel.prior, ens=peel.ensemble)
+    return Problem(peel.A, y), reg, peel.restorer, peel.U
+
+
+def _solve(inputs, scfg, psnr_fn=None):
+    """``solver.run`` on ``_solver_inputs``. Behind a head U, an explicit
+    start point is moved to U x0, and a divergence reports its last iterate
+    in the original coordinates."""
+    problem, reg, restorer, U = inputs
+    if U is None:
+        return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
+    if not isinstance(scfg.x0, str):
+        scfg.x0 = U.apply(scfg.x0)
+    try:
+        return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
+    except DivergenceError as exc:
+        exc.last_iterate = U.adjoint_apply(exc.last_iterate)
+        raise
+
+
 def _to_image(built, v):
     if built.image_complex:
         return magnitude(v).reshape(built.image_shape)
@@ -105,8 +208,9 @@ def run_single(built, seed_value):
     t0 = time.perf_counter()
     sim_rng, solver_seed = _seed_streams(cfg.seed, seed_value)
     x_true, y = simulate_measurement(built, sim_rng)
-    problem = Problem(built.A, y)
-    reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+    inputs = _solver_inputs(built, y)
+    U = inputs[3]
+    back = (lambda v: v) if U is None else U.adjoint_apply
     scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
 
     want_psnr = cfg.metrics.get("psnr", True)
@@ -117,9 +221,10 @@ def run_single(built, seed_value):
         img_true = _to_image(built, x_true)
         peak = peak_cfg if peak_cfg else float(np.max(np.abs(img_true)))
         flat_true = img_true.ravel()
-        psnr_fn = lambda x: psnr(_to_image(built, x).ravel(), flat_true, peak).db
+        psnr_fn = lambda x: psnr(_to_image(built, back(x)).ravel(), flat_true, peak).db
 
-    x_final, trace = solver_run(problem, reg, built.restorer, scfg, psnr_fn=psnr_fn)
+    x_final, trace = _solve(inputs, scfg, psnr_fn)
+    x_final = trace.x_final = back(x_final)
 
     psnr_db = ssim_val = None
     capped = False
@@ -263,15 +368,14 @@ def audit_experiment(cfg, probes=None, slack=0.05):
     built = cfg if isinstance(cfg, BuiltExperiment) else build_experiment(cfg)
     cfg = built.cfg
     sim_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    x_true, y = simulate_measurement(built, sim_rng)
-    problem = Problem(built.A, y)
-    reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+    _, y = simulate_measurement(built, sim_rng)
+    inputs = _solver_inputs(built, y)
 
     runs = []
     for seed_value in cfg.seeds:
         _, solver_seed = _seed_streams(cfg.seed, seed_value)
         scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
         scfg.record_iterates = True
-        _, trace = solver_run(problem, reg, built.restorer, scfg)
-        runs.append((problem, reg, built.restorer, scfg, trace))
+        _, trace = _solve(inputs, scfg)
+        runs.append((*inputs[:3], scfg, trace))
     return audit_convergence(runs, probes=probes or AuditProbes(), slack=slack)

@@ -229,11 +229,6 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
     return mean, np.sqrt(var / n)
 
 
-def reg_grad_gaussian(reg, x):
-    """Exact ∇h for single-Gaussian priors (affine in x)."""
-    return reg.gaussian_forms.grad(x)
-
-
 def regularizer_curvature_bound(reg):
     """Lipschitz constant of ∇h: exact for one component, else the
     (tau/sigma²) max_j ||H_jᵀH_j|| upper bound (the posterior mean is a

@@ -337,11 +337,6 @@ class LinearGaussianPosterior:
 # -- functional entry points ----------------------------------------------------
 
 
-def sample_prior(prior, rng, size=None):
-    """Draw from the prior (deterministic for a given generator state)."""
-    return prior.sample(rng, size=size)
-
-
 def observation_logpdf(prior, obs, s):
     """log p(s | H): exact Gaussian-mixture convolution, log-sum-exp reduced."""
     return LinearGaussianPosterior(prior, obs).logpdf(s)

@@ -144,11 +144,6 @@ def _unwrap(restorer):
     return restorer, links[::-1]
 
 
-def exact_counterpart(restorer):
-    """The exact-MMSE operator that a (possibly wrapped) restorer approximates."""
-    return _unwrap(restorer)[0]
-
-
 @dataclass
 class BiasReport:
     """Probed bound on ||b(x)||_2 over a finite set of points."""
@@ -156,7 +151,6 @@ class BiasReport:
     epsilon_hat: float
     per_point: list = field(default_factory=list)  # (x, bias_norm) pairs
     samples_per_point: int = 0
-    max_probe_norm: float = 0.0
     note: str = ""
 
 
@@ -208,7 +202,6 @@ def measure_bias(restorer, ens, probe_points, tau, mc_samples, rng):
         epsilon_hat=eps,
         per_point=per_point,
         samples_per_point=int(mc_samples),
-        max_probe_norm=max_norm,
         note=(
             f"probed at {len(probe_points)} points with ||x|| <= {max_norm:.6g}; "
             "not a global bound"

@@ -159,6 +159,31 @@ class TestInputErrors:
         self.assert_input_error(proc, "config error: ")
         assert f"{block}.{key} must be" in proc.stderr
 
+    @pytest.mark.parametrize("block,key,value,message", [
+        ("restorer", "perturbation", {"type": "gain", "lam": float("nan")}, "gain.lam"),
+        ("restorer", "perturbation", {"type": "smoothing", "strength": 2.9},
+         "smoothing.strength"),
+        ("restorer", "perturbation", {"type": "constant-offset", "offset": float("inf")},
+         "constant-offset.offset"),
+        ("restorer", "perturbation", {"type": "constant-offset", "offset": [0.1, 0.2]},
+         "constant-offset.offset"),
+        ("problem", "operator", {"kind": "masked-fourier", "shape": [8, 8],
+                                 "mask": {"rows": [1.9]}}, "mask rows"),
+        ("problem", "operator", {"kind": "coordinate-mask", "dim": 128, "keep": [1.9]},
+         "coordinate-mask.keep"),
+        ("prior", "shape", [64], "gmm-recipe shape"),
+        ("prior", "shape", [8, 8, 1], "gmm-recipe shape"),
+    ])
+    def test_bad_recipe_entries(self, tmp_path, block, key, value, message):
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        if block == "restorer":
+            cfg["restorer"] = {"type": "biased", "inner": {"type": "exact-mmse"}}
+        cfg[block][key] = value
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, f"config error: {message}")
+
     @pytest.mark.parametrize("block,key", [("solver", "gama"), ("ensemble", "sigmaa"),
                                            ("problem", "noise")])
     def test_unknown_block_keys(self, tmp_path, block, key):

@@ -217,6 +217,14 @@ class TestOperatorSpecs:
         ({"kind": "masked-fourier", "shape": [8, 8],
           "mask": {"type": "random-rows", "accel": 2, "acs_lines": 1.5, "seed": 1}},
          "random-rows mask acs_lines must be a non-negative integer"),
+        ({"kind": "coordinate-mask", "dim": 4, "keep": [1.9]},
+         "coordinate-mask.keep entries must be integers, got 1.9"),
+        ({"kind": "coordinate-mask", "dim": 4, "keep": [0, True]},
+         "coordinate-mask.keep entries must be integers, got True"),
+        ({"kind": "masked-fourier", "shape": [8, 8], "mask": {"rows": [1.9]}},
+         "mask rows entries must be integers, got 1.9"),
+        ({"kind": "masked-fourier", "shape": [8, 8], "mask": {"rows": ["2"]}},
+         "mask rows entries must be integers, got '2'"),
     ])
     def test_recipe_numbers_refused(self, spec, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -262,6 +270,8 @@ class TestPriorSpecs:
         ({"dim": None, "shape": [4, 4], "smoothness": float("nan")},
          "gmm-recipe smoothness must be a finite number"),
         ({"dim": None, "shape": [4.5, 4]}, "gmm-recipe shape entry must be an integer >= 1"),
+        ({"dim": None, "shape": [16]}, "gmm-recipe shape must have 2 entries, got [16]"),
+        ({"dim": None, "shape": [4, 4, 1]}, "gmm-recipe shape must have 2 entries"),
     ])
     def test_recipe_numbers_refused(self, overrides, message):
         spec = {"type": "gmm-recipe", "dim": 4, "components": 2, "seed": 1,
@@ -328,6 +338,43 @@ class TestRestorerSpecs:
         assert isinstance(r, Biased) and isinstance(r.inner, Biased)
         assert isinstance(r.inner.inner, ExactMmse)
         assert r.base_sigma == 0.5
+
+
+    @pytest.mark.parametrize("perturbation,message", [
+        ({"type": "gain", "lam": float("nan")}, "gain.lam must be a finite number, got nan"),
+        ({"type": "gain", "lam": "0.9"}, "gain.lam must be a finite number"),
+        ({"type": "smoothing", "strength": 2.9},
+         "smoothing.strength must be an integer >= 1, got 2.9"),
+        ({"type": "smoothing", "strength": 0}, "smoothing.strength must be an integer >= 1"),
+        ({"type": "constant-offset", "offset": float("inf")},
+         "constant-offset.offset must be a finite number, got inf"),
+        ({"type": "constant-offset", "offset": [0.1, float("nan"), 0.0]},
+         "constant-offset.offset entry must be a finite number, got nan"),
+        ({"type": "constant-offset", "offset": [0.1, 0.2]},
+         "constant-offset.offset must have 3 entries (the prior dim), got 2"),
+    ])
+    def test_perturbation_numbers_refused(self, perturbation, message):
+        prior = build_prior({"type": "gmm-recipe", "dim": 3, "components": 1,
+                             "seed": 0, "cov_scale": 1.0})
+        spec = {"type": "biased", "inner": {"type": "exact-mmse"},
+                "perturbation": perturbation}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_restorer(spec, prior, 0.5)
+
+    def test_offsets_and_integral_numbers_accepted(self):
+        prior = build_prior({"type": "gmm-recipe", "dim": 3, "components": 1,
+                             "seed": 0, "cov_scale": 1.0})
+
+        def perturbation(p):
+            spec = {"type": "biased", "inner": {"type": "exact-mmse"}, "perturbation": p}
+            return build_restorer(spec, prior, 0.5).perturbation
+
+        vector = perturbation({"type": "constant-offset", "offset": [0.1, -0.2, 0]})
+        np.testing.assert_array_equal(vector.offset, [0.1, -0.2, 0.0])
+        scalar = perturbation({"type": "constant-offset", "offset": 1})
+        np.testing.assert_array_equal(scalar.offset, np.ones(3))
+        assert perturbation({"type": "gain", "lam": 1}).lam == 1.0
+        assert perturbation({"type": "smoothing", "strength": np.int64(3)}).strength == 3
 
 
 class TestBuildExperiment:

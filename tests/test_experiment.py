@@ -1,16 +1,27 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from srp.arrayio import read_array, write_array
-from srp.config import ExperimentConfig, build_experiment
+from srp.config import ExperimentConfig, build_experiment, build_solver_config
 from srp.experiment import (
     SUMMARY_HEADER,
+    _seed_streams,
+    _to_image,
     audit_experiment,
     run_experiment,
+    run_single,
+    shared_head_peel,
     simulate_measurement,
 )
 from srp.metrics import magnitude, psnr
-from srp.objective import Regularizer, SingleGaussianForms
-from srp.solver import AuditProbes
+from srp.objective import Problem, Regularizer, SingleGaussianForms
+from srp.operators import CoordinateMask, Identity
+from srp.solver import AuditProbes, DivergenceError, audit_convergence, run
 
 
 def small_complex_config(out_dir, seeds=(1, 2, 3), iterations=40, name="unit"):
@@ -284,3 +295,223 @@ class TestAuditExperiment:
         fresh = audit_experiment(cfg, probes=probes)
         assert len(builds) == 1 + 5
         assert report.to_text() == fresh.to_text()
+
+
+# -- shared-head peel ------------------------------------------------------------
+
+
+@functools.cache
+def _load_bench_workloads():
+    """The benchmark's config generators (``bench/workloads.py``), read only."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unpeeled_run(built, seed_value, x0=None):
+    """``solver.run`` on the experiment's own inputs, as ``run_single`` would
+    call it without the peel: same y, solver seed and PSNR callback."""
+    cfg = built.cfg
+    sim_rng, solver_seed = _seed_streams(cfg.seed, seed_value)
+    x_true, y = simulate_measurement(built, sim_rng)
+    scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
+    if x0 is not None:
+        scfg.x0 = x0
+    psnr_fn = None
+    if cfg.metrics.get("psnr", True):
+        img_true = _to_image(built, x_true)
+        peak = float(np.max(np.abs(img_true)))
+        psnr_fn = lambda x: psnr(_to_image(built, x).ravel(), img_true.ravel(), peak).db
+    reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+    return run(Problem(built.A, y), reg, built.restorer, scfg, psnr_fn=psnr_fn)
+
+
+def _with(cfg, **blocks):
+    d = cfg.to_dict()
+    d.update(blocks)
+    return ExperimentConfig.from_dict(d)
+
+
+OFFSET = {"type": "biased", "inner": {"type": "exact-mmse"},
+          "perturbation": {"type": "constant-offset", "offset": 0.02}}
+GAIN_OFFSET = {"type": "biased", "inner": {
+    "type": "biased", "inner": {"type": "exact-mmse"},
+    "perturbation": {"type": "gain", "lam": 0.9}},
+    "perturbation": {"type": "constant-offset", "offset": 0.02}}
+
+
+class TestSharedHeadPeel:
+    """Masked-Fourier solves run behind the shared DFT head, to rounding."""
+
+    @pytest.mark.parametrize("restorer", [{"type": "exact-mmse"}, OFFSET, GAIN_OFFSET],
+                             ids=["exact", "offset", "gain-offset"])
+    def test_run_single_matches_unpeeled_solve(self, tmp_path, restorer):
+        # 8x8 masked Fourier, K = 2 mixture, four masked-Fourier members
+        cfg = _with(small_complex_config(tmp_path, seeds=(1, 2)), restorer=restorer)
+        built = build_experiment(cfg)
+        peel = shared_head_peel(built)
+        assert peel is not None and shared_head_peel(built) is peel
+        assert isinstance(peel.A, CoordinateMask)
+        assert all(isinstance(H, CoordinateMask) for H in peel.ensemble.members)
+        for seed in cfg.seeds:
+            row, trace, x_final, _ = run_single(built, seed)
+            x_ref, ref = _unpeeled_run(built, seed)
+            np.testing.assert_array_equal(trace.op_index, ref.op_index)
+            scale = np.max(np.abs(x_ref))
+            assert np.max(np.abs(x_final - x_ref)) <= 1e-12 * scale
+            assert trace.x_final is x_final
+            np.testing.assert_allclose(trace.step_sq, ref.step_sq, rtol=1e-9)
+            np.testing.assert_allclose(trace.grad_hat_norm, ref.grad_hat_norm, rtol=1e-9)
+            assert np.max(np.abs(trace.psnr - ref.psnr)) <= 1e-9
+            assert abs(row.psnr_db - ref.psnr[-1]) <= 1e-9
+
+    def test_posteriors_filled_on_first_solve_and_kept(self, tmp_path):
+        built = build_experiment(small_complex_config(tmp_path, seeds=(1,)))
+        assert "_head_peel" not in vars(built)  # nothing is peeled at build time
+        run_single(built, 1)
+        posteriors = dict(shared_head_peel(built).restorer._posteriors)
+        assert len(posteriors) == built.ensemble.size
+        run_single(built, 1)
+        assert shared_head_peel(built).restorer._posteriors == posteriors
+
+    def test_explicit_start_and_divergence_in_original_coordinates(self, tmp_path):
+        cfg = small_complex_config(tmp_path, seeds=(1,), iterations=10)
+        built = build_experiment(cfg)
+        x0 = np.random.default_rng(4).standard_normal(built.prior.dim)
+        built_x0 = build_experiment(_with(cfg, solver=dict(cfg.solver, x0=x0.tolist())))
+        _, _, x_final, _ = run_single(built_x0, 1)
+        x_ref, _ = _unpeeled_run(built, 1, x0=x0)
+        assert np.max(np.abs(x_final - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+        wild = build_experiment(_with(cfg, solver=dict(cfg.solver, gamma=1e150),
+                                      metrics={"psnr": False, "ssim": False}))
+        with pytest.raises(DivergenceError) as peeled:
+            run_single(wild, 1)
+        with pytest.raises(DivergenceError) as ref:
+            _unpeeled_run(wild, 1)
+        assert peeled.value.iteration == ref.value.iteration
+        last, want = peeled.value.last_iterate, ref.value.last_iterate
+        assert np.max(np.abs(last - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_audit_matches_unpeeled_audit(self, tmp_path):
+        shape = [4, 4]  # dimension 32, under the solver's automatic-diagnostics cap
+        members = [{"kind": "masked-fourier", "shape": shape,
+                    "mask": {"type": "uniform-rows", "accel": 2, "offset": o,
+                             "acs_lines": 2}} for o in range(2)]
+        cfg = ExperimentConfig.from_dict({
+            "version": 1, "name": "audit-peel", "seed": 4, "seeds": [1, 2, 3],
+            "output_dir": str(tmp_path),
+            "problem": {"operator": {"kind": "masked-fourier", "shape": shape,
+                                     "mask": {"rows": [0, 1, 3]}},
+                        "ground_truth": {"source": "prior"}, "noise_sigma": 0.05},
+            "prior": {"type": "gmm-recipe", "shape": shape, "components": 1,
+                      "seed": 6, "cov_scale": 0.3},
+            "ensemble": {"members": members, "sigma": 0.2},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.3, "tau": 0.05, "iterations": 60},
+        })
+        probes = AuditProbes(mc_variance=2000, mc_bias=500)
+        built = build_experiment(cfg)
+        assert shared_head_peel(built) is not None
+        report = audit_experiment(built, probes=probes)
+        assert report.passed
+
+        # the same audit on the unpeeled inputs
+        sim_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        _, y = simulate_measurement(built, sim_rng)
+        problem = Problem(built.A, y)
+        reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+        runs = []
+        for seed_value in cfg.seeds:
+            scfg = build_solver_config(cfg.solver, built.tau,
+                                       _seed_streams(cfg.seed, seed_value)[1])
+            scfg.record_iterates = True
+            runs.append((problem, reg, built.restorer, scfg,
+                         run(problem, reg, built.restorer, scfg)[1]))
+        ref = audit_convergence(runs, probes=probes)
+        assert ref.passed
+        for name in ("L_hat", "nu2_hat", "lhs", "rhs", "f_star_hat"):
+            got, want = getattr(report, name), getattr(ref, name)
+            assert abs(got - want) <= 1e-9 * abs(want), name
+        assert report.epsilon_hat == ref.epsilon_hat == 0.0
+
+
+def _criterion_6_config(tmp_path, members, A):
+    return ExperimentConfig.from_dict({
+        "version": 1, "name": "reduction", "seed": 2, "seeds": [1],
+        "output_dir": str(tmp_path),
+        "problem": {"operator": A, "ground_truth": {"source": "prior"},
+                    "noise_sigma": 0.1},
+        "prior": {"type": "explicit", "weights": [0.4, 0.6],
+                  "means": [[0.5, 0.0, -0.2], [-1.0, 0.3, 0.8]],
+                  "covariances": [0.7, 1.2]},
+        "ensemble": {"members": members, "sigma": 0.8},
+        "restorer": {"type": "exact-mmse"},
+        "solver": {"gamma": 0.05, "tau": 0.5, "iterations": 30, "x0": "zeros"},
+    })
+
+
+def _refused_configs(tmp_path):
+    """Experiments whose operators do not share a unitary head, or whose prior
+    or restorer do not commute with one."""
+    dense = {"kind": "dense-matrix",
+             "matrix": [[1.0, 0.1, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 0.9]]}
+    bench = _load_bench_workloads()
+    base = small_complex_config(tmp_path, seeds=(1,), iterations=10)
+    members = base.ensemble["members"]
+    n = 2 * 8 * 8
+    diagonal = {"type": "explicit", "weights": [1.0],
+                "means": [np.linspace(-1.0, 1.0, n).tolist()],
+                "covariances": [np.linspace(0.01, 0.02, n).tolist()]}
+    other_shape = {"kind": "composition", "stages": [
+        {"kind": "discrete-fourier", "shape": [64]},
+        {"kind": "coordinate-mask", "dim": n, "keep": list(range(0, n, 2))}]}
+    smoothing = {"type": "biased", "inner": {"type": "exact-mmse"},
+                 "perturbation": {"type": "smoothing", "strength": 3}}
+    ens = dict(base.ensemble)
+    configs = {
+        "criterion-6-identity": _criterion_6_config(
+            tmp_path, [{"kind": "identity", "dim": 3}], dense),
+        "criterion-6-one-member": _criterion_6_config(
+            tmp_path, [{"kind": "coordinate-mask", "dim": 3, "keep": [0, 2]}], dense),
+        "superres": ExperimentConfig.from_dict(bench.superres_config(1, smoke=True)),
+        "smoothing": _with(base, restorer=smoothing),
+        "diagonal-prior": _with(base, prior=diagonal),
+        "member-other-shape": _with(base, ensemble=dict(ens, members=members + [other_shape])),
+        "member-no-head": _with(base, ensemble=dict(
+            ens, members=members + [{"kind": "coordinate-mask", "dim": n, "keep": [0]}])),
+    }
+    for spec, _, _ in bench.audit_instances(1, smoke=True):
+        configs[spec["name"]] = ExperimentConfig.from_dict(spec)
+    return configs
+
+
+REFUSED = ["criterion-6-identity", "criterion-6-one-member", "superres", "audit-4d",
+           "audit-1d-biased", "smoothing", "diagonal-prior", "member-other-shape",
+           "member-no-head"]
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
+    built = build_experiment(_refused_configs(tmp_path)[name])
+    assert shared_head_peel(built) is None
+    seed = built.cfg.seeds[0]
+    _, trace, x_final, _ = run_single(built, seed)
+    x_ref, ref = _unpeeled_run(built, seed)
+    np.testing.assert_array_equal(x_final, x_ref)
+    assert trace.csv_text() == ref.csv_text()
+
+
+def test_bare_fourier_head_peels_to_identity(tmp_path):
+    cfg = small_complex_config(tmp_path, seeds=(1,), iterations=10)
+    head = {"kind": "discrete-fourier", "shape": [8, 8]}
+    built = build_experiment(_with(cfg, ensemble=dict(
+        cfg.ensemble, members=cfg.ensemble["members"] + [head])))
+    peel = shared_head_peel(built)
+    assert isinstance(peel.ensemble.members[-1], Identity)
+    _, _, x_final, _ = run_single(built, 1)
+    x_ref, _ = _unpeeled_run(built, 1)
+    assert np.max(np.abs(x_final - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))

@@ -14,7 +14,6 @@ from srp.objective import (
     fidelity_lipschitz,
     gaussian_objective_minimum,
     reg_grad_exact,
-    reg_grad_gaussian,
     reg_value_exact,
     reg_value_mc,
     regularizer_curvature_bound,
@@ -211,7 +210,7 @@ class TestClosedFormsCache:
         x = np.array([0.3, -1.1, 0.7])
         for _ in range(2):
             assert reg_value_exact(reg, x) == fresh.value(x)
-            np.testing.assert_array_equal(reg_grad_gaussian(reg, x), fresh.grad(x))
+            np.testing.assert_array_equal(reg.gaussian_forms.grad(x), fresh.grad(x))
             assert regularizer_curvature_bound(reg) == (fresh.curvature_norm(), "exact")
             x_star, f_star = gaussian_objective_minimum(p, reg)
         assert builds == [reg]
@@ -320,7 +319,7 @@ class TestRegGrad:
         grad, se = reg_grad_exact(reg, x, 100_000, np.random.default_rng(4),
                                   return_se=True)
         assert abs(grad[0] - 1.0) < 4 * se[0]
-        np.testing.assert_allclose(reg_grad_gaussian(reg, x), [1.0], atol=1e-12)
+        np.testing.assert_allclose(reg.gaussian_forms.grad(x), [1.0], atol=1e-12)
 
     def test_zero_at_prior_mean(self):
         reg = gauss_reg()
@@ -378,7 +377,7 @@ class TestRegGrad:
         x = rng.standard_normal(3)
         grad, se = reg_grad_exact(reg, x, 200_000, np.random.default_rng(10),
                                   return_se=True)
-        closed = reg_grad_gaussian(reg, x)
+        closed = reg.gaussian_forms.grad(x)
         np.testing.assert_array_less(np.abs(grad - closed), 4 * se + 1e-12)
 
     @pytest.mark.parametrize("mc_samples", [0, 1])
@@ -406,7 +405,7 @@ class TestStochasticGrad:
         rng = np.random.default_rng(12)
         draws = np.array([stochastic_grad(p, reg, r, x, rng)[0]
                           for _ in range(10_000)])
-        expected = fidelity_grad(p, x)[0] + reg_grad_gaussian(reg, x)[0]
+        expected = fidelity_grad(p, x)[0] + reg.gaussian_forms.grad(x)[0]
         se = float(draws.std(ddof=1) / np.sqrt(draws.size))
         assert abs(draws.mean() - expected) < 4 * se
 

@@ -27,7 +27,6 @@ from srp.priors import (
     mmse_restore,
     observation_logpdf,
     observation_score,
-    sample_prior,
 )
 
 
@@ -104,12 +103,12 @@ class TestPriorValidation:
 class TestSampling:
     def test_near_degenerate_concentrates_at_mean(self):
         p = GmmPrior([1.0], [[2.0, -1.0]], [np.asarray(1e-12)])
-        x = sample_prior(p, np.random.default_rng(0))
+        x = p.sample(np.random.default_rng(0))
         np.testing.assert_allclose(x, [2.0, -1.0], atol=1e-5)
 
     def test_standard_normal_moments(self):
         p = standard_normal_prior()
-        xs = sample_prior(p, np.random.default_rng(1), size=100_000)
+        xs = p.sample(np.random.default_rng(1), size=100_000)
         assert abs(float(xs.mean())) < 0.02
         assert abs(float(xs.var()) - 1.0) < 0.02
 
@@ -117,13 +116,13 @@ class TestSampling:
         p = GmmPrior(
             [1.0 - 1e-13, 1e-13], [[0.0], [100.0]], [np.asarray(1e-6), np.asarray(1e-6)]
         )
-        xs = sample_prior(p, np.random.default_rng(2), size=1000)
+        xs = p.sample(np.random.default_rng(2), size=1000)
         assert np.all(np.abs(xs) < 1.0)
 
     def test_deterministic_per_seed(self):
         p = random_prior(np.random.default_rng(3), 3, 2)
-        a = sample_prior(p, np.random.default_rng(10), size=5)
-        b = sample_prior(p, np.random.default_rng(10), size=5)
+        a = p.sample(np.random.default_rng(10), size=5)
+        b = p.sample(np.random.default_rng(10), size=5)
         np.testing.assert_array_equal(a, b)
 
 
