@@ -355,8 +355,11 @@ def build_solver_config(spec, tau, seed):
         sel = {"strategy": sel}
     _check_keys(sel, ("strategy", "index"), "solver.selection")
     x0 = spec.get("x0", "adjoint")
-    if isinstance(x0, list):
-        x0 = np.asarray(x0, dtype=float)
+    if isinstance(x0, (list, tuple, np.ndarray)):
+        x0 = np.array([_finite(v, "solver.x0 entry") for v in x0])
+    elif x0 not in ("zeros", "adjoint"):
+        raise ConfigError('solver.x0 must be "zeros", "adjoint" or a list of '
+                          f"numbers, got {x0!r}")
     try:
         return SolverConfig(
             gamma=_finite(spec["gamma"], "solver.gamma"),
@@ -446,6 +449,9 @@ def build_experiment(cfg):
             f"solver.selection.index {scfg.fixed_index} out of range for "
             f"{ensemble.size} ensemble members"
         )
+    if not isinstance(scfg.x0, str) and len(scfg.x0) != prior.dim:
+        raise ConfigError(f"solver.x0 must have {prior.dim} entries (the prior dim), "
+                          f"got {len(scfg.x0)}")
 
     return BuiltExperiment(
         cfg=cfg,

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .operators import DimensionMismatch, gram_operator_norm
 from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
+from .restoration import ConstantOffset, Gain, Smoothing, _unwrap, restore_with_exact
 
 # Gauss-Hermite resolution per observation dimension for the quadrature
 # fallback; beyond 4 dimensions the node count is no longer reasonable.
@@ -32,7 +34,7 @@ _DENSE_CAP_DIM = 512
 
 
 class ClosedFormUnavailable(ValueError):
-    """reg_value_exact cannot handle this (components, dimension) combination."""
+    """No closed form for this prior, dimension or restorer."""
 
 
 @dataclass
@@ -312,3 +314,77 @@ def variance_probe(problem, reg, restorer, x, mc_samples, rng):
     n = int(mc_samples)
     mean = total / n
     return max(sumsq - n * float(np.dot(mean, mean)), 0.0) / (n - 1)
+
+
+class AuditTerms(NamedTuple):
+    """Closed-form audit terms at P probe points for an ensemble of J members.
+
+    ``moments[i, j]`` is member j's E||term||² = ||a_j||² + ||B_j||_F² at
+    point i, and ``member_bias[i, j]`` its bias b_j, with b = Σ_j p_j b_j.
+    """
+
+    nu2: np.ndarray  # (P,) trace-variance of the stochastic gradient
+    bias: np.ndarray  # (P, n) b(x)
+    moments: np.ndarray  # (P, J)
+    member_bias: np.ndarray  # (P, J, n)
+
+
+_AFFINE_PERTURBATIONS = (ConstantOffset, Gain, Smoothing)
+
+
+def exact_audit_terms(reg, restorer, points):
+    """ν²(x) and b(x) at each probe point in closed form, without drawing.
+
+    With one Gaussian component the exact restorer R* is affine in s, and
+    every perturbation in ``restoration`` (offset, gain, smoothing) is affine
+    in the estimate, so R(s, H_j) = R(0, H_j) + L_j s. Member j's step term
+    at s = H_j x + sigma n is then a_j + B_j n, with G_j = H_jᵀH_j,
+
+        a_j = (tau/sigma²) G_j (x - R(H_j x)),   B_j = -(tau/sigma) G_j L_j,
+
+    and, exactly,
+
+        ν²(x) = Σ_j p_j (||a_j||² + ||B_j||_F²) - ||Σ_j p_j a_j||²,
+        b(x)  = (tau/sigma²) Σ_j p_j G_j (R*(H_j x) - R(H_j x)).
+
+    L_j = R(I_m) - R(0_m) comes from the same batched restore as R(H_j x),
+    once per member for all points. Raises ``ClosedFormUnavailable`` unless
+    the restorer is an exact posterior mean of a one-component prior of
+    dimension at most the dense cap, wrapped only in those perturbations.
+    """
+    try:
+        exact, links = _unwrap(restorer)
+    except TypeError as exc:
+        raise ClosedFormUnavailable(str(exc)) from exc
+    prior = exact.prior
+    if prior.n_components != 1:
+        raise ClosedFormUnavailable("exact audit terms need a one-component prior")
+    if prior.dim > _DENSE_CAP_DIM:
+        raise ClosedFormUnavailable(f"exact audit terms capped at dim {_DENSE_CAP_DIM}")
+    if not all(isinstance(link.perturbation, _AFFINE_PERTURBATIONS) for link in links):
+        raise ClosedFormUnavailable("exact audit terms need affine perturbations")
+    ens = reg.ens
+    scale = reg.tau / (ens.sigma * ens.sigma)
+    x = np.asarray(points, dtype=float)
+    count = len(x)
+    a, bias, moments = [], [], []
+    for H in ens.members:
+        m = H.out_dim
+        s = np.concatenate([H.apply(x), np.zeros((1, m)), np.eye(m)])
+        exact_est, est = restore_with_exact(exact, links, s, H)
+        linear = est[count + 1:] - est[count]  # rows: the columns of L_j
+        a_j = scale * H.gram_apply(x - est[:count])
+        frob = (reg.tau / ens.sigma) ** 2 * float(np.sum(H.gram_apply(linear) ** 2))
+        a.append(a_j)
+        bias.append(scale * H.gram_apply(exact_est[:count] - est[:count]))
+        moments.append(np.sum(a_j ** 2, axis=-1) + frob)
+    p = ens.weights
+    moments = np.stack(moments, axis=-1)
+    mean = np.tensordot(p, np.stack(a), axes=1)
+    bias = np.stack(bias, axis=1)
+    return AuditTerms(
+        nu2=np.maximum(moments @ p - np.sum(mean ** 2, axis=-1), 0.0),
+        bias=bias.transpose(0, 2, 1) @ p,
+        moments=moments,
+        member_bias=bias,
+    )

@@ -15,8 +15,11 @@ The auditor checks the biased-SGD bound
 
     mean_k E||∇f(x^{k-1})||² <= (2 / (gamma t)) (f(x⁰) - f*) + gamma L nu² + eps²
 
-with L from the fidelity norm plus the regularizer curvature bound, nu²
-from variance probes along the trajectory, and eps from bias probes.
+with L from the fidelity norm plus the regularizer curvature bound, and nu²
+and eps taken at probe points along the trajectory. For a single-Gaussian
+prior both are exact (``objective.exact_audit_terms``) and the audit takes
+no probe draws; mixtures estimate them with Monte Carlo variance and bias
+probes.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ import numpy as np
 from .objective import (
     ClosedFormUnavailable,
     Regularizer,
+    exact_audit_terms,
     fidelity_lipschitz,
     gaussian_objective_minimum,
     regularizer_curvature_bound,
     regularizer_step,
     variance_probe,
 )
-from .restoration import measure_bias
+from .restoration import measure_bias, probe_domain_note
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
 
@@ -260,7 +264,12 @@ class AuditError(ValueError):
 
 @dataclass
 class AuditProbes:
-    """Probe configuration for the audit's nu² and eps estimates."""
+    """Probe points for the audit's nu² and eps, and the Monte Carlo probes.
+
+    nu² is taken at every probe point and eps at the first 10. A
+    single-Gaussian audit computes both exactly and draws nothing;
+    ``mc_variance``, ``mc_bias`` and ``seed`` serve mixtures only.
+    """
 
     points: list | None = None  # explicit probe points; default: trajectory
     per_run_points: int = 4
@@ -289,7 +298,12 @@ class AuditReport:
     term_bias: float
     curvature_kind: str
     f_star_kind: str
+    nu2_kind: str  # "exact" | "monte-carlo"
+    epsilon_kind: str  # "exact" | "monte-carlo"
     notes: list = field(default_factory=list)
+    # per member at the point that sets nu2_hat: weight, variance share,
+    # bias norm; exact audits only
+    members: list | None = None
 
     def to_text(self):
         lines = [
@@ -309,6 +323,8 @@ class AuditReport:
             f"term_variance: {self.term_variance!r}",
             f"term_bias: {self.term_bias!r}",
             f"curvature_bound: {self.curvature_kind}",
+            f"nu2_kind: {self.nu2_kind}",
+            f"epsilon_kind: {self.epsilon_kind}",
         ]
         lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines) + "\n"
@@ -334,7 +350,10 @@ class AuditReport:
                 "bias": self.term_bias,
             },
             "curvature_bound": self.curvature_kind,
+            "nu2_kind": self.nu2_kind,
+            "epsilon_kind": self.epsilon_kind,
             "notes": list(self.notes),
+            "members": self.members,
         }
 
 
@@ -350,6 +369,20 @@ def _trajectory_probes(runs, probes):
         stride = np.linspace(0, len(pts) - 1, probes.max_points).astype(int)
         pts = [pts[i] for i in stride]
     return pts
+
+
+def _member_account(terms, weights):
+    """Each member's weight, share of E||ghat - ∇g||², and bias norm ||b_j||
+    at the probe point that sets nu2_hat."""
+    i = int(np.argmax(terms.nu2))
+    shares = weights * terms.moments[i]
+    total = float(np.sum(shares))
+    if total > 0:
+        shares = shares / total
+    return [
+        {"weight": float(p), "variance_share": float(v), "bias_norm": float(b)}
+        for p, v, b in zip(weights, shares, np.linalg.norm(terms.member_bias[i], axis=-1))
+    ]
 
 
 def audit_convergence(runs, probes=None, slack=0.05):
@@ -393,16 +426,26 @@ def audit_convergence(runs, probes=None, slack=0.05):
             "no probe points: pass AuditProbes(points=...) or record iterates"
         )
 
-    rng = np.random.default_rng(np.random.SeedSequence(probes.seed))
-    nu2_hat = max(
-        variance_probe(problem, reg, restorer, p, probes.mc_variance, rng)
-        for p in points
-    )
-    bias_report = measure_bias(
-        restorer, reg.ens, points[: min(len(points), 10)], reg.tau, probes.mc_bias, rng,
-    )
-    eps_hat = bias_report.epsilon_hat
-    notes.append(bias_report.note)
+    bias_points = points[:10]
+    try:
+        terms = exact_audit_terms(reg, restorer, points)
+    except ClosedFormUnavailable:
+        rng = np.random.default_rng(np.random.SeedSequence(probes.seed))
+        nu2_hat = max(
+            variance_probe(problem, reg, restorer, p, probes.mc_variance, rng)
+            for p in points
+        )
+        bias_report = measure_bias(
+            restorer, reg.ens, bias_points, reg.tau, probes.mc_bias, rng,
+        )
+        eps_hat = bias_report.epsilon_hat
+        notes.append(bias_report.note)
+        probe_kind, members = "monte-carlo", None
+    else:
+        nu2_hat = float(np.max(terms.nu2))
+        eps_hat = float(np.max(np.linalg.norm(terms.bias[: len(bias_points)], axis=-1)))
+        notes.append(probe_domain_note(bias_points))
+        probe_kind, members = "exact", _member_account(terms, reg.ens.weights)
 
     f_initial = float(traces[0].f_initial)
     try:
@@ -447,5 +490,8 @@ def audit_convergence(runs, probes=None, slack=0.05):
         term_bias=float(term_bias),
         curvature_kind=curvature_kind,
         f_star_kind=f_star_kind,
+        nu2_kind=probe_kind,
+        epsilon_kind=probe_kind,
         notes=notes,
+        members=members,
     )

@@ -184,6 +184,15 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, f"config error: {message}")
 
+    @pytest.mark.parametrize("x0,message", [
+        (["a", 1, 2], "solver.x0 entry must be a finite number"),
+        ([0.0, 0.0, 0.0], "solver.x0 must have 128 entries (the prior dim), got 3")])
+    def test_bad_x0(self, tmp_path, x0, message):
+        path = write_config(tmp_path, x0=x0)
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("block,key", [("solver", "gama"), ("ensemble", "sigmaa"),
                                            ("problem", "noise")])
     def test_unknown_block_keys(self, tmp_path, block, key):
@@ -320,6 +329,8 @@ class TestAudit:
         assert main(["audit", str(path)]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "audit.json").read_text())
         assert report["pass"] is True
+        assert report["nu2_kind"] == report["epsilon_kind"] == "exact"
+        assert report["members"] == [{"weight": 1.0, "variance_share": 1.0, "bias_norm": 0.0}]
         assert (tmp_path / "out" / "audit.txt").exists()
         assert "pass: true" in capsys.readouterr().out
 

@@ -12,6 +12,7 @@ from srp.config import (
     build_operator,
     build_prior,
     build_restorer,
+    build_solver_config,
 )
 from srp.operators import Composition, masked_fourier, uniform_row_mask
 from srp.restoration import Biased, ExactMmse
@@ -431,6 +432,14 @@ class TestBuildExperiment:
         ("ensemble", "weights", [float("nan")], "ensemble.weights entry must be a finite"),
         ("problem", "noise_sigma", float("nan"), "problem.noise_sigma must be a finite"),
         ("problem", "noise_sigma", False, "problem.noise_sigma must be a finite number"),
+        ("solver", "x0", ["a", 1, 2, 3], "solver.x0 entry must be a finite number"),
+        ("solver", "x0", [0.0, float("nan"), 0.0, 0.0], "solver.x0 entry must be a finite"),
+        ("solver", "x0", [0.0, True, 0.0, 0.0], "solver.x0 entry must be a finite number"),
+        ("solver", "x0", [[0.0]] * 4, "solver.x0 entry must be a finite number"),
+        ("solver", "x0", [0.0, 0.0, 0.0], "solver.x0 must have 4 entries (the prior dim), got 3"),
+        ("solver", "x0", [], "solver.x0 must have 4 entries (the prior dim), got 0"),
+        ("solver", "x0", "ones", 'solver.x0 must be "zeros", "adjoint" or a list of numbers'),
+        ("solver", "x0", 1.5, 'solver.x0 must be "zeros", "adjoint" or a list of numbers'),
     ])
     def test_numbers_refused(self, block, key, value, message):
         d = minimal_config_dict()
@@ -476,6 +485,18 @@ class TestBuildExperiment:
         d["problem"]["noise_sigma"] = 0
         built = build_experiment(ExperimentConfig.from_dict(d))
         assert (built.tau, built.noise_sigma, built.ensemble.sigma) == (2.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x0", ["zeros", "adjoint", [1, 2, 3, 4], [0.5, -1.0, 0.0, 2.0]])
+    def test_x0_accepted(self, x0):
+        d = minimal_config_dict()
+        d["solver"]["x0"] = x0
+        built = build_experiment(ExperimentConfig.from_dict(d))
+        got = build_solver_config(built.cfg.solver, built.tau, 0).x0
+        if isinstance(x0, str):
+            assert got == x0
+        else:
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, x0)
 
     def test_bad_solver_block(self):
         d = minimal_config_dict()

@@ -418,6 +418,7 @@ class TestSharedHeadPeel:
         assert shared_head_peel(built) is not None
         report = audit_experiment(built, probes=probes)
         assert report.passed
+        assert report.nu2_kind == report.epsilon_kind == "exact"
 
         # the same audit on the unpeeled inputs
         sim_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
@@ -503,6 +504,16 @@ def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
     x_ref, ref = _unpeeled_run(built, seed)
     np.testing.assert_array_equal(x_final, x_ref)
     assert trace.csv_text() == ref.csv_text()
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
+def test_bench_audit_instances_are_exact(index):
+    spec, _, eps = _load_bench_workloads().audit_instances(1, smoke=True)[index]
+    spec["solver"]["gamma"] = 0.3  # the bench sets a fraction of 1/L
+    report = audit_experiment(ExperimentConfig.from_dict(spec))
+    assert report.nu2_kind == report.epsilon_kind == "exact"
+    assert abs(report.epsilon_hat - eps) <= 1e-12
+    assert len(report.to_json_dict()["members"]) == len(spec["ensemble"]["members"])
 
 
 def test_bare_fourier_head_peels_to_identity(tmp_path):

@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from srp.objective import (
     ClosedFormUnavailable,
     Problem,
     Regularizer,
     SingleGaussianForms,
+    exact_audit_terms,
     fidelity,
     fidelity_grad,
     fidelity_lipschitz,
@@ -33,7 +35,7 @@ from srp.operators import (
     Scale,
 )
 from srp.priors import GmmPrior
-from srp.restoration import ExactMmse
+from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing, bias_vector
 
 
 def normal_prior(n=1, mean=None, var=1.0):
@@ -487,6 +489,118 @@ class TestVarianceProbe:
         v = variance_probe(p, reg, r, np.array([1.0]), 100_000,
                            np.random.default_rng(17))
         assert abs(v - 0.25) < 0.025
+
+
+@st.composite
+def audit_instances(draw):
+    """Single-Gaussian regularizer, a restorer of it and a probe point: dims
+    1-4, 1-3 members from identity, coordinate-mask and dense-matrix, and an
+    exact, offset, gain, smoothing or gain-then-offset restorer."""
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["identity", "mask", "dense"]),
+                          min_size=1, max_size=3))
+    wrap = draw(st.sampled_from(["exact", "offset", "gain", "smoothing", "gain-offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    members = []
+    for kind in kinds:
+        if kind == "identity":
+            members.append(Identity(n))
+        elif kind == "mask":
+            keep = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            members.append(CoordinateMask(n, keep))
+        else:
+            members.append(DenseMatrix(rng.standard_normal((int(rng.integers(1, 5)), n))))
+    cov = float(rng.uniform(0.3, 1.5))
+    if rng.integers(2):  # a diagonal covariance takes the whitened, non-isotropic path
+        cov = rng.uniform(0.3, 1.5, n)
+    prior = GmmPrior([1.0], [rng.standard_normal(n)], [np.asarray(cov)])
+    sigma = float(rng.uniform(0.4, 1.5))
+    ens = DegradationEnsemble(members, sigma=sigma, weights=rng.dirichlet(np.full(len(kinds), 2.0)))
+    reg = Regularizer(tau=float(rng.uniform(0.2, 2.0)), prior=prior, ens=ens)
+    restorer = ExactMmse(prior, sigma)
+    if wrap in ("gain", "gain-offset"):
+        restorer = Biased(restorer, Gain(float(rng.uniform(0.5, 1.5))))
+    if wrap in ("offset", "gain-offset"):
+        restorer = Biased(restorer, ConstantOffset(rng.uniform(-0.5, 0.5, n)))
+    if wrap == "smoothing":
+        restorer = Biased(restorer, Smoothing(int(rng.integers(1, n + 1))))
+    return reg, restorer, 2.0 * rng.standard_normal(n), int(rng.integers(2 ** 32))
+
+
+class TestExactAuditTerms:
+    """exact_audit_terms against the Monte Carlo probes it replaces."""
+
+    BATCHES, DRAWS, Z = 10, 2000, 6.0
+
+    def batch_means(self, estimate, seed):
+        """Mean of independent estimates and its standard error."""
+        rng = np.random.default_rng(seed)
+        values = np.array([estimate(rng) for _ in range(self.BATCHES)])
+        return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(self.BATCHES)
+
+    @given(audit_instances())
+    def test_agrees_with_the_probes_within_their_standard_error(self, case):
+        # Z standard errors of 10 batch means (a t statistic on 9 degrees of
+        # freedom); the absolute floor covers estimates with no spread
+        reg, restorer, x, seed = case
+        problem = Problem(Identity(reg.prior.dim), np.zeros(reg.prior.dim))
+        terms = exact_audit_terms(reg, restorer, [x])
+        nu2, se = self.batch_means(
+            lambda rng: variance_probe(problem, reg, restorer, x, self.DRAWS, rng), seed)
+        assert abs(terms.nu2[0] - nu2) <= self.Z * se + 1e-9 * (1.0 + nu2)
+        bias, se = self.batch_means(
+            lambda rng: bias_vector(restorer, reg.ens, x, reg.tau, self.DRAWS, rng), seed)
+        assert np.all(np.abs(terms.bias[0] - bias) <= self.Z * se + 1e-9)
+        np.testing.assert_allclose(
+            terms.bias, terms.member_bias.transpose(0, 2, 1) @ reg.ens.weights, atol=1e-12)
+        assert terms.moments.shape == (1, reg.ens.size)
+
+    def test_constant_offset_bias_per_member(self):
+        # b_j = -(tau/sigma²) G_j c for every member, at every point
+        prior = GmmPrior([1.0], [[0.2, -0.4, 0.1]], [np.asarray(0.8)])
+        members = [Identity(3), CoordinateMask(3, [0, 2]),
+                   DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])]
+        ens = DegradationEnsemble(members, sigma=0.6, weights=[0.5, 0.2, 0.3])
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        c = np.array([0.3, -0.1, 0.2])
+        restorer = Biased(ExactMmse(prior, 0.6), ConstantOffset(c))
+        points = np.random.default_rng(3).standard_normal((4, 3))
+        terms = exact_audit_terms(reg, restorer, points)
+        scale = 0.8 / 0.36
+        expected = np.stack([-scale * H.gram_apply(c) for H in members])
+        for i in range(len(points)):
+            np.testing.assert_allclose(terms.member_bias[i], expected, atol=1e-12)
+            np.testing.assert_allclose(terms.bias[i], ens.weights @ expected, atol=1e-12)
+
+    def test_closed_form_quarter(self):
+        # term = x/2 - n/2 with n ~ N(0,1): variance 1/4 at every x
+        reg = gauss_reg()
+        terms = exact_audit_terms(reg, ExactMmse(reg.prior, 1.0), [[1.0], [-3.0]])
+        np.testing.assert_allclose(terms.nu2, [0.25, 0.25], rtol=1e-15)
+        np.testing.assert_allclose(terms.moments, [[0.5], [2.5]], rtol=1e-15)
+        np.testing.assert_array_equal(terms.bias, np.zeros((2, 1)))
+
+    def test_refusals(self):
+        mixture = GmmPrior([0.5, 0.5], [[0.0], [1.0]], [np.asarray(1.0)] * 2)
+        ens = DegradationEnsemble([Identity(1)], sigma=1.0)
+        reg = Regularizer(tau=1.0, prior=mixture, ens=ens)
+        with pytest.raises(ClosedFormUnavailable, match="one-component"):
+            exact_audit_terms(reg, ExactMmse(mixture, 1.0), [[0.0]])
+        big = normal_prior(n=513)
+        reg = Regularizer(tau=1.0, prior=big,
+                          ens=DegradationEnsemble([Identity(513)], sigma=1.0))
+        with pytest.raises(ClosedFormUnavailable, match="capped"):
+            exact_audit_terms(reg, ExactMmse(big, 1.0), [np.zeros(513)])
+
+        class Clip:  # not affine in the estimate
+            kind = "clip"
+
+            def perturb(self, estimate, restorer):
+                return np.clip(estimate, -1.0, 1.0)
+
+        reg = gauss_reg()
+        with pytest.raises(ClosedFormUnavailable, match="affine"):
+            exact_audit_terms(reg, Biased(ExactMmse(reg.prior, 1.0), Clip()), [[0.0]])
 
 
 class TestGaussianMinimum:
