@@ -16,10 +16,10 @@ The auditor checks the biased-SGD bound
     mean_k E||∇f(x^{k-1})||² <= (2 / (gamma t)) (f(x⁰) - f*) + gamma L nu² + eps²
 
 with L from the fidelity norm plus the regularizer curvature bound, and nu²
-and eps taken at probe points along the trajectory. For a single-Gaussian
-prior both are exact (``objective.exact_audit_terms``) and the audit takes
-no probe draws; mixtures estimate them with Monte Carlo variance and bias
-probes.
+and eps exact at probe points along the trajectory
+(``objective.exact_audit_terms``, which needs a single-Gaussian prior), so
+the audit takes no probe draws. Audits without those closed forms, such as
+mixtures, are refused.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .objective import (
     gaussian_objective_minimum,
     regularizer_curvature_bound,
     regularizer_step,
-    variance_probe,
 )
-from .restoration import measure_bias, probe_domain_note
+from .restoration import probe_domain_note
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
 
@@ -259,16 +258,16 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
 
 
 class AuditError(ValueError):
-    """The audit lacks the probes or trace columns it needs."""
+    """The audit lacks the probes, trace columns or closed forms it needs."""
 
 
 @dataclass
 class AuditProbes:
-    """Probe points for the audit's nu² and eps, and the Monte Carlo probes.
+    """Probe points for the audit's nu² and eps.
 
-    nu² is taken at every probe point and eps at the first 10. A
-    single-Gaussian audit computes both exactly and draws nothing;
-    ``mc_variance``, ``mc_bias`` and ``seed`` serve mixtures only.
+    nu² is taken at every probe point and eps at the first 10, both exactly,
+    with no draws. ``mc_variance`` and ``mc_bias`` are no longer read; they
+    remain so that callers which still pass them keep working.
     """
 
     points: list | None = None  # explicit probe points; default: trajectory
@@ -276,7 +275,6 @@ class AuditProbes:
     max_points: int = 32
     mc_variance: int = 40_000
     mc_bias: int = 20_000
-    seed: int = 0
 
 
 @dataclass
@@ -298,12 +296,10 @@ class AuditReport:
     term_bias: float
     curvature_kind: str
     f_star_kind: str
-    nu2_kind: str  # "exact" | "monte-carlo"
-    epsilon_kind: str  # "exact" | "monte-carlo"
-    notes: list = field(default_factory=list)
     # per member at the point that sets nu2_hat: weight, variance share,
-    # bias norm; exact audits only
-    members: list | None = None
+    # bias norm
+    members: list
+    notes: list = field(default_factory=list)
 
     def to_text(self):
         lines = [
@@ -323,8 +319,6 @@ class AuditReport:
             f"term_variance: {self.term_variance!r}",
             f"term_bias: {self.term_bias!r}",
             f"curvature_bound: {self.curvature_kind}",
-            f"nu2_kind: {self.nu2_kind}",
-            f"epsilon_kind: {self.epsilon_kind}",
         ]
         lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines) + "\n"
@@ -350,8 +344,6 @@ class AuditReport:
                 "bias": self.term_bias,
             },
             "curvature_bound": self.curvature_kind,
-            "nu2_kind": self.nu2_kind,
-            "epsilon_kind": self.epsilon_kind,
             "notes": list(self.notes),
             "members": self.members,
         }
@@ -390,7 +382,9 @@ def audit_convergence(runs, probes=None, slack=0.05):
 
     ``runs`` is a list of (problem, regularizer, restorer, cfg, trace) tuples
     differing only in seed. All traces must carry true-gradient norms (the
-    single-Gaussian closed form provides them automatically).
+    single-Gaussian closed form provides them automatically), and the
+    restorer must have exact audit terms (``objective.exact_audit_terms``);
+    otherwise the audit raises ``AuditError``.
     """
     if not runs:
         raise AuditError("audit requires at least one run")
@@ -429,23 +423,11 @@ def audit_convergence(runs, probes=None, slack=0.05):
     bias_points = points[:10]
     try:
         terms = exact_audit_terms(reg, restorer, points)
-    except ClosedFormUnavailable:
-        rng = np.random.default_rng(np.random.SeedSequence(probes.seed))
-        nu2_hat = max(
-            variance_probe(problem, reg, restorer, p, probes.mc_variance, rng)
-            for p in points
-        )
-        bias_report = measure_bias(
-            restorer, reg.ens, bias_points, reg.tau, probes.mc_bias, rng,
-        )
-        eps_hat = bias_report.epsilon_hat
-        notes.append(bias_report.note)
-        probe_kind, members = "monte-carlo", None
-    else:
-        nu2_hat = float(np.max(terms.nu2))
-        eps_hat = float(np.max(np.linalg.norm(terms.bias[: len(bias_points)], axis=-1)))
-        notes.append(probe_domain_note(bias_points))
-        probe_kind, members = "exact", _member_account(terms, reg.ens.weights)
+    except ClosedFormUnavailable as exc:
+        raise AuditError(f"audit needs exact nu² and eps: {exc}") from exc
+    nu2_hat = float(np.max(terms.nu2))
+    eps_hat = float(np.max(np.linalg.norm(terms.bias[: len(bias_points)], axis=-1)))
+    notes.append(probe_domain_note(bias_points))
 
     f_initial = float(traces[0].f_initial)
     try:
@@ -490,8 +472,6 @@ def audit_convergence(runs, probes=None, slack=0.05):
         term_bias=float(term_bias),
         curvature_kind=curvature_kind,
         f_star_kind=f_star_kind,
-        nu2_kind=probe_kind,
-        epsilon_kind=probe_kind,
         notes=notes,
-        members=members,
+        members=_member_account(terms, reg.ens.weights),
     )
