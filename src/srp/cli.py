@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .arrayio import ArrayFileError
-from .config import ConfigError, ExperimentConfig, _integer, build_experiment
+from .config import ConfigError, ExperimentConfig, Int, build_experiment
 from .experiment import audit_experiment, run_experiment
 from .operators import DenseCapExceeded, DimensionMismatch, FactorizationError
 from .solver import AuditError, DivergenceError
@@ -36,7 +36,7 @@ EXIT_DIVERGENCE = 4
 def _load_config(path, args):
     cfg = ExperimentConfig.load(path)
     if args.seed is not None:
-        cfg.seed = _integer(args.seed, "--seed")
+        cfg.seed = Int()(args.seed, "--seed")
     if args.out is not None:
         cfg.output_dir = str(args.out)
     return cfg
@@ -56,7 +56,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    seed = 0 if args.seed is None else _integer(args.seed, "--seed")
+    seed = 0 if args.seed is None else Int()(args.seed, "--seed")
     rows = validation_suite(seed=seed)
     if not args.quiet:
         print(format_table(rows))

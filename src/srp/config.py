@@ -1,9 +1,9 @@
-"""Experiment configuration: a versioned JSON document plus builders that
-turn recipe dictionaries into operators, priors, ensembles and restorers.
-
-Everything a run needs is reconstructible from the config alone: random
-masks and generated priors embed their own seeds. Validation builds the full
-object graph and cross-checks every dimension before any computation runs.
+"""Experiment configuration: a versioned JSON document, the schema that checks
+it, and builders that turn its recipes into operators, priors, ensembles and
+restorers. Each block and recipe kind has one table below, giving every field's
+type and default (or ``REQUIRED``). The builders only construct; the checks left
+in them relate one field to another. Random masks and generated priors embed
+their own seeds, so the config alone reproduces a run.
 """
 
 from __future__ import annotations
@@ -17,84 +17,239 @@ import numpy as np
 
 from . import arrayio
 from .operators import (
-    CircularConvolution,
-    Composition,
-    ConvexCombination,
-    CoordinateMask,
-    DegradationEnsemble,
-    DenseMatrix,
-    DimensionMismatch,
-    DiscreteFourier,
-    FoldDownsample,
-    Identity,
-    Scale,
-    masked_fourier,
-    random_row_mask,
-    uniform_row_mask,
+    CircularConvolution, Composition, ConvexCombination, CoordinateMask, DegradationEnsemble,
+    DenseMatrix, DimensionMismatch, DiscreteFourier, FoldDownsample, Identity, Scale,
+    interleave, masked_fourier, random_row_mask, uniform_row_mask,
 )
-from .priors import GmmPrior
+from .priors import GmmPrior, smooth_random_field
 from .restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
 from .solver import SolverConfig
 
 CONFIG_VERSION = 1
+REQUIRED = object()  # the default of a field the config must give
+LISTS = (list, tuple)  # the Python classes of a JSON list
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _integer(value, what, minimum=0):
+# -- field types: each is a function ``read(value, what)`` that checks a value and
+# returns it plain (a value already read reads unchanged). Its ``doc`` follows "must
+# be" in errors and the README; ``Either`` routes values of its ``json`` classes to it.
+
+
+def _refuse(what, doc, value):
+    raise ConfigError(f"{what} must be {doc}, got {value!r}")
+
+
+def _type(doc, read, json=(), **parts):
+    read.doc, read.json = doc, json
+    vars(read).update(parts)
+    return read
+
+
+def _check(doc, ok, convert, json=(), **parts):
+    """A type that refuses a value unless ``ok(value)``, then converts it."""
+    return _type(doc, lambda v, what: convert(v) if ok(v) else _refuse(what, doc, v), json,
+                 **parts)
+
+
+def Int(minimum=0):
     """An integer of at least ``minimum``; bools, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
-    return int(value)
+    doc = {0: "a non-negative integer", -math.inf: "an integer"}.get(
+        minimum, f"an integer >= {minimum}")
+    return _check(doc, lambda v: (type(v) is int or isinstance(v, numbers.Integral)
+                                  and not isinstance(v, bool)) and v >= minimum, int)
 
 
-def _finite(value, what):
-    """A finite real number; bools, strings, nan and infinities are refused."""
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+def Real(low=-math.inf, high=math.inf, strict=False):
+    """A finite number in [low, high], above ``low`` when ``strict``."""
+    def ok(v):
         try:
-            number = float(value)
+            x = float(v) if type(v) in (float, int) or isinstance(v, numbers.Real) and not \
+                isinstance(v, bool) else math.nan
         except OverflowError:  # an integer past the float range
-            pass
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return number
+            return False
+        return math.isfinite(x) and (x > low if strict else x >= low) and x <= high
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+    doc = "a finite number" + (f" in [{low}, {high}]" if high < math.inf else bound)
+    return _check(doc, ok, float, numbers.Real)
 
 
-def _shape(value, what):
-    """Grid shape: a list of integers of at least 1 (a bare integer is 1-D)."""
-    entries = value if isinstance(value, (list, tuple)) else [value]
-    return tuple(_integer(s, f"{what} entry", 1) for s in entries)
+def OneOf(*values):
+    """A name (or version number) from a fixed set."""
+    return _check(f"one of {list(values)}", lambda v: not isinstance(v, bool) and v in values,
+                   lambda v: values[values.index(v)], str)
 
 
-def _indices(value, what):
-    """Index list of integers, range-checked by the caller (a bare integer is
-    one entry); bools, floats and strings are refused, not truncated."""
-    entries = value if isinstance(value, (list, tuple)) else [value]
-    for i in entries:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise ConfigError(f"{what} entries must be integers, got {i!r}")
-    return [int(i) for i in entries]
+def ListOf(item, nonempty=False, distinct=False, length=None):
+    doc = (f"a {'non-empty ' * nonempty}list of {f'{length} ' if length else ''}"
+           f"{'distinct ' * distinct}entries, each {item.doc}")
+
+    def read(value, what):
+        if not isinstance(value, LISTS) or (nonempty and not value) \
+                or length not in (None, len(value)):
+            _refuse(what, doc, value)
+        label = f"{what} entry"
+        entries = [item(v, label) for v in value]
+        repeated = sorted({e for e in entries if entries.count(e) > 1}) if distinct else []
+        if repeated:
+            raise ConfigError(f"{what} must be distinct, repeated: {repeated}")
+        return entries
+    return _type(doc, read, LISTS, item=item)
 
 
-def _check_keys(block, known, what):
-    """Refuse a block that is not an object, or that has a key nothing reads.
+def Shape(entries=None):
+    """A grid shape: integers of at least 1 (a bare integer is 1-D)."""
+    shape = ListOf(POSITIVE, nonempty=entries is None, length=entries)
+    return _type(shape.doc, lambda v, what: shape(v if isinstance(v, LISTS) else [v], what))
 
-    Without this a misspelt key is silently ignored, and a sweep over it
-    runs one experiment repeatedly.
-    """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be an object, got {block!r}")
-    unknown = sorted(set(block) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
+
+def Array(ndim=None):
+    """A finite number or rectangular nested lists of them, with ``ndim``
+    levels (any, when None)."""
+    doc = ("a list of equal-length lists of finite numbers" if ndim == 2
+           else "a finite number or rectangular nested lists of them")
+
+    def read(value, what):
+        arr = np.array(value, dtype=object)  # ragged lists stay list entries
+        if ndim not in (None, arr.ndim):
+            _refuse(what, doc, value)
+        for x in arr.flat:
+            FINITE(x, f"{what} entry")
+        return value
+    return _type(doc, read, LISTS)
+
+
+def Either(*alts):
+    """The first alternative whose ``json`` classes hold the value reads it."""
+    doc = " or ".join(a.doc for a in alts)
+
+    def read(value, what):
+        for alt in alts:
+            if isinstance(value, alt.json):
+                return alt(value, what)
+        _refuse(what, doc, value)
+    return _type(doc, read, alts=alts)
+
+
+def Block(table, key=None, name=None):
+    """An object with the fields of ``table`` (name -> (type, default)); a field
+    whose default is None may be absent or null. With a ``key``, ``table`` maps
+    each value of the key (None: absent) to the fields of that variant of
+    ``name``, which are named after the value: ``identity.dim``."""
+    variants = table if key else {None: table}
+
+    def read(value, what):
+        if not isinstance(value, dict):
+            _refuse(what or "config", "an object", value)
+        tag = value.get(key)
+        if key and (not (tag is None or isinstance(tag, str)) or tag not in variants):
+            raise ConfigError(f"unknown {name} {key} {tag!r}")
+        fields, what = variants[tag], (tag or what) if key else what
+        unknown = sorted(set(value) - set(fields) - {key})
+        missing = [k for k, (_, d) in fields.items() if d is REQUIRED and k not in value]
+        if unknown or missing:
+            raise ConfigError(f"{'unknown' if unknown else 'missing'} {what or 'config'} "
+                              f"keys: {unknown or missing}")
+        out = {key: tag} if key else {}
+        for k, (kind, d) in fields.items():
+            v = value.get(k, d)
+            out[k] = None if v is None and d is None else kind(v, f"{what}.{k}" if what else k)
+        return out
+    return _type("an object", read, dict, key=key, name=name, variants=variants)
+
+
+def Spec(block):
+    """An object that the builder of ``block`` reads: a recipe is read once."""
+    return _check("an object", lambda v: isinstance(v, dict), dict, dict, spec=block)
+
+
+# -- the tables -----------------------------------------------------------------
+
+POSITIVE = Int(1)
+FINITE = Real()
+BOOL = _check("true or false", lambda v: isinstance(v, bool), bool)
+TEXT = _check("a string", lambda v: isinstance(v, str), str)
+INDICES = ListOf(Int(-math.inf))
+DIM = (POSITIVE, REQUIRED)
+
+MASK = Block(key="type", name="mask", table={
+    "uniform-rows": {"accel": DIM, "offset": (Int(), 0), "acs_lines": (Int(), 0)},
+    "random-rows": {"accel": DIM, "acs_lines": (Int(), 0), "seed": (Int(), REQUIRED)},
+    None: {"rows": (INDICES, REQUIRED)},  # rows in centered k-space order
+})
+
+OPERATOR = Block({}, "kind", "operator")
+OPERATOR.variants.update({
+    "identity": {"dim": DIM},
+    "scale": {"dim": DIM, "factor": (FINITE, REQUIRED)},
+    "coordinate-mask": {"dim": DIM, "keep": (INDICES, REQUIRED)},
+    "dense-matrix": {"matrix": (Array(2), REQUIRED)},
+    "discrete-fourier": {"shape": (Shape(), REQUIRED)},
+    "circular-convolution": {"dim": DIM, "kernel": (ListOf(FINITE, nonempty=True), REQUIRED)},
+    "fold-downsample": {"dim": DIM, "factor": DIM},
+    "composition": {"stages": (ListOf(Spec(OPERATOR), nonempty=True), REQUIRED)},
+    "convex-combo": {"alpha": (Real(0, 1), REQUIRED), "inner": (Spec(OPERATOR), REQUIRED)},
+    "masked-fourier": {"shape": (Shape(2), REQUIRED), "mask": (MASK, REQUIRED)},
+})
+
+PRIOR = Block(key="type", name="prior", table={
+    "explicit": {"weights": (ListOf(Real(0, strict=True), nonempty=True), REQUIRED),
+                 "means": (Either(Block({"file": (TEXT, REQUIRED)}), Array(2)), REQUIRED),
+                 "covariances": (Either(FINITE, ListOf(Array())), REQUIRED)},
+    "gmm-recipe": {"seed": (Int(), REQUIRED), "components": DIM,
+                   "cov_scale": (Real(0, strict=True), REQUIRED),
+                   "shape": (Shape(2), None), "dim": (POSITIVE, None),  # one of the two
+                   "smoothness": (Real(0), 1.5), "mean_scale": (FINITE, 1.0)},
+})
+
+PERTURBATION = Block(key="type", name="perturbation", table={
+    "constant-offset": {"offset": (Either(FINITE, ListOf(FINITE)), REQUIRED)},
+    "gain": {"lam": (FINITE, REQUIRED)},
+    "smoothing": {"strength": DIM},
+})
+RESTORER = Block({"exact-mmse": {}}, "type", "restorer")
+RESTORER.variants["biased"] = {"inner": (Spec(RESTORER), REQUIRED),
+                               "perturbation": (PERTURBATION, REQUIRED)}
+
+STRATEGY = OneOf("iid-by-weights", "cyclic", "fixed")
+SOLVER = Block({
+    "gamma": (Real(0), REQUIRED), "tau": (Real(0, strict=True), REQUIRED), "iterations": DIM,
+    "selection": (Either(STRATEGY, Block({"strategy": (STRATEGY, REQUIRED),
+                                          "index": (Int(), 0)})), "iid-by-weights"),
+    "batch": (POSITIVE, 1),
+    "x0": (Either(OneOf("zeros", "adjoint"), ListOf(FINITE)), "adjoint"),
+})
+ENSEMBLE = Block({
+    "members": (ListOf(Spec(OPERATOR), nonempty=True), REQUIRED),
+    "sigma": (Real(0, strict=True), REQUIRED),
+    "weights": (ListOf(Real(0)), None),  # uniform when absent
+})
+EXPERIMENT = Block({
+    "version": (OneOf(CONFIG_VERSION), REQUIRED), "name": (TEXT, REQUIRED),
+    "seed": (Int(), REQUIRED), "seeds": (ListOf(Int(), nonempty=True, distinct=True), REQUIRED),
+    "output_dir": (TEXT, REQUIRED),
+    "problem": (Block({
+        "operator": (Spec(OPERATOR), REQUIRED),
+        "ground_truth": (Block({"source": (OneOf("prior", "file"), "prior"),
+                                "path": (TEXT, None)}), {}),
+        "noise_sigma": (Real(0), 0.0),
+    }), REQUIRED),
+    "prior": (Spec(PRIOR), REQUIRED), "ensemble": (ENSEMBLE, REQUIRED),
+    "restorer": (Spec(RESTORER), REQUIRED), "solver": (SOLVER, REQUIRED),
+    "image": (Block({"shape": (Shape(), REQUIRED), "complex": (BOOL, False)}), None),
+    "metrics": (Block({"psnr": (BOOL, True), "ssim": (BOOL, True),
+                       "psnr_peak": (Real(0, strict=True), None)}), {}),  # None: truth's peak
+})
 
 
 @dataclass
 class ExperimentConfig:
+    """A checked config; its recipes are checked by their builders. The blocks
+    are kept as given, for ``report.json`` to echo."""
+
     version: int
     name: str
     seed: int
@@ -110,39 +265,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if d.get("version") != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {d.get('version')!r}")
-        required = ("name", "seed", "seeds", "output_dir", "problem", "prior",
-                    "ensemble", "restorer", "solver")
-        missing = [k for k in required if k not in d]
-        if missing:
-            raise ConfigError(f"missing config keys: {missing}")
-        known = set(required) | {"version", "image", "metrics"}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        seed = _integer(d["seed"], "seed")
-        if not isinstance(d["seeds"], (list, tuple)) or not d["seeds"]:
-            raise ConfigError(f"seeds must be a non-empty list, got {d['seeds']!r}")
-        seeds = [_integer(s, "seeds entry") for s in d["seeds"]]
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-        if repeated:
-            raise ConfigError(f"seeds must be distinct, repeated: {repeated}")
-        return cls(
-            version=int(d["version"]),
-            name=str(d["name"]),
-            seed=seed,
-            seeds=seeds,
-            output_dir=str(d["output_dir"]),
-            problem=d["problem"],
-            prior=d["prior"],
-            ensemble=d["ensemble"],
-            restorer=d["restorer"],
-            solver=d["solver"],
-            image=d.get("image"),
-            metrics=d.get("metrics", {}),
-        )
+        v = EXPERIMENT(d, "")
+        return cls(**{k: v[k] for k in ("version", "name", "seed", "seeds", "output_dir")},
+                   **{k: d[k] for k in ("problem", "prior", "ensemble", "restorer", "solver")},
+                   image=d.get("image"), metrics=d.get("metrics", {}))
 
     def to_dict(self):
         d = asdict(self)
@@ -174,205 +300,116 @@ class ExperimentConfig:
         return cls.loads(text)
 
 
-# -- operator recipes ------------------------------------------------------------
+# -- builders: each reads its block, then constructs ------------------------------
 
 
-def _mask_rows(shape, spec):
-    if "rows" in spec:
-        idx = np.asarray(_indices(spec["rows"], "mask rows"), dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
-            raise ConfigError(
-                f"mask rows out of range [0, {shape[0]}): {spec['rows']!r}"
-            )
-        rows = np.zeros(shape[0], dtype=bool)
-        rows[idx] = True
-        return rows
-    kind = spec.get("type")
-    if kind not in ("uniform-rows", "random-rows"):
-        raise ConfigError(f"unknown mask recipe {spec!r}")
-    accel = _integer(spec["accel"], f"{kind} mask accel", 1)
-    acs_lines = _integer(spec.get("acs_lines", 0), f"{kind} mask acs_lines")
-    if kind == "uniform-rows":
-        offset = _integer(spec.get("offset", 0), "uniform-rows mask offset")
-        return uniform_row_mask(shape[0], accel, offset=offset, acs_lines=acs_lines)
-    rng = np.random.default_rng(_integer(spec["seed"], "random-rows mask seed"))
-    return random_row_mask(shape[0], accel, acs_lines, rng)
-
-
-def _dim(spec, kind):
-    return _integer(spec["dim"], f"{kind}.dim", 1)
+def _mask_rows(n, mask):
+    if mask["type"] == "uniform-rows":
+        return uniform_row_mask(n, mask["accel"], offset=mask["offset"],
+                                acs_lines=mask["acs_lines"])
+    if mask["type"] == "random-rows":
+        rng = np.random.default_rng(mask["seed"])
+        return random_row_mask(n, mask["accel"], mask["acs_lines"], rng)
+    if any(not 0 <= r < n for r in mask["rows"]):
+        raise ConfigError(f"mask rows out of range [0, {n}): {mask['rows']!r}")
+    rows = np.zeros(n, dtype=bool)
+    rows[mask["rows"]] = True
+    return rows
 
 
 def build_operator(spec):
     """Construct a LinearOperator from its recipe dictionary."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"operator spec needs a 'kind': {spec!r}")
-    kind = spec["kind"]
-    try:
-        if kind == "identity":
-            return Identity(_dim(spec, kind))
-        if kind == "scale":
-            return Scale(_dim(spec, kind), _finite(spec["factor"], "scale.factor"))
-        if kind == "coordinate-mask":
-            keep = _indices(spec["keep"], "coordinate-mask.keep")
-            return CoordinateMask(_dim(spec, kind), keep)
-        if kind == "dense-matrix":
-            return DenseMatrix(spec["matrix"])
-        if kind == "discrete-fourier":
-            return DiscreteFourier(_shape(spec["shape"], "discrete-fourier.shape"))
-        if kind == "circular-convolution":
-            return CircularConvolution(_dim(spec, kind), spec["kernel"])
-        if kind == "fold-downsample":
-            factor = _integer(spec["factor"], "fold-downsample.factor", 1)
-            return FoldDownsample(_dim(spec, kind), factor)
-        if kind == "composition":
-            return Composition([build_operator(s) for s in spec["stages"]])
-        if kind == "convex-combo":
-            alpha = _finite(spec["alpha"], "convex-combo.alpha")
-            return ConvexCombination(alpha, build_operator(spec["inner"]))
-        if kind == "masked-fourier":
-            shape = _shape(spec["shape"], "masked-fourier.shape")
-            return masked_fourier(shape, _mask_rows(shape, spec["mask"]))
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad operator spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown operator kind {kind!r}")
-
-
-# -- prior recipes ----------------------------------------------------------------
-
-
-def smooth_random_field(shape, rng, decay=1.5):
-    """Random complex field with a power-law radial spectrum, peak-normalized."""
-    h, w = shape
-    fy = np.fft.fftfreq(h)[:, None]
-    fx = np.fft.fftfreq(w)[None, :]
-    radius = np.sqrt(fy ** 2 + fx ** 2)
-    envelope = 1.0 / (1.0 + (radius / (1.0 / max(h, w))) ** decay)
-    spectrum = envelope * (
-        rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
-    )
-    field = np.fft.ifft2(spectrum)
-    return field / np.max(np.abs(field))
+    v = OPERATOR(spec, "operator")
+    kind, dim = v["kind"], v.get("dim")
+    if kind == "identity":
+        return Identity(dim)
+    if kind == "scale":
+        return Scale(dim, v["factor"])
+    if kind == "coordinate-mask":
+        if any(not 0 <= i < dim for i in v["keep"]):
+            raise ConfigError(f"coordinate-mask.keep out of range [0, {dim}): {v['keep']!r}")
+        return CoordinateMask(dim, v["keep"])
+    if kind == "dense-matrix":
+        return DenseMatrix(v["matrix"])
+    if kind == "discrete-fourier":
+        return DiscreteFourier(v["shape"])
+    if kind == "circular-convolution":
+        if len(v["kernel"]) > dim:
+            raise ConfigError(f"circular-convolution.kernel must have at most {dim} entries "
+                              f"(its dim), got {len(v['kernel'])}")
+        return CircularConvolution(dim, v["kernel"])
+    if kind == "fold-downsample":
+        return FoldDownsample(dim, v["factor"])
+    if kind == "composition":
+        return Composition([build_operator(s) for s in v["stages"]])
+    if kind == "convex-combo":
+        return ConvexCombination(v["alpha"], build_operator(v["inner"]))
+    return masked_fourier(v["shape"], _mask_rows(v["shape"][0], v["mask"]))
 
 
 def build_prior(spec):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"prior spec needs a 'type': {spec!r}")
-    kind = spec["type"]
-    if kind == "explicit":
-        means = spec["means"]
-        if isinstance(means, dict) and "file" in means:
-            arr = arrayio.read_array(means["file"])
-            means = np.atleast_2d(arr)
+    v = PRIOR(spec, "prior")
+    if v["type"] == "explicit":
+        means = v["means"]
+        if isinstance(means, dict):
+            means = np.atleast_2d(arrayio.read_array(means["file"]))
         try:
-            return GmmPrior(spec["weights"], means, spec["covariances"])
+            return GmmPrior(v["weights"], means, v["covariances"])
         except DimensionMismatch:
             raise
-        except ValueError as exc:  # weights or means out of range
+        except ValueError as exc:  # component counts disagree, weights do not sum to 1
             raise ConfigError(f"bad explicit prior: {exc}") from exc
-    if kind == "gmm-recipe":
-        rng = np.random.default_rng(_integer(spec["seed"], "gmm-recipe seed"))
-        k = _integer(spec["components"], "gmm-recipe components", 1)
-        cov_scale = _finite(spec["cov_scale"], "gmm-recipe cov_scale")
-        if "shape" in spec:  # complex image prior, interleaved storage
-            shape = _shape(spec["shape"], "gmm-recipe shape")
-            if len(shape) != 2:
-                raise ConfigError(
-                    f"gmm-recipe shape must have 2 entries, got {spec['shape']!r}")
-            decay = _finite(spec.get("smoothness", 1.5), "gmm-recipe smoothness")
-            means = []
-            for _ in range(k):
-                field = smooth_random_field(shape, rng, decay=decay)
-                re = field.real.ravel()
-                im = field.imag.ravel()
-                mean = np.empty(2 * re.size)
-                mean[0::2] = re
-                mean[1::2] = im
-                means.append(mean)
-            means = np.stack(means)
-        else:
-            dim = _integer(spec["dim"], "gmm-recipe dim", 1)
-            mean_scale = _finite(spec.get("mean_scale", 1.0), "gmm-recipe mean_scale")
-            means = mean_scale * rng.standard_normal((k, dim))
-        weights = np.full(k, 1.0 / k)
-        covs = [np.asarray(cov_scale ** 2) for _ in range(k)]
-        return GmmPrior(weights, means, covs)
-    raise ConfigError(f"unknown prior type {kind!r}")
-
-
-# -- ensemble / restorer / solver recipes ------------------------------------------
+    shape, k = v["shape"], v["components"]
+    if (shape is None) == (v["dim"] is None):
+        raise ConfigError("gmm-recipe takes one of shape or dim")
+    rng = np.random.default_rng(v["seed"])
+    if shape is not None:  # complex image prior, interleaved storage
+        means = np.stack([interleave(smooth_random_field(shape, rng, v["smoothness"]).ravel())
+                          for _ in range(k)])
+    else:
+        means = v["mean_scale"] * rng.standard_normal((k, v["dim"]))
+    covs = [np.asarray(v["cov_scale"] ** 2) for _ in range(k)]
+    return GmmPrior(np.full(k, 1.0 / k), means, covs)
 
 
 def build_ensemble(spec):
-    _check_keys(spec, ("members", "sigma", "weights"), "ensemble")
-    try:
-        members = [build_operator(s) for s in spec["members"]]
-        weights = spec.get("weights")
-        if weights is not None:
-            weights = [_finite(w, "ensemble.weights entry") for w in weights]
-        return DegradationEnsemble(
-            members, sigma=_finite(spec["sigma"], "ensemble.sigma"), weights=weights
-        )
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad ensemble spec: {exc}") from exc
+    v = ENSEMBLE(spec, "ensemble")
+    members, weights = [build_operator(s) for s in v["members"]], v["weights"]
+    if weights is not None and (len(weights) != len(members) or abs(np.sum(weights) - 1) > 1e-12):
+        raise ConfigError(f"ensemble.weights must be {len(members)} numbers (one per "
+                          f"member) summing to 1, got {weights!r}")
+    return DegradationEnsemble(members, sigma=v["sigma"], weights=weights)
 
 
 def build_restorer(spec, prior, sigma):
-    kind = spec.get("type")
-    if kind == "exact-mmse":
+    v = RESTORER(spec, "restorer")
+    if v["type"] == "exact-mmse":
         return ExactMmse(prior, sigma)
-    if kind == "biased":
-        inner = build_restorer(spec["inner"], prior, sigma)
-        pspec = spec["perturbation"]
-        pkind = pspec.get("type")
-        if pkind == "constant-offset":
-            offset = pspec["offset"]
-            if isinstance(offset, (list, tuple)):
-                if len(offset) != prior.dim:
-                    raise ConfigError(f"constant-offset.offset must have {prior.dim} "
-                                      f"entries (the prior dim), got {len(offset)}")
-                offset = [_finite(c, "constant-offset.offset entry") for c in offset]
-            else:
-                offset = np.full(prior.dim, _finite(offset, "constant-offset.offset"))
-            return Biased(inner, ConstantOffset(offset))
-        if pkind == "gain":
-            return Biased(inner, Gain(_finite(pspec["lam"], "gain.lam")))
-        if pkind == "smoothing":
-            strength = _integer(pspec["strength"], "smoothing.strength", 1)
-            return Biased(inner, Smoothing(strength))
-        raise ConfigError(f"unknown perturbation type {pkind!r}")
-    raise ConfigError(f"unknown restorer type {kind!r}")
+    inner, p = build_restorer(v["inner"], prior, sigma), v["perturbation"]
+    if p["type"] == "gain":
+        return Biased(inner, Gain(p["lam"]))
+    if p["type"] == "smoothing":
+        return Biased(inner, Smoothing(p["strength"]))
+    offset = p["offset"]
+    if not isinstance(offset, list):
+        offset = np.full(prior.dim, offset)
+    elif len(offset) != prior.dim:
+        raise ConfigError(f"constant-offset.offset must have {prior.dim} entries "
+                          f"(the prior dim), got {len(offset)}")
+    return Biased(inner, ConstantOffset(offset))
 
 
 def build_solver_config(spec, tau, seed):
-    _check_keys(spec, ("gamma", "tau", "iterations", "selection", "batch", "x0"), "solver")
-    sel = spec.get("selection", {"strategy": "iid-by-weights"})
+    v = SOLVER(spec, "solver")
+    sel = v["selection"]
     if isinstance(sel, str):
-        sel = {"strategy": sel}
-    _check_keys(sel, ("strategy", "index"), "solver.selection")
-    x0 = spec.get("x0", "adjoint")
-    if isinstance(x0, (list, tuple, np.ndarray)):
-        x0 = np.array([_finite(v, "solver.x0 entry") for v in x0])
-    elif x0 not in ("zeros", "adjoint"):
-        raise ConfigError('solver.x0 must be "zeros", "adjoint" or a list of '
-                          f"numbers, got {x0!r}")
-    try:
-        return SolverConfig(
-            gamma=_finite(spec["gamma"], "solver.gamma"),
-            tau=float(tau),
-            iterations=_integer(spec["iterations"], "solver.iterations", 1),
-            selection=sel["strategy"],
-            fixed_index=_integer(sel.get("index", 0), "solver.selection.index"),
-            batch=_integer(spec.get("batch", 1), "solver.batch", 1),
-            seed=int(seed),
-            x0=x0,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad solver spec: {exc}") from exc
+        sel = {"strategy": sel, "index": 0}
+    if v["batch"] > 1 and sel["strategy"] != "iid-by-weights":
+        raise ConfigError("solver.batch > 1 needs the iid-by-weights selection")
+    x0 = v["x0"] if isinstance(v["x0"], str) else np.array(v["x0"], dtype=float)
+    return SolverConfig(gamma=v["gamma"], tau=float(tau), iterations=v["iterations"],
+                        selection=sel["strategy"], fixed_index=sel["index"],
+                        batch=v["batch"], seed=int(seed), x0=x0)
 
 
 # -- full experiment assembly --------------------------------------------------
@@ -390,78 +427,40 @@ class BuiltExperiment:
     ground_truth: dict
     image_shape: tuple | None
     image_complex: bool
+    solver: SolverConfig  # at the config's root seed; each run replaces the seed
+    metrics: dict  # the checked metrics block
 
 
 def build_experiment(cfg):
     """Build and cross-validate every component named by the config."""
-    _check_keys(cfg.problem, ("operator", "ground_truth", "noise_sigma"), "problem")
-    try:
-        A = build_operator(cfg.problem["operator"])
-        prior = build_prior(cfg.prior)
-        ensemble = build_ensemble(cfg.ensemble)
-        tau = _finite(cfg.solver["tau"], "solver.tau")
-        restorer = build_restorer(cfg.restorer, prior, ensemble.sigma)
-        gt = cfg.problem.get("ground_truth", {"source": "prior"})
-        noise_sigma = _finite(cfg.problem.get("noise_sigma", 0.0), "problem.noise_sigma")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"incomplete config: {exc}") from exc
-
+    v = EXPERIMENT(vars(cfg), "")
+    A = build_operator(v["problem"]["operator"])
+    prior = build_prior(v["prior"])
+    ensemble = build_ensemble(v["ensemble"])
+    restorer = build_restorer(v["restorer"], prior, ensemble.sigma)
     if A.in_dim != prior.dim:
-        raise ConfigError(
-            f"measurement operator in_dim {A.in_dim} != prior dim {prior.dim}"
-        )
+        raise ConfigError(f"measurement operator in_dim {A.in_dim} != prior dim {prior.dim}")
     if ensemble.in_dim != prior.dim:
-        raise ConfigError(
-            f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}"
-        )
-    if tau <= 0:
-        raise ConfigError(f"solver.tau must be positive, got {tau!r}")
-    if noise_sigma < 0:
-        raise ConfigError("noise_sigma must be non-negative")
-    if gt.get("source") == "file":
-        path = gt.get("path")
-        if not path:
+        raise ConfigError(f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}")
+    gt = v["problem"]["ground_truth"]
+    if gt["source"] == "file":
+        if not gt["path"]:
             raise ConfigError("ground_truth.source=file needs a path")
-        arr = arrayio.read_array(path)
-        if arr.size != prior.dim:
-            raise ConfigError(
-                f"ground truth file has {arr.size} values, prior dim is {prior.dim}"
-            )
-    elif gt.get("source", "prior") != "prior":
-        raise ConfigError(f"unknown ground truth source {gt.get('source')!r}")
-
-    image_shape = None
-    image_complex = False
-    if cfg.image:
-        image_shape = tuple(int(s) for s in cfg.image["shape"])
-        image_complex = bool(cfg.image.get("complex", False))
-        expected = int(np.prod(image_shape)) * (2 if image_complex else 1)
-        if expected != prior.dim:
-            raise ConfigError(
-                f"image spec implies vectors of length {expected}, prior dim is "
-                f"{prior.dim}"
-            )
-
-    # instantiating the per-seed SolverConfig also validates the solver block
-    scfg = build_solver_config(cfg.solver, tau, cfg.seed)
+        size = arrayio.read_array(gt["path"]).size
+        if size != prior.dim:
+            raise ConfigError(f"ground truth file has {size} values, prior dim is {prior.dim}")
+    image = v["image"] or {"shape": None, "complex": False}
+    n = image["shape"] and int(np.prod(image["shape"])) * (1 + image["complex"])
+    if n and n != prior.dim:
+        raise ConfigError(f"image spec implies vectors of length {n}, prior dim is {prior.dim}")
+    scfg = build_solver_config(v["solver"], v["solver"]["tau"], v["seed"])
     if scfg.selection == "fixed" and scfg.fixed_index >= ensemble.size:
-        raise ConfigError(
-            f"solver.selection.index {scfg.fixed_index} out of range for "
-            f"{ensemble.size} ensemble members"
-        )
+        raise ConfigError(f"solver.selection.index {scfg.fixed_index} out of range for "
+                          f"{ensemble.size} ensemble members")
     if not isinstance(scfg.x0, str) and len(scfg.x0) != prior.dim:
         raise ConfigError(f"solver.x0 must have {prior.dim} entries (the prior dim), "
                           f"got {len(scfg.x0)}")
-
     return BuiltExperiment(
-        cfg=cfg,
-        A=A,
-        prior=prior,
-        ensemble=ensemble,
-        restorer=restorer,
-        tau=tau,
-        noise_sigma=noise_sigma,
-        ground_truth=gt,
-        image_shape=image_shape,
-        image_complex=image_complex,
-    )
+        cfg=cfg, A=A, prior=prior, ensemble=ensemble, restorer=restorer, tau=scfg.tau,
+        noise_sigma=v["problem"]["noise_sigma"], ground_truth=gt, image_shape=image["shape"],
+        image_complex=image["complex"], solver=scfg, metrics=v["metrics"])

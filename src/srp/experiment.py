@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import arrayio
-from .config import BuiltExperiment, build_experiment, build_solver_config
+from .config import BuiltExperiment, build_experiment
 from .metrics import magnitude, psnr, ssim
 from .objective import Problem, Regularizer
 from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
@@ -179,7 +179,7 @@ def _solve(inputs, scfg, psnr_fn=None):
     if U is None:
         return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
     if not isinstance(scfg.x0, str):
-        scfg.x0 = U.apply(scfg.x0)
+        scfg = replace(scfg, x0=U.apply(scfg.x0))
     try:
         return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
     except DivergenceError as exc:
@@ -211,11 +211,11 @@ def run_single(built, seed_value):
     inputs = _solver_inputs(built, y)
     U = inputs[3]
     back = (lambda v: v) if U is None else U.adjoint_apply
-    scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
+    scfg = replace(built.solver, seed=solver_seed)
 
-    want_psnr = cfg.metrics.get("psnr", True)
-    want_ssim = cfg.metrics.get("ssim", True)
-    peak_cfg = cfg.metrics.get("psnr_peak")
+    want_psnr = built.metrics["psnr"]
+    want_ssim = built.metrics["ssim"]
+    peak_cfg = built.metrics["psnr_peak"]
     psnr_fn = None
     if want_psnr:
         img_true = _to_image(built, x_true)
@@ -374,8 +374,7 @@ def audit_experiment(cfg, probes=None, slack=0.05):
     runs = []
     for seed_value in cfg.seeds:
         _, solver_seed = _seed_streams(cfg.seed, seed_value)
-        scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
-        scfg.record_iterates = True
+        scfg = replace(built.solver, seed=solver_seed, record_iterates=True)
         _, trace = _solve(inputs, scfg)
         runs.append((*inputs[:3], scfg, trace))
     return audit_convergence(runs, probes=probes or AuditProbes(), slack=slack)

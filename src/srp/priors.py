@@ -28,6 +28,21 @@ from .operators import (
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def smooth_random_field(shape, rng, decay=1.5):
+    """Random complex field with a power-law radial spectrum, peak-normalized:
+    the component means of the ``gmm-recipe`` image prior."""
+    h, w = shape
+    fy = np.fft.fftfreq(h)[:, None]
+    fx = np.fft.fftfreq(w)[None, :]
+    radius = np.sqrt(fy ** 2 + fx ** 2)
+    envelope = 1.0 / (1.0 + (radius / (1.0 / max(h, w))) ** decay)
+    spectrum = envelope * (
+        rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
+    )
+    field = np.fft.ifft2(spectrum)
+    return field / np.max(np.abs(field))
+
+
 def _logsumexp(a, keepdims=False):
     """log(sum(exp(a))) over the last axis, bit-identical to scipy's.
 

@@ -15,11 +15,11 @@ The auditor checks the biased-SGD bound
 
     mean_k E||∇f(x^{k-1})||² <= (2 / (gamma t)) (f(x⁰) - f*) + gamma L nu² + eps²
 
-with L from the fidelity norm plus the regularizer curvature bound, and nu²
-and eps exact at probe points along the trajectory
-(``objective.exact_audit_terms``, which needs a single-Gaussian prior), so
-the audit takes no probe draws. Audits without those closed forms, such as
-mixtures, are refused.
+with L from the fidelity norm plus the exact regularizer curvature, f* the
+exact minimum, and nu² and eps exact at probe points along the trajectory
+(``objective.exact_audit_terms``), all from the single-Gaussian closed forms,
+so the audit takes no probe draws. Audits without those closed forms, such
+as mixtures, are refused.
 """
 
 from __future__ import annotations
@@ -35,16 +35,11 @@ from .objective import (
     exact_audit_terms,
     fidelity_lipschitz,
     gaussian_objective_minimum,
-    regularizer_curvature_bound,
     regularizer_step,
 )
 from .restoration import probe_domain_note
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
-
-# Closed-form per-iteration diagnostics are built automatically only for
-# single-Gaussian priors up to this dimension (dense curvature matrices).
-_AUTO_DIAG_DIM = 64
 
 
 class DivergenceError(RuntimeError):
@@ -166,10 +161,8 @@ def _initial_point(cfg, problem):
 
 
 def _auto_diagnostics(reg):
-    """The regularizer's closed forms when the prior is a single small
-    Gaussian, else None."""
-    if reg.prior.dim > _AUTO_DIAG_DIM:
-        return None
+    """The regularizer's closed forms when the prior is a single Gaussian
+    within their dense cap, else None."""
     try:
         return reg.gaussian_forms
     except ClosedFormUnavailable:
@@ -294,8 +287,6 @@ class AuditReport:
     term_transient: float
     term_variance: float
     term_bias: float
-    curvature_kind: str
-    f_star_kind: str
     # per member at the point that sets nu2_hat: weight, variance share,
     # bias norm
     members: list
@@ -309,7 +300,7 @@ class AuditReport:
             f"lhs: {self.lhs!r}",
             f"rhs: {self.rhs!r}",
             f"pass: {str(self.passed).lower()}",
-            f"f_star_hat: {self.f_star_hat!r} ({self.f_star_kind})",
+            f"f_star_hat: {self.f_star_hat!r}",
             f"f_initial: {self.f_initial!r}",
             f"gamma: {self.gamma!r}",
             f"iterations: {self.iterations}",
@@ -318,7 +309,6 @@ class AuditReport:
             f"term_transient: {self.term_transient!r}",
             f"term_variance: {self.term_variance!r}",
             f"term_bias: {self.term_bias!r}",
-            f"curvature_bound: {self.curvature_kind}",
         ]
         lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines) + "\n"
@@ -332,7 +322,6 @@ class AuditReport:
             "rhs": self.rhs,
             "pass": self.passed,
             "f_star_hat": self.f_star_hat,
-            "f_star_kind": self.f_star_kind,
             "f_initial": self.f_initial,
             "gamma": self.gamma,
             "iterations": self.iterations,
@@ -343,7 +332,6 @@ class AuditReport:
                 "variance": self.term_variance,
                 "bias": self.term_bias,
             },
-            "curvature_bound": self.curvature_kind,
             "notes": list(self.notes),
             "members": self.members,
         }
@@ -381,8 +369,9 @@ def audit_convergence(runs, probes=None, slack=0.05):
     """Check the averaged-gradient bound over a family of identical-config runs.
 
     ``runs`` is a list of (problem, regularizer, restorer, cfg, trace) tuples
-    differing only in seed. All traces must carry true-gradient norms (the
-    single-Gaussian closed form provides them automatically), and the
+    differing only in seed. The regularizer must have the single-Gaussian
+    closed forms (``Regularizer.gaussian_forms``), all traces must carry
+    true-gradient norms (the solver fills them from those forms), and the
     restorer must have exact audit terms (``objective.exact_audit_terms``);
     otherwise the audit raises ``AuditError``.
     """
@@ -395,6 +384,10 @@ def audit_convergence(runs, probes=None, slack=0.05):
             raise AuditError("all runs must share (problem, regularizer, restorer)")
         if cfg.gamma != cfg0.gamma or cfg.iterations != cfg0.iterations:
             raise AuditError("all runs must share gamma and iteration count")
+    try:
+        forms = reg.gaussian_forms
+    except ClosedFormUnavailable as exc:
+        raise AuditError(f"audit needs the single-Gaussian closed forms: {exc}") from exc
 
     traces = [t for *_, t in runs]
     if any(t.grad_true_norm is None for t in traces):
@@ -405,11 +398,7 @@ def audit_convergence(runs, probes=None, slack=0.05):
     notes = []
     lhs = float(np.mean([np.mean(t.grad_true_norm ** 2) for t in traces]))
 
-    l_fid = fidelity_lipschitz(problem)
-    l_reg, curvature_kind = regularizer_curvature_bound(reg)
-    l_hat = l_fid + l_reg
-    if curvature_kind == "upper-bound":
-        notes.append("regularizer curvature is the (tau/sigma^2)·max||HᵀH|| upper bound")
+    l_hat = fidelity_lipschitz(problem) + forms.curvature_norm()
 
     points = probes.points if probes.points is not None else _trajectory_probes(
         runs, probes
@@ -430,22 +419,7 @@ def audit_convergence(runs, probes=None, slack=0.05):
     notes.append(probe_domain_note(bias_points))
 
     f_initial = float(traces[0].f_initial)
-    try:
-        _, f_star = gaussian_objective_minimum(problem, reg)
-        f_star_kind = "exact"
-    except ClosedFormUnavailable:
-        f_star, f_star_kind = None, ""
-    if f_star is None:
-        candidates = [f_initial]
-        for t in traces:
-            if t.f_value is not None:
-                candidates.append(float(np.min(t.f_value)))
-        f_star = min(candidates)
-        f_star_kind = "best-observed"
-        notes.append(
-            "f* replaced by the best observed f, which shrinks the transient "
-            "term; the check is conservative"
-        )
+    _, f_star = gaussian_objective_minimum(problem, reg)
 
     gamma, t_iters = cfg0.gamma, cfg0.iterations
     term_transient = 2.0 / (gamma * t_iters) * (f_initial - f_star)
@@ -470,8 +444,6 @@ def audit_convergence(runs, probes=None, slack=0.05):
         term_transient=float(term_transient),
         term_variance=float(term_variance),
         term_bias=float(term_bias),
-        curvature_kind=curvature_kind,
-        f_star_kind=f_star_kind,
         notes=notes,
         members=_member_account(terms, reg.ens.weights),
     )

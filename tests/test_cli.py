@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import srp
+from conftest import load_bench_workloads
 from srp.arrayio import write_array
 from srp.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, main
 
@@ -168,11 +175,11 @@ class TestInputErrors:
         ("restorer", "perturbation", {"type": "constant-offset", "offset": [0.1, 0.2]},
          "constant-offset.offset"),
         ("problem", "operator", {"kind": "masked-fourier", "shape": [8, 8],
-                                 "mask": {"rows": [1.9]}}, "mask rows"),
+                                 "mask": {"rows": [1.9]}}, "masked-fourier.mask.rows"),
         ("problem", "operator", {"kind": "coordinate-mask", "dim": 128, "keep": [1.9]},
          "coordinate-mask.keep"),
-        ("prior", "shape", [64], "gmm-recipe shape"),
-        ("prior", "shape", [8, 8, 1], "gmm-recipe shape"),
+        ("prior", "shape", [64], "gmm-recipe.shape"),
+        ("prior", "shape", [8, 8, 1], "gmm-recipe.shape"),
     ])
     def test_bad_recipe_entries(self, tmp_path, block, key, value, message):
         path = write_config(tmp_path)
@@ -205,8 +212,9 @@ class TestInputErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("weights,means,message", [
-        ([float("nan")], [[0.0]], "must be finite"), ([0.5], [[0.0]], "must sum to 1"),
-        ([1.0], [[float("inf")]], "must be finite")])
+        ([float("nan")], [[0.0]], "explicit.weights entry must be a finite number > 0, got nan"),
+        ([0.5], [[0.0]], "bad explicit prior: weights must sum to 1"),
+        ([1.0], [[float("inf")]], "explicit.means entry must be a finite number, got inf")])
     def test_bad_explicit_prior(self, tmp_path, weights, means, message):
         path = write_config(tmp_path)
         cfg = json.loads(path.read_text())
@@ -217,8 +225,7 @@ class TestInputErrors:
         del cfg["image"]
         path.write_text(json.dumps(cfg))
         proc = run_cli("run", str(path), "--quiet")
-        self.assert_input_error(proc, "config error: bad explicit prior: ")
-        assert message in proc.stderr
+        self.assert_input_error(proc, f"config error: {message}")
 
     def test_truncated_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"
@@ -288,6 +295,128 @@ class TestInputErrors:
         assert "not positive definite" in proc.stderr
 
 
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = json.loads((ROOT / "configs" / "demo.json").read_text())
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestDemoConfigEdits:
+    """One-field edits of the shipped demo config: each is one config error."""
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("metrics", "psnrr"), True, "unknown metrics keys: ['psnrr']"),
+        (("image", "shapee"), [32, 32], "unknown image keys: ['shapee']"),
+        (("problem", "operator", "maskk"), {"rows": [0]},
+         "unknown masked-fourier keys: ['maskk']"),
+        (("prior", "cov_scalee"), 0.03, "unknown gmm-recipe keys: ['cov_scalee']"),
+        (("restorer", "typo"), 1, "unknown exact-mmse keys: ['typo']"),
+        (("metrics", "psnr"), "no", "metrics.psnr must be true or false, got 'no'"),
+        (("image", "complex"), "yes", "image.complex must be true or false, got 'yes'"),
+        (("image", "shape"), [32.7, 32], "image.shape entry must be an integer >= 1, got 32.7"),
+        (("name",), 5, "name must be a string, got 5"),
+        (("output_dir",), 3, "output_dir must be a string, got 3"),
+        (("ensemble", "members", 2, "extra"), 1, "unknown masked-fourier keys: ['extra']"),
+        (("metrics", "psnr_peak"), "x", "metrics.psnr_peak must be a finite number > 0, got 'x'"),
+        (("metrics", "psnr_peak"), -1.0,
+         "metrics.psnr_peak must be a finite number > 0, got -1.0"),
+        (("restorer",), "exact-mmse", "restorer must be an object, got 'exact-mmse'"),
+        (("problem", "ground_truth"), "prior",
+         "problem.ground_truth must be an object, got 'prior'"),
+        (("image",), [32, 32], "image must be an object, got [32, 32]"),
+        (("metrics",), [], "metrics must be an object, got []"),
+    ])
+    def test_one_config_error(self, tmp_path, capsys, path, value, message):
+        cfg = copy.deepcopy(DEMO)
+        _set(cfg, path, value)
+        config = tmp_path / "demo.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["run", str(config), "--quiet", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+
+def _mutation_bases():
+    bench = load_bench_workloads()
+    bases = {"demo": copy.deepcopy(DEMO), "superres": bench.superres_config(1)}
+    bases.update((cfg["name"], cfg) for cfg, _, _ in bench.audit_instances(1))
+    for cfg in bases.values():
+        cfg["solver"]["iterations"] = 2
+        cfg["seeds"] = cfg["seeds"][:1]
+    return bases
+
+
+MUTATION_BASES = _mutation_bases()
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON document, the root and containers too."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _json_kind(value):
+    return "number" if isinstance(value, float) else type(value).__name__
+
+
+@st.composite
+def _mutations(draw, base):
+    """(kind, path, mutated config): one field of ``base`` given a wrong type
+    or an unknown key, deleted, or set below its minimum or to a non-finite
+    number. No mutation enlarges a shape, dimension, iteration count or seed
+    list: every number it writes is -1, 0, 1.5 (in place of an integer) or
+    not finite."""
+    nodes = list(_nodes(base))
+    kind = draw(st.sampled_from(["wrong type", "unknown key", "deleted", "below or not finite"]))
+    cfg = copy.deepcopy(base)
+    if kind == "unknown key":
+        path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]))
+        _set(cfg, path + ("zz_unknown",), 1)
+        return kind, path, cfg
+    if kind == "deleted":
+        path = draw(st.sampled_from([p for p, _ in nodes[1:] if isinstance(p[-1], str)]))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return kind, path, cfg
+    if kind == "wrong type":
+        path, value = draw(st.sampled_from(nodes[1:]))
+        values = [v for v in ("x", True, None, [], {}, 1.5) if _json_kind(v) != _json_kind(value)]
+    else:
+        numbers = [(p, v) for p, v in nodes if isinstance(v, (int, float))
+                   and not isinstance(v, bool)]
+        path, value = draw(st.sampled_from(numbers))
+        values = [-1, 0, math.nan, math.inf, -math.inf]
+    _set(cfg, path, draw(st.sampled_from(values)))
+    return kind, path, cfg
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_BASES))
+@given(data=st.data())
+def test_mutated_configs_never_escape(name, data):
+    kind, path, cfg = data.draw(_mutations(MUTATION_BASES[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(config), "--quiet", "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGENCE), (kind, path)
+    if kind == "unknown key":
+        assert code == EXIT_CONFIG, path
+    if code == EXIT_CONFIG:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("config error: ", "input error: ")), lines
+
+
 class TestValidate:
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == EXIT_OK
@@ -332,6 +461,18 @@ class TestAudit:
         assert report["members"] == [{"weight": 1.0, "variance_share": 1.0, "bias_norm": 0.0}]
         assert (tmp_path / "out" / "audit.txt").exists()
         assert "pass: true" in capsys.readouterr().out
+
+    def test_audit_single_gaussian_above_dim_64(self, tmp_path):
+        # dim 128: the solver's trace diagnostics and the audit share the
+        # closed forms' own cap (512)
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["prior"]["components"] = 1
+        path.write_text(json.dumps(cfg))
+        assert main(["audit", str(path), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "audit.json").read_text())
+        assert report["pass"] is True and report["lhs"] < report["rhs"]
+        assert len(report["members"]) == 2
 
     def test_audit_refuses_mixture_without_probes(self, tmp_path, capsys):
         # no closed-form true gradient for mixtures: refusal, exit code 3

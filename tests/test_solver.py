@@ -490,8 +490,8 @@ class TestAudit:
         assert "probed at 10 points with ||x|| <= 1;" in report.to_text()
 
     def test_refuses_a_mixture(self):
-        # no closed-form nu² or eps; true-gradient norms are faked so that the
-        # audit gets as far as the probe terms
+        # no single-Gaussian closed forms: refused up front, although the
+        # true-gradient norms are faked
         prior = GmmPrior([0.4, 0.6], [[-0.5], [0.8]], [np.asarray(0.6), np.asarray(0.9)])
         ens = DegradationEnsemble([Identity(1), Scale(1, 0.5)], sigma=0.8, weights=[0.7, 0.3])
         reg = Regularizer(tau=1.0, prior=prior, ens=ens)
@@ -502,7 +502,7 @@ class TestAudit:
         _, trace = run(problem, reg, restorer, cfg)
         trace.grad_true_norm = trace.grad_hat_norm
         trace.f_initial = 2.0
-        with pytest.raises(AuditError, match="exact nu² and eps: .*one-component"):
+        with pytest.raises(AuditError, match="single-Gaussian closed forms: .*one component"):
             audit_convergence([(problem, reg, restorer, cfg, trace)])
 
     def test_refuses_without_probes_or_iterates(self):
