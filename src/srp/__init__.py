@@ -36,13 +36,11 @@ from .priors import (
 )
 from .restoration import (
     Biased,
-    BiasReport,
     ConstantOffset,
     ExactMmse,
     Gain,
     Smoothing,
     bias_vector,
-    measure_bias,
 )
 from .objective import (
     Problem,

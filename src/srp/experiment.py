@@ -195,13 +195,6 @@ def _to_image(built, v):
     return np.asarray(v, dtype=float)
 
 
-def _psnr_pair(built, x_hat, x_true, peak_cfg):
-    img_hat = _to_image(built, x_hat)
-    img_true = _to_image(built, x_true)
-    peak = peak_cfg if peak_cfg else float(np.max(np.abs(img_true)))
-    return psnr(img_hat.ravel(), img_true.ravel(), peak), img_hat, img_true, peak
-
-
 def run_single(built, seed_value):
     """One simulate -> solve -> score pass; returns (MetricsRow, Trace, extras)."""
     cfg = built.cfg
@@ -215,13 +208,12 @@ def run_single(built, seed_value):
 
     want_psnr = built.metrics["psnr"]
     want_ssim = built.metrics["ssim"]
-    peak_cfg = built.metrics["psnr_peak"]
-    psnr_fn = None
-    if want_psnr:
+    if want_psnr or want_ssim:
         img_true = _to_image(built, x_true)
-        peak = peak_cfg if peak_cfg else float(np.max(np.abs(img_true)))
         flat_true = img_true.ravel()
-        psnr_fn = lambda x: psnr(_to_image(built, back(x)).ravel(), flat_true, peak).db
+        peak = built.metrics["psnr_peak"] or float(np.max(np.abs(img_true)))
+    psnr_fn = ((lambda x: psnr(_to_image(built, back(x)).ravel(), flat_true, peak).db)
+               if want_psnr else None)
 
     x_final, trace = _solve(inputs, scfg, psnr_fn)
     x_final = trace.x_final = back(x_final)
@@ -229,8 +221,9 @@ def run_single(built, seed_value):
     psnr_db = ssim_val = None
     capped = False
     if want_psnr or want_ssim:
-        value, img_hat, img_true, peak = _psnr_pair(built, x_final, x_true, peak_cfg)
+        img_hat = _to_image(built, x_final)
         if want_psnr:
+            value = psnr(img_hat.ravel(), flat_true, peak)
             psnr_db, capped = value.db, value.capped
         if want_ssim and img_hat.ndim == 2:
             ssim_val = ssim(img_hat, img_true, peak=peak)

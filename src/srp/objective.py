@@ -23,7 +23,16 @@ import scipy.linalg
 
 from .operators import DimensionMismatch, gram_operator_norm
 from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
-from .restoration import ConstantOffset, Gain, Smoothing, _unwrap, restore_with_exact
+from .restoration import (
+    ConstantOffset,
+    ExactMmse,
+    Gain,
+    Smoothing,
+    _mc_point,
+    _residual_moments,
+    _unwrap,
+    restore_with_exact,
+)
 
 # Gauss-Hermite resolution per observation dimension for the quadrature
 # fallback; beyond 4 dimensions the node count is no longer reasonable.
@@ -190,9 +199,7 @@ def reg_value_mc(reg, x, mc_samples, rng):
     identically seeded generators share their randomness; that is what makes
     common-random-number finite differences work.
     """
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be at least 2")
-    x = np.asarray(x, dtype=float)
+    x = _mc_point(reg.ens, x, mc_samples, 2)
     posts = _posteriors(reg)
     vals = np.empty(int(mc_samples))
     for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
@@ -205,30 +212,26 @@ def reg_value_mc(reg, x, mc_samples, rng):
 # -- gradients --------------------------------------------------------------------
 
 
+def _sample_variance(mean, mean_sq, n):
+    """Unbiased (ddof=1) per-coordinate variance from n draws' moments."""
+    return np.maximum(mean_sq - mean ** 2, 0.0) * n / (n - 1)
+
+
 def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
     """Monte Carlo estimator of ∇h built on the exact posterior mean.
 
     The integrand uses the exact restoration operator, so the estimator is
-    unbiased for the true gradient of h.
+    unbiased for the true gradient of h. ``return_se`` adds the per-coordinate
+    standard error of the mean.
     """
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be at least 2")
-    x = np.asarray(x, dtype=float)
-    posts = _posteriors(reg)
-    sigma = reg.ens.sigma
-    scale = reg.tau / (sigma * sigma)
-    total = np.zeros(reg.prior.dim)
-    total_sq = np.zeros(reg.prior.dim)
-    for j, H, _, s in reg.ens.observe(x, mc_samples, rng):
-        terms = scale * H.gram_apply(x - posts[j].posterior_mean(s))
-        total += np.sum(terms, axis=0)
-        total_sq += np.sum(terms ** 2, axis=0)
-    n = int(mc_samples)
-    mean = total / n
+    x = _mc_point(reg.ens, x, mc_samples, 2)
+    exact = ExactMmse(reg.prior, reg.ens.sigma)
+    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
+                                      lambda s, H: x - exact.restore(s, H))
     if not return_se:
         return mean
-    var = np.maximum(total_sq / n - mean ** 2, 0.0) * n / (n - 1)
-    return mean, np.sqrt(var / n)
+    n = int(mc_samples)
+    return mean, np.sqrt(_sample_variance(mean, mean_sq, n) / n)
 
 
 def regularizer_curvature_bound(reg):
@@ -293,27 +296,17 @@ def stochastic_grad(problem, reg, restorer, x, rng, batch=1):
     return fidelity_grad(problem, x) + regularizer_step(reg, restorer, x, members, rng)
 
 
-def variance_probe(problem, reg, restorer, x, mc_samples, rng):
+def variance_probe(reg, restorer, x, mc_samples, rng):
     """Empirical trace-variance of the stochastic gradient at x.
 
     The fidelity part is deterministic, so only the regularizer term
     contributes; returns sum_d Var[term_d] with the unbiased (ddof=1)
     normalization.
     """
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be at least 2")
-    x = np.asarray(x, dtype=float)
-    sigma = reg.ens.sigma
-    scale = reg.tau / (sigma * sigma)
-    total = np.zeros(reg.prior.dim)
-    sumsq = 0.0
-    for _, H, _, s in reg.ens.observe(x, mc_samples, rng):
-        terms = scale * H.gram_apply(x - restorer.restore(s, H))
-        total += np.sum(terms, axis=0)
-        sumsq += float(np.sum(terms ** 2))
-    n = int(mc_samples)
-    mean = total / n
-    return max(sumsq - n * float(np.dot(mean, mean)), 0.0) / (n - 1)
+    x = _mc_point(reg.ens, x, mc_samples, 2)
+    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
+                                      lambda s, H: x - restorer.restore(s, H))
+    return float(np.sum(_sample_variance(mean, mean_sq, int(mc_samples))))
 
 
 class AuditTerms(NamedTuple):

@@ -1,4 +1,4 @@
-"""Restoration operators R(s, H) and measurement of their bias.
+"""Restoration operators R(s, H) and the Monte Carlo kernel over them.
 
 The exact operator is the posterior mean under the Gaussian-mixture prior.
 Inexact operators are modeled as parametric perturbations of an inner
@@ -7,18 +7,24 @@ gain (bias proportional to the signal, so any bound only holds on the probed
 domain), and a circular box smoothing (frequency-selective bias). All three
 are affine in the estimate.
 
-The bias vector of an operator R at a point x is
+Three Monte Carlo estimators are moments of one integrand over draws
+H ~ weights, s = H x + sigma n from ``DegradationEnsemble.observe``,
 
-    b(x) = (tau / sigma²) E_{H, s}[ Hᵀ H (R*(s, H) - R(s, H)) ],
+    (tau / sigma²) Hᵀ H r(s, H),
 
-estimated here by Monte Carlo over (H ~ weights, s = H x + sigma n). For a
-single-Gaussian prior R is affine in s, and ``objective.exact_audit_terms``
-gives b(x) in closed form instead.
+and share one draw-and-restore kernel, ``_residual_moments``: the gradient
+of h (``objective.reg_grad_exact``, r = x - R*), the stochastic step's
+trace-variance (``objective.variance_probe``, r = x - R) and the bias vector
+(``bias_vector``, r = R* - R)
+
+    b(x) = (tau / sigma²) E_{H, s}[ Hᵀ H (R*(s, H) - R(s, H)) ].
+
+For a single-Gaussian prior R is affine in s, and
+``objective.exact_audit_terms`` gives the variance and b(x) in closed form
+instead.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -158,21 +164,38 @@ def restore_with_exact(exact, links, s, H):
     return exact_est, est
 
 
-def probe_domain_note(points):
-    """The caveat on a bias bound taken over ``points``."""
-    max_norm = max(float(np.linalg.norm(x)) for x in points)
-    return (f"probed at {len(points)} points with ||x|| <= {max_norm:.6g}; "
-            "not a global bound")
+def _mc_point(ens, x, mc_samples, least):
+    """``x`` as a float vector, for a Monte Carlo estimator over ``ens``.
+
+    Refuses fewer than ``least`` samples (``ValueError``) and any point that
+    is not a 1-D vector of length ``ens.in_dim`` (``DimensionMismatch``).
+    """
+    if mc_samples < least:
+        raise ValueError(f"mc_samples must be at least {least}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ens.in_dim,):
+        raise DimensionMismatch(f"Monte Carlo point must be 1-D, got shape {x.shape}",
+                                ens.in_dim, x.size)
+    return x
 
 
-@dataclass
-class BiasReport:
-    """Probed bound on ||b(x)||_2 over a finite set of points."""
+def _residual_moments(ens, x, tau, mc_samples, rng, residual):
+    """Per-coordinate mean and mean square of (tau/sigma²) HᵀH residual(s, H)
+    over ``mc_samples`` draws of ``ens.observe(x)``.
 
-    epsilon_hat: float
-    per_point: list = field(default_factory=list)  # (x, bias_norm) pairs
-    samples_per_point: int = 0
-    note: str = ""
+    ``residual(s, H)`` maps one member's (c, out_dim) block of observations
+    to (c, in_dim) residuals. Sums run over the unscaled terms; the scale is
+    applied once, after them.
+    """
+    total = np.zeros(ens.in_dim)
+    total_sq = np.zeros(ens.in_dim)
+    for _, H, _, s in ens.observe(x, mc_samples, rng):
+        terms = H.gram_apply(residual(s, H))
+        total += np.sum(terms, axis=0)
+        total_sq += np.sum(terms ** 2, axis=0)
+    scale = float(tau) / (ens.sigma * ens.sigma)
+    n = int(mc_samples)
+    return scale * total / n, scale * scale * total_sq / n
 
 
 def bias_vector(restorer, ens, x, tau, mc_samples, rng):
@@ -183,39 +206,9 @@ def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     is identically zero sample by sample, so the estimate is exactly zero:
     it is returned without drawing, and ``rng`` is left untouched.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ens.in_dim,):
-        raise DimensionMismatch(f"1-D bias probe point, got shape {x.shape}",
-                                ens.in_dim, x.size)
+    x = _mc_point(ens, x, mc_samples, 1)
     exact, links = _unwrap(restorer)
     if not links:
         return np.zeros(ens.in_dim)
-    scale = float(tau) / (ens.sigma * ens.sigma)
-    total = np.zeros(ens.in_dim)
-    for _, H, _, s in ens.observe(x, mc_samples, rng):
-        exact_est, est = restore_with_exact(exact, links, s, H)
-        total += np.sum(H.gram_apply(exact_est - est), axis=0)
-    return scale * total / int(mc_samples)
-
-
-def measure_bias(restorer, ens, probe_points, tau, mc_samples, rng):
-    """||b(x)||_2 at each probe point; epsilon_hat is the maximum.
-
-    This is a probed estimate over the supplied domain, not a proof of a
-    global bound (gain-type perturbations grow with ||x||). An exact
-    restorer reports zero at every point and takes no draws from ``rng``.
-    """
-    probe_points = [np.asarray(p, dtype=float) for p in probe_points]
-    if not probe_points:
-        raise ValueError("measure_bias requires at least one probe point")
-    per_point = []
-    for x in probe_points:
-        b = bias_vector(restorer, ens, x, tau, mc_samples, rng)
-        per_point.append((x, float(np.linalg.norm(b))))
-    eps = max(norm for _, norm in per_point)
-    return BiasReport(
-        epsilon_hat=eps,
-        per_point=per_point,
-        samples_per_point=int(mc_samples),
-        note=probe_domain_note(probe_points),
-    )
+    gap = lambda s, H: np.subtract(*restore_with_exact(exact, links, s, H))
+    return _residual_moments(ens, x, tau, mc_samples, rng, gap)[0]

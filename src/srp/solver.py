@@ -37,7 +37,6 @@ from .objective import (
     gaussian_objective_minimum,
     regularizer_step,
 )
-from .restoration import probe_domain_note
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
 
@@ -363,6 +362,13 @@ def _member_account(terms, weights):
         {"weight": float(p), "variance_share": float(v), "bias_norm": float(b)}
         for p, v, b in zip(weights, shares, np.linalg.norm(terms.member_bias[i], axis=-1))
     ]
+
+
+def probe_domain_note(points):
+    """The caveat on a bias bound taken over ``points``."""
+    max_norm = max(float(np.linalg.norm(x)) for x in points)
+    return (f"probed at {len(points)} points with ||x|| <= {max_norm:.6g}; "
+            "not a global bound")
 
 
 def audit_convergence(runs, probes=None, slack=0.05):

@@ -466,29 +466,67 @@ class TestStochasticGrad:
 class TestVarianceProbe:
     def test_tiny_tau_gives_zero(self):
         reg = gauss_reg(tau=1e-300)
-        p = Problem(Identity(1), np.zeros(1))
         r = ExactMmse(reg.prior, 1.0)
-        v = variance_probe(p, reg, r, np.array([1.0]), 1000,
+        v = variance_probe(reg, r, np.array([1.0]), 1000,
                            np.random.default_rng(15))
         assert v == 0.0
 
     def test_fully_degrading_gram_annihilates(self):
         ens = DegradationEnsemble([Scale(1, 0.0)], sigma=1.0)
         reg = Regularizer(tau=1.0, prior=normal_prior(), ens=ens)
-        p = Problem(Identity(1), np.zeros(1))
         r = ExactMmse(reg.prior, 1.0)
-        v = variance_probe(p, reg, r, np.array([2.0]), 1000,
+        v = variance_probe(reg, r, np.array([2.0]), 1000,
                            np.random.default_rng(16))
         assert v == 0.0
 
     def test_closed_form_quarter(self):
         # term = x/2 - n/2 with n ~ N(0,1): variance 1/4
         reg = gauss_reg()
-        p = Problem(Identity(1), np.zeros(1))
         r = ExactMmse(reg.prior, 1.0)
-        v = variance_probe(p, reg, r, np.array([1.0]), 100_000,
+        v = variance_probe(reg, r, np.array([1.0]), 100_000,
                            np.random.default_rng(17))
         assert abs(v - 0.25) < 0.025
+
+    def test_exact_restorer_shares_reg_grad_draws(self):
+        # same seed, same kernel draws: the trace-variance of the exact step
+        # is n times the summed squared standard errors of the mean gradient
+        prior = GmmPrior([0.4, 0.6], [[0.5, -0.2, 0.1], [-0.3, 0.8, 0.0]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+        ens = DegradationEnsemble(
+            [Identity(3), CoordinateMask(3, [0, 2]),
+             DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
+            sigma=0.6, weights=[0.5, 0.2, 0.3])
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        x, n = np.array([0.3, -1.1, 0.7]), 3000
+        v = variance_probe(reg, ExactMmse(prior, 0.6), x, n, np.random.default_rng(18))
+        _, se = reg_grad_exact(reg, x, n, np.random.default_rng(18), return_se=True)
+        assert v > 0.0
+        np.testing.assert_allclose(v, n * np.sum(se ** 2), rtol=1e-12, atol=0.0)
+
+
+class TestMonteCarloInputs:
+    """The four Monte Carlo estimators refuse the same malformed inputs."""
+
+    ESTIMATORS = {
+        "reg_value_mc": lambda reg, r, x, n, rng: reg_value_mc(reg, x, n, rng),
+        "reg_grad_exact": lambda reg, r, x, n, rng: reg_grad_exact(reg, x, n, rng),
+        "variance_probe": lambda reg, r, x, n, rng: variance_probe(reg, r, x, n, rng),
+        "bias_vector": lambda reg, r, x, n, rng: bias_vector(r, reg.ens, x, reg.tau, n, rng),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_refuses_malformed_points_and_too_few_samples(self, name):
+        reg = gauss_reg(n=3)
+        r = Biased(ExactMmse(reg.prior, 1.0), Gain(0.7))
+        estimate = self.ESTIMATORS[name]
+        for shape in ((2,), (4,), (1, 3), (3, 3), (3, 1), ()):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+                estimate(reg, r, np.zeros(shape), 10, np.random.default_rng(0))
+        least = 1 if name == "bias_vector" else 2
+        for mc_samples in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"at least {least}"):
+                estimate(reg, r, np.zeros(3), mc_samples, np.random.default_rng(0))
+        estimate(reg, r, np.zeros(3), least, np.random.default_rng(0))
 
 
 @st.composite
@@ -543,10 +581,9 @@ class TestExactAuditTerms:
         # Z standard errors of 10 batch means (a t statistic on 9 degrees of
         # freedom); the absolute floor covers estimates with no spread
         reg, restorer, x, seed = case
-        problem = Problem(Identity(reg.prior.dim), np.zeros(reg.prior.dim))
         terms = exact_audit_terms(reg, restorer, [x])
         nu2, se = self.batch_means(
-            lambda rng: variance_probe(problem, reg, restorer, x, self.DRAWS, rng), seed)
+            lambda rng: variance_probe(reg, restorer, x, self.DRAWS, rng), seed)
         assert abs(terms.nu2[0] - nu2) <= self.Z * se + 1e-9 * (1.0 + nu2)
         bias, se = self.batch_means(
             lambda rng: bias_vector(restorer, reg.ens, x, reg.tau, self.DRAWS, rng), seed)

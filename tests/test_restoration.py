@@ -13,7 +13,6 @@ from srp.restoration import (
     Smoothing,
     _unwrap,
     bias_vector,
-    measure_bias,
 )
 
 
@@ -93,6 +92,24 @@ class TestBiasVector:
         rng = np.random.default_rng(3)
         b = bias_vector(r, ens, np.zeros(3), tau=1.0, mc_samples=200, rng=rng)
         np.testing.assert_allclose(b, [-0.3, 0.0, 0.2], atol=1e-12)
+
+    def test_offset_bias_norm_is_norm_of_c(self):
+        prior = normal_prior(n=2)
+        ens = DegradationEnsemble([Identity(2)], sigma=1.0)
+        r = Biased(ExactMmse(prior, 1.0), ConstantOffset([0.3, 0.4]))
+        rng = np.random.default_rng(7)
+        for x in (np.zeros(2), np.ones(2)):
+            b = bias_vector(r, ens, x, tau=1.0, mc_samples=100, rng=rng)
+            np.testing.assert_allclose(np.linalg.norm(b), 0.5, atol=1e-12)
+
+    def test_bias_doubles_with_offset_same_draws(self):
+        prior = normal_prior(n=2)
+        ens = DegradationEnsemble([Identity(2), CoordinateMask(2, [1])], sigma=0.8)
+        r1 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.1, 0.2]))
+        r2 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.2, 0.4]))
+        b1 = bias_vector(r1, ens, np.zeros(2), 1.0, 5000, np.random.default_rng(8))
+        b2 = bias_vector(r2, ens, np.zeros(2), 1.0, 5000, np.random.default_rng(8))
+        np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-10)
 
     def test_offset_bias_independent_of_x(self):
         prior = normal_prior(n=2)
@@ -202,17 +219,6 @@ class TestExactBiasTakesNoDraws:
             assert b.tobytes() == np.zeros(4).tobytes()  # +0.0 throughout
         assert rng.bit_generator.state == state
 
-    def test_measure_bias(self):
-        exact, ens = self.instance()
-        rng = np.random.default_rng(32)
-        state = rng.bit_generator.state
-        probes = [np.array([0.9, -0.3, 1.7, 0.4]), np.ones(4)]
-        report = measure_bias(exact, ens, probes, 1.2, 300, rng)
-        assert rng.bit_generator.state == state
-        assert report.epsilon_hat == 0.0
-        assert [norm for _, norm in report.per_point] == [0.0, 0.0]
-        assert report.samples_per_point == 300
-
     @pytest.mark.parametrize("biased", [False, True])
     def test_probe_point_length_checked(self, biased):
         exact, ens = self.instance()
@@ -224,59 +230,3 @@ class TestExactBiasTakesNoDraws:
             with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
                 bias_vector(restorer, ens, np.zeros(shape), 1.2, 10,
                             np.random.default_rng(0))
-
-
-class TestMeasureBias:
-    def test_exact_reports_zero(self):
-        prior = normal_prior(n=2)
-        ens = DegradationEnsemble([Identity(2)], sigma=1.0)
-        r = ExactMmse(prior, 1.0)
-        rng = np.random.default_rng(6)
-        report = measure_bias(r, ens, [np.zeros(2), np.ones(2)], tau=1.0,
-                              mc_samples=100, rng=rng)
-        assert report.epsilon_hat == 0.0
-        assert report.samples_per_point == 100
-
-    def test_offset_epsilon_is_norm_of_c(self):
-        prior = normal_prior(n=2)
-        ens = DegradationEnsemble([Identity(2)], sigma=1.0)
-        c = np.array([0.3, 0.4])
-        r = Biased(ExactMmse(prior, 1.0), ConstantOffset(c))
-        rng = np.random.default_rng(7)
-        report = measure_bias(r, ens, [np.zeros(2), np.ones(2)], tau=1.0,
-                              mc_samples=100, rng=rng)
-        np.testing.assert_allclose(report.epsilon_hat, 0.5, atol=1e-12)
-        for _, norm in report.per_point:
-            np.testing.assert_allclose(norm, 0.5, atol=1e-12)
-
-    def test_epsilon_scales_with_offset(self):
-        prior = normal_prior(n=2)
-        ens = DegradationEnsemble([Identity(2), CoordinateMask(2, [1])], sigma=0.8)
-        rng_a = np.random.default_rng(8)
-        rng_b = np.random.default_rng(8)
-        probes = [np.zeros(2)]
-        r1 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.1, 0.2]))
-        r2 = Biased(ExactMmse(prior, 0.8), ConstantOffset([0.2, 0.4]))
-        e1 = measure_bias(r1, ens, probes, 1.0, 5000, rng_a).epsilon_hat
-        e2 = measure_bias(r2, ens, probes, 1.0, 5000, rng_b).epsilon_hat
-        np.testing.assert_allclose(e2, 2.0 * e1, rtol=1e-10)
-
-    def test_epsilon_is_max_over_probes(self):
-        prior = normal_prior()
-        ens = DegradationEnsemble([Identity(1)], sigma=1.0)
-        r = Biased(ExactMmse(prior, 1.0), Gain(0.5))
-        rng = np.random.default_rng(9)
-        report = measure_bias(
-            r, ens, [np.array([0.5]), np.array([2.0])], tau=1.0,
-            mc_samples=50_000, rng=rng,
-        )
-        norms = [n for _, n in report.per_point]
-        assert report.epsilon_hat == max(norms)
-        assert "not a global bound" in report.note
-
-    def test_requires_probes(self):
-        prior = normal_prior()
-        ens = DegradationEnsemble([Identity(1)], sigma=1.0)
-        with pytest.raises(ValueError):
-            measure_bias(ExactMmse(prior, 1.0), ens, [], 1.0, 10,
-                         np.random.default_rng(0))
