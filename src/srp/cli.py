@@ -7,9 +7,11 @@ Subcommands:
   sweep <config> --grid <file> cartesian parameter sweep over config overrides
 
 Exit codes: 0 success, 2 config or input error, 3 validation/audit failure,
-4 divergence. Input errors are unreadable array files, mismatched
-dimensions, refused dense materializations and covariances that do not
-factor; each is reported on one stderr line, without a traceback.
+4 divergence. Config errors include a ground-truth file with non-finite
+entries and an output path that is, or lies under, an existing file. Input
+errors are unreadable array files, mismatched dimensions, refused dense
+materializations and covariances that do not factor; each is reported on one
+stderr line, without a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .arrayio import ArrayFileError
@@ -36,9 +39,9 @@ EXIT_DIVERGENCE = 4
 def _load_config(path, args):
     cfg = ExperimentConfig.load(path)
     if args.seed is not None:
-        cfg.seed = Int()(args.seed, "--seed")
+        cfg = replace(cfg, seed=Int()(args.seed, "--seed"))
     if args.out is not None:
-        cfg.output_dir = str(args.out)
+        cfg = replace(cfg, output_dir=str(args.out))
     return cfg
 
 
@@ -66,7 +69,7 @@ def _cmd_validate(args):
 def _cmd_audit(args):
     cfg = _load_config(args.config, args)
     report = audit_experiment(cfg)
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "audit.txt").write_text(report.to_text())
     with open(out / "audit.json", "w") as fh:
@@ -101,7 +104,7 @@ def _cmd_sweep(args):
     if bad:
         raise ConfigError(f"sweep grid values must be non-empty lists: {bad}")
     combos = list(itertools.product(*(grid[k] for k in keys)))
-    base = Path(args.out) if args.out else Path(cfg.output_dir)
+    base = Path(cfg.output_dir)
     # every combination is built, and so checked, before the first one runs
     builds = []
     for i, combo in enumerate(combos):
@@ -179,7 +182,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+        # a missing input file, or an output path that is, or is under, a file
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArrayFileError, DimensionMismatch, DenseCapExceeded,

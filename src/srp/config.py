@@ -1,9 +1,11 @@
 """Experiment configuration: a versioned JSON document, the schema that checks
 it, and builders that turn its recipes into operators, priors, ensembles and
 restorers. Each block and recipe kind has one table below, giving every field's
-type and default (or ``REQUIRED``). The builders only construct; the checks left
-in them relate one field to another. Random masks and generated priors embed
-their own seeds, so the config alone reproduces a run.
+type and default (or ``REQUIRED``). A document is read once, into a frozen
+``ExperimentConfig`` of checked blocks; a recipe (operator, prior, restorer) is
+read once too, by its builder. The builders only construct; the checks left in
+them relate one field to another. Random masks and generated priors embed their
+own seeds, so the config alone reproduces a run.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -218,7 +220,8 @@ STRATEGY = OneOf("iid-by-weights", "cyclic", "fixed")
 SOLVER = Block({
     "gamma": (Real(0), REQUIRED), "tau": (Real(0, strict=True), REQUIRED), "iterations": DIM,
     "selection": (Either(STRATEGY, Block({"strategy": (STRATEGY, REQUIRED),
-                                          "index": (Int(), 0)})), "iid-by-weights"),
+                                          "index": (Int(), 0)})),
+                  {"strategy": "iid-by-weights"}),  # an object: a sweep may set its strategy
     "batch": (POSITIVE, 1),
     "x0": (Either(OneOf("zeros", "adjoint"), ListOf(FINITE)), "adjoint"),
 })
@@ -245,10 +248,11 @@ EXPERIMENT = Block({
 })
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A checked config; its recipes are checked by their builders. The blocks
-    are kept as given, for ``report.json`` to echo."""
+    """A checked config: the fields ``EXPERIMENT`` returns, defaults filled in.
+    Its recipes (operators, prior, restorer) are checked by their builders, so
+    ``build_experiment`` reads no block again; ``report.json`` echoes it."""
 
     version: int
     name: str
@@ -260,15 +264,12 @@ class ExperimentConfig:
     ensemble: dict
     restorer: dict
     solver: dict
-    image: dict | None = None
-    metrics: dict = field(default_factory=dict)
+    image: dict | None
+    metrics: dict
 
     @classmethod
     def from_dict(cls, d):
-        v = EXPERIMENT(d, "")
-        return cls(**{k: v[k] for k in ("version", "name", "seed", "seeds", "output_dir")},
-                   **{k: d[k] for k in ("problem", "prior", "ensemble", "restorer", "solver")},
-                   image=d.get("image"), metrics=d.get("metrics", {}))
+        return cls(**EXPERIMENT(d, ""))
 
     def to_dict(self):
         d = asdict(self)
@@ -300,7 +301,7 @@ class ExperimentConfig:
         return cls.loads(text)
 
 
-# -- builders: each reads its block, then constructs ------------------------------
+# -- builders: a recipe builder reads its recipe, the others take checked blocks ---
 
 
 def _mask_rows(n, mask):
@@ -372,8 +373,8 @@ def build_prior(spec):
     return GmmPrior(np.full(k, 1.0 / k), means, covs)
 
 
-def build_ensemble(spec):
-    v = ENSEMBLE(spec, "ensemble")
+def build_ensemble(v):
+    """The ensemble of a checked ``ensemble`` block."""
     members, weights = [build_operator(s) for s in v["members"]], v["weights"]
     if weights is not None and (len(weights) != len(members) or abs(np.sum(weights) - 1) > 1e-12):
         raise ConfigError(f"ensemble.weights must be {len(members)} numbers (one per "
@@ -399,15 +400,16 @@ def build_restorer(spec, prior, sigma):
     return Biased(inner, ConstantOffset(offset))
 
 
-def build_solver_config(spec, tau, seed):
-    v = SOLVER(spec, "solver")
+def build_solver_config(v, seed):
+    """The solver settings of a checked ``solver`` block; tau goes to the
+    ``Regularizer``, not here."""
     sel = v["selection"]
     if isinstance(sel, str):
         sel = {"strategy": sel, "index": 0}
     if v["batch"] > 1 and sel["strategy"] != "iid-by-weights":
         raise ConfigError("solver.batch > 1 needs the iid-by-weights selection")
     x0 = v["x0"] if isinstance(v["x0"], str) else np.array(v["x0"], dtype=float)
-    return SolverConfig(gamma=v["gamma"], tau=float(tau), iterations=v["iterations"],
+    return SolverConfig(gamma=v["gamma"], iterations=v["iterations"],
                         selection=sel["strategy"], fixed_index=sel["index"],
                         batch=v["batch"], seed=int(seed), x0=x0)
 
@@ -422,45 +424,42 @@ class BuiltExperiment:
     prior: GmmPrior
     ensemble: DegradationEnsemble
     restorer: object
-    tau: float
-    noise_sigma: float
-    ground_truth: dict
-    image_shape: tuple | None
-    image_complex: bool
+    tau: float  # the regularizer weight, ``cfg.solver["tau"]``
+    truth: np.ndarray | None  # a file ground truth, read once; None: sampled from the prior
     solver: SolverConfig  # at the config's root seed; each run replaces the seed
-    metrics: dict  # the checked metrics block
 
 
 def build_experiment(cfg):
-    """Build and cross-validate every component named by the config."""
-    v = EXPERIMENT(vars(cfg), "")
-    A = build_operator(v["problem"]["operator"])
-    prior = build_prior(v["prior"])
-    ensemble = build_ensemble(v["ensemble"])
-    restorer = build_restorer(v["restorer"], prior, ensemble.sigma)
+    """Build and cross-validate every component named by a checked config."""
+    A = build_operator(cfg.problem["operator"])
+    prior = build_prior(cfg.prior)
+    ensemble = build_ensemble(cfg.ensemble)
+    restorer = build_restorer(cfg.restorer, prior, ensemble.sigma)
     if A.in_dim != prior.dim:
         raise ConfigError(f"measurement operator in_dim {A.in_dim} != prior dim {prior.dim}")
     if ensemble.in_dim != prior.dim:
         raise ConfigError(f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}")
-    gt = v["problem"]["ground_truth"]
+    gt, truth = cfg.problem["ground_truth"], None
     if gt["source"] == "file":
         if not gt["path"]:
             raise ConfigError("ground_truth.source=file needs a path")
-        size = arrayio.read_array(gt["path"]).size
-        if size != prior.dim:
-            raise ConfigError(f"ground truth file has {size} values, prior dim is {prior.dim}")
-    image = v["image"] or {"shape": None, "complex": False}
-    n = image["shape"] and int(np.prod(image["shape"])) * (1 + image["complex"])
+        truth = arrayio.read_array(gt["path"]).ravel()
+        if truth.size != prior.dim:
+            raise ConfigError(f"ground truth file has {truth.size} values, "
+                              f"prior dim is {prior.dim}")
+        if not np.all(np.isfinite(truth)):
+            raise ConfigError(f"ground truth file {gt['path']} has non-finite entries")
+        truth.setflags(write=False)  # one vector for every seed
+    image = cfg.image
+    n = image and int(np.prod(image["shape"])) * (1 + image["complex"])
     if n and n != prior.dim:
         raise ConfigError(f"image spec implies vectors of length {n}, prior dim is {prior.dim}")
-    scfg = build_solver_config(v["solver"], v["solver"]["tau"], v["seed"])
+    scfg = build_solver_config(cfg.solver, cfg.seed)
     if scfg.selection == "fixed" and scfg.fixed_index >= ensemble.size:
         raise ConfigError(f"solver.selection.index {scfg.fixed_index} out of range for "
                           f"{ensemble.size} ensemble members")
     if not isinstance(scfg.x0, str) and len(scfg.x0) != prior.dim:
         raise ConfigError(f"solver.x0 must have {prior.dim} entries (the prior dim), "
                           f"got {len(scfg.x0)}")
-    return BuiltExperiment(
-        cfg=cfg, A=A, prior=prior, ensemble=ensemble, restorer=restorer, tau=scfg.tau,
-        noise_sigma=v["problem"]["noise_sigma"], ground_truth=gt, image_shape=image["shape"],
-        image_complex=image["complex"], solver=scfg, metrics=v["metrics"])
+    return BuiltExperiment(cfg=cfg, A=A, prior=prior, ensemble=ensemble, restorer=restorer,
+                           tau=cfg.solver["tau"], truth=truth, solver=scfg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,14 +79,12 @@ def _seed_streams(root_seed, seed_value):
 
 
 def simulate_measurement(built, rng):
-    """Ground truth (sampled or loaded) and measurement y = A x + e."""
-    if built.ground_truth.get("source") == "file":
-        x_true = arrayio.read_array(built.ground_truth["path"]).ravel()
-    else:
-        x_true = built.prior.sample(rng)
+    """Ground truth (the file's, else sampled) and measurement y = A x + e."""
+    x_true = built.prior.sample(rng) if built.truth is None else built.truth
     y = built.A.apply(x_true)
-    if built.noise_sigma > 0:
-        y = y + built.noise_sigma * rng.standard_normal(built.A.out_dim)
+    sigma = built.cfg.problem["noise_sigma"]
+    if sigma > 0:
+        y = y + sigma * rng.standard_normal(built.A.out_dim)
     return x_true, y
 
 
@@ -188,11 +186,12 @@ def _solve(inputs, scfg, psnr_fn=None):
 
 
 def _to_image(built, v):
-    if built.image_complex:
-        return magnitude(v).reshape(built.image_shape)
-    if built.image_shape is not None:
-        return np.asarray(v, dtype=float).reshape(built.image_shape)
-    return np.asarray(v, dtype=float)
+    image = built.cfg.image
+    if image is None:
+        return np.asarray(v, dtype=float)
+    if image["complex"]:
+        return magnitude(v).reshape(image["shape"])
+    return np.asarray(v, dtype=float).reshape(image["shape"])
 
 
 def run_single(built, seed_value):
@@ -206,12 +205,11 @@ def run_single(built, seed_value):
     back = (lambda v: v) if U is None else U.adjoint_apply
     scfg = replace(built.solver, seed=solver_seed)
 
-    want_psnr = built.metrics["psnr"]
-    want_ssim = built.metrics["ssim"]
+    want_psnr, want_ssim = cfg.metrics["psnr"], cfg.metrics["ssim"]
     if want_psnr or want_ssim:
         img_true = _to_image(built, x_true)
         flat_true = img_true.ravel()
-        peak = built.metrics["psnr_peak"] or float(np.max(np.abs(img_true)))
+        peak = cfg.metrics["psnr_peak"] or float(np.max(np.abs(img_true)))
     psnr_fn = ((lambda x: psnr(_to_image(built, back(x)).ravel(), flat_true, peak).db)
                if want_psnr else None)
 
@@ -292,7 +290,6 @@ def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
 
     rows = {}
     traces = {}
-    wall = {}
 
     def one(seed_value):
         row, trace, x_final, x_true = run_single(built, seed_value)
@@ -306,13 +303,11 @@ def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
             for seed_value, row, trace in pool.map(one, cfg.seeds):
                 rows[seed_value] = row
                 traces[seed_value] = trace
-                wall[seed_value] = row.wall_ms
     else:
         for seed_value in cfg.seeds:
             seed_value, row, trace = one(seed_value)
             rows[seed_value] = row
             traces[seed_value] = trace
-            wall[seed_value] = row.wall_ms
             if not quiet:
                 p = "" if row.psnr_db is None else f" psnr={row.psnr_db:.2f}dB"
                 print(f"seed {seed_value}: done{p}")
@@ -324,20 +319,8 @@ def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
 
     report = {
         "config": cfg.to_dict(),
-        "rows": [
-            {
-                "run_id": r.run_id,
-                "seed": r.seed,
-                "psnr_db": r.psnr_db,
-                "ssim": r.ssim,
-                "f_final": r.f_final,
-                "iters": r.iters,
-                "wall_ms": r.wall_ms,
-                "psnr_capped": r.psnr_capped,
-            }
-            for r in ordered
-        ],
-        "wall_ms_total": sum(wall.values()),
+        "rows": [asdict(r) for r in ordered],
+        "wall_ms_total": sum(r.wall_ms for r in ordered),
         "notes": [
             "summary.csv wall_ms column is fixed at 0 to keep outputs "
             "byte-deterministic; measured timings are in this report",

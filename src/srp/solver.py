@@ -55,8 +55,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """The iteration's settings; its weight tau lives on the ``Regularizer``."""
+
     gamma: float
-    tau: float
     iterations: int
     selection: str = "iid-by-weights"  # iid-by-weights | cyclic | fixed
     fixed_index: int = 0
@@ -184,8 +185,6 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
             f"restorer noise level {restorer.base_sigma} does not match "
             f"ensemble sigma {ens.sigma}"
         )
-    if cfg.tau != reg.tau:
-        raise ValueError("solver tau must match the regularizer tau")
     if cfg.selection == "fixed" and not 0 <= cfg.fixed_index < ens.size:
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 

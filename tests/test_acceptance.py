@@ -240,7 +240,7 @@ def _audit(problem, reg, restorer, gamma, seeds=50, iterations=500):
     runs = []
     for seed in range(seeds):
         cfg = SolverConfig(
-            gamma=gamma, tau=reg.tau, iterations=iterations, seed=seed,
+            gamma=gamma, iterations=iterations, seed=seed,
             x0="zeros", record_iterates=True,
         )
         _, trace = run(problem, reg, restorer, cfg)
@@ -301,7 +301,7 @@ def test_criterion_6_reductions_bit_for_bit():
     restorer = ExactMmse(prior, 0.8)
     gamma, t, seed = 0.05, 80, 321
 
-    cfg = SolverConfig(gamma=gamma, tau=0.5, iterations=t, seed=seed, x0="zeros")
+    cfg = SolverConfig(gamma=gamma, iterations=t, seed=seed, x0="zeros")
     x_solver, trace_solver = run(problem, reg, restorer, cfg)
 
     # denoiser-residual reference
@@ -319,7 +319,7 @@ def test_criterion_6_reductions_bit_for_bit():
     # fixed-prior reference: one-member ensemble, iid vs fixed selection
     ens1 = DegradationEnsemble([CoordinateMask(3, [0, 2])], sigma=0.8)
     reg1 = Regularizer(tau=0.5, prior=prior, ens=ens1)
-    kw = dict(gamma=gamma, tau=0.5, iterations=t, seed=seed, x0="zeros")
+    kw = dict(gamma=gamma, iterations=t, seed=seed, x0="zeros")
     x_iid, t_iid = run(problem, reg1, restorer, SolverConfig(**kw))
     x_fix, t_fix = run(
         problem, reg1, restorer,

@@ -239,6 +239,16 @@ class TestInputErrors:
         self.assert_input_error(proc)
         assert "expected 128 values, got 127" in proc.stderr
 
+    def test_non_finite_ground_truth_file(self, tmp_path):
+        gt = tmp_path / "truth.f64"
+        write_array(gt, np.r_[np.zeros(127), np.nan])
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["problem"]["ground_truth"] = {"source": "file", "path": str(gt)}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, f"config error: ground truth file {gt} has non-finite")
+
     @pytest.mark.parametrize("height", [float("nan"), -1.0, 2.5, float("inf")])
     def test_malformed_ground_truth_header(self, tmp_path, height):
         gt = tmp_path / "truth.f64"
@@ -508,3 +518,71 @@ class TestSweep:
         assert len(index) == 3  # header + 2 combos
         assert (tmp_path / "sweep" / "sweep_000" / "summary.csv").exists()
         assert (tmp_path / "sweep" / "sweep_001" / "summary.csv").exists()
+
+    def test_sweep_sets_the_strategy_of_an_absent_selection(self, tmp_path):
+        path = write_config(tmp_path, iterations=5)
+        cfg = json.loads(path.read_text())
+        del cfg["solver"]["selection"]
+        path.write_text(json.dumps(cfg))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"solver.selection.strategy": ["cyclic"]}))
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        report = json.loads((tmp_path / "sweep" / "sweep_000" / "report.json").read_text())
+        assert report["config"]["solver"]["selection"]["strategy"] == "cyclic"
+
+
+def single_gaussian_config(tmp_path, **config):
+    """``write_config`` with one prior component, which the audit needs, and
+    top-level fields replaced by ``config``."""
+    path = write_config(tmp_path, iterations=5)
+    cfg = json.loads(path.read_text())
+    cfg["prior"]["components"] = 1
+    cfg.update(config)
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestOutputPaths:
+    """An output path that is, or lies under, an existing file is one config
+    error line, exit 2, for every command that writes."""
+
+    @pytest.mark.parametrize("command", ["run", "audit", "sweep"])
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    def test_output_path_through_a_file(self, tmp_path, capsys, command, via):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        # the flag names the file itself, the config a directory under it
+        out = blocker if via == "--out" else blocker / "out"
+        path = single_gaussian_config(tmp_path, output_dir=str(out))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"solver.gamma": [0.1]}))
+        argv = [command, str(path), "--quiet"]
+        argv += ["--out", str(out)] if via == "--out" else []
+        argv += ["--grid", str(grid)] if command == "sweep" else []
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert blocker.read_text() == ""
+
+
+class TestOverrides:
+    def test_run_seed_and_out_echoed(self, tmp_path):
+        path = single_gaussian_config(tmp_path)
+        out = tmp_path / "D"
+        assert main(["run", str(path), "--quiet", "--seed", "9", "--out", str(out)]) == EXIT_OK
+        echo = json.loads((out / "report.json").read_text())["config"]
+        assert (echo["seed"], echo["output_dir"]) == (9, str(out))
+        assert not (tmp_path / "out").exists()
+
+    def test_audit_seed_applies(self, tmp_path):
+        def audit(name, *flags, **config):
+            path = single_gaussian_config(tmp_path / name, **config)
+            out = tmp_path / name / "audit"
+            assert main(["audit", str(path), "--quiet", "--out", str(out), *flags]) == EXIT_OK
+            return (out / "audit.json").read_text()
+        for name in ("flag", "config", "default"):
+            (tmp_path / name).mkdir()
+        by_flag = audit("flag", "--seed", "9")
+        assert by_flag == audit("config", seed=9)
+        assert by_flag != audit("default")

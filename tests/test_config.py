@@ -1,10 +1,13 @@
 import json
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_bench_workloads
+from srp import config
 from srp.arrayio import write_array
 from srp.config import (
     EXPERIMENT,
@@ -411,6 +414,15 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError, match="ground truth"):
             build_experiment(ExperimentConfig.from_dict(d))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_ground_truth_file_must_be_finite(self, tmp_path, bad):
+        path = tmp_path / "gt.f64"
+        write_array(path, [0.0, bad, 0.0, 0.0])
+        d = minimal_config_dict()
+        d["problem"]["ground_truth"] = {"source": "file", "path": str(path)}
+        with pytest.raises(ConfigError, match="ground truth file .* has non-finite entries"):
+            build_experiment(ExperimentConfig.from_dict(d))
+
     @pytest.mark.parametrize("block,key,value,message", [
         ("solver", "iterations", 2.7, "solver.iterations must be an integer >= 1"),
         ("solver", "iterations", "10", "solver.iterations must be an integer >= 1"),
@@ -487,14 +499,15 @@ class TestBuildExperiment:
         d["ensemble"].update(sigma=1, weights=[1])
         d["problem"]["noise_sigma"] = 0
         built = build_experiment(ExperimentConfig.from_dict(d))
-        assert (built.tau, built.noise_sigma, built.ensemble.sigma) == (2.0, 0.0, 1.0)
+        assert (built.tau, built.cfg.problem["noise_sigma"],
+                built.ensemble.sigma) == (2.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("x0", ["zeros", "adjoint", [1, 2, 3, 4], [0.5, -1.0, 0.0, 2.0]])
     def test_x0_accepted(self, x0):
         d = minimal_config_dict()
         d["solver"]["x0"] = x0
         built = build_experiment(ExperimentConfig.from_dict(d))
-        got = build_solver_config(built.cfg.solver, built.tau, 0).x0
+        got = build_solver_config(built.cfg.solver, 0).x0
         if isinstance(x0, str):
             assert got == x0
         else:
@@ -559,7 +572,7 @@ class TestReadme:
         example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         built = build_experiment(ExperimentConfig.from_dict(example))
         assert built.A.in_dim == built.prior.dim == 2048
-        assert built.ensemble.size == 2 and built.metrics["ssim"]
+        assert built.ensemble.size == 2 and built.cfg.metrics["ssim"]
 
 
 def test_reading_is_idempotent():
@@ -572,3 +585,35 @@ def test_reading_is_idempotent():
     for d in (demo, minimal_config_dict(restorer=offset, ensemble=masks)):
         checked = EXPERIMENT(d, "")
         assert EXPERIMENT(checked, "") == checked
+
+
+class TestReadOnce:
+    """A config document is read once, by ``from_dict``; ``build_experiment``
+    builds from its checked blocks and reads none of them again."""
+
+    def test_from_dict_runs_the_schema_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(config, "EXPERIMENT",
+                            lambda d, what: calls.append(what) or EXPERIMENT(d, what))
+        ExperimentConfig.from_dict(minimal_config_dict())
+        assert calls == [""]
+
+    def test_build_reads_no_block_again(self, monkeypatch):
+        bench = load_bench_workloads()
+        docs = [json.loads((ROOT / "configs" / "demo.json").read_text()),
+                bench.superres_config(1), *(cfg for cfg, _, _ in bench.audit_instances(1))]
+        cfgs = [ExperimentConfig.from_dict(d) for d in docs]
+
+        def refuse(value, what):
+            raise AssertionError(f"{what or 'config'} read again")
+        for name in ("EXPERIMENT", "ENSEMBLE", "SOLVER"):
+            monkeypatch.setattr(config, name, refuse)
+        for cfg in cfgs:
+            built = build_experiment(cfg)
+            assert built.cfg is cfg and built.tau == cfg.solver["tau"]
+
+    def test_config_is_frozen(self):
+        cfg = ExperimentConfig.from_dict(minimal_config_dict())
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 4
+        assert cfg.seed == 3

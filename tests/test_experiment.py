@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_workloads
+from srp import arrayio
 from srp.arrayio import read_array, write_array
 from srp.config import ExperimentConfig, build_experiment, build_solver_config
 from srp.experiment import (
@@ -127,6 +128,30 @@ class TestSimulate:
         built = build_experiment(cfg)
         x, _ = simulate_measurement(built, np.random.default_rng(0))
         np.testing.assert_array_equal(x, gt)
+
+    def test_ground_truth_file_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "gt.f64"
+        write_array(path, np.arange(4.0))
+        cfg = ExperimentConfig.from_dict({
+            "version": 1, "name": "s", "seed": 1, "seeds": [1, 2],
+            "output_dir": str(tmp_path / "out"),
+            "problem": {"operator": {"kind": "identity", "dim": 4},
+                        "ground_truth": {"source": "file", "path": str(path)}},
+            "prior": {"type": "gmm-recipe", "dim": 4, "components": 1,
+                      "seed": 2, "cov_scale": 1.0},
+            "ensemble": {"members": [{"kind": "identity", "dim": 4}], "sigma": 0.5},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
+        })
+        built = build_experiment(cfg)
+
+        def refuse(path):
+            raise AssertionError(f"{path} read again")
+        monkeypatch.setattr(arrayio, "read_array", refuse)
+        run_experiment(built)
+        for seed in cfg.seeds:
+            np.testing.assert_array_equal(read_array(tmp_path / "out" / f"truth_seed{seed}.f64"),
+                                          np.arange(4.0))
 
 
 class TestRunExperiment:
@@ -301,7 +326,7 @@ def _unpeeled_run(built, seed_value, x0=None):
     cfg = built.cfg
     sim_rng, solver_seed = _seed_streams(cfg.seed, seed_value)
     x_true, y = simulate_measurement(built, sim_rng)
-    scfg = build_solver_config(cfg.solver, built.tau, solver_seed)
+    scfg = build_solver_config(cfg.solver, solver_seed)
     if x0 is not None:
         scfg.x0 = x0
     psnr_fn = None
@@ -411,8 +436,7 @@ class TestSharedHeadPeel:
         reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
         runs = []
         for seed_value in cfg.seeds:
-            scfg = build_solver_config(cfg.solver, built.tau,
-                                       _seed_streams(cfg.seed, seed_value)[1])
+            scfg = build_solver_config(cfg.solver, _seed_streams(cfg.seed, seed_value)[1])
             scfg.record_iterates = True
             runs.append((problem, reg, built.restorer, scfg,
                          run(problem, reg, built.restorer, scfg)[1]))

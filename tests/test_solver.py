@@ -60,7 +60,7 @@ class TestRunBasics:
         ens = DegradationEnsemble([Identity(2)], sigma=1.0)
         reg = Regularizer(tau=1e-300, prior=prior, ens=ens)
         problem = Problem(Identity(2), np.array([0.7, -0.3]))
-        cfg = SolverConfig(gamma=1.0, tau=1e-300, iterations=1, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=1.0, iterations=1, seed=0, x0="zeros")
         x, trace = run(problem, reg, ExactMmse(prior, 1.0), cfg)
         np.testing.assert_allclose(x, [0.7, -0.3], atol=1e-290)
         assert len(trace) == 1
@@ -68,7 +68,7 @@ class TestRunBasics:
     def test_zero_step_size_freezes(self):
         problem, reg, restorer = one_d_instance()
         x0 = np.array([1.5])
-        cfg = SolverConfig(gamma=0.0, tau=1.0, iterations=10, seed=1, x0=x0)
+        cfg = SolverConfig(gamma=0.0, iterations=10, seed=1, x0=x0)
         x, trace = run(problem, reg, restorer, cfg)
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(trace.step_sq, np.zeros(10))
@@ -79,7 +79,7 @@ class TestRunBasics:
         gamma, t, x0 = 0.1, 20, 8.0
         finals = []
         for seed in range(200):
-            cfg = SolverConfig(gamma=gamma, tau=1.0, iterations=t, seed=seed,
+            cfg = SolverConfig(gamma=gamma, iterations=t, seed=seed,
                                x0=np.array([x0]))
             x, _ = run(problem, reg, restorer, cfg)
             finals.append(x[0])
@@ -88,7 +88,7 @@ class TestRunBasics:
 
     def test_determinism(self):
         problem, reg, restorer = one_d_instance()
-        cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=50, seed=42, x0="zeros")
+        cfg = SolverConfig(gamma=0.3, iterations=50, seed=42, x0="zeros")
         x1, t1 = run(problem, reg, restorer, cfg)
         x2, t2 = run(problem, reg, restorer, cfg)
         assert np.array_equal(x1, x2)
@@ -97,13 +97,13 @@ class TestRunBasics:
     def test_sigma_mismatch_rejected(self):
         problem, reg, _ = one_d_instance()
         wrong = ExactMmse(reg.prior, 0.5)
-        cfg = SolverConfig(gamma=0.1, tau=1.0, iterations=5, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=0.1, iterations=5, seed=0, x0="zeros")
         with pytest.raises(ValueError, match="sigma"):
             run(problem, reg, wrong, cfg)
 
     def test_adjoint_init(self):
         problem, reg, restorer = one_d_instance()
-        cfg = SolverConfig(gamma=0.0, tau=1.0, iterations=1, seed=0, x0="adjoint")
+        cfg = SolverConfig(gamma=0.0, iterations=1, seed=0, x0="adjoint")
         x, _ = run(problem, reg, restorer, cfg)
         np.testing.assert_array_equal(x, problem.A.adjoint_apply(problem.y))
 
@@ -114,7 +114,7 @@ class TestSelection:
         prior = normal_prior()
         reg = Regularizer(tau=1.0, prior=prior, ens=ens)
         problem = Problem(Identity(1), np.zeros(1))
-        cfg = SolverConfig(gamma=0.1, tau=1.0, iterations=iterations, seed=seed,
+        cfg = SolverConfig(gamma=0.1, iterations=iterations, seed=seed,
                            x0="zeros", **selection)
         return run(problem, reg, ExactMmse(prior, 1.0), cfg)[1].op_index.tolist()
 
@@ -147,7 +147,7 @@ class TestReductions:
         problem = Problem(A, np.array([0.2, -0.1, 0.5]))
         restorer = ExactMmse(prior, 0.8)
         gamma, t, seed = 0.05, 60, 123
-        cfg = SolverConfig(gamma=gamma, tau=0.5, iterations=t, seed=seed, x0="zeros")
+        cfg = SolverConfig(gamma=gamma, iterations=t, seed=seed, x0="zeros")
         x_solver, trace = run(problem, reg, restorer, cfg)
 
         sel_rng, noise_rng = solver_streams(seed)
@@ -168,7 +168,7 @@ class TestReductions:
         reg = Regularizer(tau=0.8, prior=prior, ens=ens)
         problem = Problem(Identity(3), np.array([0.1, 0.2, -0.3]))
         restorer = ExactMmse(prior, 0.6)
-        kw = dict(gamma=0.07, tau=0.8, iterations=80, seed=9, x0="zeros")
+        kw = dict(gamma=0.07, iterations=80, seed=9, x0="zeros")
         x_iid, t_iid = run(problem, reg, restorer,
                            SolverConfig(selection="iid-by-weights", **kw))
         x_fix, t_fix = run(problem, reg, restorer,
@@ -183,7 +183,7 @@ class TestBatch:
         finals = {1: [], 16: []}
         for batch in (1, 16):
             for seed in range(50):
-                cfg = SolverConfig(gamma=0.2, tau=1.0, iterations=80, seed=seed,
+                cfg = SolverConfig(gamma=0.2, iterations=80, seed=seed,
                                    x0="zeros", batch=batch)
                 x, _ = run(problem, reg, restorer, cfg)
                 finals[batch].append(x[0])
@@ -192,7 +192,7 @@ class TestBatch:
 
     def test_batch_requires_iid(self):
         with pytest.raises(ValueError):
-            SolverConfig(gamma=0.1, tau=1.0, iterations=5, batch=4,
+            SolverConfig(gamma=0.1, iterations=5, batch=4,
                          selection="cyclic")
 
 
@@ -242,7 +242,7 @@ class TestPredrawnSelection:
     def test_matches_per_iteration_draws(self, batch):
         problem, reg, restorer = self._instance()
         gamma, t, seed = 0.1, 40, 17
-        cfg = SolverConfig(gamma=gamma, tau=0.4, iterations=t, seed=seed, batch=batch,
+        cfg = SolverConfig(gamma=gamma, iterations=t, seed=seed, batch=batch,
                            x0="zeros", record_iterates=True)
         _, trace = run(problem, reg, restorer, cfg)
         xs, ref = self._reference(problem, reg, restorer, gamma, t, seed, batch)
@@ -307,7 +307,7 @@ class TestResidualCarry:
         (1, 1, "zeros"), (1, 3, "adjoint"), (2, 1, "adjoint"), (2, 2, "zeros")])
     def test_matches_lambda_reference(self, components, batch, x0):
         problem, reg, restorer = self.instance(components)
-        cfg = SolverConfig(gamma=0.3, tau=0.8, iterations=60, seed=5, batch=batch, x0=x0)
+        cfg = SolverConfig(gamma=0.3, iterations=60, seed=5, batch=batch, x0=x0)
         psnr_fn = lambda x: float(np.sum(x))
         x, trace = run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
         ref = lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
@@ -333,7 +333,7 @@ class TestResidualCarry:
             setattr(A, name, counted)
         seen = []
         psnr_fn = lambda x: seen.append((calls["apply"], calls["adjoint_apply"])) or 0.0
-        cfg = SolverConfig(gamma=0.3, tau=0.8, iterations=25, seed=6, x0="zeros")
+        cfg = SolverConfig(gamma=0.3, iterations=25, seed=6, x0="zeros")
         run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
         # the start point's residual, then one of each per iterate
         assert seen == [(k + 2, k + 1) for k in range(25)]
@@ -343,7 +343,7 @@ class TestDivergence:
     def test_large_step_raises_with_context(self):
         problem, reg, restorer = one_d_instance()
         L = fidelity_lipschitz(problem) + regularizer_curvature_bound(reg)[0]
-        cfg = SolverConfig(gamma=10.0 / L * 10, tau=1.0, iterations=500, seed=3,
+        cfg = SolverConfig(gamma=10.0 / L * 10, iterations=500, seed=3,
                            x0=np.array([1.0]))
         with pytest.raises(DivergenceError) as err:
             run(problem, reg, restorer, cfg)
@@ -354,7 +354,7 @@ class TestDivergence:
 class TestTraceCsv:
     def test_header_and_shape(self):
         problem, reg, restorer = one_d_instance()
-        cfg = SolverConfig(gamma=0.2, tau=1.0, iterations=5, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=0.2, iterations=5, seed=0, x0="zeros")
         _, trace = run(problem, reg, restorer, cfg)
         text = trace.csv_text()
         lines = text.strip().split("\n")
@@ -368,7 +368,7 @@ class TestTraceCsv:
 
     def test_psnr_column(self):
         problem, reg, restorer = one_d_instance()
-        cfg = SolverConfig(gamma=0.2, tau=1.0, iterations=3, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=0.2, iterations=3, seed=0, x0="zeros")
         _, trace = run(problem, reg, restorer, cfg, psnr_fn=lambda x: 42.0)
         assert all(line.endswith("42.0") for line in
                    trace.csv_text().strip().split("\n")[1:])
@@ -380,7 +380,7 @@ class TestAudit:
         L = fidelity_lipschitz(problem) + regularizer_curvature_bound(reg)[0]
         runs = []
         for seed in range(10):
-            cfg = SolverConfig(gamma=1.0 / L, tau=1.0, iterations=200, seed=seed,
+            cfg = SolverConfig(gamma=1.0 / L, iterations=200, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
             runs.append((problem, reg, restorer, cfg, trace))
@@ -395,7 +395,7 @@ class TestAudit:
         for t in (100, 200):
             runs = []
             for seed in range(4):
-                cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=t, seed=seed,
+                cfg = SolverConfig(gamma=0.3, iterations=t, seed=seed,
                                    x0=np.array([2.0]), record_iterates=True)
                 _, trace = run(problem, reg, restorer, cfg)
                 runs.append((problem, reg, restorer, cfg, trace))
@@ -409,7 +409,7 @@ class TestAudit:
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.1]))
         runs = []
         for seed in range(5):
-            cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=100, seed=seed,
+            cfg = SolverConfig(gamma=0.3, iterations=100, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
             runs.append((problem, reg, restorer, cfg, trace))
@@ -423,7 +423,7 @@ class TestAudit:
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.05]))
         runs = []
         for seed in range(3):
-            cfg = SolverConfig(gamma=0.2, tau=1.0, iterations=50, seed=seed,
+            cfg = SolverConfig(gamma=0.2, iterations=50, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
             runs.append((problem, reg, restorer, cfg, trace))
@@ -437,7 +437,7 @@ class TestAudit:
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.1]))
         runs = []
         for seed in range(3):
-            cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=50, seed=seed,
+            cfg = SolverConfig(gamma=0.3, iterations=50, seed=seed,
                                x0="zeros", record_iterates=True)
             runs.append((problem, reg, restorer, cfg, run(problem, reg, restorer, cfg)[1]))
 
@@ -457,7 +457,7 @@ class TestAudit:
         problem = Problem(Identity(2), np.array([0.1, 0.4]))
         c = np.array([0.05, -0.1])
         restorer = Biased(ExactMmse(prior, 0.7), ConstantOffset(c))
-        cfg = SolverConfig(gamma=0.2, tau=0.6, iterations=30, seed=1, x0="zeros")
+        cfg = SolverConfig(gamma=0.2, iterations=30, seed=1, x0="zeros")
         trace = run(problem, reg, restorer, cfg)[1]
         points = [np.array([0.0, 0.0]), np.array([3.0, -2.0]), np.array([-1.0, 0.5])]
         report = audit_convergence([(problem, reg, restorer, cfg, trace)],
@@ -480,7 +480,7 @@ class TestAudit:
         # and nu2 all eleven
         problem, reg, _ = one_d_instance()
         restorer = Biased(ExactMmse(reg.prior, 1.0), Gain(0.5))
-        cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=20, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=0.3, iterations=20, seed=0, x0="zeros")
         trace = run(problem, reg, restorer, cfg)[1]
         points = [np.array([0.1 * k]) for k in range(1, 11)] + [np.array([5.0])]
         report = audit_convergence([(problem, reg, restorer, cfg, trace)],
@@ -497,7 +497,7 @@ class TestAudit:
         reg = Regularizer(tau=1.0, prior=prior, ens=ens)
         problem = Problem(Identity(1), np.array([0.3]))
         restorer = ExactMmse(prior, 0.8)
-        cfg = SolverConfig(gamma=0.2, tau=1.0, iterations=20, seed=0, x0="zeros",
+        cfg = SolverConfig(gamma=0.2, iterations=20, seed=0, x0="zeros",
                            record_iterates=True)
         _, trace = run(problem, reg, restorer, cfg)
         trace.grad_true_norm = trace.grad_hat_norm
@@ -507,7 +507,7 @@ class TestAudit:
 
     def test_refuses_without_probes_or_iterates(self):
         problem, reg, restorer = one_d_instance()
-        cfg = SolverConfig(gamma=0.3, tau=1.0, iterations=20, seed=0, x0="zeros")
+        cfg = SolverConfig(gamma=0.3, iterations=20, seed=0, x0="zeros")
         _, trace = run(problem, reg, restorer, cfg)
         with pytest.raises(AuditError):
             audit_convergence([(problem, reg, restorer, cfg, trace)])
@@ -516,7 +516,7 @@ class TestAudit:
         problem, reg, restorer = one_d_instance()
         runs = []
         for gamma in (0.1, 0.2):
-            cfg = SolverConfig(gamma=gamma, tau=1.0, iterations=20, seed=0,
+            cfg = SolverConfig(gamma=gamma, iterations=20, seed=0,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
             runs.append((problem, reg, restorer, cfg, trace))
