@@ -49,9 +49,7 @@ from .objective import (
     fidelity_grad,
     fidelity_lipschitz,
     reg_grad_exact,
-    reg_value_exact,
     reg_value_mc,
-    stochastic_grad,
     variance_probe,
 )
 from .oracle import QuadratureGrid, oracle_grad, oracle_mmse, oracle_reg_value

@@ -67,10 +67,10 @@ def _cmd_validate(args):
 
 
 def _cmd_audit(args):
-    cfg = _load_config(args.config, args)
-    report = audit_experiment(cfg)
-    out = Path(cfg.output_dir)
+    built = build_experiment(_load_config(args.config, args))
+    out = Path(built.cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    report = audit_experiment(built)
     (out / "audit.txt").write_text(report.to_text())
     with open(out / "audit.json", "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)

@@ -1,9 +1,10 @@
 """Image quality metrics with fixed, golden-stable conventions.
 
-PSNR uses a caller-supplied peak; an exact match reports the configured cap
-with a flag instead of infinity. SSIM is the uniform-window variant,
-window 7, C1 = (0.01 peak)², C2 = (0.03 peak)², averaged over windows fully
-inside the image.
+PSNR uses a caller-supplied peak; an exact match, or any value at or above
+99 dB, reports 99 dB with a flag instead of infinity. SSIM is the
+uniform-window variant, window 7, C1 = (0.01 peak)², C2 = (0.03 peak)²,
+averaged over windows fully inside the image. These are module constants,
+not parameters; ``report.json``'s notes state the SSIM ones.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .operators import deinterleave
+
+_PSNR_CAP_DB = 99.0
+_SSIM_WINDOW = 7
+_SSIM_K1, _SSIM_K2 = 0.01, 0.03
 
 
 class PsnrValue(NamedTuple):
@@ -27,8 +32,8 @@ def magnitude(v):
     return np.abs(z)
 
 
-def psnr(x_hat, x_true, peak, cap_db=99.0):
-    """10 log10(peak² / MSE); an exact match returns (cap_db, True)."""
+def psnr(x_hat, x_true, peak):
+    """10 log10(peak² / MSE); an exact match returns (99.0, True)."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
     x_true = np.asarray(x_true, dtype=float).ravel()
     if x_hat.shape != x_true.shape:
@@ -37,14 +42,14 @@ def psnr(x_hat, x_true, peak, cap_db=99.0):
         raise ValueError("peak must be positive")
     mse = float(np.mean((x_hat - x_true) ** 2))
     if mse == 0.0:
-        return PsnrValue(float(cap_db), True)
+        return PsnrValue(_PSNR_CAP_DB, True)
     value = 10.0 * np.log10(peak * peak / mse)
-    if value >= cap_db:
-        return PsnrValue(float(cap_db), True)
+    if value >= _PSNR_CAP_DB:
+        return PsnrValue(_PSNR_CAP_DB, True)
     return PsnrValue(float(value), False)
 
 
-def ssim(x_hat, x_true, peak, window=7, k1=0.01, k2=0.03):
+def ssim(x_hat, x_true, peak):
     """Mean local structural similarity over uniform sliding windows."""
     a = np.asarray(x_hat, dtype=float)
     b = np.asarray(x_true, dtype=float)
@@ -52,12 +57,12 @@ def ssim(x_hat, x_true, peak, window=7, k1=0.01, k2=0.03):
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise ValueError("ssim expects 2-D images")
-    if min(a.shape) < window:
-        raise ValueError(f"image smaller than the {window}x{window} window")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    if min(a.shape) < _SSIM_WINDOW:
+        raise ValueError(f"image smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
+    c1 = (_SSIM_K1 * peak) ** 2
+    c2 = (_SSIM_K2 * peak) ** 2
 
-    uf = lambda img: uniform_filter(img, size=window, mode="constant")
+    uf = lambda img: uniform_filter(img, size=_SSIM_WINDOW, mode="constant")
     mu_a = uf(a)
     mu_b = uf(b)
     var_a = uf(a * a) - mu_a * mu_a
@@ -69,5 +74,5 @@ def ssim(x_hat, x_true, peak, window=7, k1=0.01, k2=0.03):
     smap = num / den
 
     # keep windows fully inside the image
-    r = window // 2
+    r = _SSIM_WINDOW // 2
     return float(np.mean(smap[r : a.shape[0] - r, r : a.shape[1] - r]))

@@ -8,8 +8,7 @@ whose gradient reduces exactly to the averaged restoration residual
     ∇h(x) = (tau / sigma²) E[ Hᵀ H (x - R*(s, H)) ].
 
 Exact evaluation of h is available for single-Gaussian priors (Gaussian
-cross-entropy) and, for small observation dimensions, by Gauss-Hermite
-quadrature; everything else goes through the Monte Carlo estimators.
+cross-entropy); everything else goes through the Monte Carlo estimators.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from .restoration import (
     _unwrap,
     restore_with_exact,
 )
-
-# Gauss-Hermite resolution per observation dimension for the quadrature
-# fallback; beyond 4 dimensions the node count is no longer reasonable.
-_GH_POINTS = {1: 64, 2: 40, 3: 16, 4: 10}
 
 # Largest signal dimension for the dense single-Gaussian closed forms.
 _DENSE_CAP_DIM = 512
@@ -112,7 +107,7 @@ def _posteriors(reg):
     ]
 
 
-# -- exact / quadrature values ---------------------------------------------------
+# -- values -----------------------------------------------------------------------
 
 
 class SingleGaussianForms:
@@ -162,36 +157,6 @@ class SingleGaussianForms:
         return float(np.max(scipy.linalg.eigvalsh(self.curvature)))
 
 
-def reg_value_exact(reg, x):
-    """h(x) without sampling.
-
-    Single-Gaussian priors use the Gaussian cross-entropy closed form. For
-    mixtures the inner expectation has no closed form; observation dimensions
-    up to 4 are integrated by Gauss-Hermite quadrature, larger ones refuse.
-    """
-    x = np.asarray(x, dtype=float)
-    if reg.prior.n_components == 1:
-        return reg.gaussian_forms.value(x)
-    sigma = reg.ens.sigma
-    total = 0.0
-    for post, H, p in zip(_posteriors(reg), reg.ens.members, reg.ens.weights):
-        m = H.out_dim
-        if m not in _GH_POINTS:
-            raise ClosedFormUnavailable(
-                f"no closed form for {reg.prior.n_components} components at "
-                f"observation dim {m}; use reg_value_mc"
-            )
-        nodes, weights = np.polynomial.hermite.hermgauss(_GH_POINTS[m])
-        grids = np.meshgrid(*([nodes] * m), indexing="ij")
-        u = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([weights] * m), indexing="ij")
-        w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        s = H.apply(x) + np.sqrt(2.0) * sigma * u
-        vals = -post.logpdf(s)
-        total += p * float(np.sum(w * vals)) / np.pi ** (m / 2.0)
-    return reg.tau * total
-
-
 def reg_value_mc(reg, x, mc_samples, rng):
     """Unbiased Monte Carlo estimate of h(x) with its standard error.
 
@@ -235,15 +200,12 @@ def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
 
 
 def regularizer_curvature_bound(reg):
-    """Lipschitz constant of ∇h: exact for one component, else the
-    (tau/sigma²) max_j ||H_jᵀH_j|| upper bound (the posterior mean is a
-    contraction for Gaussian priors, so the bound is safe but conservative)."""
-    try:
-        return reg.gaussian_forms.curvature_norm(), "exact"
-    except ClosedFormUnavailable:
-        pass
-    worst = max(gram_operator_norm(H) for H in reg.ens.members)
-    return reg.tau / reg.ens.sigma ** 2 * worst, "upper-bound"
+    """Lipschitz constant of ∇h, exact, as ``(value, "exact")``.
+
+    Needs the single-Gaussian closed forms: raises ``ClosedFormUnavailable``
+    for a mixture or past the dense cap.
+    """
+    return reg.gaussian_forms.curvature_norm(), "exact"
 
 
 def gaussian_objective_minimum(problem, reg):
@@ -280,20 +242,6 @@ def regularizer_step(reg, restorer, x, members, rng):
     if len(members) == 1:
         return term(members[0]) + 0.0
     return np.sum([term(j) for j in members], axis=0) / len(members)
-
-
-def stochastic_grad(problem, reg, restorer, x, rng, batch=1):
-    """One stochastic gradient ∇g(x) + (tau/sigma²) HᵀH (x - R(s, H)).
-
-    ``batch`` > 1 averages that many independent (H, s) draws of the
-    regularizer term; batch = 1 is the plain single-draw update. All member
-    indices are drawn first, in one ``choice`` call, then the noise.
-    """
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
-    x = np.asarray(x, dtype=float)
-    members = rng.choice(reg.ens.size, size=int(batch), p=reg.ens.weights)
-    return fidelity_grad(problem, x) + regularizer_step(reg, restorer, x, members, rng)
 
 
 def variance_probe(reg, restorer, x, mc_samples, rng):

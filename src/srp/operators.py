@@ -592,9 +592,6 @@ class DegradationEnsemble:
     def in_dim(self):
         return self.members[0].in_dim
 
-    def __iter__(self):
-        return iter(self.members)
-
     def observe(self, x, count, rng):
         """``count`` degraded observations of x, grouped by member.
 

@@ -16,6 +16,7 @@ import numpy as np
 from .priors import _LOG_2PI
 
 _MAX_NODES = 10_000_000
+_FD_STEP = 1e-5  # central-difference step of oracle_grad
 
 
 class QuadratureRefusal(ValueError):
@@ -166,7 +167,7 @@ def _oracle_mmse_batch(prior, H, sigma, s_nodes, grid, chunk=256):
     return out
 
 
-def oracle_grad(reg, x, gh_points=None, grid_x=None, fd_step=1e-5):
+def oracle_grad(reg, x, gh_points=None, grid_x=None):
     """Two independent routes to ∇h(x).
 
     Returns (finite difference of the quadrature value, quadrature of the
@@ -182,10 +183,10 @@ def oracle_grad(reg, x, gh_points=None, grid_x=None, fd_step=1e-5):
     fd = np.empty(n)
     for i in range(n):
         e = np.zeros(n)
-        e[i] = fd_step
+        e[i] = _FD_STEP
         hi = oracle_reg_value(reg, x + e, gh_points=gh_points, grid_x=grid_x)
         lo = oracle_reg_value(reg, x - e, gh_points=gh_points, grid_x=grid_x)
-        fd[i] = (hi - lo) / (2.0 * fd_step)
+        fd[i] = (hi - lo) / (2.0 * _FD_STEP)
 
     sigma = reg.ens.sigma
     quad = np.zeros(n)

@@ -22,6 +22,7 @@ from .operators import (
     DenseMatrix,
     DimensionMismatch,
     FactorizationError,
+    _as_vec,
     _chol_with_jitter,
 )
 
@@ -198,32 +199,6 @@ class GmmPrior:
                 out[sel] = self.means[k] + noise[sel] * chol
         return out[0] if single else out
 
-    def logpdf(self, x):
-        """Mixture log-density, batched over leading axes."""
-        x = _check_points(x, self.dim)
-        per = np.empty(x.shape[:-1] + (self.n_components,))
-        for k in range(self.n_components):
-            diff = x - self.means[k]
-            chol = self._component_chol(k)
-            if chol.ndim == 2:
-                sol = scipy.linalg.solve_triangular(
-                    chol, diff.reshape(-1, self.dim).T, lower=True
-                ).T.reshape(diff.shape)
-                quad = np.sum(sol ** 2, axis=-1)
-                logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            else:
-                quad = np.sum((diff / chol) ** 2, axis=-1)
-                logdet = 2.0 * np.sum(np.log(chol))
-            per[..., k] = -0.5 * (quad + logdet + self.dim * _LOG_2PI)
-        return _logsumexp(per + np.log(self.weights))
-
-
-def _check_points(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != dim:
-        raise DimensionMismatch("point", dim, x.shape[-1] if x.ndim else 1)
-    return x
-
 
 class ObservationModel:
     """Degraded-observation channel s = H x + n, n ~ N(0, sigma² I)."""
@@ -309,7 +284,7 @@ class LinearGaussianPosterior:
 
     def component_loglik(self, s):
         """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
-        s = _check_points(s, self.obs.H.out_dim)
+        s = _as_vec(s, self.obs.H.out_dim, "point")
         return self._innovations(s)[0]
 
     def logpdf(self, s):
@@ -328,7 +303,7 @@ class LinearGaussianPosterior:
         Hᵀ Σ_k r_k c_k z_k, which reorders the sum: that case agrees with
         the per-component form to rounding, every other case bit for bit.
         """
-        s = _check_points(s, self.obs.H.out_dim)
+        s = _as_vec(s, self.obs.H.out_dim, "point")
         means = self.prior.means
         if self.prior.n_components == 1:
             return means[0] + self._shift(0, self._solve(0, s - self.h_mu[0]))
@@ -345,7 +320,7 @@ class LinearGaussianPosterior:
 
     def score(self, s):
         """∇_s log p(s | H) via the restoration residual identity."""
-        s = _check_points(s, self.obs.H.out_dim)
+        s = _as_vec(s, self.obs.H.out_dim, "point")
         return (self.obs.H.apply(self.posterior_mean(s)) - s) / self.sigma2
 
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .objective import (
     ClosedFormUnavailable,
-    Regularizer,
     exact_audit_terms,
     fidelity_lipschitz,
     gaussian_objective_minimum,
@@ -39,6 +38,11 @@ from .objective import (
 )
 
 TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
+
+# Default audit probes: this many iterates per run, evenly spaced, and at most
+# _PROBE_CAP in all, evenly thinned.
+_PROBES_PER_RUN = 4
+_PROBE_CAP = 32
 
 
 class DivergenceError(RuntimeError):
@@ -262,8 +266,6 @@ class AuditProbes:
     """
 
     points: list | None = None  # explicit probe points; default: trajectory
-    per_run_points: int = 4
-    max_points: int = 32
     mc_variance: int = 40_000
     mc_bias: int = 20_000
 
@@ -335,16 +337,16 @@ class AuditReport:
         }
 
 
-def _trajectory_probes(runs, probes):
+def _trajectory_probes(runs):
     pts = []
     for _, _, _, _, trace in runs:
         if trace.iterates is None:
             continue
-        count = min(probes.per_run_points, len(trace.iterates))
+        count = min(_PROBES_PER_RUN, len(trace.iterates))
         idx = np.linspace(0, len(trace.iterates) - 1, count).astype(int)
         pts.extend(trace.iterates[i] for i in idx)
-    if len(pts) > probes.max_points:
-        stride = np.linspace(0, len(pts) - 1, probes.max_points).astype(int)
+    if len(pts) > _PROBE_CAP:
+        stride = np.linspace(0, len(pts) - 1, _PROBE_CAP).astype(int)
         pts = [pts[i] for i in stride]
     return pts
 
@@ -405,9 +407,7 @@ def audit_convergence(runs, probes=None, slack=0.05):
 
     l_hat = fidelity_lipschitz(problem) + forms.curvature_norm()
 
-    points = probes.points if probes.points is not None else _trajectory_probes(
-        runs, probes
-    )
+    points = probes.points if probes.points is not None else _trajectory_probes(runs)
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         raise AuditError(

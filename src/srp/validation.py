@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import psnr, ssim
-from .objective import Regularizer, reg_grad_exact, reg_value_exact
+from .objective import Regularizer, reg_grad_exact
 from .operators import (
     CircularConvolution,
     Composition,
@@ -102,7 +102,7 @@ def validation_suite(seed=0):
     ens1 = DegradationEnsemble([Identity(1)], sigma=1.0)
     reg1 = Regularizer(tau=1.0, prior=prior1, ens=ens1)
     x = np.array([2.0])
-    val = reg_value_exact(reg1, x)
+    val = reg1.gaussian_forms.value(x)
     ora_val = oracle_reg_value(reg1, x, grid_x=QuadratureGrid(2001))
     fd, quad = oracle_grad(reg1, x, grid_x=QuadratureGrid(2001))
     mc = reg_grad_exact(reg1, x, 200_000, np.random.default_rng(seed + 1))

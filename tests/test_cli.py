@@ -545,11 +545,16 @@ def single_gaussian_config(tmp_path, **config):
 
 class TestOutputPaths:
     """An output path that is, or lies under, an existing file is one config
-    error line, exit 2, for every command that writes."""
+    error line, exit 2, for every command that writes, before any solve."""
 
     @pytest.mark.parametrize("command", ["run", "audit", "sweep"])
     @pytest.mark.parametrize("via", ["--out", "output_dir"])
-    def test_output_path_through_a_file(self, tmp_path, capsys, command, via):
+    def test_output_path_through_a_file(self, tmp_path, capsys, monkeypatch,
+                                        command, via):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("the audit ran before its output path was checked")
+
+        monkeypatch.setattr("srp.cli.audit_experiment", no_audit)
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         # the flag names the file itself, the config a directory under it

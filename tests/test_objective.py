@@ -16,11 +16,9 @@ from srp.objective import (
     fidelity_lipschitz,
     gaussian_objective_minimum,
     reg_grad_exact,
-    reg_value_exact,
     reg_value_mc,
     regularizer_curvature_bound,
     regularizer_step,
-    stochastic_grad,
     variance_probe,
 )
 from srp.operators import (
@@ -101,44 +99,25 @@ class TestFidelity:
             Problem(DenseMatrix(np.ones((4, 2))), y)
 
 
-class TestRegValueExact:
+class TestGaussianValue:
     def test_worked_example_origin(self):
         reg = gauss_reg()
         expected = 0.5 * np.log(4 * np.pi) + 0.25
-        np.testing.assert_allclose(reg_value_exact(reg, np.zeros(1)), expected,
+        np.testing.assert_allclose(reg.gaussian_forms.value(np.zeros(1)), expected,
                                    atol=1e-12)
 
     def test_worked_example_shifted(self):
         reg = gauss_reg()
-        base = reg_value_exact(reg, np.zeros(1))
+        base = reg.gaussian_forms.value(np.zeros(1))
         np.testing.assert_allclose(
-            reg_value_exact(reg, np.array([2.0])), base + 1.0, atol=1e-12
+            reg.gaussian_forms.value(np.array([2.0])), base + 1.0, atol=1e-12
         )
 
     def test_fully_degrading_is_constant(self):
         ens = DegradationEnsemble([Scale(2, 0.0)], sigma=0.7)
         reg = Regularizer(tau=1.3, prior=normal_prior(2), ens=ens)
-        vals = [reg_value_exact(reg, np.array([a, -a])) for a in (0.0, 1.0, 5.0)]
+        vals = [reg.gaussian_forms.value(np.array([a, -a])) for a in (0.0, 1.0, 5.0)]
         np.testing.assert_allclose(vals, vals[0], atol=1e-12)
-
-    def test_mixture_quadrature_fallback(self):
-        prior = GmmPrior([0.4, 0.6], [[0.5], [-0.8]],
-                         [np.asarray(0.6), np.asarray(1.1)])
-        ens = DegradationEnsemble([Identity(1)], sigma=0.9)
-        reg = Regularizer(tau=1.0, prior=prior, ens=ens)
-        val = reg_value_exact(reg, np.array([0.3]))
-        est, se = reg_value_mc(reg, np.array([0.3]), 200_000,
-                               np.random.default_rng(1))
-        assert abs(val - est) < 4 * se
-
-    def test_mixture_refuses_large_dims(self):
-        prior = GmmPrior(
-            [0.5, 0.5], np.zeros((2, 6)), [np.asarray(1.0), np.asarray(2.0)]
-        )
-        ens = DegradationEnsemble([Identity(6)], sigma=1.0)
-        reg = Regularizer(tau=1.0, prior=prior, ens=ens)
-        with pytest.raises(ClosedFormUnavailable, match="reg_value_mc"):
-            reg_value_exact(reg, np.zeros(6))
 
 
 def _closed_form_members(n):
@@ -211,7 +190,7 @@ class TestClosedFormsCache:
                             lambda self, r: builds.append(r) or init(self, r))
         x = np.array([0.3, -1.1, 0.7])
         for _ in range(2):
-            assert reg_value_exact(reg, x) == fresh.value(x)
+            assert reg.gaussian_forms.value(x) == fresh.value(x)
             np.testing.assert_array_equal(reg.gaussian_forms.grad(x), fresh.grad(x))
             assert regularizer_curvature_bound(reg) == (fresh.curvature_norm(), "exact")
             x_star, f_star = gaussian_objective_minimum(p, reg)
@@ -231,6 +210,14 @@ class TestClosedFormsCache:
         for _ in range(2):
             with pytest.raises(ClosedFormUnavailable):
                 reg.gaussian_forms
+
+    def test_curvature_bound_refuses_a_mixture(self):
+        # exact or nothing: no conservative bound for a mixture
+        reg = Regularizer(tau=1.0, prior=GmmPrior([0.5, 0.5], [[0.0], [1.0]],
+                                                  [np.asarray(1.0)] * 2),
+                          ens=DegradationEnsemble([Identity(1), Scale(1, 0.5)], sigma=1.0))
+        with pytest.raises(ClosedFormUnavailable, match="one component"):
+            regularizer_curvature_bound(reg)
 
 
 class TestRegularizerStep:
@@ -279,19 +266,89 @@ class TestRegularizerStep:
                 terms[i] = scale * H.gram_apply(x - r.restore(s, H))
             assert got.tobytes() == (terms.sum(axis=0) / batch).tobytes()
 
+    def test_tau_zero_limit_is_fidelity(self):
+        # tau must be positive; a tiny tau leaves only the fidelity gradient
+        reg = gauss_reg(tau=1e-300)
+        p = Problem(Identity(1), np.array([0.5]))
+        r = ExactMmse(reg.prior, 1.0)
+        x = np.array([2.0])
+        g = fidelity_grad(p, x) + regularizer_step(reg, r, x, [0], np.random.default_rng(11))
+        np.testing.assert_allclose(g, fidelity_grad(p, x), atol=1e-290)
+
+    def test_unbiasedness(self):
+        reg = gauss_reg()
+        p = Problem(Identity(1), np.array([0.3]))
+        r = ExactMmse(reg.prior, 1.0)
+        x = np.array([1.2])
+        rng = np.random.default_rng(12)
+        draws = np.array([(fidelity_grad(p, x) + regularizer_step(reg, r, x, [0], rng))[0]
+                          for _ in range(10_000)])
+        expected = fidelity_grad(p, x)[0] + reg.gaussian_forms.grad(x)[0]
+        se = float(draws.std(ddof=1) / np.sqrt(draws.size))
+        assert abs(draws.mean() - expected) < 4 * se
+
+    def test_red_residual_form(self):
+        # identity ensemble: the term is the denoiser residual (tau/sigma^2)(x - D(x+n))
+        reg = gauss_reg(tau=0.9, sigma=0.8)
+        p = Problem(Identity(1), np.zeros(1))
+        restorer = ExactMmse(reg.prior, 0.8)
+        x = np.array([0.7])
+        g = fidelity_grad(p, x) + regularizer_step(reg, restorer, x, [0],
+                                                   np.random.default_rng(13))
+        s = x + 0.8 * np.random.default_rng(13).standard_normal(1)
+        expected = fidelity_grad(p, x) + (0.9 / (0.8 * 0.8)) * (
+            x - restorer.restore(s, reg.ens.members[0])
+        )
+        np.testing.assert_array_equal(g, expected)
+
+    def test_batched_mean(self):
+        self.check_against_reference(batch=3)
+
+    def test_single_draw_multi_member(self):
+        self.check_against_reference(batch=1)
+
+    @staticmethod
+    def check_against_reference(batch):
+        # in-test reference: one noise vector per given member index, in
+        # order; four calls share one generator
+        prior = GmmPrior([0.4, 0.6], [[0.5, -0.2, 0.1], [-0.3, 0.8, 0.0]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+        ens = DegradationEnsemble(
+            [Identity(3), CoordinateMask(3, [0, 2]),
+             DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
+            sigma=0.6, weights=[0.5, 0.2, 0.3],
+        )
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        p = Problem(DenseMatrix(np.eye(3) + 0.1), np.array([0.2, -0.1, 0.4]))
+        r = ExactMmse(prior, 0.6)
+        x = np.array([0.3, -1.1, 0.7])
+        scale = 0.8 / (0.6 * 0.6)
+        select = np.random.default_rng(24)
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(4):
+            idx = select.choice(3, size=batch, p=ens.weights)
+            g = fidelity_grad(p, x) + regularizer_step(reg, r, x, idx, rng)
+            terms = np.empty((batch, 3))
+            for i, j in enumerate(idx):
+                H = ens.members[j]
+                s = H.apply(x) + 0.6 * ref_rng.standard_normal(H.out_dim)
+                terms[i] = scale * H.gram_apply(x - r.restore(s, H))
+            np.testing.assert_array_equal(
+                g, fidelity_grad(p, x) + terms.sum(axis=0) / batch)
+
 
 class TestRegValueMc:
     def test_matches_closed_form(self):
         reg = gauss_reg()
         est, se = reg_value_mc(reg, np.array([1.5]), 100_000,
                                np.random.default_rng(2))
-        exact = reg_value_exact(reg, np.array([1.5]))
+        exact = reg.gaussian_forms.value(np.array([1.5]))
         assert abs(est - exact) < 4 * se
 
     def test_fully_degrading_zero_information(self):
         ens = DegradationEnsemble([Scale(1, 0.0)], sigma=0.8)
         reg = Regularizer(tau=1.0, prior=normal_prior(), ens=ens)
-        exact = reg_value_exact(reg, np.array([3.0]))
+        exact = reg.gaussian_forms.value(np.array([3.0]))
         est, se = reg_value_mc(reg, np.array([3.0]), 20_000,
                                np.random.default_rng(3))
         assert abs(est - exact) < 4 * se
@@ -388,79 +445,6 @@ class TestRegGrad:
         with pytest.raises(ValueError, match="at least 2"):
             reg_grad_exact(gauss_reg(), np.zeros(1), mc_samples,
                            np.random.default_rng(0), return_se=return_se)
-
-
-class TestStochasticGrad:
-    def test_tau_zero_limit_is_fidelity(self):
-        # tau must be positive; a tiny tau leaves only the fidelity gradient
-        reg = gauss_reg(tau=1e-300)
-        p = Problem(Identity(1), np.array([0.5]))
-        r = ExactMmse(reg.prior, 1.0)
-        g = stochastic_grad(p, reg, r, np.array([2.0]), np.random.default_rng(11))
-        np.testing.assert_allclose(g, fidelity_grad(p, np.array([2.0])), atol=1e-290)
-
-    def test_unbiasedness(self):
-        reg = gauss_reg()
-        p = Problem(Identity(1), np.array([0.3]))
-        r = ExactMmse(reg.prior, 1.0)
-        x = np.array([1.2])
-        rng = np.random.default_rng(12)
-        draws = np.array([stochastic_grad(p, reg, r, x, rng)[0]
-                          for _ in range(10_000)])
-        expected = fidelity_grad(p, x)[0] + reg.gaussian_forms.grad(x)[0]
-        se = float(draws.std(ddof=1) / np.sqrt(draws.size))
-        assert abs(draws.mean() - expected) < 4 * se
-
-    def test_red_residual_form(self):
-        # identity ensemble: the term is the denoiser residual (tau/sigma^2)(x - D(x+n))
-        reg = gauss_reg(tau=0.9, sigma=0.8)
-        p = Problem(Identity(1), np.zeros(1))
-        restorer = ExactMmse(reg.prior, 0.8)
-        x = np.array([0.7])
-        rng = np.random.default_rng(13)
-        g = stochastic_grad(p, reg, restorer, x, rng)
-        rng2 = np.random.default_rng(13)
-        rng2.choice(1, p=np.array([1.0]))  # the selection draw
-        n = rng2.standard_normal(1)
-        s = x + 0.8 * n
-        expected = fidelity_grad(p, x) + (0.9 / (0.8 * 0.8)) * (
-            x - restorer.restore(s, reg.ens.members[0])
-        )
-        np.testing.assert_array_equal(g, expected)
-
-    def test_batched_mean(self):
-        self.check_against_reference(batch=3)
-
-    def test_single_draw_multi_member(self):
-        self.check_against_reference(batch=1)
-
-    @staticmethod
-    def check_against_reference(batch):
-        # in-test reference: all member indices in one choice, then one noise
-        # vector per draw in draw order; four calls share one generator
-        prior = GmmPrior([0.4, 0.6], [[0.5, -0.2, 0.1], [-0.3, 0.8, 0.0]],
-                         [np.asarray(0.7), np.asarray(1.2)])
-        ens = DegradationEnsemble(
-            [Identity(3), CoordinateMask(3, [0, 2]),
-             DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
-            sigma=0.6, weights=[0.5, 0.2, 0.3],
-        )
-        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
-        p = Problem(DenseMatrix(np.eye(3) + 0.1), np.array([0.2, -0.1, 0.4]))
-        r = ExactMmse(prior, 0.6)
-        x = np.array([0.3, -1.1, 0.7])
-        scale = 0.8 / (0.6 * 0.6)
-        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
-        for _ in range(4):
-            g = stochastic_grad(p, reg, r, x, rng, batch=batch)
-            idx = ref_rng.choice(3, size=batch, p=ens.weights)
-            terms = np.empty((batch, 3))
-            for i, j in enumerate(idx):
-                H = ens.members[j]
-                s = H.apply(x) + 0.6 * ref_rng.standard_normal(H.out_dim)
-                terms[i] = scale * H.gram_apply(x - r.restore(s, H))
-            np.testing.assert_array_equal(
-                g, fidelity_grad(p, x) + terms.sum(axis=0) / batch)
 
 
 class TestVarianceProbe:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srp.objective import Regularizer, reg_grad_exact, reg_value_exact
+from srp.objective import Regularizer, reg_grad_exact
 from srp.operators import DegradationEnsemble, DenseMatrix, Identity, Scale
 from srp.oracle import (
     QuadratureGrid,
@@ -89,7 +89,7 @@ class TestOracleRegValue:
         reg = Regularizer(tau=1.0, prior=normal_prior(), ens=ens)
         x = np.array([0.8])
         brute = oracle_reg_value(reg, x, grid_x=QuadratureGrid(2001))
-        assert abs(brute - reg_value_exact(reg, x)) < 1e-6
+        assert abs(brute - reg.gaussian_forms.value(x)) < 1e-6
 
     def test_shift_quadratic_growth(self):
         ens = DegradationEnsemble([Identity(1)], sigma=1.0)
