@@ -47,8 +47,7 @@ def _load_config(path, args):
 
 def _cmd_run(args):
     cfg = _load_config(args.config, args)
-    result = run_experiment(cfg, threads=args.threads, curves=args.curves,
-                            quiet=args.quiet)
+    result = run_experiment(cfg, curves=args.curves, quiet=args.quiet)
     if not args.quiet:
         for row in result.rows:
             p = "" if row.psnr_db is None else f"{row.psnr_db:.3f}"
@@ -122,7 +121,7 @@ def _cmd_sweep(args):
     for i, combo in enumerate(combos):
         # drop each build once it has run, with the caches it filled
         built, builds[i] = builds[i], None
-        run_experiment(built, threads=args.threads, curves=args.curves, quiet=True)
+        run_experiment(built, curves=args.curves, quiet=True)
         index_lines.append(",".join([f"sweep_{i:03d}"] + [repr(v) for v in combo]))
         if not args.quiet:
             print(f"sweep_{i:03d}: " + ", ".join(
@@ -142,7 +141,6 @@ def build_parser():
         "--seed": dict(type=int, default=None, help="override config seed"),
         "--out": dict(default=None, help="override output directory"),
         "--quiet": dict(action="store_true"),
-        "--threads": dict(type=int, default=1),
         "--curves": dict(action="store_true",
                          help="also write per-iteration mean/std curves"),
     }

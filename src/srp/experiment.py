@@ -1,4 +1,5 @@
-"""Experiment harness: simulate, solve per seed, score, and emit artifacts.
+"""Experiment harness: simulate, solve all seeds in lockstep, score, and
+emit artifacts.
 
 Outputs under the configured directory:
   trace_seed<k>.csv   per-iteration diagnostics (schema in solver.TRACE_HEADER)
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -153,36 +153,39 @@ def shared_head_peel(built):
     """
     cache = vars(built)
     if "_head_peel" not in cache:
-        # setdefault keeps the first peel when threaded seeds race to build one
-        cache.setdefault("_head_peel", _peel(built))
+        cache["_head_peel"] = _peel(built)
     return cache["_head_peel"]
 
 
-def _solver_inputs(built, y):
-    """(problem, regularizer, restorer, U): behind the shared head U when one
+def _solver_inputs(built):
+    """(A, regularizer, restorer, U): behind the shared head U when one
     peels, else the experiment's own inputs with U None."""
     peel = shared_head_peel(built)
     if peel is None:
         reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
-        return Problem(built.A, y), reg, built.restorer, None
+        return built.A, reg, built.restorer, None
     reg = Regularizer(tau=built.tau, prior=peel.prior, ens=peel.ensemble)
-    return Problem(peel.A, y), reg, peel.restorer, peel.U
+    return peel.A, reg, peel.restorer, peel.U
 
 
-def _solve(inputs, scfg, psnr_fn=None):
-    """``solver.run`` on ``_solver_inputs``. Behind a head U, an explicit
-    start point is moved to U x0, and a divergence reports its last iterate
-    in the original coordinates."""
-    problem, reg, restorer, U = inputs
-    if U is None:
-        return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
-    if not isinstance(scfg.x0, str):
-        scfg = replace(scfg, x0=U.apply(scfg.x0))
-    try:
-        return solver_run(problem, reg, restorer, scfg, psnr_fn=psnr_fn)
-    except DivergenceError as exc:
-        exc.last_iterate = U.adjoint_apply(exc.last_iterate)
-        raise
+def _solve(inputs, problems, scfgs, psnr_fns=None):
+    """``solver.run`` on ``_solver_inputs`` for S seeds in lockstep, one
+    problem per seed; returns a Trace or ``DivergenceError`` per seed.
+    Behind a head U, an explicit start point is moved to U x0, PSNR
+    callbacks see iterates behind the head, and final and last finite
+    iterates are mapped back to the original coordinates."""
+    _, reg, restorer, U = inputs
+    if U is not None:
+        scfgs = [c if isinstance(c.x0, str) else replace(c, x0=U.apply(c.x0))
+                 for c in scfgs]
+    outcomes = solver_run(problems, reg, restorer, scfgs, psnr_fn=psnr_fns)
+    if U is not None:
+        for out in outcomes:
+            if isinstance(out, DivergenceError):
+                out.last_iterate = U.adjoint_apply(out.last_iterate)
+            else:
+                out.x_final = U.adjoint_apply(out.x_final)
+    return outcomes
 
 
 def _to_image(built, v):
@@ -194,51 +197,65 @@ def _to_image(built, v):
     return np.asarray(v, dtype=float).reshape(image["shape"])
 
 
-def run_single(built, seed_value):
-    """One simulate -> solve -> score pass; returns (MetricsRow, Trace, extras)."""
+def run_seeds(built, seed_values):
+    """Simulate, solve in lockstep and score the given seeds.
+
+    Each seed simulates its own truth and measurement from its own streams,
+    and the solves advance as one block (``solver.run``). Returns one entry
+    per seed, in order: (MetricsRow, Trace, x_final, x_true), or the seed's
+    ``DivergenceError``. A row's ``wall_ms`` is the block's wall time shared
+    equally among its seeds.
+    """
     cfg = built.cfg
     t0 = time.perf_counter()
-    sim_rng, solver_seed = _seed_streams(cfg.seed, seed_value)
-    x_true, y = simulate_measurement(built, sim_rng)
-    inputs = _solver_inputs(built, y)
-    U = inputs[3]
-    back = (lambda v: v) if U is None else U.adjoint_apply
-    scfg = replace(built.solver, seed=solver_seed)
+    streams = [_seed_streams(cfg.seed, s) for s in seed_values]
+    truths, ys = zip(*(simulate_measurement(built, sim_rng) for sim_rng, _ in streams))
+    scfgs = [replace(built.solver, seed=solver_seed) for _, solver_seed in streams]
 
+    inputs = _solver_inputs(built)
     want_psnr, want_ssim = cfg.metrics["psnr"], cfg.metrics["ssim"]
+    refs = [None] * len(truths)  # each truth's image and peak, when scored
     if want_psnr or want_ssim:
-        img_true = _to_image(built, x_true)
-        flat_true = img_true.ravel()
-        peak = cfg.metrics["psnr_peak"] or float(np.max(np.abs(img_true)))
-    psnr_fn = ((lambda x: psnr(_to_image(built, back(x)).ravel(), flat_true, peak).db)
-               if want_psnr else None)
+        refs = [(img, cfg.metrics["psnr_peak"] or float(np.max(np.abs(img))))
+                for img in (_to_image(built, x) for x in truths)]
+    psnr_fns = None
+    if want_psnr:
+        U = inputs[3]
+        back = (lambda v: v) if U is None else U.adjoint_apply
+        psnr_fns = [lambda x, img=img, peak=peak:
+                    psnr(_to_image(built, back(x)).ravel(), img.ravel(), peak).db
+                    for img, peak in refs]
 
-    x_final, trace = _solve(inputs, scfg, psnr_fn)
-    x_final = trace.x_final = back(x_final)
-
-    psnr_db = ssim_val = None
-    capped = False
-    if want_psnr or want_ssim:
-        img_hat = _to_image(built, x_final)
-        if want_psnr:
-            value = psnr(img_hat.ravel(), flat_true, peak)
-            psnr_db, capped = value.db, value.capped
-        if want_ssim and img_hat.ndim == 2:
-            ssim_val = ssim(img_hat, img_true, peak=peak)
-
-    f_final = float(trace.f_value[-1]) if trace.f_value is not None else None
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    row = MetricsRow(
-        run_id=cfg.name,
-        seed=int(seed_value),
-        psnr_db=psnr_db,
-        ssim=ssim_val,
-        f_final=f_final,
-        iters=scfg.iterations,
-        wall_ms=wall_ms,
-        psnr_capped=capped,
-    )
-    return row, trace, x_final, x_true
+    problems = [Problem(inputs[0], y) for y in ys]
+    outcomes = _solve(inputs, problems, scfgs, psnr_fns)
+    wall_ms = 1000.0 * (time.perf_counter() - t0) / len(seed_values)
+    results = []
+    for seed_value, trace, x_true, ref in zip(seed_values, outcomes, truths, refs):
+        if isinstance(trace, DivergenceError):
+            results.append(trace)
+            continue
+        psnr_db = ssim_val = None
+        capped = False
+        if ref is not None:
+            img_true, peak = ref
+            img_hat = _to_image(built, trace.x_final)
+            if want_psnr:
+                value = psnr(img_hat.ravel(), img_true.ravel(), peak)
+                psnr_db, capped = value.db, value.capped
+            if want_ssim and img_hat.ndim == 2:
+                ssim_val = ssim(img_hat, img_true, peak=peak)
+        row = MetricsRow(
+            run_id=cfg.name,
+            seed=int(seed_value),
+            psnr_db=psnr_db,
+            ssim=ssim_val,
+            f_final=float(trace.f_value[-1]) if trace.f_value is not None else None,
+            iters=built.solver.iterations,
+            wall_ms=wall_ms,
+            psnr_capped=capped,
+        )
+        results.append((row, trace, trace.x_final, x_true))
+    return results
 
 
 @dataclass
@@ -278,41 +295,41 @@ def _write_curves(path, traces):
 
 
 def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
-    """Execute all configured seeds and write the artifact set.
+    """Execute all configured seeds in one lockstep block and write the
+    artifact set.
 
-    Partial results are flushed as each seed finishes, so a failing seed
-    leaves the completed ones on disk.
+    Every seed's trace, final and truth files are written once the block
+    has finished. If any seed diverged, the first diverged seed's
+    ``DivergenceError``, in config order, is then raised, and neither
+    ``summary.csv`` nor ``report.json`` is written. ``threads`` accepts only
+    1; the seeds share one block, so there is nothing to spread over
+    threads.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}: seeds run in one lockstep block")
     built = cfg if isinstance(cfg, BuiltExperiment) else build_experiment(cfg)
     cfg = built.cfg
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = {}
-    traces = {}
-
-    def one(seed_value):
-        row, trace, x_final, x_true = run_single(built, seed_value)
+    results = run_seeds(built, cfg.seeds)
+    ordered, traces = [], {}
+    for seed_value, result in zip(cfg.seeds, results):
+        if isinstance(result, DivergenceError):
+            continue
+        row, trace, x_final, x_true = result
         trace.to_csv(out / f"trace_seed{seed_value}.csv")
         arrayio.write_array(out / f"final_seed{seed_value}.f64", x_final)
         arrayio.write_array(out / f"truth_seed{seed_value}.f64", x_true)
-        return seed_value, row, trace
+        ordered.append(row)
+        traces[seed_value] = trace
+        if not quiet:
+            p = "" if row.psnr_db is None else f" psnr={row.psnr_db:.2f}dB"
+            print(f"seed {seed_value}: done{p}")
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for seed_value, row, trace in pool.map(one, cfg.seeds):
-                rows[seed_value] = row
-                traces[seed_value] = trace
-    else:
-        for seed_value in cfg.seeds:
-            seed_value, row, trace = one(seed_value)
-            rows[seed_value] = row
-            traces[seed_value] = trace
-            if not quiet:
-                p = "" if row.psnr_db is None else f" psnr={row.psnr_db:.2f}dB"
-                print(f"seed {seed_value}: done{p}")
-
-    ordered = [rows[s] for s in cfg.seeds]
     _write_summary(out / "summary.csv", ordered)
     if curves:
         _write_curves(out / "curves.csv", traces)
@@ -324,6 +341,8 @@ def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
         "notes": [
             "summary.csv wall_ms column is fixed at 0 to keep outputs "
             "byte-deterministic; measured timings are in this report",
+            "the seeds run as one lockstep block; each row's wall_ms is the "
+            "block's wall time divided by its seed count",
             "ssim uses a uniform 7x7 window with C1=(0.01 peak)^2, "
             "C2=(0.03 peak)^2",
         ],
@@ -339,18 +358,21 @@ def audit_experiment(cfg, probes=None, slack=0.05):
     """Run all seeds against one shared simulated problem and audit the bound.
 
     The audit compares seeds of the same problem instance, so the ground
-    truth and measurement are simulated once from the root seed.
+    truth and measurement are simulated once from the root seed. The seeds
+    advance in one lockstep block; a divergence raises the first diverged
+    seed's ``DivergenceError``, in config order.
     """
     built = cfg if isinstance(cfg, BuiltExperiment) else build_experiment(cfg)
     cfg = built.cfg
     sim_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     _, y = simulate_measurement(built, sim_rng)
-    inputs = _solver_inputs(built, y)
-
-    runs = []
-    for seed_value in cfg.seeds:
-        _, solver_seed = _seed_streams(cfg.seed, seed_value)
-        scfg = replace(built.solver, seed=solver_seed, record_iterates=True)
-        _, trace = _solve(inputs, scfg)
-        runs.append((*inputs[:3], scfg, trace))
+    scfgs = [replace(built.solver, seed=_seed_streams(cfg.seed, s)[1], record_iterates=True)
+             for s in cfg.seeds]
+    inputs = _solver_inputs(built)
+    problem = Problem(inputs[0], y)
+    traces = _solve(inputs, [problem] * len(scfgs), scfgs)
+    for trace in traces:
+        if isinstance(trace, DivergenceError):
+            raise trace
+    runs = [(problem, *inputs[1:3], scfg, trace) for scfg, trace in zip(scfgs, traces)]
     return audit_convergence(runs, probes=probes or AuditProbes(), slack=slack)

@@ -147,11 +147,17 @@ class SingleGaussianForms:
         self.constant = self.tau * const
 
     def value(self, x):
+        """h(x), batched over leading axes: each row of an (S, n) block gets
+        the bits of its own vector call (a matrix-vector product per row,
+        never one matrix-matrix product)."""
         d = np.asarray(x, dtype=float) - self.mu
-        return 0.5 * float(d @ self.curvature @ d) + self.constant
+        quad = (d[..., None, :] @ self.curvature @ d[..., :, None])[..., 0, 0]
+        return 0.5 * quad + self.constant
 
     def grad(self, x):
-        return self.curvature @ (np.asarray(x, dtype=float) - self.mu)
+        """∇h(x), batched over leading axes like ``value``."""
+        d = np.asarray(x, dtype=float) - self.mu
+        return (self.curvature @ d[..., :, None])[..., 0]
 
     def curvature_norm(self):
         return float(np.max(scipy.linalg.eigvalsh(self.curvature)))
@@ -230,9 +236,21 @@ def regularizer_step(reg, restorer, x, members, rng):
     returned as its term plus 0.0, the bits of the one-row mean (whose sum
     starts from +0.0). Batches keep the (b, n) buffer: for n = 1 numpy sums
     its column pairwise, which a running sum does not reproduce.
+
+    Lockstep seeds: for an (S, n) block ``x``, ``members`` has shape (S, b)
+    and ``rng`` holds S generators, one noise stream per seed; each row of
+    the (S, n) result is summed and scaled as above. The draws are restored
+    grouped by member (``_block_terms``); this vector form is the reference
+    the block form is tested against.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
+    if np.ndim(x) == 2:
+        seeds, batch = members.shape
+        terms = _block_terms(ens, restorer, x, members, rng, scale)
+        if batch == 1:
+            return terms + 0.0
+        return np.sum(terms.reshape(seeds, batch, -1), axis=1) / batch
 
     def term(j):
         H = ens.members[j]
@@ -242,6 +260,44 @@ def regularizer_step(reg, restorer, x, members, rng):
     if len(members) == 1:
         return term(members[0]) + 0.0
     return np.sum([term(j) for j in members], axis=0) / len(members)
+
+
+def _block_terms(ens, restorer, x, members, rngs, scale):
+    """Step terms of the S * b draws of an (S, n) block, seed-major: row
+    s * b + i is seed s's draw i, of member ``members[s, i]``.
+
+    Each seed draws its noise in its own draw order, one
+    ``standard_normal(out=...)`` per draw into a row of one buffer, which
+    gives the values of a ``standard_normal(out_dim)`` call. The draws are
+    then grouped by member: one ``H.apply``, ``restore`` and ``gram_apply``
+    per member drawn. A row is its vector term bit for bit wherever those
+    run row by row.
+    """
+    batch = members.shape[1]
+    draws = members.ravel().tolist()
+    groups = {}  # member -> its draws' rows
+    for i, j in enumerate(draws):
+        groups.setdefault(j, []).append(i)
+    noise = np.empty((len(draws), max(ens.members[j].out_dim for j in groups)))
+    for i, j in enumerate(draws):
+        rngs[i // batch].standard_normal(out=noise[i, : ens.members[j].out_dim])
+    terms = np.empty((len(draws), x.shape[-1])) if len(groups) > 1 else None
+    for j, idx in groups.items():
+        H, rows = ens.members[j], _rows(idx)
+        xg = x[rows] if batch == 1 else x[[i // batch for i in idx]]
+        s = H.apply(xg) + ens.sigma * noise[rows, : H.out_dim]
+        term = scale * H.gram_apply(xg - restorer.restore(s, H))
+        if terms is None:
+            return term
+        terms[rows] = term
+    return terms
+
+
+def _rows(positions):
+    """Strictly increasing row positions as a slice when they are
+    consecutive, so that indexing makes a view, else as the list."""
+    first, count = positions[0], len(positions)
+    return slice(first, first + count) if positions[-1] - first == count - 1 else positions
 
 
 def variance_probe(reg, restorer, x, mc_samples, rng):

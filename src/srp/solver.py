@@ -9,7 +9,9 @@ RNG protocol (load-bearing for reproducibility): the run seed feeds a
 SeedSequence whose first two children drive operator selection and noise,
 in that order. Selection strategies therefore never perturb the noise
 stream, so a one-member ensemble under iid selection is bit-identical to a
-fixed-index run at the same seed.
+fixed-index run at the same seed. Seeds run in lockstep (several seeds in
+one ``run`` call) keep their own two streams each, and every seed draws
+its noise in its own draw order, so the protocol is per seed.
 
 The auditor checks the biased-SGD bound
 
@@ -173,16 +175,63 @@ def _auto_diagnostics(reg):
         return None
 
 
+def _row_dots(v):
+    """Each row's dot product with itself, bit for bit ``np.dot(row, row)``."""
+    if v.ndim == 1:
+        return np.dot(v, v)
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+# Settings the seeds of one lockstep block share; seed and x0 may differ.
+_SHARED = ("gamma", "iterations", "selection", "fixed_index", "batch", "record_iterates")
+
+
 def run(problem, reg, restorer, cfg, *, psnr_fn=None):
-    """Execute the iteration; returns (final iterate, Trace).
+    """Execute the iteration for one seed, or for S seeds in lockstep.
+
+    One seed: ``cfg`` a ``SolverConfig``; returns (final iterate, Trace) and
+    raises ``DivergenceError``. S seeds: ``cfg`` and ``problem`` are
+    sequences of S, the configs differing at most in seed and x0 and the
+    problems sharing one A, and ``psnr_fn`` is None or S callables; returns
+    per seed its Trace or the ``DivergenceError`` that ended it.
+
+    The seeds advance as one (S, n) iterate block with an (S, m) residual
+    block, each with its own selection and noise streams, and share every
+    per-call cost: one ``A.apply`` per iteration, one restore per member
+    drawn. A seed whose iterate goes non-finite leaves the block with the
+    iteration and last finite iterate of its solo run; the others go on.
+    One seed runs on plain vectors: the vector loop's calls and bits. With
+    S > 1 each row is its solo run bit for bit where every operation runs
+    row by row; products that become matrix-matrix (a dense operator, a
+    mixture's responsibility-weighted means) agree to rounding.
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
-    columns stay empty. The loop carries the residual r = A x - y: each
-    iterate makes one ``A.adjoint_apply`` (the fidelity gradient Aᵀ r, shared
-    by ghat and the true-gradient norm) and one ``A.apply`` (the next
-    residual, which also gives f), plus one ``A.apply`` for the start point.
+    columns stay empty. The loop carries the residual R = A X - Y: each
+    iteration makes one ``A.adjoint_apply`` (the fidelity gradient Aᵀ R,
+    shared by ghat and the true-gradient norm) and one ``A.apply`` (the
+    next residual, which also gives f) on the whole block, plus one
+    ``A.apply`` for the start block.
     """
+    if isinstance(cfg, SolverConfig):
+        (out,) = _lockstep([problem], reg, restorer, [cfg], [psnr_fn])
+        if isinstance(out, DivergenceError):
+            raise out
+        return out.x_final, out
+    psnr_fns = [None] * len(cfg) if psnr_fn is None else list(psnr_fn)
+    return _lockstep(list(problem), reg, restorer, list(cfg), psnr_fns)
+
+
+def _lockstep(problems, reg, restorer, cfgs, psnr_fns):
+    """``run``'s loop over a block of len(cfgs) seeds."""
+    if not cfgs or not len(problems) == len(psnr_fns) == len(cfgs):
+        raise ValueError("lockstep needs one problem and psnr callback per config")
+    cfg = cfgs[0]
+    if any(getattr(c, f) != getattr(cfg, f) for c in cfgs[1:] for f in _SHARED):
+        raise ValueError(f"lockstep seeds must share {', '.join(_SHARED)}")
+    A = problems[0].A
+    if any(p.A is not A for p in problems[1:]):
+        raise ValueError("lockstep seeds must share the forward operator")
     ens = reg.ens
     if restorer.base_sigma != ens.sigma:
         raise ValueError(
@@ -193,60 +242,84 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 
     forms = _auto_diagnostics(reg)
-    A, y = problem.A, problem.y
-    sel_rng, noise_rng = solver_streams(cfg.seed)
-    t = cfg.iterations
-    x = _initial_point(cfg, problem)
+    seeds, t = len(cfgs), cfg.iterations
+    streams = [solver_streams(c.seed) for c in cfgs]
+    draws = np.stack([_selection_stream(cfg, ens, sel) for sel, _ in streams], axis=1)
+    rngs = [noise for _, noise in streams]  # the block rows' noise streams
+    x = np.stack([_initial_point(c, p) for c, p in zip(cfgs, problems)])
+    y = np.stack([p.y for p in problems])
+    if seeds == 1:
+        # one seed runs on plain vectors: the vector loop's calls and bits
+        x, y, draws, rngs = x[0], y[0], draws[:, 0], rngs[0]
 
-    op_index = np.zeros(t, dtype=int)
-    step_sq = np.zeros(t)
-    grad_hat_norm = np.zeros(t)
-    grad_true_norm = np.zeros(t) if forms is not None else None
-    f_value = np.zeros(t) if forms is not None else None
-    psnr_vals = np.zeros(t) if psnr_fn else None
-    iterates = np.zeros((t + 1, x.size)) if cfg.record_iterates else None
+    # per seed and iteration; the norm columns hold squares until the end
+    step_sq, grad_hat_norm = np.zeros((seeds, t)), np.zeros((seeds, t))
+    grad_true_norm = np.zeros((seeds, t)) if forms is not None else None
+    f_value = np.zeros((seeds, t)) if forms is not None else None
+    psnr_vals = np.zeros((seeds, t)) if psnr_fns[0] else None
+    iterates = np.zeros((seeds, t + 1, x.shape[-1])) if cfg.record_iterates else None
     if iterates is not None:
-        iterates[0] = x
+        iterates[:, 0] = x
+    outcomes = [None] * seeds
+    ids = list(range(seeds))  # the seed of each block row
+    live = slice(None)  # the live seeds' trace rows: all until one diverges
+
+    # overflow en route to the divergence check is expected and handled
     with np.errstate(over="ignore", invalid="ignore"):
         r = A.apply(x) - y
-    f_initial = None if forms is None else 0.5 * float(np.dot(r, r)) + forms.value(x)
-
-    draws = _selection_stream(cfg, ens, sel_rng)
-    for k in range(t):
-        # overflow en route to the divergence check is expected and handled
-        with np.errstate(over="ignore", invalid="ignore"):
+        f_initial = None if forms is None else 0.5 * _row_dots(r) + forms.value(x)
+        for k in range(t):
             fg = A.adjoint_apply(r)
             if forms is not None:
-                grad_true_norm[k] = np.linalg.norm(fg + forms.grad(x))
-            ghat = fg + regularizer_step(reg, restorer, x, draws[k], noise_rng)
+                grad_true_norm[live, k] = _row_dots(fg + forms.grad(x))
+            ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
             x_new = x - cfg.gamma * ghat
-            if not np.all(np.isfinite(x_new)):
-                raise DivergenceError(k + 1, x)
-            op_index[k] = draws[k, 0]  # the trace records the first draw of a batch
             diff = x_new - x
-            step_sq[k] = float(np.dot(diff, diff))
-            grad_hat_norm[k] = float(np.linalg.norm(ghat))
+            sq = _row_dots(diff)  # not finite whenever a row of x_new is not
+            if not np.isfinite(sq).all():
+                finite = np.isfinite(x_new).all(axis=-1).reshape(-1)
+                for i in np.flatnonzero(~finite):
+                    outcomes[ids[i]] = DivergenceError(k + 1, x.reshape(-1, x.shape[-1])[i])
+                if not finite.all():
+                    ids = [s for s, keep in zip(ids, finite) if keep]
+                    if not ids:
+                        break
+                    x, x_new, ghat, diff, sq, y = (
+                        a[finite] for a in (x, x_new, ghat, diff, sq, y))
+                    rngs = [g for g, keep in zip(rngs, finite) if keep]
+                    live = np.array(ids)
+            step_sq[live, k] = sq
+            grad_hat_norm[live, k] = _row_dots(ghat)
             r = A.apply(x_new) - y
             if forms is not None:
-                f_value[k] = 0.5 * float(np.dot(r, r)) + forms.value(x_new)
+                f_value[live, k] = 0.5 * _row_dots(r) + forms.value(x_new)
             if psnr_vals is not None:
-                psnr_vals[k] = float(psnr_fn(x_new))
-        x = x_new
-        if iterates is not None:
-            iterates[k + 1] = x
+                psnr_vals[live, k] = [float(psnr_fns[s](v)) for s, v in
+                                      zip(ids, x_new.reshape(-1, x.shape[-1]))]
+            x = x_new
+            if iterates is not None:
+                iterates[live, k + 1] = x
+    for norms in (grad_hat_norm, grad_true_norm):
+        if norms is not None:
+            np.sqrt(norms, out=norms)
+    if f_initial is not None:
+        f_initial = np.reshape(f_initial, -1)
+    x = x.reshape(-1, x.shape[-1])
 
-    trace = Trace(
-        op_index=op_index,
-        step_sq=step_sq,
-        grad_hat_norm=grad_hat_norm,
-        grad_true_norm=grad_true_norm,
-        f_value=f_value,
-        psnr=psnr_vals,
-        f_initial=f_initial,
-        x_final=x,
-        iterates=iterates,
-    )
-    return x, trace
+    column = lambda a, s: None if a is None else a[s]
+    for i, s in enumerate(ids):
+        outcomes[s] = Trace(
+            op_index=draws.reshape(t, seeds, -1)[:, s, 0],  # a batch's first draw
+            step_sq=step_sq[s],
+            grad_hat_norm=grad_hat_norm[s],
+            grad_true_norm=column(grad_true_norm, s),
+            f_value=column(f_value, s),
+            psnr=column(psnr_vals, s),
+            f_initial=None if f_initial is None else float(f_initial[s]),
+            x_final=x[i],
+            iterates=column(iterates, s),
+        )
+    return outcomes
 
 
 # -- convergence audit ---------------------------------------------------------

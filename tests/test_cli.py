@@ -440,6 +440,8 @@ class TestValidate:
     ["validate", "--out", "x"],
     ["audit", "cfg.json", "--curves"],
     ["audit", "cfg.json", "--threads", "4"],
+    ["run", "cfg.json", "--threads", "2"],
+    ["sweep", "cfg.json", "--grid", "grid.json", "--threads", "2"],
 ])
 def test_flags_a_subcommand_ignores_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exc:

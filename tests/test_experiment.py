@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import load_bench_workloads
 from srp import arrayio
 from srp.arrayio import read_array, write_array
+from srp.cli import EXIT_DIVERGENCE, main
 from srp.config import ExperimentConfig, build_experiment, build_solver_config
 from srp.experiment import (
     SUMMARY_HEADER,
@@ -11,14 +14,24 @@ from srp.experiment import (
     _to_image,
     audit_experiment,
     run_experiment,
-    run_single,
+    run_seeds,
     shared_head_peel,
     simulate_measurement,
 )
 from srp.metrics import magnitude, psnr
 from srp.objective import Problem, Regularizer, SingleGaussianForms
 from srp.operators import CoordinateMask, Identity
+from srp.priors import LinearGaussianPosterior
 from srp.solver import AuditProbes, DivergenceError, audit_convergence, run
+
+
+def run_single(built, seed_value):
+    """One seed through ``run_seeds``: (row, trace, x_final, x_true), or its
+    divergence raised."""
+    (result,) = run_seeds(built, [seed_value])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 def small_complex_config(out_dir, seeds=(1, 2, 3), iterations=40, name="unit"):
@@ -195,14 +208,25 @@ class TestRunExperiment:
             again = psnr(mhat, mtrue, peak=float(np.max(np.abs(mtrue)))).db
             assert abs(again - row.psnr_db) < 1e-9
 
-    def test_threaded_matches_serial(self, tmp_path):
+    def test_lockstep_rows_match_solo_seeds(self, tmp_path):
+        # 3 seeds in one block against each seed alone; the K = 2 mixture's
+        # responsibility-weighted means are a matrix product over the rows
+        # of one member, so rows agree to rounding
         cfg = small_complex_config(tmp_path / "e")
-        serial = run_experiment(cfg, out_dir=tmp_path / "e1")
-        threaded = run_experiment(cfg, threads=3, out_dir=tmp_path / "e2")
-        for seed in (1, 2, 3):
-            a = (tmp_path / "e1" / f"trace_seed{seed}.csv").read_bytes()
-            b = (tmp_path / "e2" / f"trace_seed{seed}.csv").read_bytes()
-            assert a == b
+        result = run_experiment(cfg)
+        built = build_experiment(cfg)
+        for row in result.rows:
+            solo_row, solo, x_solo, _ = run_single(built, row.seed)
+            trace = result.traces[row.seed]
+            np.testing.assert_array_equal(trace.op_index, solo.op_index)
+            scale = np.max(np.abs(x_solo))
+            assert np.max(np.abs(trace.x_final - x_solo)) <= 64 * np.finfo(float).eps * scale
+            assert abs(row.psnr_db - solo_row.psnr_db) <= 1e-9
+
+    def test_threads_other_than_one_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_experiment(small_complex_config(tmp_path / "t"), threads=2)
+        assert not (tmp_path / "t").exists()
 
     def test_curves_written(self, tmp_path):
         cfg = small_complex_config(tmp_path / "f", seeds=(1, 2), iterations=10)
@@ -221,6 +245,57 @@ class TestRunExperiment:
         r_full = run_experiment(full)
         r_single = run_experiment(single)
         assert {r.seed for r in r_full.rows} == {r.seed for r in r_single.rows}
+
+
+def diverging_config(out_dir):
+    """Seeds 1, 2 and 3 on a 2-D instance with an unstable step: seed 2's
+    iterate overflows at iteration 3, the others finish their 3 iterations."""
+    return ExperimentConfig.from_dict({
+        "version": 1, "name": "div", "seed": 3, "seeds": [1, 2, 3],
+        "output_dir": str(out_dir),
+        "problem": {"operator": {"kind": "identity", "dim": 2},
+                    "ground_truth": {"source": "prior"}, "noise_sigma": 0.1},
+        "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0, 0.0]],
+                  "covariances": [1.0]},
+        "ensemble": {"members": [{"kind": "identity", "dim": 2},
+                                 {"kind": "coordinate-mask", "dim": 2, "keep": [0]}],
+                     "sigma": 1.0},
+        "restorer": {"type": "exact-mmse"},
+        "solver": {"gamma": 6e102, "tau": 1.0, "iterations": 3},
+        "metrics": {"psnr": False, "ssim": False},
+    })
+
+
+class TestDivergenceInABlock:
+    """A diverging seed leaves the block; the others finish and write their
+    files, then the first diverged seed's error is raised."""
+
+    def test_the_others_finish_and_the_error_is_raised(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = diverging_config(out)
+        built = build_experiment(cfg)
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(built)
+        with pytest.raises(DivergenceError) as solo:
+            run_single(built, 2)
+        assert err.value.iteration == solo.value.iteration == 3
+        assert np.array_equal(err.value.last_iterate, solo.value.last_iterate)
+        for seed in (1, 3):
+            _, trace, x_final, x_true = run_single(built, seed)
+            assert (out / f"trace_seed{seed}.csv").read_text() == trace.csv_text()
+            np.testing.assert_array_equal(read_array(out / f"final_seed{seed}.f64"), x_final)
+            np.testing.assert_array_equal(read_array(out / f"truth_seed{seed}.f64"), x_true)
+        assert not (out / "trace_seed2.csv").exists()
+        assert not (out / "summary.csv").exists()
+        assert not (out / "report.json").exists()
+
+    def test_cli_exit_code(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(diverging_config(tmp_path / "out").to_dict()))
+        assert main(["run", str(path), "--quiet"]) == EXIT_DIVERGENCE
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "final_seed1.f64", "final_seed3.f64", "trace_seed1.csv", "trace_seed3.csv",
+            "truth_seed1.f64", "truth_seed3.f64"]
 
 
 class TestBlurDownsamplePipeline:
@@ -308,12 +383,12 @@ class TestAuditExperiment:
                             lambda self, reg: builds.append(reg) or init(self, reg))
         report = audit_experiment(cfg, probes=probes)
         assert len(builds) == 1
-        # the same audit with a fresh build at every use: three runs, the
-        # curvature bound and the objective minimum
+        # the same audit with a fresh build at every use: the one lockstep
+        # block of three seeds, the curvature bound and the objective minimum
         monkeypatch.setattr(Regularizer, "gaussian_forms",
                             property(lambda reg: SingleGaussianForms(reg)))
         fresh = audit_experiment(cfg, probes=probes)
-        assert len(builds) == 1 + 5
+        assert len(builds) == 1 + 3
         assert report.to_text() == fresh.to_text()
 
 
@@ -512,6 +587,21 @@ def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
     x_ref, ref = _unpeeled_run(built, seed)
     np.testing.assert_array_equal(x_final, x_ref)
     assert trace.csv_text() == ref.csv_text()
+
+
+def test_two_seed_audit_restores_once_per_iteration(monkeypatch):
+    # the bench's 1-D instance: both seeds draw its one member every
+    # iteration, so the block restores them together, 500 times in all,
+    # and the exact audit terms restore once more
+    spec, _, _ = load_bench_workloads().audit_instances(1)[1]
+    spec["solver"]["gamma"] = 0.3
+    rows = []
+    mean = LinearGaussianPosterior.posterior_mean
+    monkeypatch.setattr(LinearGaussianPosterior, "posterior_mean",
+                        lambda self, s: rows.append(len(s)) or mean(self, s))
+    audit_experiment(ExperimentConfig.from_dict(spec))
+    assert len(rows) == 500 + 1
+    assert rows[:500] == [2] * 500
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])

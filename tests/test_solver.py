@@ -32,6 +32,7 @@ from srp.solver import (
     SolverConfig,
     TRACE_HEADER,
     Trace,
+    _selection_stream,
     audit_convergence,
     run,
     solver_streams,
@@ -349,6 +350,224 @@ class TestDivergence:
             run(problem, reg, restorer, cfg)
         assert 0 < err.value.iteration <= 500
         assert np.all(np.isfinite(err.value.last_iterate))
+
+
+def vector_loop(problem, reg, restorer, cfg, psnr_fn=None):
+    """The one-seed solver loop on plain vectors, as it ran before seeds
+    advanced in lockstep: one errstate per iteration, np.linalg.norm, and
+    the closed forms as vector-matrix products. Returns (x, Trace), or the
+    DivergenceError it raised."""
+    forms = reg.gaussian_forms if reg.prior.n_components == 1 else None
+    value = forms and (lambda x: 0.5 * float((x - forms.mu) @ forms.curvature
+                                             @ (x - forms.mu)) + forms.constant)
+    grad = forms and (lambda x: forms.curvature @ (x - forms.mu))
+    A, y, t = problem.A, problem.y, cfg.iterations
+    sel_rng, noise_rng = solver_streams(cfg.seed)
+    if isinstance(cfg.x0, str):
+        x = np.zeros(A.in_dim) if cfg.x0 == "zeros" else A.adjoint_apply(y)
+    else:
+        x = np.array(cfg.x0, dtype=float)
+    cols = {c: np.zeros(t) for c in ("step_sq", "grad_hat_norm", "grad_true_norm",
+                                     "f_value", "psnr")}
+    iterates = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = A.apply(x) - y
+    f_initial = value and 0.5 * float(np.dot(r, r)) + value(x)
+    draws = _selection_stream(cfg, reg.ens, sel_rng)
+    for k in range(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fg = A.adjoint_apply(r)
+            if forms:
+                cols["grad_true_norm"][k] = np.linalg.norm(fg + grad(x))
+            ghat = fg + regularizer_step(reg, restorer, x, draws[k], noise_rng)
+            x_new = x - cfg.gamma * ghat
+            if not np.all(np.isfinite(x_new)):
+                return DivergenceError(k + 1, x)
+            diff = x_new - x
+            cols["step_sq"][k] = float(np.dot(diff, diff))
+            cols["grad_hat_norm"][k] = float(np.linalg.norm(ghat))
+            r = A.apply(x_new) - y
+            if forms:
+                cols["f_value"][k] = 0.5 * float(np.dot(r, r)) + value(x_new)
+            if psnr_fn:
+                cols["psnr"][k] = float(psnr_fn(x_new))
+        x = x_new
+        iterates.append(x)
+    return x, Trace(draws[:, 0], cols["step_sq"], cols["grad_hat_norm"],
+                    cols["grad_true_norm"] if forms else None,
+                    cols["f_value"] if forms else None,
+                    cols["psnr"] if psnr_fn else None, f_initial, x, np.array(iterates))
+
+
+def lockstep_instance(name):
+    """(problem, regularizer, restorer) on 4-vectors: "masks" has a diagonal
+    A, one Gaussian and mask members, so every operation runs row by row;
+    "mixed-widths" adds members of out_dim 2 and 4; "dense" is the 4-D audit
+    instance with a dense A; "mixture" has two prior components."""
+    A = Identity(4)
+    members = [Identity(4), CoordinateMask(4, [0, 1]), CoordinateMask(4, [2, 3])]
+    prior = normal_prior(4, mean=[0.5, -0.3, 0.2, 0.1], var=0.8)
+    if name == "mixed-widths":
+        members = [Identity(4), FoldDownsample(4, 2), Scale(4, 0.5)]
+    if name == "dense":
+        A = DenseMatrix([[1.0, 0.2, 0.0, 0.0], [0.0, 0.9, 0.0, 0.0],
+                         [0.0, 0.0, 0.7, 0.1], [0.0, 0.0, 0.0, 0.5]])
+    if name == "mixture":
+        prior = GmmPrior([0.3, 0.7], [[0.5, 0.0, -0.2, 0.1], [-1.0, 0.3, 0.8, 0.0]],
+                         [np.asarray(0.7), np.asarray(1.2)])
+    ens = DegradationEnsemble(members, sigma=0.7, weights=[0.5, 0.3, 0.2])
+    reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+    problem = Problem(A, np.array([0.3, -0.2, 0.6, 0.1]))
+    return problem, reg, Biased(ExactMmse(prior, 0.7), ConstantOffset([0.02]))
+
+
+# Largest absolute gap between a lockstep row and its solo run where the
+# block turns row-wise products into matrix-matrix ones (a dense A, a
+# mixture's responsibility-weighted means): 64 ulps of the unit iterates.
+LOCKSTEP_ATOL = 64 * np.finfo(float).eps
+
+TRACE_COLUMNS = ("step_sq", "grad_hat_norm", "grad_true_norm", "f_value", "psnr")
+
+
+class TestLockstep:
+    """S seeds advance as one (S, n) block: one seed is the vector loop bit
+    for bit; each row of a block is its solo run, bit for bit where every
+    operation runs row by row and within LOCKSTEP_ATOL elsewhere."""
+
+    @staticmethod
+    def block(problem, reg, restorer, cfgs, psnr=True):
+        psnr_fns = [(lambda x, c=c: float(x[0] - c.seed)) for c in cfgs] if psnr else None
+        return run([problem] * len(cfgs), reg, restorer, cfgs, psnr_fn=psnr_fns)
+
+    @pytest.mark.parametrize("name", ["masks", "mixture", "dense"])
+    @pytest.mark.parametrize("selection,batch", [
+        ("iid-by-weights", 1), ("iid-by-weights", 3), ("cyclic", 1), ("fixed", 1)])
+    def test_one_seed_is_the_vector_loop(self, name, selection, batch):
+        problem, reg, restorer = lockstep_instance(name)
+        cfg = SolverConfig(gamma=0.3, iterations=40, seed=4, selection=selection,
+                           fixed_index=1, batch=batch, x0="adjoint", record_iterates=True)
+        psnr_fn = lambda x: float(x[0] - x[1])
+        x, trace = run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        x_ref, ref = vector_loop(problem, reg, restorer, cfg, psnr_fn)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(trace.iterates, ref.iterates)
+        assert trace.f_initial == ref.f_initial
+        assert trace.csv_text() == ref.csv_text()
+
+    @pytest.mark.parametrize("name,exact", [
+        ("masks", True), ("mixed-widths", True), ("dense", False), ("mixture", False)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rows_are_their_solo_runs(self, name, exact, batch):
+        problem, reg, restorer = lockstep_instance(name)
+        starts = ["zeros", "adjoint", np.array([1.0, -2.0, 0.5, 3.0])]
+        cfgs = [SolverConfig(gamma=0.3, iterations=60, seed=seed, batch=batch, x0=x0,
+                             record_iterates=True) for seed, x0 in zip((3, 8, 5), starts)]
+        traces = self.block(problem, reg, restorer, cfgs)
+        for cfg, trace in zip(cfgs, traces):
+            psnr_fn = lambda x, c=cfg: float(x[0] - c.seed)
+            x_solo, solo = run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+            assert np.array_equal(trace.op_index, solo.op_index)
+            if exact:
+                assert np.array_equal(trace.iterates, solo.iterates)
+                assert trace.csv_text() == solo.csv_text()
+                continue
+            np.testing.assert_allclose(trace.iterates, solo.iterates, rtol=0,
+                                       atol=LOCKSTEP_ATOL)
+            for column in TRACE_COLUMNS:
+                got, want = getattr(trace, column), getattr(solo, column)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_allclose(got, want, rtol=LOCKSTEP_ATOL, atol=LOCKSTEP_ATOL)
+
+    def test_reruns_are_byte_identical(self):
+        problem, reg, restorer = lockstep_instance("mixture")
+        cfgs = [SolverConfig(gamma=0.3, iterations=50, seed=s, batch=2, x0="zeros",
+                             record_iterates=True) for s in (1, 2, 3)]
+        first = self.block(problem, reg, restorer, cfgs)
+        again = self.block(problem, reg, restorer, cfgs)
+        for a, b in zip(first, again):
+            assert a.csv_text() == b.csv_text()
+            assert np.array_equal(a.iterates, b.iterates)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_out_draws_are_per_call_draws(self, batch):
+        # members of out_dim 256 and 512, as on superres: each seed's rows of
+        # the block step are its own vector steps, and every generator ends
+        # in the state the vector steps leave it in
+        n = 512
+        ens = DegradationEnsemble([FoldDownsample(n, 2), Identity(n)], sigma=0.3)
+        prior = normal_prior(n, var=0.5)
+        reg = Regularizer(tau=0.6, prior=prior, ens=ens)
+        restorer = ExactMmse(prior, 0.3)
+        x = np.random.default_rng(0).standard_normal((3, n))
+        members = np.array([[0, 1], [1, 1], [1, 0]])[:, :batch]
+        block_rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
+        got = regularizer_step(reg, restorer, x, members, block_rngs)
+        for row, x_row, draws, seed, rng in zip(got, x, members, (4, 5, 6), block_rngs):
+            solo_rng = np.random.default_rng(seed)
+            want = regularizer_step(reg, restorer, x_row, draws, solo_rng)
+            assert np.array_equal(row, want)
+            assert rng.standard_normal() == solo_rng.standard_normal()
+
+    def test_a_diverging_seed_leaves_the_block(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        # an unstable step: the seed that starts near overflow leaves first
+        starts = ["zeros", np.full(4, 1e300), "adjoint"]
+        cfgs = [SolverConfig(gamma=3.0, iterations=30, seed=s, x0=x0, record_iterates=True)
+                for s, x0 in zip((1, 2, 3), starts)]
+        outcomes = self.block(problem, reg, restorer, cfgs)
+        assert isinstance(outcomes[1], DivergenceError)
+        with pytest.raises(DivergenceError) as solo:
+            run(problem, reg, restorer, cfgs[1])
+        assert 1 < outcomes[1].iteration == solo.value.iteration < 30
+        assert np.array_equal(outcomes[1].last_iterate, solo.value.last_iterate)
+        for i in (0, 2):
+            psnr_fn = lambda x, c=cfgs[i]: float(x[0] - c.seed)
+            _, trace = run(problem, reg, restorer, cfgs[i], psnr_fn=psnr_fn)
+            assert outcomes[i].csv_text() == trace.csv_text()
+            assert np.array_equal(outcomes[i].iterates, trace.iterates)
+
+    def test_every_seed_diverging_ends_the_block(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        cfgs = [SolverConfig(gamma=3.0, iterations=300, seed=s, x0=np.full(4, start))
+                for s, start in ((1, 1e300), (2, 1e250))]
+        outcomes = self.block(problem, reg, restorer, cfgs)
+        for cfg, out in zip(cfgs, outcomes):
+            with pytest.raises(DivergenceError) as solo:
+                run(problem, reg, restorer, cfg)
+            assert out.iteration == solo.value.iteration
+            assert np.array_equal(out.last_iterate, solo.value.last_iterate)
+        assert outcomes[0].iteration < outcomes[1].iteration
+
+    @pytest.mark.parametrize("seeds", [2, 5])
+    def test_one_restore_per_distinct_member(self, seeds, monkeypatch):
+        # 3 members: each iteration restores once per member drawn, so at
+        # most min(S, J) times
+        problem, reg, restorer = lockstep_instance("dense")
+        calls = []
+        restore = ExactMmse.restore
+        monkeypatch.setattr(ExactMmse, "restore",
+                            lambda self, s, H: calls.append(len(s)) or restore(self, s, H))
+        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, x0="zeros")
+                for s in range(seeds)]
+        ends = []  # calls made when each iteration's first PSNR callback runs
+        psnr_fns = [lambda x: ends.append(len(calls)) or 0.0] + [lambda x: 0.0] * (seeds - 1)
+        traces = run([problem] * seeds, reg, restorer, cfgs, psnr_fn=psnr_fns)
+        per_iteration = np.diff([0] + ends)
+        drawn = [len(set(col)) for col in zip(*(t.op_index.tolist() for t in traces))]
+        assert per_iteration.tolist() == drawn
+        assert max(per_iteration) <= min(seeds, reg.ens.size)
+        assert sum(calls) == seeds * 40
+
+    def test_seeds_must_share_their_settings(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        cfgs = [SolverConfig(gamma=g, iterations=5, seed=0) for g in (0.1, 0.2)]
+        with pytest.raises(ValueError, match="share"):
+            run([problem] * 2, reg, restorer, cfgs)
+        other = Problem(DenseMatrix(np.eye(4)), problem.y)
+        same = [SolverConfig(gamma=0.1, iterations=5, seed=s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="forward operator"):
+            run([problem, other], reg, restorer, same)
 
 
 class TestTraceCsv:
