@@ -449,6 +449,9 @@ def build_experiment(cfg):
                               f"prior dim is {prior.dim}")
         if not np.all(np.isfinite(truth)):
             raise ConfigError(f"ground truth file {gt['path']} has non-finite entries")
+        if cfg.metrics["psnr"] and cfg.metrics["psnr_peak"] is None and not np.any(truth):
+            raise ConfigError(f"ground truth file {gt['path']} is all zeros, so PSNR has no "
+                              "peak (the truth's largest magnitude); set metrics.psnr_peak")
         truth.setflags(write=False)  # one vector for every seed
     image = cfg.image
     n = image and int(np.prod(image["shape"])) * (1 + image["complex"])

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arrayio
 from .config import BuiltExperiment, build_experiment
-from .metrics import magnitude, psnr, ssim
+from .metrics import magnitude, mean_squared_error, psnr, psnr_db, ssim
 from .objective import Problem, Regularizer
 from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
 from .priors import GmmPrior
@@ -168,17 +168,17 @@ def _solver_inputs(built):
     return peel.A, reg, peel.restorer, peel.U
 
 
-def _solve(inputs, problems, scfgs, psnr_fns=None):
+def _solve(inputs, problems, scfgs, score=None):
     """``solver.run`` on ``_solver_inputs`` for S seeds in lockstep, one
     problem per seed; returns a Trace or ``DivergenceError`` per seed.
-    Behind a head U, an explicit start point is moved to U x0, PSNR
-    callbacks see iterates behind the head, and final and last finite
+    Behind a head U, an explicit start point is moved to U x0, the PSNR
+    scorer sees iterates behind the head, and final and last finite
     iterates are mapped back to the original coordinates."""
     _, reg, restorer, U = inputs
     if U is not None:
         scfgs = [c if isinstance(c.x0, str) else replace(c, x0=U.apply(c.x0))
                  for c in scfgs]
-    outcomes = solver_run(problems, reg, restorer, scfgs, psnr_fn=psnr_fns)
+    outcomes = solver_run(problems, reg, restorer, scfgs, psnr_fn=score)
     if U is not None:
         for out in outcomes:
             if isinstance(out, DivergenceError):
@@ -188,13 +188,37 @@ def _solve(inputs, problems, scfgs, psnr_fns=None):
     return outcomes
 
 
+def _pixels(built, v):
+    """The image pixels of v along its last axis: the magnitudes of a
+    complex image, else v itself."""
+    image = built.cfg.image
+    if image is not None and image["complex"]:
+        return magnitude(v)
+    return np.asarray(v, dtype=float)
+
+
 def _to_image(built, v):
     image = built.cfg.image
-    if image is None:
-        return np.asarray(v, dtype=float)
-    if image["complex"]:
-        return magnitude(v).reshape(image["shape"])
-    return np.asarray(v, dtype=float).reshape(image["shape"])
+    pixels = _pixels(built, v)
+    return pixels if image is None else pixels.reshape(image["shape"])
+
+
+def _block_psnr(built, U, refs):
+    """The lockstep block's PSNR scorer (``solver.run``'s ``psnr_fn``): the
+    live iterates, behind the head U when it is not None, are mapped back
+    by one ``U.adjoint_apply`` and scored row by row against their seeds'
+    truth images, each row ``metrics.psnr(...).db`` bit for bit."""
+    truths = np.stack([img.ravel() for img, _ in refs])
+    peaks = np.array([peak for _, peak in refs])
+    if not np.all(peaks > 0):
+        raise ValueError("peak must be positive")
+
+    def score(x, ids):
+        if U is not None:
+            x = U.adjoint_apply(x)
+        return psnr_db(mean_squared_error(_pixels(built, x), truths[ids]), peaks[ids])[0]
+
+    return score
 
 
 def run_seeds(built, seed_values):
@@ -218,16 +242,10 @@ def run_seeds(built, seed_values):
     if want_psnr or want_ssim:
         refs = [(img, cfg.metrics["psnr_peak"] or float(np.max(np.abs(img))))
                 for img in (_to_image(built, x) for x in truths)]
-    psnr_fns = None
-    if want_psnr:
-        U = inputs[3]
-        back = (lambda v: v) if U is None else U.adjoint_apply
-        psnr_fns = [lambda x, img=img, peak=peak:
-                    psnr(_to_image(built, back(x)).ravel(), img.ravel(), peak).db
-                    for img, peak in refs]
+    score = _block_psnr(built, inputs[3], refs) if want_psnr else None
 
     problems = [Problem(inputs[0], y) for y in ys]
-    outcomes = _solve(inputs, problems, scfgs, psnr_fns)
+    outcomes = _solve(inputs, problems, scfgs, score)
     wall_ms = 1000.0 * (time.perf_counter() - t0) / len(seed_values)
     results = []
     for seed_value, trace, x_true, ref in zip(seed_values, outcomes, truths, refs):

@@ -1,7 +1,9 @@
 """Image quality metrics with fixed, golden-stable conventions.
 
 PSNR uses a caller-supplied peak; an exact match, or any value at or above
-99 dB, reports 99 dB with a flag instead of infinity. SSIM is the
+99 dB, reports 99 dB with a flag instead of infinity, and an estimate whose
+squared error overflows reports -inf dB. ``psnr`` scores one estimate;
+``psnr_db`` applies the same rule to row-wise errors of a block. SSIM is the
 uniform-window variant, window 7, C1 = (0.01 peak)², C2 = (0.03 peak)²,
 averaged over windows fully inside the image. These are module constants,
 not parameters; ``report.json``'s notes state the SSIM ones.
@@ -32,6 +34,24 @@ def magnitude(v):
     return np.abs(z)
 
 
+def mean_squared_error(x_hat, x_true):
+    """Mean of (x_hat - x_true)² over the last axis, row by row; inf where
+    the squares overflow."""
+    with np.errstate(over="ignore"):
+        return np.mean((x_hat - x_true) ** 2, axis=-1)
+
+
+def psnr_db(mse, peak):
+    """(dB, capped) of mean squared errors against positive peaks, scalars
+    or arrays that broadcast: 10 log10(peak² / mse), where an exact match
+    (mse 0) or any value at or above 99 dB reads 99 dB and is flagged, and
+    an overflowed mse (inf) reads -inf dB."""
+    with np.errstate(over="ignore", divide="ignore"):
+        value = 10.0 * np.log10(np.multiply(peak, peak) / mse)
+    capped = value >= _PSNR_CAP_DB
+    return np.where(capped, _PSNR_CAP_DB, value), capped
+
+
 def psnr(x_hat, x_true, peak):
     """10 log10(peak² / MSE); an exact match returns (99.0, True)."""
     x_hat = np.asarray(x_hat, dtype=float).ravel()
@@ -40,13 +60,8 @@ def psnr(x_hat, x_true, peak):
         raise ValueError(f"shape mismatch {x_hat.shape} vs {x_true.shape}")
     if peak <= 0:
         raise ValueError("peak must be positive")
-    mse = float(np.mean((x_hat - x_true) ** 2))
-    if mse == 0.0:
-        return PsnrValue(_PSNR_CAP_DB, True)
-    value = 10.0 * np.log10(peak * peak / mse)
-    if value >= _PSNR_CAP_DB:
-        return PsnrValue(_PSNR_CAP_DB, True)
-    return PsnrValue(float(value), False)
+    value, capped = psnr_db(mean_squared_error(x_hat, x_true), peak)
+    return PsnrValue(float(value), bool(capped))
 
 
 def ssim(x_hat, x_true, peak):

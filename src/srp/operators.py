@@ -15,9 +15,9 @@ private scipy API; its outputs are pinned bit for bit against
 The layer runs single-threaded, so ``scipy.fft.set_workers`` does not reach it.
 
 An operator's parameters are fixed at construction. Its caches (dense form,
-H Hᵀ description, innovation factorizations) are filled lazily on first use
-and never rewritten, so they do not change observable behavior; filling
-them is not synchronized across threads.
+H Hᵀ description, innovation factorizations and denominators) are filled
+lazily on first use and never rewritten, so they do not change observable
+behavior; filling them is not synchronized across threads.
 """
 
 from __future__ import annotations
@@ -125,8 +125,12 @@ class LinearOperator:
     ``_gram_dual``, which describes H Hᵀ once per operator from the
     structural hooks: as a diagonal, as the DFT eigenvalues of a circulant
     (solved by real FFTs), or as a dense matrix (solved by a cached Cholesky
-    factor). ``_innovation_factor`` is the one place an innovation covariance
-    is factored: it climbs the jitter ladder (0, 1e-12, 1e-10) and raises
+    factor). Nothing an innovation solve needs but its right-hand side is
+    computed twice: the description once per operator, and per (c, σ²) the
+    diagonal and circulant paths' denominator c λ + σ² once
+    (``_innovation_denominator``) and the dense path's factor once.
+    ``_innovation_factor`` is the one place an innovation covariance is
+    factored: it climbs the jitter ladder (0, 1e-12, 1e-10) and raises
     ``FactorizationError`` past its end.
     """
 
@@ -137,7 +141,8 @@ class LinearOperator:
         self.out_dim = int(out_dim)
         self._dense = None
         self._dual = None
-        self._innovation_cache = {}
+        self._innovation_cache = {}  # (c, σ²) -> Cholesky factor, dense path
+        self._denominators = {}  # (c, σ²) -> c λ + σ², diagonal and circulant paths
 
     # -- core action ------------------------------------------------------
 
@@ -221,6 +226,24 @@ class LinearOperator:
                 s, f"{self.kind} innovation covariance")
         return self._innovation_cache[key]
 
+    def _innovation_denominator(self, c, sigma2):
+        """c λ + σ² for the diagonal and circulant paths, with λ the diagonal
+        of H Hᵀ or the half spectrum of its circulant; computed once per
+        (c, σ²) and read-only. A column c is keyed by its shape and bytes."""
+        if isinstance(c, np.ndarray) and c.ndim:
+            key = (c.shape, c.tobytes(), float(sigma2))
+        else:
+            key = (float(c), float(sigma2))
+        denom = self._denominators.get(key)
+        if denom is None:
+            kind, data = self._gram_dual()
+            if kind == "circulant":
+                data = data[: self.out_dim // 2 + 1]
+            denom = c * data + sigma2
+            denom.flags.writeable = False
+            self._denominators[key] = denom
+        return denom
+
     def innovation_solve(self, c, sigma2, r):
         """Solve (c H Hᵀ + σ² I) z = r, batched over leading axes of r.
 
@@ -229,15 +252,15 @@ class LinearOperator:
         c[k]. Every row is bit-identical to its scalar solve: the diagonal
         path broadcasts the division, the circulant path runs one real-FFT
         pair over all rows, and the dense path solves the rows in turn with
-        each c[k]'s cached factor.
+        each c[k]'s cached factor. The denominator (diagonal and circulant
+        paths) and the factor (dense path) are computed on the first solve
+        with a given (c, σ²) and reused by every later one.
         """
-        kind, data = self._gram_dual()
+        kind = self._gram_dual()[0]
         if kind == "diagonal":
-            return r / (c * data + sigma2)
+            return r / self._innovation_denominator(c, sigma2)
         if kind == "circulant":
-            m = self.out_dim
-            denom = c * data[: m // 2 + 1] + sigma2
-            return _irfft(_rfft(r) / denom, m)
+            return _irfft(_rfft(r) / self._innovation_denominator(c, sigma2), self.out_dim)
         r = np.asarray(r, dtype=float)
         if np.ndim(c) == 0:
             return self._cholesky_solve(c, sigma2, r)

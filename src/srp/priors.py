@@ -277,10 +277,13 @@ class LinearGaussianPosterior:
     def _responsibilities(self, loglik):
         # Normalized by their sum, not by exp(logsumexp): they then sum to 1
         # even where the log-likelihoods are too large for log(count) to
-        # register. Rows whose log-likelihoods are all -inf stay nan.
-        logp = loglik + self.log_w
-        e = np.exp(logp - np.max(logp, axis=-1, keepdims=True))
-        return e / np.sum(e, axis=-1, keepdims=True)
+        # register. Rows whose log-likelihoods are all -inf stay nan. Every
+        # step runs in place on ``loglik``, which each caller makes fresh.
+        loglik += self.log_w
+        loglik -= loglik.max(axis=-1, keepdims=True)
+        np.exp(loglik, out=loglik)
+        loglik /= loglik.sum(axis=-1, keepdims=True)
+        return loglik
 
     def component_loglik(self, s):
         """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
@@ -310,8 +313,11 @@ class LinearGaussianPosterior:
         loglik, z = self._innovations(s)
         resp = self._responsibilities(loglik)
         if self._iso:
-            acc = sum((c * resp[..., k, None]) * z[..., k, :]
-                      for k, c in enumerate(self._cvals))
+            # z_k scaled in place by c_k r_k, then summed over k from +0.0
+            # as Python's sum() adds its terms (a start of +0.0 turns a
+            # -0.0 first term into +0.0)
+            z *= (resp * self._ccol[:, 0])[..., None]
+            acc = z.sum(axis=-2, initial=0.0)
             return resp @ means + self.obs.H.adjoint_apply(acc)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
         for k in range(self.prior.n_components):

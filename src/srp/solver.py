@@ -192,8 +192,15 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     One seed: ``cfg`` a ``SolverConfig``; returns (final iterate, Trace) and
     raises ``DivergenceError``. S seeds: ``cfg`` and ``problem`` are
     sequences of S, the configs differing at most in seed and x0 and the
-    problems sharing one A, and ``psnr_fn`` is None or S callables; returns
-    per seed its Trace or the ``DivergenceError`` that ended it.
+    problems sharing one A; returns per seed its Trace or the
+    ``DivergenceError`` that ended it.
+
+    ``psnr_fn`` fills the trace's PSNR column; None leaves it empty. For one
+    seed it is a callable of the new iterate returning its PSNR. For S
+    seeds it is one block scorer, called once per iteration as
+    ``psnr_fn(X, ids)``: X holds the live seeds' new iterates, shape (S', n)
+    (a plain n-vector when S is 1), ``ids`` lists the config index of each
+    row's seed, and it returns the S' PSNR values in row order.
 
     The seeds advance as one (S, n) iterate block with an (S, m) residual
     block, each with its own selection and noise streams, and share every
@@ -214,18 +221,21 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     ``A.apply`` for the start block.
     """
     if isinstance(cfg, SolverConfig):
-        (out,) = _lockstep([problem], reg, restorer, [cfg], [psnr_fn])
+        score = None if psnr_fn is None else (lambda x, ids: psnr_fn(x))
+        (out,) = _lockstep([problem], reg, restorer, [cfg], score)
         if isinstance(out, DivergenceError):
             raise out
         return out.x_final, out
-    psnr_fns = [None] * len(cfg) if psnr_fn is None else list(psnr_fn)
-    return _lockstep(list(problem), reg, restorer, list(cfg), psnr_fns)
+    if psnr_fn is not None and not callable(psnr_fn):
+        raise TypeError("psnr_fn for S seeds must be one block scorer, psnr_fn(X, ids)")
+    return _lockstep(list(problem), reg, restorer, list(cfg), psnr_fn)
 
 
-def _lockstep(problems, reg, restorer, cfgs, psnr_fns):
-    """``run``'s loop over a block of len(cfgs) seeds."""
-    if not cfgs or not len(problems) == len(psnr_fns) == len(cfgs):
-        raise ValueError("lockstep needs one problem and psnr callback per config")
+def _lockstep(problems, reg, restorer, cfgs, score):
+    """``run``'s loop over a block of len(cfgs) seeds; ``score`` is the
+    block form of ``psnr_fn``."""
+    if not cfgs or len(problems) != len(cfgs):
+        raise ValueError("lockstep needs one problem per config")
     cfg = cfgs[0]
     if any(getattr(c, f) != getattr(cfg, f) for c in cfgs[1:] for f in _SHARED):
         raise ValueError(f"lockstep seeds must share {', '.join(_SHARED)}")
@@ -256,7 +266,7 @@ def _lockstep(problems, reg, restorer, cfgs, psnr_fns):
     step_sq, grad_hat_norm = np.zeros((seeds, t)), np.zeros((seeds, t))
     grad_true_norm = np.zeros((seeds, t)) if forms is not None else None
     f_value = np.zeros((seeds, t)) if forms is not None else None
-    psnr_vals = np.zeros((seeds, t)) if psnr_fns[0] else None
+    psnr_vals = np.zeros((seeds, t)) if score is not None else None
     iterates = np.zeros((seeds, t + 1, x.shape[-1])) if cfg.record_iterates else None
     if iterates is not None:
         iterates[:, 0] = x
@@ -294,8 +304,7 @@ def _lockstep(problems, reg, restorer, cfgs, psnr_fns):
             if forms is not None:
                 f_value[live, k] = 0.5 * _row_dots(r) + forms.value(x_new)
             if psnr_vals is not None:
-                psnr_vals[live, k] = [float(psnr_fns[s](v)) for s, v in
-                                      zip(ids, x_new.reshape(-1, x.shape[-1]))]
+                psnr_vals[live, k] = score(x_new, ids)
             x = x_new
             if iterates is not None:
                 iterates[live, k + 1] = x

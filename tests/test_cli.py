@@ -249,6 +249,38 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, f"config error: ground truth file {gt} has non-finite")
 
+    @pytest.mark.parametrize("peak", [None, 2.0])
+    def test_all_zero_ground_truth_with_psnr(self, tmp_path, peak):
+        # PSNR's peak defaults to the truth's largest magnitude, 0 here: the
+        # config is refused before any solve unless it sets a peak
+        gt = tmp_path / "truth.f64"
+        write_array(gt, np.zeros(16))
+        metrics = {"psnr": True, "ssim": False}
+        if peak is not None:
+            metrics["psnr_peak"] = peak
+        cfg = {
+            "version": 1, "name": "zero-truth", "seed": 0, "seeds": [1, 2],
+            "output_dir": str(tmp_path / "out"),
+            "problem": {"operator": {"kind": "identity", "dim": 16},
+                        "ground_truth": {"source": "file", "path": str(gt)},
+                        "noise_sigma": 0.1},
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0] * 16],
+                      "covariances": [1.0]},
+            "ensemble": {"members": [{"kind": "identity", "dim": 16}], "sigma": 1.0},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
+            "metrics": metrics,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        if peak is None:
+            self.assert_input_error(proc, f"config error: ground truth file {gt} is all zeros")
+            assert not (tmp_path / "out").exists()
+        else:
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert (tmp_path / "out" / "summary.csv").is_file()
+
     @pytest.mark.parametrize("height", [float("nan"), -1.0, 2.5, float("inf")])
     def test_malformed_ground_truth_header(self, tmp_path, height):
         gt = tmp_path / "truth.f64"

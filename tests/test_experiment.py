@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from srp.cli import EXIT_DIVERGENCE, main
 from srp.config import ExperimentConfig, build_experiment, build_solver_config
 from srp.experiment import (
     SUMMARY_HEADER,
+    _block_psnr,
     _seed_streams,
+    _solver_inputs,
     _to_image,
     audit_experiment,
     run_experiment,
@@ -296,6 +299,100 @@ class TestDivergenceInABlock:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "final_seed1.f64", "final_seed3.f64", "trace_seed1.csv", "trace_seed3.csv",
             "truth_seed1.f64", "truth_seed3.f64"]
+
+    def test_the_rows_left_are_scored_against_their_own_truths(self, tmp_path):
+        # the middle seed starts near overflow and leaves the block; the
+        # block scorer then sees the other two rows, each scored against
+        # its own seed's truth as metrics.psnr scores it, bit for bit
+        built = build_experiment(diverging_config(tmp_path / "out"))
+        truths = [np.array([0.5, -1.0]), np.array([2.0, 0.1]), np.array([-0.3, 0.7])]
+        refs = [(t, float(np.max(np.abs(t)))) for t in truths]
+        reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
+        cfgs = [replace(built.solver, gamma=3.0, iterations=30, seed=s, x0=x0,
+                        record_iterates=True)
+                for s, x0 in ((1, "zeros"), (2, np.full(2, 1e300)), (3, "adjoint"))]
+        outcomes = run([Problem(built.A, np.array([0.2, -0.4]))] * 3, reg, built.restorer,
+                       cfgs, psnr_fn=_block_psnr(built, None, refs))
+        assert isinstance(outcomes[1], DivergenceError)
+        for i in (0, 2):
+            want = [psnr(x, truths[i], refs[i][1]).db for x in outcomes[i].iterates[1:]]
+            assert np.all(np.isfinite(want))
+            assert outcomes[i].psnr.tolist() == want
+
+
+class TestBlockPsnr:
+    """One scorer per iteration scores the live block: each row is
+    ``metrics.psnr(...).db`` of its iterate, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["demo", "superres"])
+    def test_trace_column_is_psnr_of_each_iterate(self, tmp_path, name):
+        # demo: complex images, solved behind the DFT head; superres: real
+        # vectors, no head
+        bench = load_bench_workloads()
+        spec = getattr(bench, f"{name}_config")(1, smoke=True)
+        spec["output_dir"] = str(tmp_path)
+        built = build_experiment(ExperimentConfig.from_dict(spec))
+        built.solver = replace(built.solver, record_iterates=True)
+        U = _solver_inputs(built)[3]
+        assert (U is not None) == (name == "demo")
+        back = (lambda v: v) if U is None else U.adjoint_apply
+        results = run_seeds(built, built.cfg.seeds)
+        assert len(results) == len(built.cfg.seeds) > 1
+        for row, trace, x_final, x_true in results:
+            img_true = _to_image(built, x_true).ravel()
+            peak = float(np.max(np.abs(img_true)))
+            want = [psnr(_to_image(built, back(x)).ravel(), img_true, peak).db
+                    for x in trace.iterates[1:]]
+            assert trace.psnr.tolist() == want
+            assert row.psnr_db == want[-1]
+
+    def test_caps_and_overflow_row_by_row(self, tmp_path):
+        built = build_experiment(diverging_config(tmp_path))
+        truths = [np.array([0.5, -1.0]), np.array([2.0, 0.1]),
+                  np.array([-0.3, 0.7]), np.array([1.0, 1.0])]
+        refs = [(t, float(np.max(np.abs(t)))) for t in truths]
+        score = _block_psnr(built, None, refs)
+        # an exact match, past 99 dB, an ordinary value, an overflowing error
+        x = np.stack([truths[0], truths[1] + 1e-9, truths[2] + 0.1, [1e200, 1.0]])
+        want = [psnr(row, t, peak) for row, (t, peak) in zip(x, refs)]
+        assert [w.capped for w in want] == [True, True, False, False]
+        assert want[3].db == -np.inf
+        assert score(x, [0, 1, 2, 3]).tolist() == [w.db for w in want]
+        assert score(x[[1, 3]], [1, 3]).tolist() == [want[1].db, want[3].db]
+        assert score(x[2], [2]).tolist() == [want[2].db]  # one seed: a plain vector
+        with pytest.raises(ValueError, match="peak must be positive"):
+            _block_psnr(built, None, [(truths[0], 0.0)])
+
+
+class TestPsnrOfHugeIterates:
+    """A finite iterate whose squared error overflows scores -inf dB, with
+    no warning, in the trace and the summary; the 2-D instance at
+    gamma = 4e102 diverges at seed 4 with PSNR on."""
+
+    @staticmethod
+    def config(out_dir, seeds):
+        cfg = diverging_config(out_dir)
+        return _with(cfg, seeds=list(seeds), solver=dict(cfg.solver, gamma=4e102),
+                     metrics={"psnr": True, "ssim": False})
+
+    def test_trace_and_summary_read_minus_inf(self, tmp_path):
+        result = run_experiment(self.config(tmp_path / "out", (1, 2, 3)))
+        assert len(result.rows) == 3
+        for row in result.rows:
+            trace = result.traces[row.seed]
+            assert np.all(np.isfinite(trace.x_final))
+            assert np.isfinite(trace.psnr[0]) and trace.psnr[-1] == -np.inf
+            assert row.psnr_db == -np.inf and not row.psnr_capped
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["-inf"] * 3
+
+    def test_diverging_seed_raises_and_exits_4(self, tmp_path):
+        cfg = self.config(tmp_path / "out", (4,))
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["run", str(path), "--quiet"]) == EXIT_DIVERGENCE
 
 
 class TestBlurDownsamplePipeline:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srp.arrayio import ArrayFileError, read_array, write_array
-from srp.metrics import magnitude, psnr, ssim
+from srp.metrics import magnitude, mean_squared_error, psnr, psnr_db, ssim
 
 
 class TestPsnr:
@@ -25,6 +25,33 @@ class TestPsnr:
         x_hat = np.full(1000, np.sqrt(0.001))
         value = psnr(x_hat, x_true, peak=1.0)
         np.testing.assert_allclose(value.db, 30.0, atol=1e-10)
+
+    def test_overflowing_error_reads_minus_inf_quietly(self):
+        # (1e200)² overflows, so the squared error is inf and the PSNR -inf
+        # dB, with no RuntimeWarning (the suite raises those as errors)
+        value = psnr(np.array([1e200, 0.0]), np.zeros(2), peak=1.0)
+        assert value.db == -np.inf and not value.capped
+
+    def test_rows_follow_the_one_image_rule(self):
+        # an exact match, a value past the cap, an ordinary value and an
+        # overflow: each row of a block is psnr(...) of that row bit for bit
+        rng = np.random.default_rng(6)
+        truth = rng.standard_normal(50)
+        rows = np.stack([truth, truth + 1e-7, truth + 0.1 * rng.standard_normal(50),
+                         np.r_[1e200, truth[1:]]])
+        peaks = np.array([2.5, 2.5, 3.0, 1.0])
+        db, capped = psnr_db(mean_squared_error(rows, truth), peaks)
+        assert capped.tolist() == [True, True, False, False]
+        assert db[1] == 99.0 and 10 * np.log10(2.5 ** 2 / np.mean((rows[1] - truth) ** 2)) > 99
+        assert db[3] == -np.inf
+        for row, peak, got, flag in zip(rows, peaks, db, capped):
+            assert (got, flag) == psnr(row, truth, peak)
+
+    def test_exactly_99_db_is_capped(self):
+        mse = 1.2589254117941638e-10  # 10 log10(1 / mse) is 99.0 exactly
+        assert 10.0 * np.log10(1.0 / mse) == 99.0
+        db, capped = psnr_db(mse, 1.0)
+        assert db == 99.0 and capped
 
     def test_shape_and_peak_validation(self):
         with pytest.raises(ValueError):

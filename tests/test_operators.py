@@ -395,6 +395,20 @@ class TestSpectralProperties:
         assert (not op._innovation_cache) == spectral
 
     @given(circulant_systems())
+    def test_cached_denominator_solves_as_the_uncached_expression(self, system):
+        op, _, c, sigma2, rng = system
+        if op._gram_dual()[0] != "circulant":
+            return
+        m = op.out_dim
+        r = rng.standard_normal((2, m))
+        want = _irfft(_rfft(r) / (c * op._gram_dual()[1][: m // 2 + 1] + sigma2), m)
+        for _ in range(2):  # the first solve builds the denominator, the second reads it
+            np.testing.assert_array_equal(op.innovation_solve(c, sigma2, r), want)
+        (denom,) = op._denominators.values()
+        assert op._innovation_denominator(c, sigma2) is denom
+        assert not denom.flags.writeable
+
+    @given(circulant_systems())
     def test_batched_solve_matches_rows(self, system):
         op, _, c, sigma2, rng = system
         r = rng.standard_normal((4, op.out_dim))
@@ -692,6 +706,46 @@ class TestColumnSolve:
         assert got.shape == r.shape
         np.testing.assert_array_equal(got, expected)
         assert op._gram_dual()[0] == kind
+
+    @given(column_systems())
+    def test_cached_denominator_solves_as_the_uncached_expression(self, system):
+        # for the column and for the scalar c of its first row, the first
+        # solve builds the denominator c λ + σ² and later ones read it
+        kind, op, c, sigma2, r = system
+        m = op.out_dim
+        cases = [(c, r), (float(c[0, 0]), r[..., 0, :])]
+        for ck, rk in cases:
+            data = op._gram_dual()[1]
+            if kind == "diagonal":
+                want = rk / (ck * data + sigma2)
+            elif kind == "circulant":
+                want = _irfft(_rfft(rk) / (ck * data[: m // 2 + 1] + sigma2), m)
+            else:
+                want = op.innovation_solve(ck, sigma2, rk)
+            for _ in range(2):
+                np.testing.assert_array_equal(op.innovation_solve(ck, sigma2, rk), want)
+        if kind == "dense":
+            assert not op._denominators
+            return
+        assert len(op._denominators) == 2  # one per (c, σ²): the column, the scalar
+        for ck, _ in cases:
+            denom = op._innovation_denominator(ck, sigma2)
+            assert op._innovation_denominator(ck, sigma2) is denom
+            assert not denom.flags.writeable
+        op._innovation_denominator(c, sigma2 + 1.0)
+        assert len(op._denominators) == 3
+
+    def test_columns_of_equal_bytes_and_other_shapes_keep_their_own_denominators(self):
+        # c of shape (1, 1) and (1,) hold the same bytes; each solve keeps
+        # the shape it would have without the cache
+        op = CoordinateMask(5, [0, 2, 3])
+        r = np.arange(5.0)
+        for c in (np.array([[0.5]]), np.array([0.5]), 0.5):
+            got = op.innovation_solve(c, 0.3, r)
+            want = r / (c * op.indicator ** 2 + 0.3)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert len(op._denominators) == 3
 
     def test_dense_column_does_not_reenter_the_public_solve(self):
         op = DenseMatrix(np.random.default_rng(19).standard_normal((4, 6)))

@@ -369,6 +369,12 @@ def reference_posterior_mean(post, s):
     return mean
 
 
+def _assert_same_bits(got, want):
+    """Equal arrays, bit for bit: signed zeros must match too."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _fast_path_operators():
     n = 16
     kernel = np.zeros(n)
@@ -427,6 +433,44 @@ class TestPosteriorFastPath:
         rows = np.stack([post.posterior_mean(row) for row in s])
         np.testing.assert_allclose(batch, rows, rtol=FOLD_RTOL,
                                    atol=FOLD_RTOL * np.abs(rows).max())
+
+    @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
+    def test_in_place_steps_match_the_allocating_form(self, op_name, prior_name):
+        # the responsibilities and the isotropic fold run in place; the
+        # allocating expressions they replaced are the reference, bit for
+        # bit, also on far rows where some responsibilities underflow to 0
+        post, s = self._setup(op_name, prior_name)
+        s = np.vstack([s, 1e3 * s[:5]])
+        logp = post.component_loglik(s) + post.log_w
+        e = np.exp(logp - np.max(logp, axis=-1, keepdims=True))
+        resp = e / np.sum(e, axis=-1, keepdims=True)
+        assert np.any(resp == 0.0) == (post.prior.n_components > 1)
+        _assert_same_bits(post.responsibilities(s), resp)
+        if prior_name == "isotropic":
+            z = post._innovations(s)[1]
+            acc = sum((c * resp[..., k, None]) * z[..., k, :]
+                      for k, c in enumerate(post._cvals))
+            want = resp @ post.prior.means + post.obs.H.adjoint_apply(acc)
+            _assert_same_bits(post.posterior_mean(s), want)
+
+    @pytest.mark.parametrize("op_name", ["coordinate-mask", "masked-fourier", "blur-fold",
+                                         "convex-combo"])
+    def test_denominator_built_once_per_posterior(self, op_name):
+        # an isotropic posterior solves against one column c: its operator
+        # holds one denominator for it, built by the first solve
+        post, s = self._setup(op_name, "isotropic")
+        H = post.obs.H
+        assert not H._denominators
+        first = post.posterior_mean(s)
+        (denom,) = H._denominators.values()
+        for _ in range(2):
+            np.testing.assert_array_equal(post.posterior_mean(s), first)
+            assert list(H._denominators.values()) == [denom]
+            assert H._denominators[next(iter(H._denominators))] is denom
+        other = LinearGaussianPosterior(post.prior, ObservationModel(H, 0.9))
+        other.posterior_mean(s)
+        assert len(H._denominators) == 2  # a second σ², a second denominator
+        assert not H._innovation_cache
 
     def test_blur_fold_builds_no_dense_form(self):
         # f | n makes the member's innovation system circulant: a silent

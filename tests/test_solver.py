@@ -436,8 +436,11 @@ class TestLockstep:
 
     @staticmethod
     def block(problem, reg, restorer, cfgs, psnr=True):
-        psnr_fns = [(lambda x, c=c: float(x[0] - c.seed)) for c in cfgs] if psnr else None
-        return run([problem] * len(cfgs), reg, restorer, cfgs, psnr_fn=psnr_fns)
+        # each row's x[0] - seed: the solo runs' ``psnr_fn`` below, row by row
+        seeds = np.array([c.seed for c in cfgs])
+        score = lambda x, ids: np.reshape(x, (-1, x.shape[-1]))[:, 0] - seeds[ids]
+        return run([problem] * len(cfgs), reg, restorer, cfgs,
+                   psnr_fn=score if psnr else None)
 
     @pytest.mark.parametrize("name", ["masks", "mixture", "dense"])
     @pytest.mark.parametrize("selection,batch", [
@@ -550,14 +553,20 @@ class TestLockstep:
                             lambda self, s, H: calls.append(len(s)) or restore(self, s, H))
         cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, x0="zeros")
                 for s in range(seeds)]
-        ends = []  # calls made when each iteration's first PSNR callback runs
-        psnr_fns = [lambda x: ends.append(len(calls)) or 0.0] + [lambda x: 0.0] * (seeds - 1)
-        traces = run([problem] * seeds, reg, restorer, cfgs, psnr_fn=psnr_fns)
+        ends = []  # calls made when each iteration's PSNR scorer runs
+        score = lambda x, ids: ends.append(len(calls)) or np.zeros(len(ids))
+        traces = run([problem] * seeds, reg, restorer, cfgs, psnr_fn=score)
         per_iteration = np.diff([0] + ends)
         drawn = [len(set(col)) for col in zip(*(t.op_index.tolist() for t in traces))]
         assert per_iteration.tolist() == drawn
         assert max(per_iteration) <= min(seeds, reg.ens.size)
         assert sum(calls) == seeds * 40
+
+    def test_per_seed_psnr_callbacks_are_refused(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        cfgs = [SolverConfig(gamma=0.1, iterations=5, seed=s) for s in (0, 1)]
+        with pytest.raises(TypeError, match="one block scorer"):
+            run([problem] * 2, reg, restorer, cfgs, psnr_fn=[lambda x: 0.0] * 2)
 
     def test_seeds_must_share_their_settings(self):
         problem, reg, restorer = lockstep_instance("masks")
