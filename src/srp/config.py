@@ -449,9 +449,13 @@ def build_experiment(cfg):
                               f"prior dim is {prior.dim}")
         if not np.all(np.isfinite(truth)):
             raise ConfigError(f"ground truth file {gt['path']} has non-finite entries")
-        if cfg.metrics["psnr"] and cfg.metrics["psnr_peak"] is None and not np.any(truth):
-            raise ConfigError(f"ground truth file {gt['path']} is all zeros, so PSNR has no "
-                              "peak (the truth's largest magnitude); set metrics.psnr_peak")
+        # PSNR, and SSIM of a 2-D image, default to the truth's largest magnitude as peak
+        scored = cfg.metrics["psnr"] or (
+            cfg.metrics["ssim"] and cfg.image is not None and len(cfg.image["shape"]) == 2)
+        if scored and cfg.metrics["psnr_peak"] is None and not np.any(truth):
+            raise ConfigError(f"ground truth file {gt['path']} is all zeros, so PSNR and SSIM "
+                              "have no peak (the truth's largest magnitude); "
+                              "set metrics.psnr_peak")
         truth.setflags(write=False)  # one vector for every seed
     image = cfg.image
     n = image and int(np.prod(image["shape"])) * (1 + image["complex"])

@@ -228,69 +228,50 @@ def gaussian_objective_minimum(problem, reg):
 # -- stochastic gradient -----------------------------------------------------------
 
 
-def regularizer_step(reg, restorer, x, members, rng):
-    """Regularizer term of one stochastic step, averaged over ``members``.
+def regularizer_step(reg, restorer, x, members, rngs):
+    """Regularizer terms of one stochastic step for an (S, n) block of
+    iterates, each row averaged over its draws.
 
-    For each member index j, in draw order, draws one noise vector and forms
-    (tau/sigma²) H_jᵀH_j (x - R(H_j x + sigma n, H_j)). A single draw is
-    returned as its term plus 0.0, the bits of the one-row mean (whose sum
-    starts from +0.0). Batches keep the (b, n) buffer: for n = 1 numpy sums
-    its column pairwise, which a running sum does not reproduce.
+    ``members`` has shape (S, b): row s lists the member indices of seed s's
+    b draws, and ``rngs`` holds the S seeds' noise generators. For each
+    draw of member j, in each seed's own draw order, one noise vector n
+    gives the term (tau/sigma²) H_jᵀH_j (x_s - R(H_j x_s + sigma n, H_j)),
+    drawn by ``standard_normal(out=...)`` into a row of one buffer: the
+    values of a ``standard_normal(out_dim)`` call. A seed's b terms sit in
+    a (b, n) buffer whose sum is divided by b (for n = 1 numpy sums that
+    column pairwise, which a running sum does not reproduce); a single draw
+    is its term plus 0.0, the bits of that one-row mean.
 
-    Lockstep seeds: for an (S, n) block ``x``, ``members`` has shape (S, b)
-    and ``rng`` holds S generators, one noise stream per seed; each row of
-    the (S, n) result is summed and scaled as above. The draws are restored
-    grouped by member (``_block_terms``); this vector form is the reference
-    the block form is tested against.
+    The draws are restored grouped by (batch slot, member): one
+    ``H.apply``, ``restore`` and ``gram_apply`` per group, so at most
+    b * min(S, J) restores for J members. A group's rows belong to distinct
+    seeds, so a one-seed block restores one row at a time, and a row is its
+    seed's own step bit for bit wherever those calls run row by row.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
-    if np.ndim(x) == 2:
-        seeds, batch = members.shape
-        terms = _block_terms(ens, restorer, x, members, rng, scale)
-        if batch == 1:
-            return terms + 0.0
-        return np.sum(terms.reshape(seeds, batch, -1), axis=1) / batch
-
-    def term(j):
-        H = ens.members[j]
-        s = H.apply(x) + ens.sigma * rng.standard_normal(H.out_dim)
-        return scale * H.gram_apply(x - restorer.restore(s, H))
-
-    if len(members) == 1:
-        return term(members[0]) + 0.0
-    return np.sum([term(j) for j in members], axis=0) / len(members)
-
-
-def _block_terms(ens, restorer, x, members, rngs, scale):
-    """Step terms of the S * b draws of an (S, n) block, seed-major: row
-    s * b + i is seed s's draw i, of member ``members[s, i]``.
-
-    Each seed draws its noise in its own draw order, one
-    ``standard_normal(out=...)`` per draw into a row of one buffer, which
-    gives the values of a ``standard_normal(out_dim)`` call. The draws are
-    then grouped by member: one ``H.apply``, ``restore`` and ``gram_apply``
-    per member drawn. A row is its vector term bit for bit wherever those
-    run row by row.
-    """
-    batch = members.shape[1]
-    draws = members.ravel().tolist()
-    groups = {}  # member -> its draws' rows
+    seeds, batch = members.shape
+    draws = members.ravel().tolist()  # row s * b + i: seed s's draw i
+    widths = [ens.members[j].out_dim for j in draws]
+    groups = {}  # (slot, member) -> its draws' rows
     for i, j in enumerate(draws):
-        groups.setdefault(j, []).append(i)
-    noise = np.empty((len(draws), max(ens.members[j].out_dim for j in groups)))
-    for i, j in enumerate(draws):
-        rngs[i // batch].standard_normal(out=noise[i, : ens.members[j].out_dim])
+        groups.setdefault((i % batch, j), []).append(i)
+    noise = np.empty((len(draws), max(widths)))
+    for i, m in enumerate(widths):
+        rngs[i // batch].standard_normal(out=noise[i, :m])
     terms = np.empty((len(draws), x.shape[-1])) if len(groups) > 1 else None
-    for j, idx in groups.items():
+    for (_, j), idx in groups.items():
         H, rows = ens.members[j], _rows(idx)
-        xg = x[rows] if batch == 1 else x[[i // batch for i in idx]]
+        xg = x[_rows([i // batch for i in idx])]
         s = H.apply(xg) + ens.sigma * noise[rows, : H.out_dim]
         term = scale * H.gram_apply(xg - restorer.restore(s, H))
         if terms is None:
-            return term
-        terms[rows] = term
-    return terms
+            terms = term
+        else:
+            terms[rows] = term
+    if batch == 1:
+        return terms + 0.0
+    return np.sum(terms.reshape(seeds, batch, -1), axis=1) / batch
 
 
 def _rows(positions):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .operators import (
     Composition,
@@ -42,32 +43,6 @@ def smooth_random_field(shape, rng, decay=1.5):
     )
     field = np.fft.ifft2(spectrum)
     return field / np.max(np.abs(field))
-
-
-def _logsumexp(a, keepdims=False):
-    """log(sum(exp(a))) over the last axis, bit-identical to scipy's.
-
-    It follows ``scipy.special.logsumexp``'s arithmetic for real input: the
-    maximal terms are split out of the shifted sum and re-enter through
-    ``log1p``, and rows whose result is not finite (infinite or nan terms)
-    take the direct form. Plain numpy skips scipy's array-API dispatch, which
-    cost more than the sum itself on the solver's few-element rows.
-    """
-    a_max = np.max(a, axis=-1, keepdims=True)
-    is_max = a == a_max
-    count = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1,
-                      keepdims=True)
-        out = np.log1p(rest / count) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
-            out = np.where(finite, out, direct)
-    if keepdims:
-        return out
-    out = out[..., 0]
-    return out[()] if out.ndim == 0 else out
 
 
 def _normalize_cov(cov, dim):
@@ -291,7 +266,8 @@ class LinearGaussianPosterior:
         return self._innovations(s)[0]
 
     def logpdf(self, s):
-        return _logsumexp(self.component_loglik(s) + self.log_w)
+        with np.errstate(all="ignore"):  # rows of all -inf terms warn on their way to -inf
+            return scipy.special.logsumexp(self.component_loglik(s) + self.log_w, axis=-1)
 
     def responsibilities(self, s):
         return self._responsibilities(self.component_loglik(s))

@@ -9,9 +9,10 @@ RNG protocol (load-bearing for reproducibility): the run seed feeds a
 SeedSequence whose first two children drive operator selection and noise,
 in that order. Selection strategies therefore never perturb the noise
 stream, so a one-member ensemble under iid selection is bit-identical to a
-fixed-index run at the same seed. Seeds run in lockstep (several seeds in
-one ``run`` call) keep their own two streams each, and every seed draws
-its noise in its own draw order, so the protocol is per seed.
+fixed-index run at the same seed. A ``run`` call advances its seeds in
+lockstep as one (S, n) block, a single seed as a (1, n) block; each seed
+keeps its own two streams and draws its noise in its own draw order, so
+the protocol is per seed.
 
 The auditor checks the biased-SGD bound
 
@@ -177,8 +178,6 @@ def _auto_diagnostics(reg):
 
 def _row_dots(v):
     """Each row's dot product with itself, bit for bit ``np.dot(row, row)``."""
-    if v.ndim == 1:
-        return np.dot(v, v)
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
@@ -198,19 +197,19 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     ``psnr_fn`` fills the trace's PSNR column; None leaves it empty. For one
     seed it is a callable of the new iterate returning its PSNR. For S
     seeds it is one block scorer, called once per iteration as
-    ``psnr_fn(X, ids)``: X holds the live seeds' new iterates, shape (S', n)
-    (a plain n-vector when S is 1), ``ids`` lists the config index of each
-    row's seed, and it returns the S' PSNR values in row order.
+    ``psnr_fn(X, ids)``: X holds the live seeds' new iterates, shape (S', n),
+    ``ids`` lists the config index of each row's seed, and it returns the S'
+    PSNR values in row order.
 
-    The seeds advance as one (S, n) iterate block with an (S, m) residual
-    block, each with its own selection and noise streams, and share every
-    per-call cost: one ``A.apply`` per iteration, one restore per member
-    drawn. A seed whose iterate goes non-finite leaves the block with the
+    Every call runs one loop: the seeds advance as one (S, n) iterate block
+    with an (S, m) residual block, each with its own selection and noise
+    streams, and share every per-call cost: one ``A.apply`` per iteration,
+    one restore per (batch slot, member) drawn. One seed is a (1, n) block.
+    A seed whose iterate goes non-finite leaves the block with the
     iteration and last finite iterate of its solo run; the others go on.
-    One seed runs on plain vectors: the vector loop's calls and bits. With
-    S > 1 each row is its solo run bit for bit where every operation runs
-    row by row; products that become matrix-matrix (a dense operator, a
-    mixture's responsibility-weighted means) agree to rounding.
+    Each row is its solo run bit for bit where every operation runs row by
+    row; products that become matrix-matrix (a dense operator, a mixture's
+    responsibility-weighted means) agree to rounding.
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
@@ -221,7 +220,7 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     ``A.apply`` for the start block.
     """
     if isinstance(cfg, SolverConfig):
-        score = None if psnr_fn is None else (lambda x, ids: psnr_fn(x))
+        score = None if psnr_fn is None else (lambda x, ids: psnr_fn(x[0]))
         (out,) = _lockstep([problem], reg, restorer, [cfg], score)
         if isinstance(out, DivergenceError):
             raise out
@@ -258,16 +257,13 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     rngs = [noise for _, noise in streams]  # the block rows' noise streams
     x = np.stack([_initial_point(c, p) for c, p in zip(cfgs, problems)])
     y = np.stack([p.y for p in problems])
-    if seeds == 1:
-        # one seed runs on plain vectors: the vector loop's calls and bits
-        x, y, draws, rngs = x[0], y[0], draws[:, 0], rngs[0]
 
     # per seed and iteration; the norm columns hold squares until the end
     step_sq, grad_hat_norm = np.zeros((seeds, t)), np.zeros((seeds, t))
     grad_true_norm = np.zeros((seeds, t)) if forms is not None else None
     f_value = np.zeros((seeds, t)) if forms is not None else None
     psnr_vals = np.zeros((seeds, t)) if score is not None else None
-    iterates = np.zeros((seeds, t + 1, x.shape[-1])) if cfg.record_iterates else None
+    iterates = np.zeros((seeds, t + 1, x.shape[1])) if cfg.record_iterates else None
     if iterates is not None:
         iterates[:, 0] = x
     outcomes = [None] * seeds
@@ -287,9 +283,9 @@ def _lockstep(problems, reg, restorer, cfgs, score):
             diff = x_new - x
             sq = _row_dots(diff)  # not finite whenever a row of x_new is not
             if not np.isfinite(sq).all():
-                finite = np.isfinite(x_new).all(axis=-1).reshape(-1)
+                finite = np.isfinite(x_new).all(axis=1)
                 for i in np.flatnonzero(~finite):
-                    outcomes[ids[i]] = DivergenceError(k + 1, x.reshape(-1, x.shape[-1])[i])
+                    outcomes[ids[i]] = DivergenceError(k + 1, x[i])
                 if not finite.all():
                     ids = [s for s, keep in zip(ids, finite) if keep]
                     if not ids:
@@ -311,14 +307,11 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     for norms in (grad_hat_norm, grad_true_norm):
         if norms is not None:
             np.sqrt(norms, out=norms)
-    if f_initial is not None:
-        f_initial = np.reshape(f_initial, -1)
-    x = x.reshape(-1, x.shape[-1])
 
     column = lambda a, s: None if a is None else a[s]
     for i, s in enumerate(ids):
         outcomes[s] = Trace(
-            op_index=draws.reshape(t, seeds, -1)[:, s, 0],  # a batch's first draw
+            op_index=draws[:, s, 0],  # a batch's first draw
             step_sq=step_sq[s],
             grad_hat_norm=grad_hat_norm[s],
             grad_true_norm=column(grad_true_norm, s),

@@ -249,37 +249,61 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, f"config error: ground truth file {gt} has non-finite")
 
-    @pytest.mark.parametrize("peak", [None, 2.0])
-    def test_all_zero_ground_truth_with_psnr(self, tmp_path, peak):
-        # PSNR's peak defaults to the truth's largest magnitude, 0 here: the
-        # config is refused before any solve unless it sets a peak
+    def check_all_zero_ground_truth(self, tmp_path, metrics, peak, image=None, scored=True):
+        # PSNR's and SSIM's peak defaults to the truth's largest magnitude, 0
+        # here: a config that scores either is refused before any solve
+        # unless it sets a peak
         gt = tmp_path / "truth.f64"
-        write_array(gt, np.zeros(16))
-        metrics = {"psnr": True, "ssim": False}
+        write_array(gt, np.zeros(64))
+        metrics = dict(metrics)
         if peak is not None:
             metrics["psnr_peak"] = peak
         cfg = {
             "version": 1, "name": "zero-truth", "seed": 0, "seeds": [1, 2],
             "output_dir": str(tmp_path / "out"),
-            "problem": {"operator": {"kind": "identity", "dim": 16},
+            "problem": {"operator": {"kind": "identity", "dim": 64},
                         "ground_truth": {"source": "file", "path": str(gt)},
                         "noise_sigma": 0.1},
-            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0] * 16],
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0] * 64],
                       "covariances": [1.0]},
-            "ensemble": {"members": [{"kind": "identity", "dim": 16}], "sigma": 1.0},
+            "ensemble": {"members": [{"kind": "identity", "dim": 64}], "sigma": 1.0},
             "restorer": {"type": "exact-mmse"},
             "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
             "metrics": metrics,
         }
+        if image is not None:
+            cfg["image"] = image
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         proc = run_cli("run", str(path), "--quiet")
-        if peak is None:
+        if scored and peak is None:
             self.assert_input_error(proc, f"config error: ground truth file {gt} is all zeros")
             assert not (tmp_path / "out").exists()
-        else:
-            assert proc.returncode == EXIT_OK, proc.stderr
-            assert (tmp_path / "out" / "summary.csv").is_file()
+            return None
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return (tmp_path / "out" / "summary.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("peak", [None, 2.0])
+    def test_all_zero_ground_truth_with_psnr(self, tmp_path, peak):
+        self.check_all_zero_ground_truth(tmp_path, {"psnr": True, "ssim": False}, peak)
+
+    @pytest.mark.parametrize("peak", [None, 2.0])
+    def test_all_zero_ground_truth_with_ssim(self, tmp_path, peak):
+        # SSIM alone is scored on a 2-D image, with the same peak
+        rows = self.check_all_zero_ground_truth(
+            tmp_path, {"psnr": False, "ssim": True}, peak, image={"shape": [8, 8]})
+        if rows is not None:
+            header = rows[0].split(",")
+            for row in rows[1:]:
+                cells = dict(zip(header, row.split(",")))
+                assert cells["psnr_db"] == "" and 0.0 < float(cells["ssim"]) < 1.0
+
+    def test_all_zero_ground_truth_without_image_scores(self, tmp_path):
+        # SSIM of a vector that is not a 2-D image is never scored, so it
+        # needs no peak
+        rows = self.check_all_zero_ground_truth(tmp_path, {"psnr": False, "ssim": True},
+                                                None, scored=False)
+        assert all(row.split(",")[2:4] == ["", ""] for row in rows[1:])
 
     @pytest.mark.parametrize("height", [float("nan"), -1.0, 2.5, float("inf")])
     def test_malformed_ground_truth_header(self, tmp_path, height):

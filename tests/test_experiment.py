@@ -359,7 +359,7 @@ class TestBlockPsnr:
         assert want[3].db == -np.inf
         assert score(x, [0, 1, 2, 3]).tolist() == [w.db for w in want]
         assert score(x[[1, 3]], [1, 3]).tolist() == [want[1].db, want[3].db]
-        assert score(x[2], [2]).tolist() == [want[2].db]  # one seed: a plain vector
+        assert score(x[[2]], [2]).tolist() == [want[2].db]  # one seed: a one-row block
         with pytest.raises(ValueError, match="peak must be positive"):
             _block_psnr(built, None, [(truths[0], 0.0)])
 

@@ -220,6 +220,11 @@ class TestClosedFormsCache:
             regularizer_curvature_bound(reg)
 
 
+def step_row(reg, restorer, x, members, rng):
+    """``regularizer_step`` on the one-row block of x: its row."""
+    return regularizer_step(reg, restorer, x[None], np.asarray(members)[None], [rng])[0]
+
+
 class TestRegularizerStep:
     def test_single_draw_matches_one_row_mean(self):
         # the one-row (1, n) buffer-and-sum form, bit for bit, signed zeros
@@ -236,7 +241,7 @@ class TestRegularizerStep:
         saw_negative_zero = False
         for x in (np.array([0.3, -1.1, 0.7, -2.0]), np.array([-0.4, -0.2, 0.1, -3.0])):
             for j in (0, 1, 2, 0):
-                got = regularizer_step(reg, r, x, np.array([j]), rng)
+                got = step_row(reg, r, x, [j], rng)
                 H = ens.members[j]
                 s = H.apply(x) + 0.6 * ref_rng.standard_normal(H.out_dim)
                 terms = np.empty((1, 4))
@@ -258,7 +263,7 @@ class TestRegularizerStep:
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         members = np.arange(batch) % 2
         for x in (np.array([0.9]), np.array([-2.4])):
-            got = regularizer_step(reg, r, x, members, rng)
+            got = step_row(reg, r, x, members, rng)
             terms = np.empty((batch, 1))
             for i, j in enumerate(members):
                 H = ens.members[j]
@@ -272,7 +277,7 @@ class TestRegularizerStep:
         p = Problem(Identity(1), np.array([0.5]))
         r = ExactMmse(reg.prior, 1.0)
         x = np.array([2.0])
-        g = fidelity_grad(p, x) + regularizer_step(reg, r, x, [0], np.random.default_rng(11))
+        g = fidelity_grad(p, x) + step_row(reg, r, x, [0], np.random.default_rng(11))
         np.testing.assert_allclose(g, fidelity_grad(p, x), atol=1e-290)
 
     def test_unbiasedness(self):
@@ -281,7 +286,7 @@ class TestRegularizerStep:
         r = ExactMmse(reg.prior, 1.0)
         x = np.array([1.2])
         rng = np.random.default_rng(12)
-        draws = np.array([(fidelity_grad(p, x) + regularizer_step(reg, r, x, [0], rng))[0]
+        draws = np.array([(fidelity_grad(p, x) + step_row(reg, r, x, [0], rng))[0]
                           for _ in range(10_000)])
         expected = fidelity_grad(p, x)[0] + reg.gaussian_forms.grad(x)[0]
         se = float(draws.std(ddof=1) / np.sqrt(draws.size))
@@ -293,8 +298,7 @@ class TestRegularizerStep:
         p = Problem(Identity(1), np.zeros(1))
         restorer = ExactMmse(reg.prior, 0.8)
         x = np.array([0.7])
-        g = fidelity_grad(p, x) + regularizer_step(reg, restorer, x, [0],
-                                                   np.random.default_rng(13))
+        g = fidelity_grad(p, x) + step_row(reg, restorer, x, [0], np.random.default_rng(13))
         s = x + 0.8 * np.random.default_rng(13).standard_normal(1)
         expected = fidelity_grad(p, x) + (0.9 / (0.8 * 0.8)) * (
             x - restorer.restore(s, reg.ens.members[0])
@@ -327,7 +331,7 @@ class TestRegularizerStep:
         rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         for _ in range(4):
             idx = select.choice(3, size=batch, p=ens.weights)
-            g = fidelity_grad(p, x) + regularizer_step(reg, r, x, idx, rng)
+            g = fidelity_grad(p, x) + step_row(reg, r, x, idx, rng)
             terms = np.empty((batch, 3))
             for i, j in enumerate(idx):
                 H = ens.members[j]

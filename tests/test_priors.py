@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, strategies as st
 
 from srp.operators import (
@@ -19,7 +18,6 @@ from srp.operators import (
 )
 from srp.oracle import QuadratureGrid, oracle_mmse
 from srp.priors import (
-    _logsumexp,
     FactorizationError,
     GmmPrior,
     LinearGaussianPosterior,
@@ -160,6 +158,17 @@ class TestObservationLogpdf:
         batch = observation_logpdf(p, obs, s)
         single = [observation_logpdf(p, obs, row) for row in s]
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_infinite_entry_is_minus_inf_without_warnings(self):
+        p = GmmPrior([0.3, 0.7], [[0.5, -0.2], [-1.0, 0.4]], [np.asarray(0.6), np.asarray(1.1)])
+        obs = ObservationModel(Identity(2), 0.7)
+        s = np.array([[np.inf, 0.3], [-np.inf, 0.3], [0.2, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = observation_logpdf(p, obs, s)
+            single = observation_logpdf(p, obs, s[0])
+        assert got[0] == got[1] == single == -np.inf
+        assert np.isfinite(got[2])
 
 
 class TestMmseRestore:
@@ -317,32 +326,6 @@ class TestObservationScore:
             assert gap < tol, f"trial {trial}: gap {gap}"
             worst = max(worst, gap)
         assert worst < 1e-6
-
-
-class TestLogsumexp:
-    CASES = [
-        np.array([[0.0, -1.0, -2.5], [3.0, 3.0, -np.inf], [1e-3, 2e-3, -7.0]]),
-        np.array([[-np.inf, -np.inf, -np.inf], [0.5, -np.inf, 0.25]]),
-        np.array([[np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, -np.inf, 0.0],
-                  [np.inf, np.inf, 2.0], [np.nan, np.inf, -np.inf]]),
-        np.array([[1e300, -1e300, 0.0], [1e308, 1e308, -1e308], [-1e300, -1e300, -2e300]]),
-        np.array([[4.0]]),
-        np.array([1.0, 2.0, 3.0]),
-        np.random.default_rng(12).standard_normal((5, 4, 3)) * 30.0,
-    ]
-
-    @pytest.mark.parametrize("keepdims", [False, True])
-    @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_bit_identical_to_scipy_without_warnings(self, case, keepdims):
-        a = self.CASES[case]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expected = scipy.special.logsumexp(a, axis=-1, keepdims=keepdims)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _logsumexp(a, keepdims=keepdims)
-        assert np.shape(got) == np.shape(expected)
-        np.testing.assert_array_equal(got, expected)
 
 
 # Contract of the posterior fast path against the per-component reference:

@@ -271,7 +271,7 @@ def lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=None):
         if grad_fn:
             cols["grad_true_norm"].append(np.linalg.norm(grad_fn(x)))
         ghat = fidelity_grad(problem, x) + regularizer_step(
-            reg, restorer, x, draws[k], noise_rng)
+            reg, restorer, x[None], draws[k:k + 1], [noise_rng])[0]
         x_new = x - cfg.gamma * ghat
         op_index.append(draws[k, 0])
         step_sq.append(float(np.dot(x_new - x, x_new - x)))
@@ -352,6 +352,24 @@ class TestDivergence:
         assert np.all(np.isfinite(err.value.last_iterate))
 
 
+def vector_step(reg, restorer, x, members, rng):
+    """The regularizer step on a plain vector: one noise vector per member
+    index, in draw order, each draw restored on its own. A single draw is
+    its term plus 0.0; a batch keeps the (b, n) buffer and divides its sum
+    by b. The reference each row of the block step is checked against."""
+    ens = reg.ens
+    scale = reg.tau / (ens.sigma * ens.sigma)
+
+    def term(j):
+        H = ens.members[j]
+        s = H.apply(x) + ens.sigma * rng.standard_normal(H.out_dim)
+        return scale * H.gram_apply(x - restorer.restore(s, H))
+
+    if len(members) == 1:
+        return term(members[0]) + 0.0
+    return np.sum([term(j) for j in members], axis=0) / len(members)
+
+
 def vector_loop(problem, reg, restorer, cfg, psnr_fn=None):
     """The one-seed solver loop on plain vectors, as it ran before seeds
     advanced in lockstep: one errstate per iteration, np.linalg.norm, and
@@ -379,7 +397,7 @@ def vector_loop(problem, reg, restorer, cfg, psnr_fn=None):
             fg = A.adjoint_apply(r)
             if forms:
                 cols["grad_true_norm"][k] = np.linalg.norm(fg + grad(x))
-            ghat = fg + regularizer_step(reg, restorer, x, draws[k], noise_rng)
+            ghat = fg + vector_step(reg, restorer, x, draws[k], noise_rng)
             x_new = x - cfg.gamma * ghat
             if not np.all(np.isfinite(x_new)):
                 return DivergenceError(k + 1, x)
@@ -403,7 +421,9 @@ def lockstep_instance(name):
     """(problem, regularizer, restorer) on 4-vectors: "masks" has a diagonal
     A, one Gaussian and mask members, so every operation runs row by row;
     "mixed-widths" adds members of out_dim 2 and 4; "dense" is the 4-D audit
-    instance with a dense A; "mixture" has two prior components."""
+    instance with a dense A; "mixture" has two prior components; "diagonal"
+    and "full" have one Gaussian of diagonal and of full covariance, and
+    "diagonal-mixture" two components of diagonal covariance."""
     A = Identity(4)
     members = [Identity(4), CoordinateMask(4, [0, 1]), CoordinateMask(4, [2, 3])]
     prior = normal_prior(4, mean=[0.5, -0.3, 0.2, 0.1], var=0.8)
@@ -415,6 +435,15 @@ def lockstep_instance(name):
     if name == "mixture":
         prior = GmmPrior([0.3, 0.7], [[0.5, 0.0, -0.2, 0.1], [-1.0, 0.3, 0.8, 0.0]],
                          [np.asarray(0.7), np.asarray(1.2)])
+    if name == "diagonal":
+        prior = GmmPrior([1.0], [[0.5, -0.3, 0.2, 0.1]], [np.array([0.8, 0.5, 1.1, 0.9])])
+    if name == "full":
+        a = np.array([[1.0, 0.3, 0.0, -0.2], [0.0, 0.8, 0.4, 0.0],
+                      [0.1, 0.0, 0.9, 0.3], [0.0, -0.2, 0.0, 0.7]])
+        prior = GmmPrior([1.0], [[0.5, -0.3, 0.2, 0.1]], [a @ a.T + 0.2 * np.eye(4)])
+    if name == "diagonal-mixture":
+        prior = GmmPrior([0.3, 0.7], [[0.5, 0.0, -0.2, 0.1], [-1.0, 0.3, 0.8, 0.0]],
+                         [np.array([0.7, 0.4, 1.0, 0.6]), np.array([1.2, 0.9, 0.5, 1.4])])
     ens = DegradationEnsemble(members, sigma=0.7, weights=[0.5, 0.3, 0.2])
     reg = Regularizer(tau=0.8, prior=prior, ens=ens)
     problem = Problem(A, np.array([0.3, -0.2, 0.6, 0.1]))
@@ -442,9 +471,11 @@ class TestLockstep:
         return run([problem] * len(cfgs), reg, restorer, cfgs,
                    psnr_fn=score if psnr else None)
 
-    @pytest.mark.parametrize("name", ["masks", "mixture", "dense"])
+    @pytest.mark.parametrize("name", ["masks", "mixture", "dense", "diagonal", "full",
+                                      "diagonal-mixture"])
     @pytest.mark.parametrize("selection,batch", [
-        ("iid-by-weights", 1), ("iid-by-weights", 3), ("cyclic", 1), ("fixed", 1)])
+        ("iid-by-weights", 1), ("iid-by-weights", 3), ("iid-by-weights", 5),
+        ("cyclic", 1), ("fixed", 1)])
     def test_one_seed_is_the_vector_loop(self, name, selection, batch):
         problem, reg, restorer = lockstep_instance(name)
         cfg = SolverConfig(gamma=0.3, iterations=40, seed=4, selection=selection,
@@ -458,7 +489,8 @@ class TestLockstep:
         assert trace.csv_text() == ref.csv_text()
 
     @pytest.mark.parametrize("name,exact", [
-        ("masks", True), ("mixed-widths", True), ("dense", False), ("mixture", False)])
+        ("masks", True), ("mixed-widths", True), ("dense", False), ("mixture", False),
+        ("diagonal", True), ("full", False), ("diagonal-mixture", True)])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_rows_are_their_solo_runs(self, name, exact, batch):
         problem, reg, restorer = lockstep_instance(name)
@@ -508,7 +540,7 @@ class TestLockstep:
         got = regularizer_step(reg, restorer, x, members, block_rngs)
         for row, x_row, draws, seed, rng in zip(got, x, members, (4, 5, 6), block_rngs):
             solo_rng = np.random.default_rng(seed)
-            want = regularizer_step(reg, restorer, x_row, draws, solo_rng)
+            want = vector_step(reg, restorer, x_row, draws, solo_rng)
             assert np.array_equal(row, want)
             assert rng.standard_normal() == solo_rng.standard_normal()
 
@@ -543,24 +575,30 @@ class TestLockstep:
         assert outcomes[0].iteration < outcomes[1].iteration
 
     @pytest.mark.parametrize("seeds", [2, 5])
-    def test_one_restore_per_distinct_member(self, seeds, monkeypatch):
-        # 3 members: each iteration restores once per member drawn, so at
-        # most min(S, J) times
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_one_restore_per_distinct_member(self, seeds, batch, monkeypatch):
+        # 3 members: each iteration restores once per (batch slot, member)
+        # drawn, so at most batch * min(S, J) times
         problem, reg, restorer = lockstep_instance("dense")
         calls = []
         restore = ExactMmse.restore
         monkeypatch.setattr(ExactMmse, "restore",
                             lambda self, s, H: calls.append(len(s)) or restore(self, s, H))
-        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, x0="zeros")
+        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, batch=batch, x0="zeros")
                 for s in range(seeds)]
         ends = []  # calls made when each iteration's PSNR scorer runs
         score = lambda x, ids: ends.append(len(calls)) or np.zeros(len(ids))
-        traces = run([problem] * seeds, reg, restorer, cfgs, psnr_fn=score)
+        run([problem] * seeds, reg, restorer, cfgs, psnr_fn=score)
         per_iteration = np.diff([0] + ends)
-        drawn = [len(set(col)) for col in zip(*(t.op_index.tolist() for t in traces))]
+        draws = np.stack([_selection_stream(c, reg.ens, solver_streams(c.seed)[0])
+                          for c in cfgs], axis=1)  # (iterations, S, batch)
+        drawn = [len({(slot, j) for row in step for slot, j in enumerate(row)})
+                 for step in draws.tolist()]
         assert per_iteration.tolist() == drawn
-        assert max(per_iteration) <= min(seeds, reg.ens.size)
-        assert sum(calls) == seeds * 40
+        assert max(per_iteration) <= batch * min(seeds, reg.ens.size)
+        if batch > 1:  # more than one restore per member: grouped by slot too
+            assert max(per_iteration) > min(seeds, reg.ens.size)
+        assert sum(calls) == seeds * batch * 40
 
     def test_per_seed_psnr_callbacks_are_refused(self):
         problem, reg, restorer = lockstep_instance("masks")
