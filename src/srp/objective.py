@@ -95,7 +95,7 @@ def fidelity_grad(problem, x):
 
 
 def fidelity_lipschitz(problem):
-    """Power-iteration estimate of ||AᵀA||_2, the fidelity gradient's constant."""
+    """||AᵀA||_2, the fidelity gradient's exact Lipschitz constant."""
     return gram_operator_norm(problem.A)
 
 

@@ -655,23 +655,21 @@ def adjoint_mismatch(op, rng, trials=100):
 
 
 def gram_operator_norm(op):
-    """||Hᵀ H||_2 by 200 power iterations from a deterministic start vector.
+    """||Hᵀ H||_2 = ||H Hᵀ||_2, read exactly from the cached H Hᵀ description:
+    max d (diagonal), max λ (circulant) or G's top eigenvalue (dense).
 
-    Each step makes one ``gram_apply`` (201 in all): the Hᵀ H v of a step's
-    Rayleigh quotient is the next step's power iterate.
+    A tall H (out_dim > in_dim, which only a dense-matrix stage makes) takes
+    the top eigenvalue of the smaller in_dim² Gram Hᵀ H instead, and leaves
+    ``_gram_dual`` unfilled. Both dense paths go through ``to_dense`` and so
+    raise ``DenseCapExceeded`` past its cap.
     """
-    v = np.linspace(1.0, 2.0, op.in_dim)
-    v /= np.linalg.norm(v)
-    w = op.gram_apply(v)
-    lam = 0.0
-    for _ in range(200):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        w = op.gram_apply(v)
-        lam = float(np.dot(v, w))
-    return lam
+    if op.out_dim > op.in_dim:
+        hd = op.to_dense()
+        return float(scipy.linalg.eigvalsh(hd.T @ hd)[-1])
+    kind, data = op._gram_dual()
+    if kind == "dense":
+        return float(scipy.linalg.eigvalsh(data)[-1])
+    return float(np.max(data))
 
 
 # -- k-space row masks --------------------------------------------------------

@@ -176,11 +176,6 @@ def _auto_diagnostics(reg):
         return None
 
 
-def _row_dots(v):
-    """Each row's dot product with itself, bit for bit ``np.dot(row, row)``."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 # Settings the seeds of one lockstep block share; seed and x0 may differ.
 _SHARED = ("gamma", "iterations", "selection", "fixed_index", "batch", "record_iterates")
 
@@ -273,15 +268,16 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     # overflow en route to the divergence check is expected and handled
     with np.errstate(over="ignore", invalid="ignore"):
         r = A.apply(x) - y
-        f_initial = None if forms is None else 0.5 * _row_dots(r) + forms.value(x)
+        f_initial = None if forms is None else 0.5 * np.vecdot(r, r) + forms.value(x)
         for k in range(t):
             fg = A.adjoint_apply(r)
             if forms is not None:
-                grad_true_norm[live, k] = _row_dots(fg + forms.grad(x))
+                true_grad = fg + forms.grad(x)
+                grad_true_norm[live, k] = np.vecdot(true_grad, true_grad)
             ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
             x_new = x - cfg.gamma * ghat
             diff = x_new - x
-            sq = _row_dots(diff)  # not finite whenever a row of x_new is not
+            sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not
             if not np.isfinite(sq).all():
                 finite = np.isfinite(x_new).all(axis=1)
                 for i in np.flatnonzero(~finite):
@@ -295,10 +291,10 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                     rngs = [g for g, keep in zip(rngs, finite) if keep]
                     live = np.array(ids)
             step_sq[live, k] = sq
-            grad_hat_norm[live, k] = _row_dots(ghat)
+            grad_hat_norm[live, k] = np.vecdot(ghat, ghat)
             r = A.apply(x_new) - y
             if forms is not None:
-                f_value[live, k] = 0.5 * _row_dots(r) + forms.value(x_new)
+                f_value[live, k] = 0.5 * np.vecdot(r, r) + forms.value(x_new)
             if psnr_vals is not None:
                 psnr_vals[live, k] = score(x_new, ids)
             x = x_new

@@ -237,14 +237,17 @@ def _four_d_instance():
 
 
 def _audit(problem, reg, restorer, gamma, seeds=50, iterations=500):
-    runs = []
-    for seed in range(seeds):
-        cfg = SolverConfig(
-            gamma=gamma, iterations=iterations, seed=seed,
-            x0="zeros", record_iterates=True,
-        )
-        _, trace = run(problem, reg, restorer, cfg)
-        runs.append((problem, reg, restorer, cfg, trace))
+    """One audit of ``seeds`` seeds, solved as one lockstep block."""
+    cfgs = [
+        SolverConfig(gamma=gamma, iterations=iterations, seed=seed,
+                     x0="zeros", record_iterates=True)
+        for seed in range(seeds)
+    ]
+    traces = run([problem] * seeds, reg, restorer, cfgs)
+    for trace in traces:
+        if isinstance(trace, Exception):
+            raise trace
+    runs = [(problem, reg, restorer, cfg, trace) for cfg, trace in zip(cfgs, traces)]
     rep = audit_convergence(runs, slack=0.05)
     plateau = float(np.mean(
         [np.mean(t.grad_true_norm[-100:] ** 2) for *_, t in runs]

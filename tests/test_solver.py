@@ -181,13 +181,12 @@ class TestReductions:
 class TestBatch:
     def test_batching_reduces_spread(self):
         problem, reg, restorer = one_d_instance()
-        finals = {1: [], 16: []}
+        finals = {}
         for batch in (1, 16):
-            for seed in range(50):
-                cfg = SolverConfig(gamma=0.2, iterations=80, seed=seed,
-                                   x0="zeros", batch=batch)
-                x, _ = run(problem, reg, restorer, cfg)
-                finals[batch].append(x[0])
+            cfgs = [SolverConfig(gamma=0.2, iterations=80, seed=seed,
+                                 x0="zeros", batch=batch) for seed in range(50)]
+            traces = run([problem] * 50, reg, restorer, cfgs)
+            finals[batch] = [t.x_final[0] for t in traces]
         ratio = np.var(finals[1]) / np.var(finals[16])
         assert ratio > 2.0
 
