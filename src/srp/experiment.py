@@ -204,10 +204,12 @@ def _to_image(built, v):
 
 
 def _block_psnr(built, U, refs):
-    """The lockstep block's PSNR scorer (``solver.run``'s ``psnr_fn``): the
-    live iterates, behind the head U when it is not None, are mapped back
-    by one ``U.adjoint_apply`` and scored row by row against their seeds'
-    truth images, each row ``metrics.psnr(...).db`` bit for bit."""
+    """The lockstep block's PSNR scorer (``solver.run``'s ``psnr_fn``),
+    called once per chunk of iterations: the live seeds' iterates of the
+    chunk, stacked row by row with each row's seed in ``ids``, behind the
+    head U when it is not None, are mapped back by one ``U.adjoint_apply``
+    and scored row by row against their seeds' truth images, each row
+    ``metrics.psnr(...).db`` bit for bit."""
     truths = np.stack([img.ravel() for img, _ in refs])
     peaks = np.array([peak for _, peak in refs])
     if not np.all(peaks > 0):

@@ -356,7 +356,9 @@ class CoordinateMask(LinearOperator):
 
     def __init__(self, dim, keep):
         super().__init__(dim, dim)
-        keep = np.asarray(sorted(set(int(i) for i in np.atleast_1d(keep))), dtype=int)
+        keep = np.sort(np.atleast_1d(keep).astype(int))
+        if keep.size > 1:  # drop repeats
+            keep = keep[np.concatenate(([True], keep[1:] != keep[:-1]))]
         if keep.size and (keep[0] < 0 or keep[-1] >= dim):
             raise ValueError(f"mask indices out of range for dim {dim}")
         indicator = np.zeros(dim)
@@ -711,11 +713,8 @@ def row_mask_indices(shape, rows):
     rows = np.asarray(rows, dtype=bool)
     if rows.shape != (h,):
         raise ValueError(f"row mask must have shape ({h},)")
-    kept = []
-    for r in np.flatnonzero(rows):
-        base = 2 * ((r - h // 2) % h) * w
-        kept.extend(range(base, base + 2 * w))
-    return np.asarray(sorted(kept), dtype=int)
+    base = 2 * ((np.flatnonzero(rows) - h // 2) % h) * w
+    return np.sort((base[:, None] + np.arange(2 * w)).ravel())
 
 
 def masked_fourier(shape, rows):

@@ -47,6 +47,10 @@ TRACE_HEADER = "k,op_index,step_sq,grad_hat_norm,grad_true_norm,f_value,psnr"
 _PROBES_PER_RUN = 4
 _PROBE_CAP = 32
 
+# Iterations whose diagnostic columns (the norms, f and PSNR, which feed no
+# iterate) are buffered and then evaluated together in one stacked call each.
+_DIAG_CHUNK = 16
+
 
 class DivergenceError(RuntimeError):
     """Iterates left the finite range; carries the last finite iterate."""
@@ -190,11 +194,15 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     ``DivergenceError`` that ended it.
 
     ``psnr_fn`` fills the trace's PSNR column; None leaves it empty. For one
-    seed it is a callable of the new iterate returning its PSNR. For S
-    seeds it is one block scorer, called once per iteration as
-    ``psnr_fn(X, ids)``: X holds the live seeds' new iterates, shape (S', n),
-    ``ids`` lists the config index of each row's seed, and it returns the S'
-    PSNR values in row order.
+    seed it is a callable of an iterate returning its PSNR, called once per
+    iterate and in order, but only at the end of each chunk of up to
+    ``_DIAG_CHUNK`` iterations. For S seeds it is one block scorer, called
+    once per chunk of c iterations as ``psnr_fn(X, ids)``: X holds the live
+    seeds' new iterates of those iterations, shape (c S', n), iteration by
+    iteration with the seeds in block order within each, ``ids`` lists the
+    config index of each row's seed, and it returns the c S' PSNR values in
+    row order. A seed that diverges has no trace, so the iterates of its
+    last chunk are not scored. The scorer may keep the arrays it is handed.
 
     Every call runs one loop: the seeds advance as one (S, n) iterate block
     with an (S, m) residual block, each with its own selection and noise
@@ -212,10 +220,12 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     iteration makes one ``A.adjoint_apply`` (the fidelity gradient Aᵀ R,
     shared by ghat and the true-gradient norm) and one ``A.apply`` (the
     next residual, which also gives f) on the whole block, plus one
-    ``A.apply`` for the start block.
+    ``A.apply`` for the start block. The trace's norm, f and PSNR columns
+    feed no iterate, so they are evaluated once per chunk, one stacked call
+    each, every entry bit for bit its per-iteration value.
     """
     if isinstance(cfg, SolverConfig):
-        score = None if psnr_fn is None else (lambda x, ids: psnr_fn(x[0]))
+        score = None if psnr_fn is None else (lambda X, ids: [psnr_fn(x) for x in X])
         (out,) = _lockstep([problem], reg, restorer, [cfg], score)
         if isinstance(out, DivergenceError):
             raise out
@@ -252,54 +262,83 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     rngs = [noise for _, noise in streams]  # the block rows' noise streams
     x = np.stack([_initial_point(c, p) for c, p in zip(cfgs, problems)])
     y = np.stack([p.y for p in problems])
+    n = x.shape[1]
 
     # per seed and iteration; the norm columns hold squares until the end
     step_sq, grad_hat_norm = np.zeros((seeds, t)), np.zeros((seeds, t))
     grad_true_norm = np.zeros((seeds, t)) if forms is not None else None
     f_value = np.zeros((seeds, t)) if forms is not None else None
     psnr_vals = np.zeros((seeds, t)) if score is not None else None
-    iterates = np.zeros((seeds, t + 1, x.shape[1])) if cfg.record_iterates else None
+    iterates = np.zeros((seeds, t + 1, n)) if cfg.record_iterates else None
     if iterates is not None:
         iterates[:, 0] = x
     outcomes = [None] * seeds
     ids = list(range(seeds))  # the seed of each block row
     live = slice(None)  # the live seeds' trace rows: all until one diverges
 
+    # The diagnostic columns feed no iterate. Each iteration copies what they
+    # need into chunk buffers, one row per seed: ghat_k and x_{k+1}, and for
+    # the closed forms fg_k and r_{k+1}; x_buf[0] holds the chunk's start
+    # iterate. Each chunk then fills the columns with one stacked call each,
+    # every entry the bits of its per-iteration value, since the row dots,
+    # the closed forms and the scorer all work row by row.
+    chunk = min(_DIAG_CHUNK, t)
+    ghat_buf = np.empty((chunk, seeds, n))
+    if forms is not None:
+        fg_buf, r_buf = np.empty((chunk, seeds, n)), np.empty((chunk, seeds, y.shape[1]))
+
     # overflow en route to the divergence check is expected and handled
     with np.errstate(over="ignore", invalid="ignore"):
         r = A.apply(x) - y
         f_initial = None if forms is None else 0.5 * np.vecdot(r, r) + forms.value(x)
-        for k in range(t):
-            fg = A.adjoint_apply(r)
+        for k0 in range(0, t, chunk):
+            c = min(chunk, t - k0)
+            x_buf = np.empty((c + 1, seeds, n))  # new, so the scorer may keep its rows
+            x_buf[0, live] = x
+            for j in range(c):
+                k = k0 + j
+                fg = A.adjoint_apply(r)
+                if forms is not None:
+                    fg_buf[j, live] = fg
+                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
+                x_new = x - cfg.gamma * ghat
+                diff = x_new - x
+                sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not
+                if not np.isfinite(sq).all():
+                    finite = np.isfinite(x_new).all(axis=1)
+                    for i in np.flatnonzero(~finite):
+                        outcomes[ids[i]] = DivergenceError(k + 1, x[i])
+                    if not finite.all():
+                        ids = [s for s, keep in zip(ids, finite) if keep]
+                        if not ids:
+                            break
+                        x, x_new, ghat, diff, sq, y = (
+                            a[finite] for a in (x, x_new, ghat, diff, sq, y))
+                        rngs = [g for g, keep in zip(rngs, finite) if keep]
+                        live = np.array(ids)
+                step_sq[live, k] = sq
+                ghat_buf[j, live] = ghat
+                x_buf[j + 1, live] = x_new
+                r = A.apply(x_new) - y
+                if forms is not None:
+                    r_buf[j, live] = r
+                x = x_new
+                if iterates is not None:
+                    iterates[live, k + 1] = x
+            if not ids:
+                break
+            # the live seeds' diagnostics of this chunk's c iterations
+            cols = live, slice(k0, k0 + c)
+            g = ghat_buf[:c, live]
+            grad_hat_norm[cols] = np.vecdot(g, g).T
+            x_next = x_buf[1:, live]
             if forms is not None:
-                true_grad = fg + forms.grad(x)
-                grad_true_norm[live, k] = np.vecdot(true_grad, true_grad)
-            ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
-            x_new = x - cfg.gamma * ghat
-            diff = x_new - x
-            sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not
-            if not np.isfinite(sq).all():
-                finite = np.isfinite(x_new).all(axis=1)
-                for i in np.flatnonzero(~finite):
-                    outcomes[ids[i]] = DivergenceError(k + 1, x[i])
-                if not finite.all():
-                    ids = [s for s, keep in zip(ids, finite) if keep]
-                    if not ids:
-                        break
-                    x, x_new, ghat, diff, sq, y = (
-                        a[finite] for a in (x, x_new, ghat, diff, sq, y))
-                    rngs = [g for g, keep in zip(rngs, finite) if keep]
-                    live = np.array(ids)
-            step_sq[live, k] = sq
-            grad_hat_norm[live, k] = np.vecdot(ghat, ghat)
-            r = A.apply(x_new) - y
-            if forms is not None:
-                f_value[live, k] = 0.5 * np.vecdot(r, r) + forms.value(x_new)
-            if psnr_vals is not None:
-                psnr_vals[live, k] = score(x_new, ids)
-            x = x_new
-            if iterates is not None:
-                iterates[live, k + 1] = x
+                true_grad = fg_buf[:c, live] + forms.grad(x_buf[:c, live])
+                grad_true_norm[cols] = np.vecdot(true_grad, true_grad).T
+                r_c = r_buf[:c, live]
+                f_value[cols] = (0.5 * np.vecdot(r_c, r_c) + forms.value(x_next)).T
+            if score is not None:
+                psnr_vals[cols] = np.reshape(score(x_next.reshape(-1, n), ids * c), (c, -1)).T
     for norms in (grad_hat_norm, grad_true_norm):
         if norms is not None:
             np.sqrt(norms, out=norms)

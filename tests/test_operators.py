@@ -875,6 +875,48 @@ class TestRowMasks:
         idx = row_mask_indices((8, 8), rows)
         np.testing.assert_array_equal(idx, np.arange(16))
 
+    @staticmethod
+    def loop_row_mask_indices(shape, rows):
+        # the per-row loop that row_mask_indices replaces, kept as reference
+        h, w = shape
+        kept = []
+        for r in np.flatnonzero(rows):
+            base = 2 * ((r - h // 2) % h) * w
+            kept.extend(range(base, base + 2 * w))
+        return np.asarray(sorted(kept), dtype=int)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 5), (16, 4), (1, 3), (32, 32)])
+    @pytest.mark.parametrize("accel,offset,acs_lines", [
+        (1, 0, 0), (2, 0, 0), (3, 1, 0), (4, 2, 2), (8, 5, 3), (4, 0, 0)])
+    def test_indices_match_the_row_loop(self, shape, accel, offset, acs_lines):
+        h = shape[0]
+        masks = [uniform_row_mask(h, accel, offset, min(acs_lines, h)),
+                 random_row_mask(h, accel, min(acs_lines, h), np.random.default_rng(h)),
+                 np.zeros(h, dtype=bool)]
+        for rows in masks:
+            got = row_mask_indices(shape, rows)
+            want = self.loop_row_mask_indices(shape, rows)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("keep", [
+        [4, 0, 7], [3, 3, 1, 3, 0, 1], [], np.array([], dtype=int), [5],
+        np.array([6, 2, 2], dtype=np.int32), [np.int64(4), np.int16(1), np.int64(4)],
+        [2.0, 0.9, 7.5, 2.2], range(8, 0, -3)])
+    def test_mask_keep_matches_the_set_construction(self, keep):
+        want = np.asarray(sorted(set(int(i) for i in np.atleast_1d(keep))), dtype=int)
+        op = CoordinateMask(9, keep)
+        assert op.keep.dtype == want.dtype
+        np.testing.assert_array_equal(op.keep, want)
+        indicator = np.zeros(9)
+        indicator[want] = 1.0
+        np.testing.assert_array_equal(op.indicator, indicator)
+
+    @pytest.mark.parametrize("keep", [[0, 9], [-1, 2], [9], [3, 3, -2]])
+    def test_mask_keep_out_of_range_is_refused(self, keep):
+        with pytest.raises(ValueError, match="out of range"):
+            CoordinateMask(9, keep)
+
     def test_masked_fourier_roundtrip_on_kept_rows(self):
         rows = np.ones(4, dtype=bool)
         op = masked_fourier((4, 4), rows)

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import srp.solver
 from srp.objective import (
     Problem,
     Regularizer,
@@ -32,6 +33,7 @@ from srp.solver import (
     SolverConfig,
     TRACE_HEADER,
     Trace,
+    _DIAG_CHUNK,
     _selection_stream,
     audit_convergence,
     run,
@@ -286,6 +288,20 @@ def lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=None):
                  f_initial, x)
 
 
+@pytest.fixture
+def each_iteration(monkeypatch):
+    """Install ``probe``, called once per solver iteration just before its
+    regularizer step; returns the list its results are appended to. The
+    regularizer step runs exactly once per iteration, unlike the trace's
+    diagnostics, which are evaluated once per chunk."""
+    def install(probe):
+        seen, step = [], srp.solver.regularizer_step
+        monkeypatch.setattr(srp.solver, "regularizer_step",
+                            lambda *args: seen.append(probe()) or step(*args))
+        return seen
+    return install
+
+
 class TestResidualCarry:
     """run() carries r = A x - y: the same bits as recomputing the fidelity
     from x at every use, with one A.apply and one A.adjoint_apply per iterate."""
@@ -323,7 +339,7 @@ class TestResidualCarry:
         assert trace.csv_text() == ref.csv_text()
 
     @pytest.mark.parametrize("components", [1, 2])
-    def test_one_apply_and_one_adjoint_per_iterate(self, components):
+    def test_one_apply_and_one_adjoint_per_iterate(self, components, each_iteration):
         problem, reg, restorer = self.instance(components)
         A, calls = problem.A, {"apply": 0, "adjoint_apply": 0}
         for name in calls:
@@ -331,12 +347,12 @@ class TestResidualCarry:
                 calls[name] += 1
                 return method(v)
             setattr(A, name, counted)
-        seen = []
-        psnr_fn = lambda x: seen.append((calls["apply"], calls["adjoint_apply"])) or 0.0
+        seen = each_iteration(lambda: (calls["apply"], calls["adjoint_apply"]))
         cfg = SolverConfig(gamma=0.3, iterations=25, seed=6, x0="zeros")
-        run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        run(problem, reg, restorer, cfg, psnr_fn=lambda x: 0.0)
         # the start point's residual, then one of each per iterate
-        assert seen == [(k + 2, k + 1) for k in range(25)]
+        assert seen == [(k + 1, k + 1) for k in range(25)]
+        assert (calls["apply"], calls["adjoint_apply"]) == (26, 25)
 
 
 class TestDivergence:
@@ -575,7 +591,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("seeds", [2, 5])
     @pytest.mark.parametrize("batch", [1, 2])
-    def test_one_restore_per_distinct_member(self, seeds, batch, monkeypatch):
+    def test_one_restore_per_distinct_member(self, seeds, batch, monkeypatch,
+                                             each_iteration):
         # 3 members: each iteration restores once per (batch slot, member)
         # drawn, so at most batch * min(S, J) times
         problem, reg, restorer = lockstep_instance("dense")
@@ -585,10 +602,10 @@ class TestLockstep:
                             lambda self, s, H: calls.append(len(s)) or restore(self, s, H))
         cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, batch=batch, x0="zeros")
                 for s in range(seeds)]
-        ends = []  # calls made when each iteration's PSNR scorer runs
-        score = lambda x, ids: ends.append(len(calls)) or np.zeros(len(ids))
+        starts = each_iteration(lambda: len(calls))  # restores before each iteration
+        score = lambda x, ids: np.zeros(len(ids))
         run([problem] * seeds, reg, restorer, cfgs, psnr_fn=score)
-        per_iteration = np.diff([0] + ends)
+        per_iteration = np.diff(starts + [len(calls)])
         draws = np.stack([_selection_stream(c, reg.ens, solver_streams(c.seed)[0])
                           for c in cfgs], axis=1)  # (iterations, S, batch)
         drawn = [len({(slot, j) for row in step for slot, j in enumerate(row)})
@@ -614,6 +631,79 @@ class TestLockstep:
         same = [SolverConfig(gamma=0.1, iterations=5, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="forward operator"):
             run([problem, other], reg, restorer, same)
+
+
+class TestChunkedDiagnostics:
+    """The norm, f and PSNR columns are evaluated once per chunk of
+    _DIAG_CHUNK iterations; every entry keeps its per-iteration bits."""
+
+    @pytest.mark.parametrize("name", ["masks", "mixture"])
+    @pytest.mark.parametrize("t", [1, 15, 16, 17, 33])
+    def test_one_seed_is_the_vector_loop(self, name, t):
+        problem, reg, restorer = lockstep_instance(name)
+        cfg = SolverConfig(gamma=0.3, iterations=t, seed=7, batch=2, x0="adjoint",
+                           record_iterates=True)
+        psnr_fn = lambda x: float(x[0] - 2.0 * x[3])
+        x, trace = run(problem, reg, restorer, cfg, psnr_fn=psnr_fn)
+        x_ref, ref = vector_loop(problem, reg, restorer, cfg, psnr_fn)
+        assert (trace.f_value is None) == (name == "mixture")
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(trace.iterates, ref.iterates)
+        assert trace.f_initial == ref.f_initial
+        assert trace.csv_text() == ref.csv_text()
+
+    @pytest.mark.parametrize("t", [1, 15, 16, 17, 33])
+    def test_block_rows_are_the_vector_loop(self, t):
+        problem, reg, restorer = lockstep_instance("masks")
+        cfgs = [SolverConfig(gamma=0.3, iterations=t, seed=s, x0=x0)
+                for s, x0 in ((3, "zeros"), (8, "adjoint"), (5, np.array([1.0, -2.0, 0.5, 3.0])))]
+        traces = TestLockstep.block(problem, reg, restorer, cfgs)
+        for cfg, trace in zip(cfgs, traces):
+            _, ref = vector_loop(problem, reg, restorer, cfg,
+                                 lambda x, c=cfg: float(x[0] - c.seed))
+            assert trace.csv_text() == ref.csv_text()
+
+    def test_a_seed_diverging_mid_chunk_leaves_the_survivors_exact(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        starts = ["zeros", np.full(4, 1e300), "adjoint"]
+        cfgs = [SolverConfig(gamma=2.5, iterations=40, seed=s, x0=x0, record_iterates=True)
+                for s, x0 in zip((1, 2, 3), starts)]
+        outcomes = TestLockstep.block(problem, reg, restorer, cfgs)
+        # it leaves after 3 of the second chunk's 16 iterations
+        assert isinstance(outcomes[1], DivergenceError)
+        assert outcomes[1].iteration == _DIAG_CHUNK + 4
+        for i in (0, 2):
+            _, ref = vector_loop(problem, reg, restorer, cfgs[i],
+                                 lambda x, c=cfgs[i]: float(x[0] - c.seed))
+            assert outcomes[i].csv_text() == ref.csv_text()
+            assert np.array_equal(outcomes[i].iterates, ref.iterates)
+
+    @pytest.mark.parametrize("t", [1, 15, 16, 17, 33])
+    def test_one_stacked_call_per_chunk(self, t, monkeypatch):
+        problem, reg, restorer = lockstep_instance("masks")
+        calls = {"value": 0, "grad": 0, "score": 0}
+        for name in ("value", "grad"):
+            def counted(self, x, name=name, method=getattr(SingleGaussianForms, name)):
+                calls[name] += 1
+                return method(self, x)
+            monkeypatch.setattr(SingleGaussianForms, name, counted)
+        def score(x, ids):
+            calls["score"] += 1
+            return np.zeros(len(ids))
+        cfgs = [SolverConfig(gamma=0.3, iterations=t, seed=s) for s in (0, 1)]
+        run([problem] * 2, reg, restorer, cfgs, psnr_fn=score)
+        chunks = -(-t // _DIAG_CHUNK)
+        # value also gives f at the start point
+        assert calls == {"value": chunks + 1, "grad": chunks, "score": chunks}
+
+    def test_one_seed_scorer_sees_each_iterate_once_in_order(self):
+        problem, reg, restorer = lockstep_instance("mixture")
+        cfg = SolverConfig(gamma=0.3, iterations=2 * _DIAG_CHUNK + 5, seed=2,
+                           record_iterates=True)
+        seen = []  # kept as handed over: the rows must not be overwritten later
+        _, trace = run(problem, reg, restorer, cfg,
+                       psnr_fn=lambda x: seen.append(x) or 0.0)
+        assert np.array_equal(np.array(seen), trace.iterates[1:])
 
 
 class TestTraceCsv:
