@@ -24,7 +24,6 @@ from .operators import (
     deinterleave,
     interleave,
     masked_fourier,
-    sample_degradation,
 )
 from .priors import (
     GmmPrior,
@@ -40,17 +39,13 @@ from .restoration import (
     ExactMmse,
     Gain,
     Smoothing,
-    bias_vector,
 )
 from .objective import (
     Problem,
     Regularizer,
     fidelity,
-    fidelity_grad,
     fidelity_lipschitz,
     reg_grad_exact,
-    reg_value_mc,
-    variance_probe,
 )
 from .oracle import QuadratureGrid, oracle_grad, oracle_mmse, oracle_reg_value
 from .solver import (

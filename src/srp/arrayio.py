@@ -36,8 +36,15 @@ def write_array(path, data):
 
 
 def read_array(path):
-    """Read back as (h, w) or (h, w, c); a single row comes back as (w,)."""
-    raw = np.fromfile(path, dtype="<f8")
+    """Read back as (h, w) or (h, w, c); a single row comes back as (w,).
+
+    A path that is a directory is refused with ``ArrayFileError``, like a
+    malformed file.
+    """
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+    except IsADirectoryError as exc:
+        raise ArrayFileError(f"{path}: {exc.strerror}") from exc
     if raw.size < _HEADER_LEN:
         raise ArrayFileError(f"{path}: truncated header")
     magic, version = raw[0], raw[1]

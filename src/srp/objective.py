@@ -7,8 +7,12 @@ whose gradient reduces exactly to the averaged restoration residual
 
     ∇h(x) = (tau / sigma²) E[ Hᵀ H (x - R*(s, H)) ].
 
-Exact evaluation of h is available for single-Gaussian priors (Gaussian
-cross-entropy); everything else goes through the Monte Carlo estimators.
+Exact evaluation of h, its gradient and its curvature is available for
+single-Gaussian priors (Gaussian cross-entropy, ``SingleGaussianForms``).
+For any prior, ``reg_grad_exact`` estimates ∇h by Monte Carlo through the
+exact posterior mean, and ``regularizer_step`` draws the solver's per-step
+term. The tests keep Monte Carlo references for h, the step's variance and
+the bias vector in ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -90,10 +94,6 @@ def fidelity(problem, x):
     return 0.5 * float(np.dot(r, r))
 
 
-def fidelity_grad(problem, x):
-    return problem.A.adjoint_apply(problem.A.apply(x) - problem.y)
-
-
 def fidelity_lipschitz(problem):
     """||AᵀA||_2, the fidelity gradient's exact Lipschitz constant."""
     return gram_operator_norm(problem.A)
@@ -128,7 +128,7 @@ class SingleGaussianForms:
         if prior.dim > _DENSE_CAP_DIM:
             raise ClosedFormUnavailable(
                 f"dense closed form capped at dim {_DENSE_CAP_DIM}; "
-                "use reg_value_mc / reg_grad_exact"
+                "use reg_grad_exact"
             )
         self.tau = reg.tau
         self.mu = prior.means[0]
@@ -161,23 +161,6 @@ class SingleGaussianForms:
 
     def curvature_norm(self):
         return float(np.max(scipy.linalg.eigvalsh(self.curvature)))
-
-
-def reg_value_mc(reg, x, mc_samples, rng):
-    """Unbiased Monte Carlo estimate of h(x) with its standard error.
-
-    Draws come from ``DegradationEnsemble.observe``, so two calls with
-    identically seeded generators share their randomness; that is what makes
-    common-random-number finite differences work.
-    """
-    x = _mc_point(reg.ens, x, mc_samples, 2)
-    posts = _posteriors(reg)
-    vals = np.empty(int(mc_samples))
-    for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
-        vals[rows] = -posts[j].logpdf(s)
-    est = reg.tau * float(np.mean(vals))
-    se = reg.tau * float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
-    return est, se
 
 
 # -- gradients --------------------------------------------------------------------
@@ -279,19 +262,6 @@ def _rows(positions):
     consecutive, so that indexing makes a view, else as the list."""
     first, count = positions[0], len(positions)
     return slice(first, first + count) if positions[-1] - first == count - 1 else positions
-
-
-def variance_probe(reg, restorer, x, mc_samples, rng):
-    """Empirical trace-variance of the stochastic gradient at x.
-
-    The fidelity part is deterministic, so only the regularizer term
-    contributes; returns sum_d Var[term_d] with the unbiased (ddof=1)
-    normalization.
-    """
-    x = _mc_point(reg.ens, x, mc_samples, 2)
-    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
-                                      lambda s, H: x - restorer.restore(s, H))
-    return float(np.sum(_sample_variance(mean, mean_sq, int(mc_samples))))
 
 
 class AuditTerms(NamedTuple):

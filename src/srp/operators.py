@@ -634,12 +634,6 @@ class DegradationEnsemble:
                 yield j, H, rows, H.apply(x) + self.sigma * noise
 
 
-def sample_degradation(ens, rng):
-    """Draw (index, member) from the ensemble's weight distribution."""
-    idx = int(rng.choice(ens.size, p=ens.weights))
-    return idx, ens.members[idx]
-
-
 # -- verification helpers -----------------------------------------------------
 
 

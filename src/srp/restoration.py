@@ -7,21 +7,21 @@ gain (bias proportional to the signal, so any bound only holds on the probed
 domain), and a circular box smoothing (frequency-selective bias). All three
 are affine in the estimate.
 
-Three Monte Carlo estimators are moments of one integrand over draws
-H ~ weights, s = H x + sigma n from ``DegradationEnsemble.observe``,
+The one draw-and-restore kernel, ``_residual_moments``, takes moments of
 
-    (tau / sigma²) Hᵀ H r(s, H),
+    (tau / sigma²) Hᵀ H r(s, H)
 
-and share one draw-and-restore kernel, ``_residual_moments``: the gradient
-of h (``objective.reg_grad_exact``, r = x - R*), the stochastic step's
-trace-variance (``objective.variance_probe``, r = x - R) and the bias vector
-(``bias_vector``, r = R* - R)
+over draws H ~ weights, s = H x + sigma n from ``DegradationEnsemble.observe``.
+The library estimates the gradient of h with it (``objective.reg_grad_exact``,
+r = x - R*). The test references in ``tests/references.py`` estimate the
+stochastic step's trace-variance (r = x - R) and the bias vector
+(r = R* - R) with it,
 
     b(x) = (tau / sigma²) E_{H, s}[ Hᵀ H (R*(s, H) - R(s, H)) ].
 
 For a single-Gaussian prior R is affine in s, and
-``objective.exact_audit_terms`` gives the variance and b(x) in closed form
-instead.
+``objective.exact_audit_terms`` gives the variance and b(x) in closed form,
+which is what the audit reads.
 """
 
 from __future__ import annotations
@@ -196,19 +196,3 @@ def _residual_moments(ens, x, tau, mc_samples, rng, residual):
     scale = float(tau) / (ens.sigma * ens.sigma)
     n = int(mc_samples)
     return scale * total / n, scale * scale * total_sq / n
-
-
-def bias_vector(restorer, ens, x, tau, mc_samples, rng):
-    """Monte Carlo estimate of the bias vector b(x).
-
-    Each draw is restored once: the exact estimate, then the restorer's
-    perturbation chain applied to it. For the exact operator the integrand
-    is identically zero sample by sample, so the estimate is exactly zero:
-    it is returned without drawing, and ``rng`` is left untouched.
-    """
-    x = _mc_point(ens, x, mc_samples, 1)
-    exact, links = _unwrap(restorer)
-    if not links:
-        return np.zeros(ens.in_dim)
-    gap = lambda s, H: np.subtract(*restore_with_exact(exact, links, s, H))
-    return _residual_moments(ens, x, tau, mc_samples, rng, gap)[0]

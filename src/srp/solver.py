@@ -147,8 +147,8 @@ def _selection_stream(cfg, ens, rng):
 
     iid selection draws the whole stream in one ``choice`` call, which yields
     the same indices as one ``choice`` of size ``batch`` per iteration, or
-    one ``sample_degradation`` per iteration when batch is 1. Cyclic and
-    fixed selection draw nothing.
+    one scalar ``choice(ens.size, p=ens.weights)`` per iteration when batch
+    is 1. Cyclic and fixed selection draw nothing.
     """
     t = cfg.iterations
     if cfg.selection == "iid-by-weights":

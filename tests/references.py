@@ -1,0 +1,74 @@
+"""Reference estimators that only the tests call.
+
+No solver, audit, oracle or CLI path evaluates these: the solver draws its
+regularizer term per step (``objective.regularizer_step``) and the audit
+reads ν² and b(x) in closed form (``objective.exact_audit_terms``). The
+tests keep them as independent references for those paths. Every Monte
+Carlo draw still comes from the library's one loop over
+``DegradationEnsemble.observe``, and every estimator that restores draws
+goes through its one kernel, ``restoration._residual_moments``.
+
+The module is not called ``reference``: ``bench/tests`` imports
+``bench/reference.py`` under that name in the same test session.
+"""
+
+import numpy as np
+
+from srp.objective import _posteriors, _sample_variance
+from srp.restoration import _mc_point, _residual_moments, _unwrap, restore_with_exact
+
+
+def fidelity_grad(problem, x):
+    return problem.A.adjoint_apply(problem.A.apply(x) - problem.y)
+
+
+def sample_degradation(ens, rng):
+    """Draw (index, member) from the ensemble's weight distribution."""
+    idx = int(rng.choice(ens.size, p=ens.weights))
+    return idx, ens.members[idx]
+
+
+def reg_value_mc(reg, x, mc_samples, rng):
+    """Unbiased Monte Carlo estimate of h(x) with its standard error.
+
+    Draws come from ``DegradationEnsemble.observe``, so two calls with
+    identically seeded generators share their randomness; that is what makes
+    common-random-number finite differences work.
+    """
+    x = _mc_point(reg.ens, x, mc_samples, 2)
+    posts = _posteriors(reg)
+    vals = np.empty(int(mc_samples))
+    for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
+        vals[rows] = -posts[j].logpdf(s)
+    est = reg.tau * float(np.mean(vals))
+    se = reg.tau * float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
+    return est, se
+
+
+def variance_probe(reg, restorer, x, mc_samples, rng):
+    """Empirical trace-variance of the stochastic gradient at x.
+
+    The fidelity part is deterministic, so only the regularizer term
+    contributes; returns sum_d Var[term_d] with the unbiased (ddof=1)
+    normalization.
+    """
+    x = _mc_point(reg.ens, x, mc_samples, 2)
+    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
+                                      lambda s, H: x - restorer.restore(s, H))
+    return float(np.sum(_sample_variance(mean, mean_sq, int(mc_samples))))
+
+
+def bias_vector(restorer, ens, x, tau, mc_samples, rng):
+    """Monte Carlo estimate of the bias vector b(x).
+
+    Each draw is restored once: the exact estimate, then the restorer's
+    perturbation chain applied to it. For the exact operator the integrand
+    is identically zero sample by sample, so the estimate is exactly zero:
+    it is returned without drawing, and ``rng`` is left untouched.
+    """
+    x = _mc_point(ens, x, mc_samples, 1)
+    exact, links = _unwrap(restorer)
+    if not links:
+        return np.zeros(ens.in_dim)
+    gap = lambda s, H: np.subtract(*restore_with_exact(exact, links, s, H))
+    return _residual_moments(ens, x, tau, mc_samples, rng, gap)[0]

@@ -16,7 +16,6 @@ from srp.metrics import magnitude, psnr
 from srp.objective import (
     Problem,
     Regularizer,
-    fidelity_grad,
     fidelity_lipschitz,
     reg_grad_exact,
     regularizer_curvature_bound,
@@ -26,7 +25,6 @@ from srp.operators import (
     DegradationEnsemble,
     DenseMatrix,
     Identity,
-    sample_degradation,
 )
 from srp.oracle import QuadratureGrid, oracle_grad, oracle_mmse
 from srp.priors import (
@@ -38,6 +36,8 @@ from srp.priors import (
 )
 from srp.restoration import Biased, ConstantOffset, ExactMmse
 from srp.solver import SolverConfig, audit_convergence, run, solver_streams
+
+from references import fidelity_grad, sample_degradation
 
 
 def report(criterion, passed, detail, elapsed):

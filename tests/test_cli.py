@@ -239,6 +239,22 @@ class TestInputErrors:
         self.assert_input_error(proc)
         assert "expected 128 values, got 127" in proc.stderr
 
+    @pytest.mark.parametrize("key", ["problem.ground_truth", "prior.means.file"])
+    def test_directory_as_array_file(self, tmp_path, key):
+        folder = tmp_path / "arrays"
+        folder.mkdir()
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        if key == "problem.ground_truth":
+            cfg["problem"]["ground_truth"] = {"source": "file", "path": str(folder)}
+        else:
+            cfg["prior"] = {"type": "explicit", "weights": [1.0],
+                            "means": {"file": str(folder)}, "covariances": [1.0]}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(proc, f"input error: {folder}: Is a directory")
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"
         write_array(gt, np.r_[np.zeros(127), np.nan])

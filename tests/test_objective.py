@@ -12,14 +12,11 @@ from srp.objective import (
     SingleGaussianForms,
     exact_audit_terms,
     fidelity,
-    fidelity_grad,
     fidelity_lipschitz,
     gaussian_objective_minimum,
     reg_grad_exact,
-    reg_value_mc,
     regularizer_curvature_bound,
     regularizer_step,
-    variance_probe,
 )
 from srp.operators import (
     CircularConvolution,
@@ -33,7 +30,9 @@ from srp.operators import (
     Scale,
 )
 from srp.priors import GmmPrior
-from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing, bias_vector
+from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
+
+from references import bias_vector, fidelity_grad, reg_value_mc, variance_probe
 
 
 def normal_prior(n=1, mean=None, var=1.0):

@@ -28,9 +28,10 @@ from srp.operators import (
     masked_fourier,
     random_row_mask,
     row_mask_indices,
-    sample_degradation,
     uniform_row_mask,
 )
+
+from references import sample_degradation
 
 
 def operator_zoo(rng):

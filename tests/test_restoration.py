@@ -12,8 +12,9 @@ from srp.restoration import (
     Gain,
     Smoothing,
     _unwrap,
-    bias_vector,
 )
+
+from references import bias_vector
 
 
 def normal_prior(n=1, mean=None, var=1.0):

@@ -10,7 +10,6 @@ from srp.objective import (
     SingleGaussianForms,
     exact_audit_terms,
     fidelity,
-    fidelity_grad,
     fidelity_lipschitz,
     regularizer_curvature_bound,
     regularizer_step,
@@ -22,7 +21,6 @@ from srp.operators import (
     FoldDownsample,
     Identity,
     Scale,
-    sample_degradation,
 )
 from srp.priors import GmmPrior
 from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain
@@ -39,6 +37,8 @@ from srp.solver import (
     run,
     solver_streams,
 )
+
+from references import fidelity_grad, sample_degradation
 
 
 def normal_prior(n=1, mean=None, var=1.0):

@@ -6,16 +6,15 @@ from pathlib import Path
 import srp
 
 SRC = Path(srp.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
-# Module-level names that nothing in src/srp refers to, with what reaches
-# them. A name leaves this list when a caller appears, or with its deletion.
+# Module-level names that nothing in src/srp refers to, each with the file
+# (relative to the repository root) that calls it from outside. Tests do not
+# count as callers: a name only the tests need lives in tests/references.py.
+# A name leaves this list when a caller appears in src/srp, when its outside
+# caller stops calling it, or with its deletion.
 REACHED_FROM_OUTSIDE = {
-    "fidelity_grad": "acceptance criterion 6's reference loop",
-    "sample_degradation": "acceptance criterion 6's reference loop",
-    "reg_value_mc": "the finite-difference check of reg_grad_exact",
-    "regularizer_curvature_bound": "the bench audit set-up and acceptance criterion 5",
-    "variance_probe": "TestExactAuditTerms",
-    "bias_vector": "TestExactAuditTerms",
+    "regularizer_curvature_bound": "bench/workloads.py",
 }
 
 
@@ -52,3 +51,10 @@ def test_every_module_level_name_has_a_caller():
     assert allowed <= defined, f"allowlisted but gone: {sorted(allowed - defined)}"
     assert unreferenced - allowed == set(), "no caller in src/srp"
     assert allowed - unreferenced == set(), "allowlisted but called from src/srp"
+
+
+def test_every_allowlisted_name_is_called_from_the_file_it_names():
+    for name, caller in REACHED_FROM_OUTSIDE.items():
+        assert not caller.startswith("tests/"), f"{name}: tests are not callers"
+        tree = ast.parse((ROOT / caller).read_text())
+        assert name in set(_identifiers(tree)), f"{caller} no longer calls {name}"
