@@ -31,8 +31,8 @@ from .metrics import magnitude, mean_squared_error, psnr, psnr_db, ssim
 from .objective import Problem, Regularizer
 from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
 from .priors import GmmPrior
-from .restoration import Biased, ConstantOffset, ExactMmse, Gain, _unwrap
-from .solver import AuditProbes, DivergenceError, audit_convergence, run as solver_run
+from .restoration import Biased, ConstantOffset, ExactMmse, Gain
+from .solver import DivergenceError, audit_convergence, run as solver_run
 
 SUMMARY_HEADER = "run_id,seed,psnr_db,ssim,f_final,iters,wall_ms"
 CURVES_HEADER = (
@@ -115,19 +115,15 @@ def _peel(built):
     if not isinstance(U, DiscreteFourier) or not built.prior.is_isotropic:
         return None
     ops = [_behind_head(H, U.shape) for H in (A, *built.ensemble.members)]
-    try:
-        exact, links = _unwrap(built.restorer)
-    except TypeError:
-        return None
+    exact = built.restorer.exact
     if any(op is None for op in ops) or exact.prior is not built.prior:
         return None
     prior = built.prior
     prior = GmmPrior(prior.weights, U.apply(prior.means), list(prior.covariances))
     restorer = ExactMmse(prior, exact.sigma)
-    for link in links:
+    for p in built.restorer.perturbations:
         # an offset c becomes U c; a gain commutes with U, since its centre
         # is the peeled prior's mean U μ̄; smoothing does not commute
-        p = link.perturbation
         if isinstance(p, ConstantOffset):
             p = ConstantOffset(U.apply(np.broadcast_to(p.offset, (U.in_dim,))))
         elif not isinstance(p, Gain):
@@ -374,7 +370,7 @@ def run_experiment(cfg, threads=1, out_dir=None, curves=False, quiet=True):
     return ExperimentResult(rows=ordered, traces=traces, out_dir=out, report=report)
 
 
-def audit_experiment(cfg, probes=None, slack=0.05):
+def audit_experiment(cfg, probes=None):
     """Run all seeds against one shared simulated problem and audit the bound.
 
     The audit compares seeds of the same problem instance, so the ground
@@ -394,5 +390,4 @@ def audit_experiment(cfg, probes=None, slack=0.05):
     for trace in traces:
         if isinstance(trace, DivergenceError):
             raise trace
-    runs = [(problem, *inputs[1:3], scfg, trace) for scfg, trace in zip(scfgs, traces)]
-    return audit_convergence(runs, probes=probes or AuditProbes(), slack=slack)
+    return audit_convergence(problem, *inputs[1:3], scfgs[0], traces, probes=probes)

@@ -33,7 +33,6 @@ from .restoration import (
     Smoothing,
     _mc_point,
     _residual_moments,
-    _unwrap,
     restore_with_exact,
 )
 
@@ -166,26 +165,16 @@ class SingleGaussianForms:
 # -- gradients --------------------------------------------------------------------
 
 
-def _sample_variance(mean, mean_sq, n):
-    """Unbiased (ddof=1) per-coordinate variance from n draws' moments."""
-    return np.maximum(mean_sq - mean ** 2, 0.0) * n / (n - 1)
-
-
-def reg_grad_exact(reg, x, mc_samples, rng, return_se=False):
+def reg_grad_exact(reg, x, mc_samples, rng):
     """Monte Carlo estimator of ∇h built on the exact posterior mean.
 
     The integrand uses the exact restoration operator, so the estimator is
-    unbiased for the true gradient of h. ``return_se`` adds the per-coordinate
-    standard error of the mean.
+    unbiased for the true gradient of h.
     """
     x = _mc_point(reg.ens, x, mc_samples, 2)
     exact = ExactMmse(reg.prior, reg.ens.sigma)
-    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
-                                      lambda s, H: x - exact.restore(s, H))
-    if not return_se:
-        return mean
-    n = int(mc_samples)
-    return mean, np.sqrt(_sample_variance(mean, mean_sq, n) / n)
+    return _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
+                             lambda s, H: x - exact.restore(s, H))[0]
 
 
 def regularizer_curvature_bound(reg):
@@ -300,16 +289,12 @@ def exact_audit_terms(reg, restorer, points):
     the restorer is an exact posterior mean of a one-component prior of
     dimension at most the dense cap, wrapped only in those perturbations.
     """
-    try:
-        exact, links = _unwrap(restorer)
-    except TypeError as exc:
-        raise ClosedFormUnavailable(str(exc)) from exc
-    prior = exact.prior
+    prior = restorer.exact.prior
     if prior.n_components != 1:
         raise ClosedFormUnavailable("exact audit terms need a one-component prior")
     if prior.dim > _DENSE_CAP_DIM:
         raise ClosedFormUnavailable(f"exact audit terms capped at dim {_DENSE_CAP_DIM}")
-    if not all(isinstance(link.perturbation, _AFFINE_PERTURBATIONS) for link in links):
+    if not all(isinstance(p, _AFFINE_PERTURBATIONS) for p in restorer.perturbations):
         raise ClosedFormUnavailable("exact audit terms need affine perturbations")
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
@@ -319,7 +304,7 @@ def exact_audit_terms(reg, restorer, points):
     for H in ens.members:
         m = H.out_dim
         s = np.concatenate([H.apply(x), np.zeros((1, m)), np.eye(m)])
-        exact_est, est = restore_with_exact(exact, links, s, H)
+        exact_est, est = restore_with_exact(restorer, s, H)
         linear = est[count + 1:] - est[count]  # rows: the columns of L_j
         a_j = scale * H.gram_apply(x - est[:count])
         frob = (reg.tau / ens.sigma) ** 2 * float(np.sum(H.gram_apply(linear) ** 2))

@@ -4,7 +4,8 @@ The oracles never touch the posterior algebra in ``priors``: densities are
 computed from first principles on tensor-product trapezoid grids (signal
 space, n <= 2) and Gauss-Hermite rules (observation space, Gaussian weight).
 Trapezoid grids truncated at several prior standard deviations converge
-spectrally for these smooth integrands, so modest grids reach 1e-8.
+spectrally for these smooth integrands, so modest grids reach 1e-8. One
+chunked x-space kernel serves both the posterior mean and log p(s|H).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .priors import _LOG_2PI
 
 _MAX_NODES = 10_000_000
 _FD_STEP = 1e-5  # central-difference step of oracle_grad
+_CHUNK = 256  # s nodes per block of the x-space kernel
+_GH_POINTS = {1: 64, 2: 32, 3: 12, 4: 8}  # default Gauss-Hermite points per axis of s
 
 
 class QuadratureRefusal(ValueError):
@@ -89,48 +92,62 @@ def _log_noise_kernel(S, HX, sigma):
     )
 
 
+def _x_space_log_terms(prior, H, sigma, s_nodes, grid):
+    """The x-grid nodes X, and an iterator over chunks of ``_CHUNK`` s nodes
+    giving their rows, their log integrands log G_sigma(s - Hx) + log p(x) +
+    log w over X, and each row's largest one."""
+    X, w = _trapezoid_nodes(prior, grid)
+    HX = H.apply(X)
+    log_px_w = _prior_logpdf(prior, X) + np.log(w)
+
+    def chunks():
+        for start in range(0, s_nodes.shape[0], _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            log_terms = _log_noise_kernel(s_nodes[rows], HX, sigma) + log_px_w[None, :]
+            yield rows, log_terms, np.max(log_terms, axis=1, keepdims=True)
+
+    return X, chunks()
+
+
+def _oracle_mmse_batch(prior, H, sigma, s_nodes, grid):
+    """Posterior means for many observations, sharing the x-grid and prior pdf."""
+    X, chunks = _x_space_log_terms(prior, H, sigma, s_nodes, grid)
+    out = np.empty((s_nodes.shape[0], prior.dim))
+    for rows, log_terms, shift in chunks:
+        if np.any(~np.isfinite(shift)) or np.any(shift < np.log(1e-300)):
+            raise QuadratureRefusal("denominator below 1e-300; grid too coarse or s too far")
+        terms = np.exp(log_terms - shift)
+        out[rows] = (terms @ X) / np.sum(terms, axis=1, keepdims=True)
+    return out
+
+
 def oracle_mmse(prior, obs, s, grid=None):
     """Posterior mean by direct quadrature of numerator and denominator."""
-    grid = grid or QuadratureGrid()
     s = np.asarray(s, dtype=float)
-    X, w = _trapezoid_nodes(prior, grid)
-    HX = obs.H.apply(X)
-    log_kernel = _log_noise_kernel(s[None, :], HX, obs.sigma)[0]
-    log_terms = log_kernel + _prior_logpdf(prior, X) + np.log(w)
-    shift = np.max(log_terms)
-    if not np.isfinite(shift) or shift < np.log(1e-300):
-        raise QuadratureRefusal("denominator below 1e-300; grid too coarse or s too far")
-    terms = np.exp(log_terms - shift)
-    den = float(np.sum(terms))
-    if den == 0.0:
-        raise QuadratureRefusal("denominator underflow")
-    return (terms @ X) / den
+    return _oracle_mmse_batch(prior, obs.H, obs.sigma, s[None, :], grid or QuadratureGrid())[0]
 
 
-def _gh_nodes(m, points):
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
+def _member_log_density(reg, H, s_nodes, grid_x):
+    """log p(s|H) at the given s nodes, entirely by x-space quadrature."""
+    _, chunks = _x_space_log_terms(reg.prior, H, reg.ens.sigma, s_nodes, grid_x)
+    out = np.empty(s_nodes.shape[0])
+    for rows, log_terms, shift in chunks:
+        out[rows] = shift[:, 0] + np.log(np.sum(np.exp(log_terms - shift), axis=1))
+    return out
+
+
+def _gh_s_nodes(H, x, sigma, points):
+    """Gauss-Hermite nodes for s ~ N(H x, sigma² I) and their weights, with
+    ``points`` per axis (None: a default for the dimension of s)."""
+    m = H.out_dim
+    if m > 4:
+        raise QuadratureRefusal(f"s-space quadrature limited to dim <= 4, got {m}")
+    nodes, weights = np.polynomial.hermite.hermgauss(points or _GH_POINTS[m])
     mesh = np.meshgrid(*([nodes] * m), indexing="ij")
     u = np.stack([g.ravel() for g in mesh], axis=-1)
     wmesh = np.meshgrid(*([weights] * m), indexing="ij")
     w = np.prod(np.stack([g.ravel() for g in wmesh], axis=-1), axis=-1)
-    return u, w / np.pi ** (m / 2.0)
-
-
-def _member_log_density(reg, H, S_nodes, grid_x, chunk=256):
-    """log p(s|H) at the given s nodes, entirely by x-space quadrature."""
-    X, w = _trapezoid_nodes(reg.prior, grid_x)
-    HX = H.apply(X)
-    log_px_w = _prior_logpdf(reg.prior, X) + np.log(w)
-    out = np.empty(S_nodes.shape[0])
-    for start in range(0, S_nodes.shape[0], chunk):
-        block = S_nodes[start : start + chunk]
-        logk = _log_noise_kernel(block, HX, reg.ens.sigma)
-        tot = logk + log_px_w[None, :]
-        shift = np.max(tot, axis=1, keepdims=True)
-        out[start : start + chunk] = (
-            shift[:, 0] + np.log(np.sum(np.exp(tot - shift), axis=1))
-        )
-    return out
+    return H.apply(x) + np.sqrt(2.0) * sigma * u, w / np.pi ** (m / 2.0)
 
 
 def oracle_reg_value(reg, x, gh_points=None, grid_x=None):
@@ -139,32 +156,10 @@ def oracle_reg_value(reg, x, gh_points=None, grid_x=None):
     x = np.asarray(x, dtype=float)
     total = 0.0
     for H, p in zip(reg.ens.members, reg.ens.weights):
-        m = H.out_dim
-        if m > 4:
-            raise QuadratureRefusal(f"s-space quadrature limited to dim <= 4, got {m}")
-        pts = gh_points or {1: 64, 2: 32, 3: 12, 4: 8}[m]
-        u, w = _gh_nodes(m, pts)
-        s_nodes = H.apply(x) + np.sqrt(2.0) * reg.ens.sigma * u
+        s_nodes, w = _gh_s_nodes(H, x, reg.ens.sigma, gh_points)
         logp = _member_log_density(reg, H, s_nodes, grid_x)
         total += p * float(np.sum(w * (-logp)))
     return reg.tau * total
-
-
-def _oracle_mmse_batch(prior, H, sigma, s_nodes, grid, chunk=256):
-    """Posterior means for many observations, sharing the x-grid and prior pdf."""
-    X, w = _trapezoid_nodes(prior, grid)
-    HX = H.apply(X)
-    log_px_w = _prior_logpdf(prior, X) + np.log(w)
-    out = np.empty((s_nodes.shape[0], prior.dim))
-    for start in range(0, s_nodes.shape[0], chunk):
-        block = s_nodes[start : start + chunk]
-        log_terms = _log_noise_kernel(block, HX, sigma) + log_px_w[None, :]
-        shift = np.max(log_terms, axis=1, keepdims=True)
-        if np.any(~np.isfinite(shift)) or np.any(shift < np.log(1e-300)):
-            raise QuadratureRefusal("denominator below 1e-300 in batched oracle")
-        terms = np.exp(log_terms - shift)
-        out[start : start + chunk] = (terms @ X) / np.sum(terms, axis=1, keepdims=True)
-    return out
 
 
 def oracle_grad(reg, x, gh_points=None, grid_x=None):
@@ -191,12 +186,7 @@ def oracle_grad(reg, x, gh_points=None, grid_x=None):
     sigma = reg.ens.sigma
     quad = np.zeros(n)
     for H, p in zip(reg.ens.members, reg.ens.weights):
-        m = H.out_dim
-        if m > 4:
-            raise QuadratureRefusal(f"s-space quadrature limited to dim <= 4, got {m}")
-        pts = gh_points or {1: 64, 2: 32, 3: 12, 4: 8}[m]
-        u, w = _gh_nodes(m, pts)
-        s_nodes = H.apply(x) + np.sqrt(2.0) * sigma * u
+        s_nodes, w = _gh_s_nodes(H, x, sigma, gh_points)
         means = _oracle_mmse_batch(reg.prior, H, sigma, s_nodes, grid_x)
         quad += p * (w @ H.gram_apply(x - means))
     quad *= reg.tau / sigma ** 2

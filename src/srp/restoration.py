@@ -1,11 +1,14 @@
 """Restoration operators R(s, H) and the Monte Carlo kernel over them.
 
-The exact operator is the posterior mean under the Gaussian-mixture prior.
-Inexact operators are modeled as parametric perturbations of an inner
-operator: a constant offset (bias independent of the signal), an innovation
-gain (bias proportional to the signal, so any bound only holds on the probed
-domain), and a circular box smoothing (frequency-selective bias). All three
-are affine in the estimate.
+The exact operator ``ExactMmse`` is the posterior mean under the
+Gaussian-mixture prior. Every restorer is that operator inside zero or more
+``Biased`` wrappers, each adding one parametric perturbation: a constant
+offset (bias independent of the signal), an innovation gain (bias
+proportional to the signal, so any bound only holds on the probed domain),
+or a circular box smoothing (frequency-selective bias). All three are affine
+in the estimate. A restorer's ``exact`` is its exact operator and its
+``perturbations`` the chain applied to that operator's estimate, innermost
+first.
 
 The one draw-and-restore kernel, ``_residual_moments``, takes moments of
 
@@ -33,134 +36,93 @@ from .operators import DimensionMismatch
 from .priors import LinearGaussianPosterior, ObservationModel
 
 
-class RestorationOperator:
-    """Maps a degraded observation s (under operator H) to a signal estimate."""
+class ExactMmse:
+    """The exact MMSE restoration operator for a GMM prior at noise level sigma.
 
-    kind = "abstract"
+    Like every restorer, it has ``exact``, the exact operator underneath
+    (itself), and ``perturbations``, the perturbation chain applied to that
+    operator's estimate, innermost first (none).
+    """
 
-    def restore(self, s, H):
-        raise NotImplementedError
-
-    @property
-    def prior_mean(self):
-        raise NotImplementedError
-
-    @property
-    def base_sigma(self):
-        """Noise level of the underlying exact posterior machinery."""
-        raise NotImplementedError
-
-
-class ExactMmse(RestorationOperator):
-    """The exact MMSE restoration operator for a GMM prior at noise level sigma."""
-
-    kind = "exact-mmse"
+    perturbations = ()
 
     def __init__(self, prior, sigma):
         self.prior = prior
         self.sigma = float(sigma)
-        self._posteriors = {}
+        self._posteriors = {}  # operator -> its posterior; operators hash by identity
+
+    @property
+    def exact(self):
+        # not an attribute: a reference to itself would make a cycle that
+        # keeps a dropped restorer's cached posteriors until a full collection
+        return self
 
     def _posterior(self, H):
-        key = id(H)
-        hit = self._posteriors.get(key)
-        if hit is not None and hit[0] is H:
-            return hit[1]
-        post = LinearGaussianPosterior(self.prior, ObservationModel(H, self.sigma))
-        self._posteriors[key] = (H, post)
+        post = self._posteriors.get(H)
+        if post is None:
+            post = self._posteriors[H] = LinearGaussianPosterior(
+                self.prior, ObservationModel(H, self.sigma))
         return post
 
     def restore(self, s, H):
         return self._posterior(H).posterior_mean(s)
 
-    @property
-    def prior_mean(self):
-        return self.prior.overall_mean()
-
-    @property
-    def base_sigma(self):
-        return self.sigma
-
 
 class ConstantOffset:
     """Adds a fixed vector c to the inner estimate."""
 
-    kind = "constant-offset"
-
     def __init__(self, offset):
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
 
-    def perturb(self, estimate, restorer):
+    def perturb(self, estimate, exact):
         return estimate + self.offset
 
 
 class Gain:
     """Scales the innovation (estimate minus prior mean) by lam."""
 
-    kind = "gain"
-
     def __init__(self, lam):
         self.lam = float(lam)
 
-    def perturb(self, estimate, restorer):
-        center = restorer.prior_mean
+    def perturb(self, estimate, exact):
+        center = exact.prior.overall_mean()
         return center + self.lam * (estimate - center)
 
 
 class Smoothing:
     """Circular box average of width ``strength`` over the signal axis."""
 
-    kind = "smoothing"
-
     def __init__(self, strength):
         self.strength = int(strength)
         if self.strength < 1:
             raise ValueError("smoothing strength must be a positive window size")
 
-    def perturb(self, estimate, restorer):
+    def perturb(self, estimate, exact):
         return uniform_filter1d(estimate, size=self.strength, axis=-1, mode="wrap")
 
 
-class Biased(RestorationOperator):
+class Biased:
     """Inner restoration followed by a parametric perturbation."""
-
-    kind = "biased"
 
     def __init__(self, inner, perturbation):
         self.inner = inner
         self.perturbation = perturbation
+        self.exact = inner.exact
+        self.perturbations = (*inner.perturbations, perturbation)
 
     def restore(self, s, H):
-        return self.perturbation.perturb(self.inner.restore(s, H), self)
-
-    @property
-    def prior_mean(self):
-        return self.inner.prior_mean
-
-    @property
-    def base_sigma(self):
-        return self.inner.base_sigma
+        return self.perturbation.perturb(self.inner.restore(s, H), self.exact)
 
 
-def _unwrap(restorer):
-    """(exact operator, its ``Biased`` wrappers innermost first)."""
-    links = []
-    while isinstance(restorer, Biased):
-        links.append(restorer)
-        restorer = restorer.inner
-    if not isinstance(restorer, ExactMmse):
-        raise TypeError(f"no exact counterpart for restorer kind {restorer.kind!r}")
-    return restorer, links[::-1]
-
-
-def restore_with_exact(exact, links, s, H):
-    """(R*(s, H), R(s, H)) from one restore, for ``exact, links =
-    _unwrap(R)``: the exact estimate, then R's perturbation chain applied to
-    it, innermost link first. The second is ``R.restore(s, H)`` bit for bit.
+def restore_with_exact(restorer, s, H):
+    """(R*(s, H), R(s, H)) from one restore: the exact estimate of
+    ``restorer.exact``, then R's perturbations applied to it, innermost
+    first. The second is ``restorer.restore(s, H)`` bit for bit.
     """
+    exact = restorer.exact
     est = exact_est = exact.restore(s, H)
-    for link in links:
-        est = link.perturbation.perturb(est, link)
+    for p in restorer.perturbations:
+        est = p.perturb(est, exact)
     return exact_est, est
 
 

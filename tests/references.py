@@ -14,8 +14,8 @@ The module is not called ``reference``: ``bench/tests`` imports
 
 import numpy as np
 
-from srp.objective import _posteriors, _sample_variance
-from srp.restoration import _mc_point, _residual_moments, _unwrap, restore_with_exact
+from srp.objective import _posteriors
+from srp.restoration import ExactMmse, _mc_point, _residual_moments, restore_with_exact
 
 
 def fidelity_grad(problem, x):
@@ -26,6 +26,22 @@ def sample_degradation(ens, rng):
     """Draw (index, member) from the ensemble's weight distribution."""
     idx = int(rng.choice(ens.size, p=ens.weights))
     return idx, ens.members[idx]
+
+
+def _sample_variance(mean, mean_sq, n):
+    """Unbiased (ddof=1) per-coordinate variance from n draws' moments."""
+    return np.maximum(mean_sq - mean ** 2, 0.0) * n / (n - 1)
+
+
+def reg_grad_with_se(reg, x, mc_samples, rng):
+    """``objective.reg_grad_exact`` and the per-coordinate standard error of
+    its mean, from the same draws: the mean is its value bit for bit."""
+    x = _mc_point(reg.ens, x, mc_samples, 2)
+    exact = ExactMmse(reg.prior, reg.ens.sigma)
+    mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
+                                      lambda s, H: x - exact.restore(s, H))
+    n = int(mc_samples)
+    return mean, np.sqrt(_sample_variance(mean, mean_sq, n) / n)
 
 
 def reg_value_mc(reg, x, mc_samples, rng):
@@ -67,8 +83,7 @@ def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     it is returned without drawing, and ``rng`` is left untouched.
     """
     x = _mc_point(ens, x, mc_samples, 1)
-    exact, links = _unwrap(restorer)
-    if not links:
+    if not restorer.perturbations:
         return np.zeros(ens.in_dim)
-    gap = lambda s, H: np.subtract(*restore_with_exact(exact, links, s, H))
+    gap = lambda s, H: np.subtract(*restore_with_exact(restorer, s, H))
     return _residual_moments(ens, x, tau, mc_samples, rng, gap)[0]

@@ -17,7 +17,6 @@ from srp.objective import (
     Problem,
     Regularizer,
     fidelity_lipschitz,
-    reg_grad_exact,
     regularizer_curvature_bound,
 )
 from srp.operators import (
@@ -37,7 +36,7 @@ from srp.priors import (
 from srp.restoration import Biased, ConstantOffset, ExactMmse
 from srp.solver import SolverConfig, audit_convergence, run, solver_streams
 
-from references import fidelity_grad, sample_degradation
+from references import fidelity_grad, reg_grad_with_se, sample_degradation
 
 
 def report(criterion, passed, detail, elapsed):
@@ -83,9 +82,7 @@ def test_criterion_1_gradient_identity_three_way():
         grid = QuadratureGrid(1601 if n == 1 else 101)
         gh = 48 if n == 1 else 12
         fd, quad = oracle_grad(reg, x, gh_points=gh, grid_x=grid)
-        mc, se = reg_grad_exact(
-            reg, x, 60_000, np.random.default_rng(5000 + trial), return_se=True
-        )
+        mc, se = reg_grad_with_se(reg, x, 60_000, np.random.default_rng(5000 + trial))
         tol_mc = np.maximum(1e-4, 3 * se)
         assert np.max(np.abs(fd - quad)) < 1e-4, f"trial {trial}: fd vs quad"
         assert np.all(np.abs(mc - fd) < tol_mc), f"trial {trial}: mc vs fd"
@@ -199,9 +196,7 @@ def test_criterion_4_stochastic_gradient_unbiased():
         mean_term = terms.mean(axis=0)
         se_term = terms.std(axis=0, ddof=1) / np.sqrt(draws)
 
-        ref, ref_se = reg_grad_exact(
-            reg, x, 400_000, np.random.default_rng(8000 + probe), return_se=True
-        )
+        ref, ref_se = reg_grad_with_se(reg, x, 400_000, np.random.default_rng(8000 + probe))
         # the fidelity part is deterministic and common to both sides, so
         # comparing the averaged regularizer terms compares the full gradients
         diff = np.abs(mean_term - ref)
@@ -247,10 +242,9 @@ def _audit(problem, reg, restorer, gamma, seeds=50, iterations=500):
     for trace in traces:
         if isinstance(trace, Exception):
             raise trace
-    runs = [(problem, reg, restorer, cfg, trace) for cfg, trace in zip(cfgs, traces)]
-    rep = audit_convergence(runs, slack=0.05)
+    rep = audit_convergence(problem, reg, restorer, cfgs[0], traces)
     plateau = float(np.mean(
-        [np.mean(t.grad_true_norm[-100:] ** 2) for *_, t in runs]
+        [np.mean(t.grad_true_norm[-100:] ** 2) for t in traces]
     ))
     return rep, plateau
 

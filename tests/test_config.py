@@ -344,7 +344,7 @@ class TestRestorerSpecs:
         r = build_restorer(spec, prior, 0.5)
         assert isinstance(r, Biased) and isinstance(r.inner, Biased)
         assert isinstance(r.inner.inner, ExactMmse)
-        assert r.base_sigma == 0.5
+        assert r.exact.sigma == 0.5
 
 
     @pytest.mark.parametrize("perturbation,message", [

@@ -606,13 +606,12 @@ class TestSharedHeadPeel:
         _, y = simulate_measurement(built, sim_rng)
         problem = Problem(built.A, y)
         reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
-        runs = []
+        traces = []
         for seed_value in cfg.seeds:
             scfg = build_solver_config(cfg.solver, _seed_streams(cfg.seed, seed_value)[1])
             scfg.record_iterates = True
-            runs.append((problem, reg, built.restorer, scfg,
-                         run(problem, reg, built.restorer, scfg)[1]))
-        ref = audit_convergence(runs, probes=probes)
+            traces.append(run(problem, reg, built.restorer, scfg)[1])
+        ref = audit_convergence(problem, reg, built.restorer, scfg, traces, probes=probes)
         assert ref.passed
         for name in ("L_hat", "nu2_hat", "lhs", "rhs", "f_star_hat"):
             got, want = getattr(report, name), getattr(ref, name)

@@ -32,7 +32,13 @@ from srp.operators import (
 from srp.priors import GmmPrior
 from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
 
-from references import bias_vector, fidelity_grad, reg_value_mc, variance_probe
+from references import (
+    bias_vector,
+    fidelity_grad,
+    reg_grad_with_se,
+    reg_value_mc,
+    variance_probe,
+)
 
 
 def normal_prior(n=1, mean=None, var=1.0):
@@ -378,15 +384,13 @@ class TestRegGrad:
     def test_worked_example(self):
         reg = gauss_reg()
         x = np.array([2.0])
-        grad, se = reg_grad_exact(reg, x, 100_000, np.random.default_rng(4),
-                                  return_se=True)
+        grad, se = reg_grad_with_se(reg, x, 100_000, np.random.default_rng(4))
         assert abs(grad[0] - 1.0) < 4 * se[0]
         np.testing.assert_allclose(reg.gaussian_forms.grad(x), [1.0], atol=1e-12)
 
-    def test_zero_at_prior_mean(self):
+    def test_zero_at_mean_of_prior(self):
         reg = gauss_reg()
-        grad, se = reg_grad_exact(reg, np.zeros(1), 100_000,
-                                  np.random.default_rng(5), return_se=True)
+        grad, se = reg_grad_with_se(reg, np.zeros(1), 100_000, np.random.default_rng(5))
         assert abs(grad[0]) < 4 * se[0]
 
     def test_tau_scales_linearly_same_draws(self):
@@ -410,9 +414,8 @@ class TestRegGrad:
             reg = random_regularizer(rng, n, k, b)
             x = rng.standard_normal(n)
             samples = 40_000
-            grad, se = reg_grad_exact(reg, x, samples,
-                                      np.random.default_rng(1000 + trial),
-                                      return_se=True)
+            grad, se = reg_grad_with_se(reg, x, samples,
+                                        np.random.default_rng(1000 + trial))
             h = 1e-4
             fd = np.empty(n)
             for i in range(n):
@@ -437,17 +440,16 @@ class TestRegGrad:
         )
         reg = Regularizer(tau=1.4, prior=prior, ens=ens)
         x = rng.standard_normal(3)
-        grad, se = reg_grad_exact(reg, x, 200_000, np.random.default_rng(10),
-                                  return_se=True)
+        grad, se = reg_grad_with_se(reg, x, 200_000, np.random.default_rng(10))
         closed = reg.gaussian_forms.grad(x)
         np.testing.assert_array_less(np.abs(grad - closed), 4 * se + 1e-12)
 
     @pytest.mark.parametrize("mc_samples", [0, 1])
-    @pytest.mark.parametrize("return_se", [False, True])
-    def test_refuses_fewer_than_two_samples(self, mc_samples, return_se):
+    @pytest.mark.parametrize("estimator", [reg_grad_exact, reg_grad_with_se],
+                             ids=["reg_grad_exact", "reg_grad_with_se"])
+    def test_refuses_fewer_than_two_samples(self, mc_samples, estimator):
         with pytest.raises(ValueError, match="at least 2"):
-            reg_grad_exact(gauss_reg(), np.zeros(1), mc_samples,
-                           np.random.default_rng(0), return_se=return_se)
+            estimator(gauss_reg(), np.zeros(1), mc_samples, np.random.default_rng(0))
 
 
 class TestVarianceProbe:
@@ -486,7 +488,7 @@ class TestVarianceProbe:
         reg = Regularizer(tau=0.8, prior=prior, ens=ens)
         x, n = np.array([0.3, -1.1, 0.7]), 3000
         v = variance_probe(reg, ExactMmse(prior, 0.6), x, n, np.random.default_rng(18))
-        _, se = reg_grad_exact(reg, x, n, np.random.default_rng(18), return_se=True)
+        _, se = reg_grad_with_se(reg, x, n, np.random.default_rng(18))
         assert v > 0.0
         np.testing.assert_allclose(v, n * np.sum(se ** 2), rtol=1e-12, atol=0.0)
 
@@ -617,9 +619,7 @@ class TestExactAuditTerms:
             exact_audit_terms(reg, ExactMmse(big, 1.0), [np.zeros(513)])
 
         class Clip:  # not affine in the estimate
-            kind = "clip"
-
-            def perturb(self, estimate, restorer):
+            def perturb(self, estimate, exact):
                 return np.clip(estimate, -1.0, 1.0)
 
         reg = gauss_reg()

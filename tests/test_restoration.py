@@ -1,8 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+import srp.restoration
 from srp.operators import CoordinateMask, DegradationEnsemble, DimensionMismatch, Identity
 from srp.priors import GmmPrior
 from srp.restoration import (
@@ -11,7 +13,7 @@ from srp.restoration import (
     ExactMmse,
     Gain,
     Smoothing,
-    _unwrap,
+    restore_with_exact,
 )
 
 from references import bias_vector
@@ -58,11 +60,60 @@ class TestRestore:
         np.testing.assert_allclose(
             r.restore(np.array([2.0]), Identity(1)), [1.3], atol=1e-12
         )
-        assert _unwrap(r)[0] is inner
+        assert r.exact is inner
 
     def test_noise_level_mismatch_detectable(self):
         r = Biased(ExactMmse(normal_prior(), 0.5), Gain(0.9))
-        assert r.base_sigma == 0.5
+        assert r.exact.sigma == 0.5
+
+
+PERTURBATIONS = {
+    "offset": lambda: ConstantOffset([0.1, -0.2, 0.05, 0.3]),
+    "gain": lambda: Gain(0.7),
+    "smoothing": lambda: Smoothing(3),
+}
+CHAINS = [chain for depth in range(4) for chain in itertools.product(PERTURBATIONS, repeat=depth)]
+
+
+class TestRestorerShape:
+    """A restorer is its exact operator plus a flat perturbation chain."""
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: "-".join(c) or "exact")
+    def test_exact_and_perturbations(self, chain):
+        prior = GmmPrior([0.3, 0.7], [[0.5, -1.0, 0.2, 1.5], [-0.4, 0.8, 1.1, -0.3]],
+                         [np.asarray(0.6), np.asarray(1.4)])
+        exact = ExactMmse(prior, 0.8)
+        perturbations = [PERTURBATIONS[kind]() for kind in chain]
+        r = exact
+        for p in perturbations:
+            r = Biased(r, p)
+        assert r.exact is exact
+        assert len(r.perturbations) == len(chain)
+        assert all(a is b for a, b in zip(r.perturbations, perturbations))
+        H = CoordinateMask(4, [0, 2, 3])
+        s = np.random.default_rng(41).standard_normal((5, H.out_dim))
+        exact_est, est = restore_with_exact(r, s, H)
+        assert exact_est.tobytes() == exact.restore(s, H).tobytes()
+        assert est.tobytes() == r.restore(s, H).tobytes()
+
+
+class TestPosteriorCache:
+    def test_one_posterior_per_operator(self, monkeypatch):
+        built = []
+        real = srp.restoration.LinearGaussianPosterior
+        monkeypatch.setattr(srp.restoration, "LinearGaussianPosterior",
+                            lambda *a: built.append(a) or real(*a))
+        r = ExactMmse(normal_prior(n=3), 0.8)
+        H1, H2 = CoordinateMask(3, [0, 2]), CoordinateMask(3, [0, 2])
+        s = np.array([0.4, -1.2, 0.7])
+        first = r.restore(s, H1)
+        for _ in range(3):
+            np.testing.assert_array_equal(r.restore(s, H1), first)
+        assert len(built) == 1
+        np.testing.assert_array_equal(r.restore(s, H2), first)
+        assert len(built) == 2
+        assert len(r._posteriors) == 2
+        assert built[0][1].H is H1 and built[1][1].H is H2
 
 
 class TestBiasVector:
@@ -152,7 +203,7 @@ class TestBiasVector:
 
 def two_restore_bias_vector(restorer, ens, x, tau, mc_samples, rng):
     """b(x) restoring every draw twice: once exactly, once through the restorer."""
-    exact = _unwrap(restorer)[0]
+    exact = restorer.exact
     total = np.zeros(ens.in_dim)
     for _, H, _, s in ens.observe(x, mc_samples, rng):
         gap = exact.restore(s, H) - restorer.restore(s, H)

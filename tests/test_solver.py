@@ -733,13 +733,13 @@ class TestAudit:
     def test_smoke_pass_on_closed_form_instance(self):
         problem, reg, restorer = one_d_instance()
         L = fidelity_lipschitz(problem) + regularizer_curvature_bound(reg)[0]
-        runs = []
+        traces = []
         for seed in range(10):
             cfg = SolverConfig(gamma=1.0 / L, iterations=200, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
-            runs.append((problem, reg, restorer, cfg, trace))
-        report = audit_convergence(runs)
+            traces.append(trace)
+        report = audit_convergence(problem, reg, restorer, cfg, traces)
         assert report.passed
         assert report.epsilon_hat == 0.0
         np.testing.assert_allclose(report.L_hat, 1.5, atol=1e-9)
@@ -748,13 +748,13 @@ class TestAudit:
         problem, reg, restorer = one_d_instance()
         reports = []
         for t in (100, 200):
-            runs = []
+            traces = []
             for seed in range(4):
                 cfg = SolverConfig(gamma=0.3, iterations=t, seed=seed,
                                    x0=np.array([2.0]), record_iterates=True)
                 _, trace = run(problem, reg, restorer, cfg)
-                runs.append((problem, reg, restorer, cfg, trace))
-            reports.append(audit_convergence(runs))
+                traces.append(trace)
+            reports.append(audit_convergence(problem, reg, restorer, cfg, traces))
         np.testing.assert_allclose(
             reports[0].term_transient, 2.0 * reports[1].term_transient, rtol=1e-12
         )
@@ -762,13 +762,13 @@ class TestAudit:
     def test_offset_bias_enters_exactly(self):
         problem, reg, _ = one_d_instance()
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.1]))
-        runs = []
+        traces = []
         for seed in range(5):
             cfg = SolverConfig(gamma=0.3, iterations=100, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
-            runs.append((problem, reg, restorer, cfg, trace))
-        report = audit_convergence(runs)
+            traces.append(trace)
+        report = audit_convergence(problem, reg, restorer, cfg, traces)
         np.testing.assert_allclose(report.epsilon_hat, 0.1, atol=1e-12)
         np.testing.assert_allclose(report.term_bias, 0.01, atol=1e-12)
 
@@ -776,13 +776,13 @@ class TestAudit:
         # the probe-domain disclaimer from bias measurement must surface
         problem, reg, _ = one_d_instance()
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.05]))
-        runs = []
+        traces = []
         for seed in range(3):
             cfg = SolverConfig(gamma=0.2, iterations=50, seed=seed,
                                x0="zeros", record_iterates=True)
             _, trace = run(problem, reg, restorer, cfg)
-            runs.append((problem, reg, restorer, cfg, trace))
-        report = audit_convergence(runs)
+            traces.append(trace)
+        report = audit_convergence(problem, reg, restorer, cfg, traces)
         assert any("not a global bound" in note for note in report.notes)
         assert "epsilon_hat" in report.to_text()
         assert report.to_json_dict()["terms"]["bias"] == report.term_bias
@@ -790,17 +790,17 @@ class TestAudit:
     def test_audit_draws_nothing(self, monkeypatch):
         problem, reg, _ = one_d_instance()
         restorer = Biased(ExactMmse(reg.prior, 1.0), ConstantOffset([0.1]))
-        runs = []
+        traces = []
         for seed in range(3):
             cfg = SolverConfig(gamma=0.3, iterations=50, seed=seed,
                                x0="zeros", record_iterates=True)
-            runs.append((problem, reg, restorer, cfg, run(problem, reg, restorer, cfg)[1]))
+            traces.append(run(problem, reg, restorer, cfg)[1])
 
         def refuse(*args, **kwargs):
             raise AssertionError("the audit made a random generator")
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        report = audit_convergence(runs)
+        report = audit_convergence(problem, reg, restorer, cfg, traces)
         np.testing.assert_allclose(report.nu2_hat, 0.25, rtol=1e-15)
         np.testing.assert_allclose(report.epsilon_hat, 0.1, atol=1e-12)
 
@@ -815,7 +815,7 @@ class TestAudit:
         cfg = SolverConfig(gamma=0.2, iterations=30, seed=1, x0="zeros")
         trace = run(problem, reg, restorer, cfg)[1]
         points = [np.array([0.0, 0.0]), np.array([3.0, -2.0]), np.array([-1.0, 0.5])]
-        report = audit_convergence([(problem, reg, restorer, cfg, trace)],
+        report = audit_convergence(problem, reg, restorer, cfg, [trace],
                                    probes=AuditProbes(points=points))
         terms = exact_audit_terms(reg, restorer, points)
         i = int(np.argmax(terms.nu2))
@@ -838,7 +838,7 @@ class TestAudit:
         cfg = SolverConfig(gamma=0.3, iterations=20, seed=0, x0="zeros")
         trace = run(problem, reg, restorer, cfg)[1]
         points = [np.array([0.1 * k]) for k in range(1, 11)] + [np.array([5.0])]
-        report = audit_convergence([(problem, reg, restorer, cfg, trace)],
+        report = audit_convergence(problem, reg, restorer, cfg, [trace],
                                    probes=AuditProbes(points=points))
         np.testing.assert_allclose(report.epsilon_hat, 0.25, rtol=1e-12)
         assert report.nu2_hat == np.max(exact_audit_terms(reg, restorer, points).nu2)
@@ -858,23 +858,11 @@ class TestAudit:
         trace.grad_true_norm = trace.grad_hat_norm
         trace.f_initial = 2.0
         with pytest.raises(AuditError, match="single-Gaussian closed forms: .*one component"):
-            audit_convergence([(problem, reg, restorer, cfg, trace)])
+            audit_convergence(problem, reg, restorer, cfg, [trace])
 
     def test_refuses_without_probes_or_iterates(self):
         problem, reg, restorer = one_d_instance()
         cfg = SolverConfig(gamma=0.3, iterations=20, seed=0, x0="zeros")
         _, trace = run(problem, reg, restorer, cfg)
         with pytest.raises(AuditError):
-            audit_convergence([(problem, reg, restorer, cfg, trace)])
-
-    def test_mixed_configs_rejected(self):
-        problem, reg, restorer = one_d_instance()
-        runs = []
-        for gamma in (0.1, 0.2):
-            cfg = SolverConfig(gamma=gamma, iterations=20, seed=0,
-                               x0="zeros", record_iterates=True)
-            _, trace = run(problem, reg, restorer, cfg)
-            runs.append((problem, reg, restorer, cfg, trace))
-        with pytest.raises(AuditError):
-            audit_convergence(runs)
-
+            audit_convergence(problem, reg, restorer, cfg, [trace])
