@@ -214,11 +214,14 @@ def regularizer_step(reg, restorer, x, members, rngs):
     column pairwise, which a running sum does not reproduce); a single draw
     is its term plus 0.0, the bits of that one-row mean.
 
-    The draws are restored grouped by (batch slot, member): one
-    ``H.apply``, ``restore`` and ``gram_apply`` per group, so at most
-    b * min(S, J) restores for J members. A group's rows belong to distinct
-    seeds, so a one-seed block restores one row at a time, and a row is its
-    seed's own step bit for bit wherever those calls run row by row.
+    The draws are restored grouped by (batch slot, member): one degrade
+    ``H._apply``, ``restore`` and gram ``H._adjoint(H._apply(·))`` per
+    group, so at most b * min(S, J) restores for J members. The operands
+    are arrays the solver loop made, so the products call the operator
+    cores; ``restore`` still checks s in ``posterior_mean``. A group's rows
+    belong to distinct seeds, so a one-seed block restores one row at a
+    time, and a row is its seed's own step bit for bit wherever those calls
+    run row by row.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
@@ -235,8 +238,8 @@ def regularizer_step(reg, restorer, x, members, rngs):
     for (_, j), idx in groups.items():
         H, rows = ens.members[j], _rows(idx)
         xg = x[_rows([i // batch for i in idx])]
-        s = H.apply(xg) + ens.sigma * noise[rows, : H.out_dim]
-        term = scale * H.gram_apply(xg - restorer.restore(s, H))
+        s = H._apply(xg) + ens.sigma * noise[rows, : H.out_dim]
+        term = scale * H._adjoint(H._apply(xg - restorer.restore(s, H)))
         if terms is None:
             terms = term
         else:

@@ -91,11 +91,13 @@ def _irfft(z, n):
     return out
 
 
-def _as_vec(v, dim, what):
+def _as_vec(v, dim, *what):
+    """v as a float array of shape (..., dim); the ``what`` parts, joined by
+    ".", label the ``DimensionMismatch`` raised otherwise."""
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] != dim:
         actual = v.shape[-1] if v.ndim else 1
-        raise DimensionMismatch(what, dim, actual)
+        raise DimensionMismatch(".".join(what), dim, actual)
     return v
 
 
@@ -119,16 +121,20 @@ def deinterleave(v):
 class LinearOperator:
     """Base class for all linear maps.
 
-    Subclasses implement ``_apply`` and ``_adjoint`` on arrays of shape
-    (..., dim); ``apply``/``adjoint_apply`` add dimension checks. The
-    ``innovation_*`` methods solve against (c * H Hᵀ + σ² I) through
-    ``_gram_dual``, which describes H Hᵀ once per operator from the
-    structural hooks: as a diagonal, as the DFT eigenvalues of a circulant
-    (solved by real FFTs), or as a dense matrix (solved by a cached Cholesky
-    factor). Nothing an innovation solve needs but its right-hand side is
-    computed twice: the description once per operator, and per (c, σ²) the
-    diagonal and circulant paths' denominator c λ + σ² once
-    (``_innovation_denominator``) and the dense path's factor once.
+    Subclasses implement the cores ``_apply`` and ``_adjoint``, which assume
+    validated float arrays of shape (..., dim). The public ``apply``,
+    ``adjoint_apply`` and ``gram_apply`` validate their operand once and
+    delegate to the cores: they are the boundary for outside callers. The
+    solver loop, whose operands are arrays it made itself after validating
+    its inputs at entry, calls the cores. The ``innovation_*`` methods
+    solve against (c * H Hᵀ + σ² I) through ``_gram_dual``, which describes
+    H Hᵀ once per operator from the structural hooks: as a diagonal, as the
+    DFT eigenvalues of a circulant (solved by real FFTs), or as a dense
+    matrix (solved by a cached Cholesky factor). Nothing an innovation
+    solve needs but its right-hand side is computed twice: the description
+    once per operator, and per (c, σ²) the diagonal and circulant paths'
+    denominator c λ + σ² once (``_innovation_denominator``) and the dense
+    path's factor once.
     ``_innovation_factor`` is the one place an innovation covariance is
     factored: it climbs the jitter ladder (0, 1e-12, 1e-10) and raises
     ``FactorizationError`` past its end.
@@ -154,15 +160,15 @@ class LinearOperator:
 
     def apply(self, v):
         """H v, batched over leading axes."""
-        return self._apply(_as_vec(v, self.in_dim, f"{self.kind}.apply"))
+        return self._apply(_as_vec(v, self.in_dim, self.kind, "apply"))
 
     def adjoint_apply(self, u):
         """Hᵀ u, batched over leading axes."""
-        return self._adjoint(_as_vec(u, self.out_dim, f"{self.kind}.adjoint"))
+        return self._adjoint(_as_vec(u, self.out_dim, self.kind, "adjoint"))
 
     def gram_apply(self, v):
         """Hᵀ H v. Always the literal composition, so fused paths cannot drift."""
-        return self.adjoint_apply(self.apply(v))
+        return self._adjoint(self._apply(_as_vec(v, self.in_dim, self.kind, "apply")))
 
     # -- dense materialization ---------------------------------------------
 

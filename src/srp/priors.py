@@ -231,7 +231,7 @@ class LinearGaussianPosterior:
     def _shift(self, k, z):
         """Sigma_k Hᵀ z: component k's correction to its prior mean."""
         if self._iso:
-            return self._cvals[k] * self.obs.H.adjoint_apply(z)
+            return self._cvals[k] * self.obs.H._adjoint(z)
         return z @ self._cross[k].T
 
     def _innovations(self, s):
@@ -294,7 +294,7 @@ class LinearGaussianPosterior:
             # -0.0 first term into +0.0)
             z *= (resp * self._ccol[:, 0])[..., None]
             acc = z.sum(axis=-2, initial=0.0)
-            return resp @ means + self.obs.H.adjoint_apply(acc)
+            return resp @ means + self.obs.H._adjoint(acc)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
         for k in range(self.prior.n_components):
             mean += resp[..., k, None] * (means[k] + self._shift(k, z[..., k, :]))

@@ -105,13 +105,12 @@ class Biased:
     """Inner restoration followed by a parametric perturbation."""
 
     def __init__(self, inner, perturbation):
-        self.inner = inner
         self.perturbation = perturbation
         self.exact = inner.exact
         self.perturbations = (*inner.perturbations, perturbation)
 
     def restore(self, s, H):
-        return self.perturbation.perturb(self.inner.restore(s, H), self.exact)
+        return restore_with_exact(self, s, H)[1]
 
 
 def restore_with_exact(restorer, s, H):

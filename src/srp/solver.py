@@ -201,23 +201,26 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
 
     Every call runs one loop: the seeds advance as one (S, n) iterate block
     with an (S, m) residual block, each with its own selection and noise
-    streams, and share every per-call cost: one ``A.apply`` per iteration,
-    one restore per (batch slot, member) drawn. One seed is a (1, n) block.
-    A seed whose iterate goes non-finite leaves the block with the
-    iteration and last finite iterate of its solo run; the others go on.
-    Each row is its solo run bit for bit where every operation runs row by
-    row; products that become matrix-matrix (a dense operator, a mixture's
-    responsibility-weighted means) agree to rounding.
+    streams, and share every per-call cost: one product with A per
+    iteration, one restore per (batch slot, member) drawn. One seed is a
+    (1, n) block. A seed whose iterate goes non-finite leaves the block
+    with the iteration and last finite iterate of its solo run; the others
+    go on. Each row is its solo run bit for bit where every operation runs
+    row by row; products that become matrix-matrix (a dense operator, a
+    mixture's responsibility-weighted means) agree to rounding.
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
     columns stay empty. The loop carries the residual R = A X - Y: each
-    iteration makes one ``A.adjoint_apply`` (the fidelity gradient Aᵀ R,
-    shared by ghat and the true-gradient norm) and one ``A.apply`` (the
-    next residual, which also gives f) on the whole block, plus one
-    ``A.apply`` for the start block. The trace's norm, f and PSNR columns
-    feed no iterate, so they are evaluated once per chunk, one stacked call
-    each, every entry bit for bit its per-iteration value.
+    iteration makes one ``A._adjoint`` (the fidelity gradient Aᵀ R, shared
+    by ghat and the true-gradient norm) and one ``A._apply`` (the next
+    residual, which also gives f) on the whole block, plus one ``A._apply``
+    for the start block. The start points are checked at entry and every
+    later operand is an array the loop made itself, so the loop and its
+    stochastic step call the operator cores, not the validating public
+    ``apply`` / ``adjoint_apply`` / ``gram_apply``. The trace's norm, f and
+    PSNR columns feed no iterate, so they are evaluated once per chunk, one
+    stacked call each, every entry bit for bit its per-iteration value.
     """
     if isinstance(cfg, SolverConfig):
         score = None if psnr_fn is None else (lambda X, ids: [psnr_fn(x) for x in X])
@@ -284,7 +287,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
 
     # overflow en route to the divergence check is expected and handled
     with np.errstate(over="ignore", invalid="ignore"):
-        r = A.apply(x) - y
+        r = A._apply(x) - y
         f_initial = None if forms is None else 0.5 * np.vecdot(r, r) + forms.value(x)
         for k0 in range(0, t, chunk):
             c = min(chunk, t - k0)
@@ -292,7 +295,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
             x_buf[0, live] = x
             for j in range(c):
                 k = k0 + j
-                fg = A.adjoint_apply(r)
+                fg = A._adjoint(r)
                 if forms is not None:
                     fg_buf[j, live] = fg
                 ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
@@ -314,7 +317,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                 step_sq[live, k] = sq
                 ghat_buf[j, live] = ghat
                 x_buf[j + 1, live] = x_new
-                r = A.apply(x_new) - y
+                r = A._apply(x_new) - y
                 if forms is not None:
                     r_buf[j, live] = r
                 x = x_new

@@ -342,8 +342,8 @@ class TestRestorerSpecs:
             "perturbation": {"type": "constant-offset", "offset": 0.1},
         }
         r = build_restorer(spec, prior, 0.5)
-        assert isinstance(r, Biased) and isinstance(r.inner, Biased)
-        assert isinstance(r.inner.inner, ExactMmse)
+        assert isinstance(r, Biased) and len(r.perturbations) == 2
+        assert isinstance(r.exact, ExactMmse)
         assert r.exact.sigma == 0.5
 
 

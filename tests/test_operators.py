@@ -106,6 +106,21 @@ class TestApplyExamples:
         assert err.value.expected == 3
         assert err.value.actual == 2
 
+    @pytest.mark.parametrize("method,label,dim", [
+        ("apply", "apply", "in_dim"), ("adjoint_apply", "adjoint", "out_dim"),
+        ("gram_apply", "apply", "in_dim")])
+    @pytest.mark.parametrize("op", [Identity(3), FoldDownsample(6, 2),
+                                    DenseMatrix(np.ones((2, 5)))], ids=lambda op: op.kind)
+    def test_dimension_mismatch_names_kind_and_method(self, op, method, label, dim):
+        # the label is built only when the check fails; gram_apply checks
+        # its operand as the apply factor's
+        expected = getattr(op, dim)
+        with pytest.raises(DimensionMismatch) as err:
+            getattr(op, method)(np.zeros(expected + 1))
+        assert err.value.what == f"{op.kind}.{label}"
+        assert str(err.value) == (
+            f"{op.kind}.{label}: expected length {expected}, got {expected + 1}")
+
 
 class TestAdjointExamples:
     def test_mask_self_adjoint(self):

@@ -15,6 +15,8 @@ from srp.objective import (
     regularizer_step,
 )
 from srp.operators import (
+    CircularConvolution,
+    Composition,
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
@@ -341,18 +343,19 @@ class TestResidualCarry:
     @pytest.mark.parametrize("components", [1, 2])
     def test_one_apply_and_one_adjoint_per_iterate(self, components, each_iteration):
         problem, reg, restorer = self.instance(components)
-        A, calls = problem.A, {"apply": 0, "adjoint_apply": 0}
+        # the loop calls the operator cores, so the cores are counted
+        A, calls = problem.A, {"_apply": 0, "_adjoint": 0}
         for name in calls:
             def counted(v, name=name, method=getattr(A, name)):
                 calls[name] += 1
                 return method(v)
             setattr(A, name, counted)
-        seen = each_iteration(lambda: (calls["apply"], calls["adjoint_apply"]))
+        seen = each_iteration(lambda: (calls["_apply"], calls["_adjoint"]))
         cfg = SolverConfig(gamma=0.3, iterations=25, seed=6, x0="zeros")
         run(problem, reg, restorer, cfg, psnr_fn=lambda x: 0.0)
         # the start point's residual, then one of each per iterate
         assert seen == [(k + 1, k + 1) for k in range(25)]
-        assert (calls["apply"], calls["adjoint_apply"]) == (26, 25)
+        assert (calls["_apply"], calls["_adjoint"]) == (26, 25)
 
 
 class TestDivergence:
@@ -631,6 +634,62 @@ class TestLockstep:
         same = [SolverConfig(gamma=0.1, iterations=5, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="forward operator"):
             run([problem, other], reg, restorer, same)
+
+
+class TestOperatorCores:
+    """The loop checks its inputs at entry and then calls the operator
+    cores: once the set-up caches are filled, no iteration enters the
+    public ``apply`` / ``adjoint_apply`` / ``gram_apply`` of A or of any
+    member, and the rows are still the vector loop's."""
+
+    @staticmethod
+    def blur_fold_mixture():
+        # an A and a member that blur and fold 8 samples to 4, a mask and an
+        # identity member, and two isotropic prior components
+        blur_fold = lambda taps: Composition([CircularConvolution(8, taps),
+                                              FoldDownsample(8, 2)])
+        members = [blur_fold([0.5, 0.3, 0.2]), CoordinateMask(8, [0, 2, 3, 5, 7]),
+                   Identity(8)]
+        prior = GmmPrior([0.4, 0.6], [np.linspace(-0.5, 0.5, 8), np.full(8, 0.3)],
+                         [np.asarray(0.6), np.asarray(1.1)])
+        ens = DegradationEnsemble(members, sigma=0.5, weights=[0.5, 0.3, 0.2])
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        problem = Problem(blur_fold([0.6, 0.4]), np.array([0.3, -0.2, 0.6, 0.1]))
+        return problem, reg, ExactMmse(prior, 0.5)
+
+    @pytest.mark.parametrize("name,exact", [
+        ("masks", True), ("dense", False), ("blur-fold-mixture", False)])
+    def test_iterations_enter_no_public_product(self, name, exact):
+        problem, reg, restorer = (self.blur_fold_mixture() if name == "blur-fold-mixture"
+                                  else lockstep_instance(name))
+        n = problem.A.in_dim
+        starts = [np.zeros(n), np.linspace(1.0, -1.0, n), np.full(n, 0.5)]
+        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=seed, batch=2, x0=x0)
+                for seed, x0 in zip((3, 8, 5), starts)]
+        # the references run through the public methods first, which also
+        # fills the set-up caches (posteriors, closed forms) the run reads
+        refs = [vector_loop(problem, reg, restorer, c) for c in cfgs]
+
+        def refuse(op, method):
+            def public(*args):
+                raise AssertionError(f"solver.run entered {op.kind}.{method}")
+            return public
+
+        for op in (problem.A, *reg.ens.members):
+            for method in ("apply", "adjoint_apply", "gram_apply"):
+                setattr(op, method, refuse(op, method))
+        x, trace = run(problem, reg, restorer, cfgs[0])
+        assert np.array_equal(x, refs[0][0])
+        assert trace.csv_text() == refs[0][1].csv_text()
+        block = run([problem] * 3, reg, restorer, cfgs)
+        for out, (x_ref, ref) in zip(block, refs):
+            assert isinstance(out, Trace)
+            assert np.array_equal(out.op_index, ref.op_index)
+            if exact:
+                assert np.array_equal(out.x_final, x_ref)
+                assert out.csv_text() == ref.csv_text()
+            else:
+                np.testing.assert_allclose(out.x_final, x_ref, rtol=0, atol=LOCKSTEP_ATOL)
 
 
 class TestChunkedDiagnostics:
