@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .operators import DimensionMismatch, gram_operator_norm
-from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
+from .priors import DiagonalRows, LinearGaussianPosterior, ObservationModel, _LOG_2PI
 from .restoration import (
     ConstantOffset,
     ExactMmse,
@@ -171,7 +171,7 @@ def reg_grad_exact(reg, x, mc_samples, rng):
     The integrand uses the exact restoration operator, so the estimator is
     unbiased for the true gradient of h.
     """
-    x = _mc_point(reg.ens, x, mc_samples, 2)
+    x = _mc_point(reg.ens, x, mc_samples)
     exact = ExactMmse(reg.prior, reg.ens.sigma)
     return _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
                              lambda s, H: x - exact.restore(s, H))[0]
@@ -200,7 +200,7 @@ def gaussian_objective_minimum(problem, reg):
 # -- stochastic gradient -----------------------------------------------------------
 
 
-def regularizer_step(reg, restorer, x, members, rngs):
+def regularizer_step(reg, restorer, x, members, rngs, stack=None):
     """Regularizer terms of one stochastic step for an (S, n) block of
     iterates, each row averaged over its draws.
 
@@ -214,30 +214,35 @@ def regularizer_step(reg, restorer, x, members, rngs):
     column pairwise, which a running sum does not reproduce); a single draw
     is its term plus 0.0, the bits of that one-row mean.
 
-    The draws are restored grouped by (batch slot, member): one degrade
-    ``H._apply``, ``restore`` and gram ``H._adjoint(H._apply(·))`` per
-    group, so at most b * min(S, J) restores for J members. The operands
-    are arrays the solver loop made, so the products call the operator
-    cores; ``restore`` still checks s in ``posterior_mean``. A group's rows
-    belong to distinct seeds, so a one-seed block restores one row at a
-    time, and a row is its seed's own step bit for bit wherever those calls
-    run row by row.
+    Each group of draws gets one degrade ``H._apply``, ``restore`` and gram
+    ``H._adjoint(H._apply(·))``. With ``stack``, the restorer's
+    ``ExactMmse.stacked`` posterior of the members, all S b draws are one
+    group, a ``DiagonalRows`` block; otherwise the groups are (batch slot,
+    member) pairs, at most b * min(S, J) for J members. The operands are
+    arrays the solver loop made, so the products call the operator cores;
+    ``restore`` still checks s in ``posterior_mean``. A row is its seed's
+    own step bit for bit wherever those calls run row by row, as every
+    call on a ``DiagonalRows`` block does.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
     seeds, batch = members.shape
     draws = members.ravel().tolist()  # row s * b + i: seed s's draw i
     widths = [ens.members[j].out_dim for j in draws]
-    groups = {}  # (slot, member) -> its draws' rows
-    for i, j in enumerate(draws):
-        groups.setdefault((i % batch, j), []).append(i)
     noise = np.empty((len(draws), max(widths)))
     for i, m in enumerate(widths):
         rngs[i // batch].standard_normal(out=noise[i, :m])
+    if stack is not None:
+        H = DiagonalRows(ens.members, stack.obs.H.diagonals, members.ravel())
+        groups = [(H, slice(None), x if batch == 1 else np.repeat(x, batch, axis=0))]
+    else:
+        slots = {}  # (slot, member) -> its draws' rows
+        for i, j in enumerate(draws):
+            slots.setdefault((i % batch, j), []).append(i)
+        groups = [(ens.members[j], _rows(idx), x[_rows([i // batch for i in idx])])
+                  for (_, j), idx in slots.items()]
     terms = np.empty((len(draws), x.shape[-1])) if len(groups) > 1 else None
-    for (_, j), idx in groups.items():
-        H, rows = ens.members[j], _rows(idx)
-        xg = x[_rows([i // batch for i in idx])]
+    for H, rows, xg in groups:
         s = H._apply(xg) + ens.sigma * noise[rows, : H.out_dim]
         term = scale * H._adjoint(H._apply(xg - restorer.restore(s, H)))
         if terms is None:

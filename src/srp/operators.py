@@ -562,18 +562,23 @@ class ConvexCombination(LinearOperator):
         super().__init__(inner.in_dim, inner.out_dim)
         self.alpha = alpha
         self.inner = inner
+        d = inner._diagonal_entries()
+        # a diagonal inner makes this diag(d), applied as v * d: the bits of
+        # any other elementwise product with d
+        self._diagonal = None if d is None else (1.0 - alpha) + alpha * d
 
     def _apply(self, v):
+        if self._diagonal is not None:
+            return v * self._diagonal
         return (1.0 - self.alpha) * v + self.alpha * self.inner._apply(v)
 
     def _adjoint(self, u):
+        if self._diagonal is not None:
+            return u * self._diagonal
         return (1.0 - self.alpha) * u + self.alpha * self.inner._adjoint(u)
 
     def _diagonal_entries(self):
-        d = self.inner._diagonal_entries()
-        if d is None:
-            return None
-        return (1.0 - self.alpha) + self.alpha * d
+        return self._diagonal
 
     def _gram_dual_symbol(self):
         t = self.inner._gram_dual_symbol()

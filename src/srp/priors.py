@@ -196,6 +196,8 @@ class LinearGaussianPosterior:
     c = (c_1..c_K)ᵀ against the stacked residuals, shape (..., K, m). Other
     priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1,
     which takes the operator's dense Cholesky path, one solve per component.
+    ``StackedPosterior`` runs the same arithmetic on rows observed through
+    different diagonal members, through three hooks it overrides.
     """
 
     def __init__(self, prior, obs):
@@ -234,16 +236,22 @@ class LinearGaussianPosterior:
             return self._cvals[k] * self.obs.H._adjoint(z)
         return z @ self._cross[k].T
 
+    def _solve_all(self, r):
+        """z_k = S_k^{-1} r_k for each row r_k of r's (..., K, m) block."""
+        if self._iso:
+            return self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
+        return np.stack([self._solve(k, r[..., k, :])
+                         for k in range(self.prior.n_components)], axis=-2)
+
+    def _weighted_means(self, resp):
+        return resp @ self.prior.means
+
     def _innovations(self, s):
         """Per-component log N(s; H mu_k, S_k), shape (..., K), and the
         innovation solves z_k = S_k^{-1} (s - H mu_k) behind them, stacked
         to shape (..., K, m)."""
         r = s[..., None, :] - self.h_mu
-        if self._iso:
-            z = self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
-        else:
-            z = np.stack([self._solve(k, r[..., k, :])
-                          for k in range(self.prior.n_components)], axis=-2)
+        z = self._solve_all(r)
         m = self.obs.H.out_dim
         r *= z  # r is not read again; in place saves one (..., K, m) stack
         loglik = -0.5 * (np.sum(r, axis=-1) + self._logdets + m * _LOG_2PI)
@@ -285,7 +293,7 @@ class LinearGaussianPosterior:
         s = _as_vec(s, self.obs.H.out_dim, "point")
         means = self.prior.means
         if self.prior.n_components == 1:
-            return means[0] + self._shift(0, self._solve(0, s - self.h_mu[0]))
+            return means[0] + self._shift(0, self._solve(0, s - self.h_mu[..., 0, :]))
         loglik, z = self._innovations(s)
         resp = self._responsibilities(loglik)
         if self._iso:
@@ -294,7 +302,7 @@ class LinearGaussianPosterior:
             # -0.0 first term into +0.0)
             z *= (resp * self._ccol[:, 0])[..., None]
             acc = z.sum(axis=-2, initial=0.0)
-            return resp @ means + self.obs.H._adjoint(acc)
+            return self._weighted_means(resp) + self.obs.H._adjoint(acc)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
         for k in range(self.prior.n_components):
             mean += resp[..., k, None] * (means[k] + self._shift(k, z[..., k, :]))
@@ -304,6 +312,55 @@ class LinearGaussianPosterior:
         """∇_s log p(s | H) via the restoration residual identity."""
         s = _as_vec(s, self.obs.H.out_dim, "point")
         return (self.obs.H.apply(self.posterior_mean(s)) - s) / self.sigma2
+
+
+class DiagonalRows:
+    """A block whose row i is observed through ``members[index[i]]``, member
+    j the diagonal ``diagonals[j]``: H v = v * D, D the gathered diagonals."""
+
+    def __init__(self, members, diagonals, index):
+        self.members, self.diagonals, self.index = members, diagonals, index
+        self.diag, self.out_dim = diagonals[index], diagonals.shape[-1]
+
+    def _apply(self, v):
+        return v * self.diag
+
+    _adjoint = _apply
+
+
+class StackedPosterior(LinearGaussianPosterior):
+    """The isotropic posterior of a ``DiagonalRows`` block, every row with
+    its member posterior's bits. ``of`` stacks J members' posteriors for the
+    block whose row j is member j: h_mu and c_k d_j² + σ² to (J, K, m),
+    log-determinants to (J, K). ``rows`` gathers them for another block."""
+
+    def __init__(self, post, H, h_mu, logdets, denoms):
+        # ``post`` has the same prior and sigma and lends what they alone set
+        self.prior, self.sigma2, self.log_w, self._iso = post.prior, post.sigma2, post.log_w, True
+        self._cvals, self._ccol = post._cvals, post._ccol
+        self.obs = ObservationModel(H, post.obs.sigma)
+        self.h_mu, self._logdets, self._denoms = h_mu, logdets, denoms
+
+    @classmethod
+    def of(cls, posteriors, diagonals):
+        members, count = tuple(p.obs.H for p in posteriors), len(posteriors)
+        denoms = [p.obs.H._innovation_denominator(p._ccol, p.sigma2) for p in posteriors]
+        return cls(posteriors[0], DiagonalRows(members, np.stack(diagonals), np.arange(count)),
+                   np.stack([p.h_mu for p in posteriors]),
+                   np.stack([p._logdets for p in posteriors]), np.stack(denoms))
+
+    def rows(self, H):
+        i = H.index
+        return StackedPosterior(self, H, self.h_mu[i], self._logdets[i], self._denoms[i])
+
+    def _solve(self, k, r):
+        return r / self._denoms[..., k, :]
+
+    def _solve_all(self, r):
+        return r / self._denoms
+
+    def _weighted_means(self, resp):
+        return (resp[..., None, :] @ self.prior.means)[..., 0, :]
 
 
 # -- functional entry points ----------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .operators import DimensionMismatch
-from .priors import LinearGaussianPosterior, ObservationModel
+from .priors import DiagonalRows, LinearGaussianPosterior, ObservationModel, StackedPosterior
 
 
 class ExactMmse:
@@ -42,6 +42,9 @@ class ExactMmse:
     Like every restorer, it has ``exact``, the exact operator underneath
     (itself), and ``perturbations``, the perturbation chain applied to that
     operator's estimate, innermost first (none).
+
+    Posteriors are built on first use and kept: one per operator, and per
+    member tuple the ``stacked`` posterior or None.
     """
 
     perturbations = ()
@@ -50,6 +53,7 @@ class ExactMmse:
         self.prior = prior
         self.sigma = float(sigma)
         self._posteriors = {}  # operator -> its posterior; operators hash by identity
+        self._stacks = {}  # member tuple -> its StackedPosterior, or None
 
     @property
     def exact(self):
@@ -57,7 +61,18 @@ class ExactMmse:
         # keeps a dropped restorer's cached posteriors until a full collection
         return self
 
+    def stacked(self, members):
+        """The ``StackedPosterior`` of the block whose row j is ``members[j]``
+        when every member is diagonal and the prior isotropic, else None."""
+        if members not in self._stacks:
+            diags = [H._diagonal_entries() for H in members] if self.prior.is_isotropic else [None]
+            self._stacks[members] = None if any(d is None for d in diags) else StackedPosterior.of(
+                [self._posterior(H) for H in members], diags)
+        return self._stacks[members]
+
     def _posterior(self, H):
+        if isinstance(H, DiagonalRows):  # a block over a stack's members
+            return self._stacks[H.members].rows(H)
         post = self._posteriors.get(H)
         if post is None:
             post = self._posteriors[H] = LinearGaussianPosterior(
@@ -105,7 +120,6 @@ class Biased:
     """Inner restoration followed by a parametric perturbation."""
 
     def __init__(self, inner, perturbation):
-        self.perturbation = perturbation
         self.exact = inner.exact
         self.perturbations = (*inner.perturbations, perturbation)
 
@@ -125,14 +139,14 @@ def restore_with_exact(restorer, s, H):
     return exact_est, est
 
 
-def _mc_point(ens, x, mc_samples, least):
+def _mc_point(ens, x, mc_samples):
     """``x`` as a float vector, for a Monte Carlo estimator over ``ens``.
 
-    Refuses fewer than ``least`` samples (``ValueError``) and any point that
-    is not a 1-D vector of length ``ens.in_dim`` (``DimensionMismatch``).
+    Refuses fewer than 2 samples (``ValueError``) and any point that is not
+    a 1-D vector of length ``ens.in_dim`` (``DimensionMismatch``).
     """
-    if mc_samples < least:
-        raise ValueError(f"mc_samples must be at least {least}")
+    if mc_samples < 2:
+        raise ValueError("mc_samples must be at least 2")
     x = np.asarray(x, dtype=float)
     if x.shape != (ens.in_dim,):
         raise DimensionMismatch(f"Monte Carlo point must be 1-D, got shape {x.shape}",

@@ -202,12 +202,15 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     Every call runs one loop: the seeds advance as one (S, n) iterate block
     with an (S, m) residual block, each with its own selection and noise
     streams, and share every per-call cost: one product with A per
-    iteration, one restore per (batch slot, member) drawn. One seed is a
+    iteration and one restore of all S b draws when every member is
+    diagonal and the restorer's prior isotropic (``ExactMmse.stacked``,
+    once per call), else one per (batch slot, member) drawn. One seed is a
     (1, n) block. A seed whose iterate goes non-finite leaves the block
     with the iteration and last finite iterate of its solo run; the others
     go on. Each row is its solo run bit for bit where every operation runs
     row by row; products that become matrix-matrix (a dense operator, a
-    mixture's responsibility-weighted means) agree to rounding.
+    mixture's responsibility-weighted means on the grouped path) agree to
+    rounding.
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
@@ -254,6 +257,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 
     forms = _auto_diagnostics(reg)
+    stack = restorer.exact.stacked(ens.members)
     seeds, t = len(cfgs), cfg.iterations
     streams = [solver_streams(c.seed) for c in cfgs]
     draws = np.stack([_selection_stream(cfg, ens, sel) for sel, _ in streams], axis=1)
@@ -298,7 +302,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                 fg = A._adjoint(r)
                 if forms is not None:
                     fg_buf[j, live] = fg
-                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
+                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs, stack)
                 x_new = x - cfg.gamma * ghat
                 diff = x_new - x
                 sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not

@@ -15,6 +15,7 @@ The module is not called ``reference``: ``bench/tests`` imports
 import numpy as np
 
 from srp.objective import _posteriors
+from srp.operators import DimensionMismatch
 from srp.restoration import ExactMmse, _mc_point, _residual_moments, restore_with_exact
 
 
@@ -36,7 +37,7 @@ def _sample_variance(mean, mean_sq, n):
 def reg_grad_with_se(reg, x, mc_samples, rng):
     """``objective.reg_grad_exact`` and the per-coordinate standard error of
     its mean, from the same draws: the mean is its value bit for bit."""
-    x = _mc_point(reg.ens, x, mc_samples, 2)
+    x = _mc_point(reg.ens, x, mc_samples)
     exact = ExactMmse(reg.prior, reg.ens.sigma)
     mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
                                       lambda s, H: x - exact.restore(s, H))
@@ -51,7 +52,7 @@ def reg_value_mc(reg, x, mc_samples, rng):
     identically seeded generators share their randomness; that is what makes
     common-random-number finite differences work.
     """
-    x = _mc_point(reg.ens, x, mc_samples, 2)
+    x = _mc_point(reg.ens, x, mc_samples)
     posts = _posteriors(reg)
     vals = np.empty(int(mc_samples))
     for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
@@ -68,7 +69,7 @@ def variance_probe(reg, restorer, x, mc_samples, rng):
     contributes; returns sum_d Var[term_d] with the unbiased (ddof=1)
     normalization.
     """
-    x = _mc_point(reg.ens, x, mc_samples, 2)
+    x = _mc_point(reg.ens, x, mc_samples)
     mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
                                       lambda s, H: x - restorer.restore(s, H))
     return float(np.sum(_sample_variance(mean, mean_sq, int(mc_samples))))
@@ -80,9 +81,16 @@ def bias_vector(restorer, ens, x, tau, mc_samples, rng):
     Each draw is restored once: the exact estimate, then the restorer's
     perturbation chain applied to it. For the exact operator the integrand
     is identically zero sample by sample, so the estimate is exactly zero:
-    it is returned without drawing, and ``rng`` is left untouched.
+    it is returned without drawing, and ``rng`` is left untouched. Refuses
+    fewer than 1 sample and any point that is not a 1-D vector of length
+    ``ens.in_dim``, like ``restoration._mc_point`` for the others.
     """
-    x = _mc_point(ens, x, mc_samples, 1)
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be at least 1")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ens.in_dim,):
+        raise DimensionMismatch(f"Monte Carlo point must be 1-D, got shape {x.shape}",
+                                ens.in_dim, x.size)
     if not restorer.perturbations:
         return np.zeros(ens.in_dim)
     gap = lambda s, H: np.subtract(*restore_with_exact(restorer, s, H))

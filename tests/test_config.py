@@ -374,7 +374,7 @@ class TestRestorerSpecs:
 
         def perturbation(p):
             spec = {"type": "biased", "inner": {"type": "exact-mmse"}, "perturbation": p}
-            return build_restorer(spec, prior, 0.5).perturbation
+            return build_restorer(spec, prior, 0.5).perturbations[-1]
 
         vector = perturbation({"type": "constant-offset", "offset": [0.1, -0.2, 0]})
         np.testing.assert_array_equal(vector.offset, [0.1, -0.2, 0.0])

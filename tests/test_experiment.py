@@ -24,7 +24,7 @@ from srp.experiment import (
 from srp.metrics import magnitude, psnr
 from srp.objective import Problem, Regularizer, SingleGaussianForms
 from srp.operators import CoordinateMask, Identity
-from srp.priors import LinearGaussianPosterior
+from srp.priors import LinearGaussianPosterior, StackedPosterior
 from srp.solver import AuditProbes, DivergenceError, audit_convergence, run
 
 
@@ -550,13 +550,19 @@ class TestSharedHeadPeel:
             assert abs(row.psnr_db - ref.psnr[-1]) <= 1e-9
 
     def test_posteriors_filled_on_first_solve_and_kept(self, tmp_path):
+        # behind the head every member is a mask: the first solve builds one
+        # posterior per member and their stack, which later solves reuse
         built = build_experiment(small_complex_config(tmp_path, seeds=(1,)))
         assert "_head_peel" not in vars(built)  # nothing is peeled at build time
         run_single(built, 1)
         posteriors = dict(shared_head_peel(built).restorer._posteriors)
+        stacks = dict(shared_head_peel(built).restorer._stacks)
         assert len(posteriors) == built.ensemble.size
+        assert list(stacks) == [shared_head_peel(built).ensemble.members]
+        assert all(isinstance(v, StackedPosterior) for v in stacks.values())
         run_single(built, 1)
         assert shared_head_peel(built).restorer._posteriors == posteriors
+        assert shared_head_peel(built).restorer._stacks == stacks
 
     def test_explicit_start_and_divergence_in_original_coordinates(self, tmp_path):
         cfg = small_complex_config(tmp_path, seeds=(1,), iterations=10)
@@ -685,18 +691,19 @@ def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
     assert trace.csv_text() == ref.csv_text()
 
 
-def test_two_seed_audit_restores_once_per_iteration(monkeypatch):
-    # the bench's 1-D instance: both seeds draw its one member every
-    # iteration, so the block restores them together, 500 times in all,
-    # and the exact audit terms restore once more
-    spec, _, _ = load_bench_workloads().audit_instances(1)[1]
+@pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
+def test_two_seed_audit_restores_once_per_iteration(monkeypatch, index):
+    # the bench's audit instances have identity and mask members: the block
+    # restores both seeds' draws together, 500 times in all, and the exact
+    # audit terms restore once more per member
+    spec, _, _ = load_bench_workloads().audit_instances(1)[index]
     spec["solver"]["gamma"] = 0.3
     rows = []
     mean = LinearGaussianPosterior.posterior_mean
     monkeypatch.setattr(LinearGaussianPosterior, "posterior_mean",
                         lambda self, s: rows.append(len(s)) or mean(self, s))
     audit_experiment(ExperimentConfig.from_dict(spec))
-    assert len(rows) == 500 + 1
+    assert len(rows) == 500 + len(spec["ensemble"]["members"])
     assert rows[:500] == [2] * 500
 
 

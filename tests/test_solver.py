@@ -17,6 +17,7 @@ from srp.objective import (
 from srp.operators import (
     CircularConvolution,
     Composition,
+    ConvexCombination,
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
@@ -24,8 +25,8 @@ from srp.operators import (
     Identity,
     Scale,
 )
-from srp.priors import GmmPrior
-from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain
+from srp.priors import GmmPrior, StackedPosterior
+from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
 from srp.solver import (
     AuditError,
     AuditProbes,
@@ -470,7 +471,8 @@ def lockstep_instance(name):
 
 # Largest absolute gap between a lockstep row and its solo run where the
 # block turns row-wise products into matrix-matrix ones (a dense A, a
-# mixture's responsibility-weighted means): 64 ulps of the unit iterates.
+# mixture's responsibility-weighted means on the grouped path): 64 ulps of
+# the unit iterates.
 LOCKSTEP_ATOL = 64 * np.finfo(float).eps
 
 TRACE_COLUMNS = ("step_sq", "grad_hat_norm", "grad_true_norm", "f_value", "psnr")
@@ -507,7 +509,7 @@ class TestLockstep:
         assert trace.csv_text() == ref.csv_text()
 
     @pytest.mark.parametrize("name,exact", [
-        ("masks", True), ("mixed-widths", True), ("dense", False), ("mixture", False),
+        ("masks", True), ("mixed-widths", True), ("dense", False), ("mixture", True),
         ("diagonal", True), ("full", False), ("diagonal-mixture", True)])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_rows_are_their_solo_runs(self, name, exact, batch):
@@ -592,13 +594,11 @@ class TestLockstep:
             assert np.array_equal(out.last_iterate, solo.value.last_iterate)
         assert outcomes[0].iteration < outcomes[1].iteration
 
-    @pytest.mark.parametrize("seeds", [2, 5])
-    @pytest.mark.parametrize("batch", [1, 2])
-    def test_one_restore_per_distinct_member(self, seeds, batch, monkeypatch,
-                                             each_iteration):
-        # 3 members: each iteration restores once per (batch slot, member)
-        # drawn, so at most batch * min(S, J) times
-        problem, reg, restorer = lockstep_instance("dense")
+    @staticmethod
+    def count_restores(name, seeds, batch, monkeypatch, each_iteration):
+        """(restores per iteration, rows of each restore, configs) of a
+        40-iteration block of ``seeds`` seeds on ``lockstep_instance(name)``."""
+        problem, reg, restorer = lockstep_instance(name)
         calls = []
         restore = ExactMmse.restore
         monkeypatch.setattr(ExactMmse, "restore",
@@ -608,7 +608,27 @@ class TestLockstep:
         starts = each_iteration(lambda: len(calls))  # restores before each iteration
         score = lambda x, ids: np.zeros(len(ids))
         run([problem] * seeds, reg, restorer, cfgs, psnr_fn=score)
-        per_iteration = np.diff(starts + [len(calls)])
+        return np.diff(starts + [len(calls)]), calls, reg, cfgs
+
+    @pytest.mark.parametrize("seeds", [2, 5])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_a_diagonal_ensemble_restores_once_per_iteration(self, seeds, batch,
+                                                             monkeypatch, each_iteration):
+        # identity and mask members under one Gaussian: every iteration
+        # restores all S * b draws in one call
+        per_iteration, calls, _, _ = self.count_restores("dense", seeds, batch,
+                                                         monkeypatch, each_iteration)
+        assert per_iteration.tolist() == [1] * 40
+        assert calls == [seeds * batch] * 40
+
+    @pytest.mark.parametrize("seeds", [2, 5])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_one_restore_per_distinct_member(self, seeds, batch, monkeypatch,
+                                             each_iteration):
+        # a fold member is not diagonal: each iteration restores once per
+        # (batch slot, member) drawn, so at most batch * min(S, J) times
+        per_iteration, calls, reg, cfgs = self.count_restores(
+            "mixed-widths", seeds, batch, monkeypatch, each_iteration)
         draws = np.stack([_selection_stream(c, reg.ens, solver_streams(c.seed)[0])
                           for c in cfgs], axis=1)  # (iterations, S, batch)
         drawn = [len({(slot, j) for row in step for slot, j in enumerate(row)})
@@ -634,6 +654,108 @@ class TestLockstep:
         same = [SolverConfig(gamma=0.1, iterations=5, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError, match="forward operator"):
             run([problem, other], reg, restorer, same)
+
+
+class TestStackedRestore:
+    """With diagonal members and an isotropic prior, each iteration restores
+    every draw of the block in one call, each row with its own member's
+    gathered diagonal, h_mu, denominators and log-determinants; each row is
+    still the vector loop's and its solo run's, bit for bit."""
+
+    MEANS = [[0.5, -0.3, 0.2, 0.1], [-1.0, 0.3, 0.8, 0.0]]
+    PERTURBATIONS = {"offset": ConstantOffset([0.02, -0.01, 0.0, 0.03]), "gain": Gain(0.9),
+                     "smoothing": Smoothing(2)}
+
+    def instance(self, components, perturbation):
+        members = [Identity(4), CoordinateMask(4, [0, 1]), Scale(4, 0.5),
+                   ConvexCombination(0.3, CoordinateMask(4, [1, 2, 3]))]
+        prior = GmmPrior([1.0] if components == 1 else [0.3, 0.7], self.MEANS[:components],
+                         [np.asarray(0.7), np.asarray(1.2)][:components])
+        ens = DegradationEnsemble(members, sigma=0.7, weights=[0.4, 0.3, 0.2, 0.1])
+        reg = Regularizer(tau=0.8, prior=prior, ens=ens)
+        problem = Problem(CoordinateMask(4, [0, 1, 3]), np.array([0.3, -0.2, 0.6, 0.1]))
+        restorer = Biased(ExactMmse(prior, 0.7), self.PERTURBATIONS[perturbation])
+        return problem, reg, restorer
+
+    @staticmethod
+    def cfgs(batch, iterations=40):
+        starts = ["zeros", "adjoint", np.array([1.0, -2.0, 0.5, 3.0])]
+        return [SolverConfig(gamma=0.3, iterations=iterations, seed=seed, batch=batch, x0=x0,
+                             record_iterates=True) for seed, x0 in zip((3, 8, 5), starts)]
+
+    @pytest.mark.parametrize("perturbation", ["offset", "gain", "smoothing"])
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_rows_are_the_vector_loop_and_their_solo_runs(self, components, perturbation,
+                                                         batch, monkeypatch):
+        problem, reg, restorer = self.instance(components, perturbation)
+        cfgs = self.cfgs(batch)
+        refs = [vector_loop(problem, reg, restorer, c) for c in cfgs]
+        rows = []
+        restore = ExactMmse.restore
+        monkeypatch.setattr(ExactMmse, "restore",
+                            lambda self, s, H: rows.append(len(s)) or restore(self, s, H))
+        block = run([problem] * 3, reg, restorer, cfgs)
+        assert rows == [3 * batch] * 40  # the stacked path: one restore per iteration
+        for cfg, out, (x_ref, ref) in zip(cfgs, block, refs):
+            _, solo = run(problem, reg, restorer, cfg)
+            for trace in (out, solo):
+                assert np.array_equal(trace.x_final, x_ref)
+                assert np.array_equal(trace.iterates, ref.iterates)
+                assert trace.csv_text() == ref.csv_text()
+        assert len(rows) == 40 + 3 * 40  # the solo runs restore once per iteration too
+
+    def test_one_restorer_serves_two_ensembles(self):
+        # each ensemble gets its own stack on the shared restorer, so runs
+        # on either, in turn, keep the bits of runs on a fresh restorer
+        problem, reg, restorer = self.instance(2, "offset")
+        other = Regularizer(tau=0.8, prior=reg.prior, ens=DegradationEnsemble(
+            [CoordinateMask(4, [2, 3]), Scale(4, 1.5), Identity(4)], sigma=0.7))
+        cfgs = self.cfgs(2)
+        for r in (reg, other, reg, other):
+            fresh = Biased(ExactMmse(reg.prior, 0.7), restorer.perturbations[-1])
+            refs = [vector_loop(problem, r, fresh, c) for c in cfgs]
+            for out, (x_ref, ref) in zip(run([problem] * 3, r, restorer, cfgs), refs):
+                assert np.array_equal(out.x_final, x_ref)
+                assert out.csv_text() == ref.csv_text()
+        stacks = restorer.exact._stacks
+        assert list(stacks) == [reg.ens.members, other.ens.members]
+        assert all(isinstance(v, StackedPosterior) for v in stacks.values())
+
+    @pytest.mark.parametrize("name", ["mixed-widths", "diagonal", "diagonal-mixture"])
+    def test_other_ensembles_keep_the_grouped_path(self, name, monkeypatch):
+        # a fold member, or a prior of diagonal covariance: no stack is built
+        # and each restore gets a real member
+        problem, reg, restorer = lockstep_instance(name)
+        seen = []
+        restore = ExactMmse.restore
+        monkeypatch.setattr(ExactMmse, "restore",
+                            lambda self, s, H: seen.append(H) or restore(self, s, H))
+        run([problem] * 3, reg, restorer, self.cfgs(2))
+        assert set(seen) <= set(reg.ens.members)
+        assert restorer.exact._stacks == {reg.ens.members: None}
+
+    @pytest.mark.parametrize("iterations", [20, 60])
+    @pytest.mark.parametrize("prior", ["isotropic", "diagonal"])
+    def test_the_path_is_chosen_once_per_run(self, iterations, prior):
+        if prior == "isotropic":
+            problem, reg, restorer = self.instance(2, "gain")
+        else:
+            problem, reg, restorer = lockstep_instance("diagonal")
+        for H in reg.ens.members:  # the members' posteriors read their own diagonals
+            restorer.exact._posterior(H)
+        calls = []
+        for H in reg.ens.members:
+            H._diagonal_entries = lambda d=H._diagonal_entries: calls.append(1) or d()
+        cfgs = self.cfgs(1, iterations)
+        run([problem] * 3, reg, restorer, cfgs)
+        # the first run reads each member once; a prior of diagonal
+        # covariance rules the path out before the members are read
+        assert len(calls) == (reg.ens.size if prior == "isotropic" else 0)
+        run([problem] * 3, reg, restorer, cfgs)
+        run(problem, reg, restorer, cfgs[0])
+        # later runs on the same restorer and members reuse the decision
+        assert len(calls) == (reg.ens.size if prior == "isotropic" else 0)
 
 
 class TestOperatorCores:
