@@ -8,10 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 2 config or input error, 3 validation/audit failure,
 4 divergence. Config errors include a ground-truth file with non-finite
-entries and an output path that is, or lies under, an existing file. Input
-errors are unreadable array files, mismatched dimensions, refused dense
-materializations and covariances that do not factor; each is reported on one
-stderr line, without a traceback.
+entries, a 2-D image smaller than the SSIM window with SSIM on, and an output
+path that is, or lies under, an existing file, that a directory holds or that
+may not be written. Input errors are unreadable array files, mismatched
+dimensions, refused dense materializations and covariances that do not
+factor; an audit at gamma 0 is an audit error. Each is reported on one stderr
+line, without a traceback.
 """
 
 from __future__ import annotations
@@ -180,8 +182,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
-        # a missing input file, or an output path that is, or is under, a file
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
+            PermissionError) as exc:
+        # a missing input, or an output path a file, a directory or permissions block
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArrayFileError, DimensionMismatch, DenseCapExceeded,

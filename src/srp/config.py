@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import arrayio
+from .metrics import _SSIM_WINDOW
 from .operators import (
     CircularConvolution, Composition, ConvexCombination, CoordinateMask, DegradationEnsemble,
     DenseMatrix, DimensionMismatch, DiscreteFourier, FoldDownsample, Identity, Scale,
@@ -277,19 +278,12 @@ class ExperimentConfig:
             d.pop("image")
         return d
 
-    def dumps(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def loads(cls, text):
         try:
             return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
 
     @classmethod
     def load(cls, path):
@@ -439,6 +433,11 @@ def build_experiment(cfg):
         raise ConfigError(f"measurement operator in_dim {A.in_dim} != prior dim {prior.dim}")
     if ensemble.in_dim != prior.dim:
         raise ConfigError(f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}")
+    image = cfg.image
+    ssim_on = cfg.metrics["ssim"] and image is not None and len(image["shape"]) == 2
+    if ssim_on and min(image["shape"]) < _SSIM_WINDOW:
+        raise ConfigError(f"image.shape {image['shape']} is smaller than the {_SSIM_WINDOW}x"
+                          f"{_SSIM_WINDOW} SSIM window; set metrics.ssim to false")
     gt, truth = cfg.problem["ground_truth"], None
     if gt["source"] == "file":
         if not gt["path"]:
@@ -450,14 +449,12 @@ def build_experiment(cfg):
         if not np.all(np.isfinite(truth)):
             raise ConfigError(f"ground truth file {gt['path']} has non-finite entries")
         # PSNR, and SSIM of a 2-D image, default to the truth's largest magnitude as peak
-        scored = cfg.metrics["psnr"] or (
-            cfg.metrics["ssim"] and cfg.image is not None and len(cfg.image["shape"]) == 2)
+        scored = cfg.metrics["psnr"] or ssim_on
         if scored and cfg.metrics["psnr_peak"] is None and not np.any(truth):
             raise ConfigError(f"ground truth file {gt['path']} is all zeros, so PSNR and SSIM "
                               "have no peak (the truth's largest magnitude); "
                               "set metrics.psnr_peak")
         truth.setflags(write=False)  # one vector for every seed
-    image = cfg.image
     n = image and int(np.prod(image["shape"])) * (1 + image["complex"])
     if n and n != prior.dim:
         raise ConfigError(f"image spec implies vectors of length {n}, prior dim is {prior.dim}")

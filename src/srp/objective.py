@@ -200,7 +200,7 @@ def gaussian_objective_minimum(problem, reg):
 # -- stochastic gradient -----------------------------------------------------------
 
 
-def regularizer_step(reg, restorer, x, members, rngs, stack=None):
+def regularizer_step(reg, restorer, x, members, rngs):
     """Regularizer terms of one stochastic step for an (S, n) block of
     iterates, each row averaged over its draws.
 
@@ -215,10 +215,10 @@ def regularizer_step(reg, restorer, x, members, rngs, stack=None):
     is its term plus 0.0, the bits of that one-row mean.
 
     Each group of draws gets one degrade ``H._apply``, ``restore`` and gram
-    ``H._adjoint(H._apply(·))``. With ``stack``, the restorer's
-    ``ExactMmse.stacked`` posterior of the members, all S b draws are one
-    group, a ``DiagonalRows`` block; otherwise the groups are (batch slot,
-    member) pairs, at most b * min(S, J) for J members. The operands are
+    ``H._adjoint(H._apply(·))``. When the restorer has a stacked posterior
+    of the members (``ExactMmse.stacked``, a cached lookup), all S b draws
+    are one group, a ``DiagonalRows`` block; otherwise the groups are (batch
+    slot, member) pairs, at most b * min(S, J) for J members. The operands are
     arrays the solver loop made, so the products call the operator cores;
     ``restore`` still checks s in ``posterior_mean``. A row is its seed's
     own step bit for bit wherever those calls run row by row, as every
@@ -232,8 +232,9 @@ def regularizer_step(reg, restorer, x, members, rngs, stack=None):
     noise = np.empty((len(draws), max(widths)))
     for i, m in enumerate(widths):
         rngs[i // batch].standard_normal(out=noise[i, :m])
+    stack = restorer.exact.stacked(ens.members)
     if stack is not None:
-        H = DiagonalRows(ens.members, stack.obs.H.diagonals, members.ravel())
+        H = DiagonalRows(ens.members, stack.obs.H.diag, stack.obs.H.denoms, members.ravel())
         groups = [(H, slice(None), x if batch == 1 else np.repeat(x, batch, axis=0))]
     else:
         slots = {}  # (slot, member) -> its draws' rows

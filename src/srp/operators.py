@@ -433,8 +433,6 @@ class CircularConvolution(LinearOperator):
         kernel = np.array(kernel, dtype=float).ravel()
         if kernel.size == 0 or kernel.size > dim:
             raise ValueError("kernel must be non-empty and no longer than dim")
-        kernel.flags.writeable = False
-        self.kernel = kernel
         padded = np.zeros(dim)
         padded[: kernel.size] = kernel
         self._symbol = np.fft.fft(padded)

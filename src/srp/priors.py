@@ -197,7 +197,8 @@ class LinearGaussianPosterior:
     priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1,
     which takes the operator's dense Cholesky path, one solve per component.
     ``StackedPosterior`` runs the same arithmetic on rows observed through
-    different diagonal members, through three hooks it overrides.
+    different diagonal members: its ``DiagonalRows`` block answers the
+    innovation solves, and it overrides only the weighted means.
     """
 
     def __init__(self, prior, obs):
@@ -236,13 +237,6 @@ class LinearGaussianPosterior:
             return self._cvals[k] * self.obs.H._adjoint(z)
         return z @ self._cross[k].T
 
-    def _solve_all(self, r):
-        """z_k = S_k^{-1} r_k for each row r_k of r's (..., K, m) block."""
-        if self._iso:
-            return self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
-        return np.stack([self._solve(k, r[..., k, :])
-                         for k in range(self.prior.n_components)], axis=-2)
-
     def _weighted_means(self, resp):
         return resp @ self.prior.means
 
@@ -251,7 +245,11 @@ class LinearGaussianPosterior:
         innovation solves z_k = S_k^{-1} (s - H mu_k) behind them, stacked
         to shape (..., K, m)."""
         r = s[..., None, :] - self.h_mu
-        z = self._solve_all(r)
+        if self._iso:
+            z = self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
+        else:
+            z = np.stack([self._solve(k, r[..., k, :])
+                          for k in range(self.prior.n_components)], axis=-2)
         m = self.obs.H.out_dim
         r *= z  # r is not read again; in place saves one (..., K, m) stack
         loglik = -0.5 * (np.sum(r, axis=-1) + self._logdets + m * _LOG_2PI)
@@ -276,9 +274,6 @@ class LinearGaussianPosterior:
     def logpdf(self, s):
         with np.errstate(all="ignore"):  # rows of all -inf terms warn on their way to -inf
             return scipy.special.logsumexp(self.component_loglik(s) + self.log_w, axis=-1)
-
-    def responsibilities(self, s):
-        return self._responsibilities(self.component_loglik(s))
 
     def posterior_mean(self, s):
         """E[x | s, H], batched over leading axes of s.
@@ -315,17 +310,25 @@ class LinearGaussianPosterior:
 
 
 class DiagonalRows:
-    """A block whose row i is observed through ``members[index[i]]``, member
-    j the diagonal ``diagonals[j]``: H v = v * D, D the gathered diagonals."""
+    """A block whose row i is observed through ``members[index[i]]`` (row i
+    member i for ``slice(None)``), member j the diagonal ``diagonals[j]``
+    with innovation denominators ``denoms[j]`` (c_k d_j² + σ², shape
+    (K, m)): H v = v * D and the innovation solves divide by the rows'
+    denominators, both gathered."""
 
-    def __init__(self, members, diagonals, index):
-        self.members, self.diagonals, self.index = members, diagonals, index
-        self.diag, self.out_dim = diagonals[index], diagonals.shape[-1]
+    def __init__(self, members, diagonals, denoms, index):
+        self.members, self.index, self.out_dim = members, index, diagonals.shape[-1]
+        self.diag, self.denoms = diagonals[index], denoms[index]
 
     def _apply(self, v):
         return v * self.diag
 
     _adjoint = _apply
+
+    def innovation_solve(self, c, sigma2, r):
+        """A column c solves all K systems, a scalar c (K = 1) the first; the
+        denominators already hold c and σ²."""
+        return r / (self.denoms if getattr(c, "ndim", 0) else self.denoms[..., 0, :])
 
 
 class StackedPosterior(LinearGaussianPosterior):
@@ -334,30 +337,24 @@ class StackedPosterior(LinearGaussianPosterior):
     block whose row j is member j: h_mu and c_k d_j² + σ² to (J, K, m),
     log-determinants to (J, K). ``rows`` gathers them for another block."""
 
-    def __init__(self, post, H, h_mu, logdets, denoms):
+    def __init__(self, post, H, h_mu, logdets):
         # ``post`` has the same prior and sigma and lends what they alone set
         self.prior, self.sigma2, self.log_w, self._iso = post.prior, post.sigma2, post.log_w, True
-        self._cvals, self._ccol = post._cvals, post._ccol
+        self._cvals, self._ccol, self._ops = post._cvals, post._ccol, [H] * len(post._cvals)
         self.obs = ObservationModel(H, post.obs.sigma)
-        self.h_mu, self._logdets, self._denoms = h_mu, logdets, denoms
+        self.h_mu, self._logdets = h_mu, logdets
 
     @classmethod
     def of(cls, posteriors, diagonals):
-        members, count = tuple(p.obs.H for p in posteriors), len(posteriors)
-        denoms = [p.obs.H._innovation_denominator(p._ccol, p.sigma2) for p in posteriors]
-        return cls(posteriors[0], DiagonalRows(members, np.stack(diagonals), np.arange(count)),
-                   np.stack([p.h_mu for p in posteriors]),
-                   np.stack([p._logdets for p in posteriors]), np.stack(denoms))
+        members = tuple(p.obs.H for p in posteriors)
+        denoms = np.stack([p.obs.H._innovation_denominator(p._ccol, p.sigma2)
+                           for p in posteriors])
+        block = DiagonalRows(members, np.stack(diagonals), denoms, slice(None))
+        return cls(posteriors[0], block, np.stack([p.h_mu for p in posteriors]),
+                   np.stack([p._logdets for p in posteriors]))
 
     def rows(self, H):
-        i = H.index
-        return StackedPosterior(self, H, self.h_mu[i], self._logdets[i], self._denoms[i])
-
-    def _solve(self, k, r):
-        return r / self._denoms[..., k, :]
-
-    def _solve_all(self, r):
-        return r / self._denoms
+        return StackedPosterior(self, H, self.h_mu[H.index], self._logdets[H.index])
 
     def _weighted_means(self, resp):
         return (resp[..., None, :] @ self.prior.means)[..., 0, :]

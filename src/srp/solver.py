@@ -204,13 +204,13 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     streams, and share every per-call cost: one product with A per
     iteration and one restore of all S b draws when every member is
     diagonal and the restorer's prior isotropic (``ExactMmse.stacked``,
-    once per call), else one per (batch slot, member) drawn. One seed is a
-    (1, n) block. A seed whose iterate goes non-finite leaves the block
-    with the iteration and last finite iterate of its solo run; the others
-    go on. Each row is its solo run bit for bit where every operation runs
-    row by row; products that become matrix-matrix (a dense operator, a
-    mixture's responsibility-weighted means on the grouped path) agree to
-    rounding.
+    decided once per member tuple), else one per (batch slot, member)
+    drawn. One seed is a (1, n) block. A seed whose iterate goes non-finite
+    leaves the block with the iteration and last finite iterate of its solo
+    run; the others go on. Each row is its solo run bit for bit where every
+    operation runs row by row; products that become matrix-matrix (a dense
+    operator, a mixture's responsibility-weighted means on the grouped
+    path) agree to rounding.
 
     Per-iteration objective values and true-gradient norms come from the
     single-Gaussian closed forms when available; otherwise those trace
@@ -257,7 +257,6 @@ def _lockstep(problems, reg, restorer, cfgs, score):
         raise ValueError(f"fixed index {cfg.fixed_index} out of range")
 
     forms = _auto_diagnostics(reg)
-    stack = restorer.exact.stacked(ens.members)
     seeds, t = len(cfgs), cfg.iterations
     streams = [solver_streams(c.seed) for c in cfgs]
     draws = np.stack([_selection_stream(cfg, ens, sel) for sel, _ in streams], axis=1)
@@ -302,7 +301,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                 fg = A._adjoint(r)
                 if forms is not None:
                     fg_buf[j, live] = fg
-                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs, stack)
+                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
                 x_new = x - cfg.gamma * ghat
                 diff = x_new - x
                 sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not
@@ -492,11 +491,14 @@ def audit_convergence(problem, reg, restorer, cfg, traces, probes=None):
     The regularizer must have the single-Gaussian closed forms
     (``Regularizer.gaussian_forms``), all traces must carry true-gradient
     norms (the solver fills them from those forms), and the restorer must
-    have exact audit terms (``objective.exact_audit_terms``); otherwise the
-    audit raises ``AuditError``. The bound passes within ``_AUDIT_SLACK``.
+    have exact audit terms (``objective.exact_audit_terms``), and gamma must
+    be positive (the bound divides by it); otherwise the audit raises
+    ``AuditError``. The bound passes within ``_AUDIT_SLACK``.
     """
     if not traces:
         raise AuditError("audit requires at least one run")
+    if not cfg.gamma > 0:  # the bound's transient term divides by gamma * iterations
+        raise AuditError(f"audit needs solver.gamma > 0, got {cfg.gamma}")
     probes = probes or AuditProbes()
     try:
         forms = reg.gaussian_forms

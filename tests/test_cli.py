@@ -321,6 +321,34 @@ class TestInputErrors:
                                                 None, scored=False)
         assert all(row.split(",")[2:4] == ["", ""] for row in rows[1:])
 
+    @pytest.mark.parametrize("shape,metrics", [([2, 2], {}), ([6, 9], {"psnr": False}),
+                                               ([2, 2], {"ssim": False}), ([7, 7], {})])
+    def test_image_smaller_than_the_ssim_window(self, tmp_path, shape, metrics):
+        # SSIM, on by default, averages 7x7 windows: a smaller 2-D image is
+        # refused before any solve unless SSIM is off
+        dim = shape[0] * shape[1]
+        cfg = {
+            "version": 1, "name": "tiny", "seed": 0, "seeds": [1],
+            "output_dir": str(tmp_path / "out"), "image": {"shape": shape},
+            "problem": {"operator": {"kind": "identity", "dim": dim},
+                        "ground_truth": {"source": "prior"}, "noise_sigma": 0.1},
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[0.0] * dim],
+                      "covariances": [1.0]},
+            "ensemble": {"members": [{"kind": "identity", "dim": dim}], "sigma": 1.0},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5},
+            "metrics": metrics,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("run", str(path), "--quiet")
+        if metrics.get("ssim", True) and min(shape) < 7:
+            self.assert_input_error(proc, f"config error: image.shape {shape} is smaller")
+            assert "metrics.ssim" in proc.stderr
+            assert not (tmp_path / "out").exists()
+        else:
+            assert proc.returncode == EXIT_OK, proc.stderr
+
     @pytest.mark.parametrize("height", [float("nan"), -1.0, 2.5, float("inf")])
     def test_malformed_ground_truth_header(self, tmp_path, height):
         gt = tmp_path / "truth.f64"
@@ -580,6 +608,20 @@ class TestAudit:
         assert "audit error" in capsys.readouterr().err
 
 
+def test_audit_refuses_a_zero_step_size(tmp_path):
+    # the bound's transient term divides by gamma * iterations; a run at
+    # gamma 0 is valid
+    path = single_gaussian_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["solver"]["gamma"] = 0
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("audit", str(path), "--quiet")
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("audit error: audit needs solver.gamma > 0")
+    assert run_cli("run", str(path), "--quiet").returncode == EXIT_OK
+
+
 class TestSweep:
     def test_grid_sweep(self, tmp_path):
         path = write_config(tmp_path, iterations=10)
@@ -643,6 +685,45 @@ class TestOutputPaths:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: "), lines
         assert blocker.read_text() == ""
+
+    @staticmethod
+    def argv(tmp_path, command):
+        out = tmp_path / "out"
+        path = single_gaussian_config(tmp_path, output_dir=str(out))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"solver.gamma": [0.1]}))
+        return [command, str(path), "--quiet"] + (
+            ["--grid", str(grid)] if command == "sweep" else [])
+
+    @pytest.mark.parametrize("command,artifact", [("run", "summary.csv"), ("audit", "audit.txt"),
+                                                  ("sweep", "sweep_index.csv")])
+    def test_artifact_name_held_by_a_directory(self, tmp_path, command, artifact):
+        argv = self.argv(tmp_path, command)
+        (tmp_path / "out" / artifact).mkdir(parents=True)
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_CONFIG and "Traceback" not in proc.stderr, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert artifact in lines[0]
+
+    @pytest.mark.parametrize("command", ["run", "audit", "sweep"])
+    def test_unwritable_artifact(self, tmp_path, capsys, monkeypatch, command):
+        # a process run as root may write anywhere, so every write is refused
+        # in process, as a file system would refuse it
+        real_open = io.open
+
+        def refuse_writes(file, mode="r", *args, **kwargs):
+            if any(c in mode for c in "wax+"):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        argv = self.argv(tmp_path, command)
+        monkeypatch.setattr("builtins.open", refuse_writes)
+        monkeypatch.setattr("io.open", refuse_writes)  # Path.write_text's open
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert "Permission denied" in lines[0]
 
 
 class TestOverrides:

