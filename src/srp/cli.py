@@ -19,6 +19,7 @@ line, without a traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import sys
@@ -119,16 +120,17 @@ def _cmd_sweep(args):
         except ConfigError as exc:
             raise ConfigError(f"sweep grid combination sweep_{i:03d}: {exc}") from exc
     base.mkdir(parents=True, exist_ok=True)
-    index_lines = ["sweep_id," + ",".join(keys)]
+    index_rows = [["sweep_id", *keys]]
     for i, combo in enumerate(combos):
         # drop each build once it has run, with the caches it filled
         built, builds[i] = builds[i], None
         run_experiment(built, curves=args.curves, quiet=True)
-        index_lines.append(",".join([f"sweep_{i:03d}"] + [repr(v) for v in combo]))
+        index_rows.append([f"sweep_{i:03d}", *map(repr, combo)])
         if not args.quiet:
             print(f"sweep_{i:03d}: " + ", ".join(
                 f"{k}={v}" for k, v in zip(keys, combo)))
-    (base / "sweep_index.csv").write_text("\n".join(index_lines) + "\n")
+    with open(base / "sweep_index.csv", "w", newline="") as fh:  # quotes a list's commas
+        csv.writer(fh, lineterminator="\n").writerows(index_rows)
     return EXIT_OK
 
 

@@ -80,6 +80,14 @@ def Real(low=-math.inf, high=math.inf, strict=False):
     return _check(doc, ok, float, numbers.Real)
 
 
+def Squared(kind):
+    """``kind``, refusing a value whose float square (in the step, PSNR) is 0 or inf."""
+    def read(value, what):
+        x = kind(value, what)
+        return x if 0 < x * x < math.inf else _refuse(what, "a number with a finite square > 0", x)
+    return _type(kind.doc, read, kind.json)
+
+
 def OneOf(*values):
     """A name (or version number) from a fixed set."""
     return _check(f"one of {list(values)}", lambda v: not isinstance(v, bool) and v in values,
@@ -176,6 +184,7 @@ FINITE = Real()
 BOOL = _check("true or false", lambda v: isinstance(v, bool), bool)
 TEXT = _check("a string", lambda v: isinstance(v, str), str)
 INDICES = ListOf(Int(-math.inf))
+SQUARED = Squared(Real(0, strict=True))
 DIM = (POSITIVE, REQUIRED)
 
 MASK = Block(key="type", name="mask", table={
@@ -228,7 +237,7 @@ SOLVER = Block({
 })
 ENSEMBLE = Block({
     "members": (ListOf(Spec(OPERATOR), nonempty=True), REQUIRED),
-    "sigma": (Real(0, strict=True), REQUIRED),
+    "sigma": (SQUARED, REQUIRED),
     "weights": (ListOf(Real(0)), None),  # uniform when absent
 })
 EXPERIMENT = Block({
@@ -245,7 +254,7 @@ EXPERIMENT = Block({
     "restorer": (Spec(RESTORER), REQUIRED), "solver": (SOLVER, REQUIRED),
     "image": (Block({"shape": (Shape(), REQUIRED), "complex": (BOOL, False)}), None),
     "metrics": (Block({"psnr": (BOOL, True), "ssim": (BOOL, True),
-                       "psnr_peak": (Real(0, strict=True), None)}), {}),  # None: truth's peak
+                       "psnr_peak": (SQUARED, None)}), {}),  # None: truth's peak
 })
 
 

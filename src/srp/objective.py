@@ -10,7 +10,7 @@ whose gradient reduces exactly to the averaged restoration residual
 Exact evaluation of h, its gradient and its curvature is available for
 single-Gaussian priors (Gaussian cross-entropy, ``SingleGaussianForms``).
 For any prior, ``reg_grad_exact`` estimates ∇h by Monte Carlo through the
-exact posterior mean, and ``regularizer_step`` draws the solver's per-step
+exact posterior mean, and ``regularizer_step`` computes the solver's per-step
 term. The tests keep Monte Carlo references for h, the step's variance and
 the bias vector in ``tests/references.py``.
 """
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .operators import DimensionMismatch, gram_operator_norm
-from .priors import DiagonalRows, LinearGaussianPosterior, ObservationModel, _LOG_2PI
+from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
 from .restoration import (
     ConstantOffset,
     ExactMmse,
@@ -200,58 +200,58 @@ def gaussian_objective_minimum(problem, reg):
 # -- stochastic gradient -----------------------------------------------------------
 
 
-def regularizer_step(reg, restorer, x, members, rngs):
+def regularizer_step(reg, restorer, x, members, noise):
     """Regularizer terms of one stochastic step for an (S, n) block of
     iterates, each row averaged over its draws.
 
     ``members`` has shape (S, b): row s lists the member indices of seed s's
-    b draws, and ``rngs`` holds the S seeds' noise generators. For each
-    draw of member j, in each seed's own draw order, one noise vector n
-    gives the term (tau/sigma²) H_jᵀH_j (x_s - R(H_j x_s + sigma n, H_j)),
-    drawn by ``standard_normal(out=...)`` into a row of one buffer: the
-    values of a ``standard_normal(out_dim)`` call. A seed's b terms sit in
-    a (b, n) buffer whose sum is divided by b (for n = 1 numpy sums that
-    column pairwise, which a running sum does not reproduce); a single draw
-    is its term plus 0.0, the bits of that one-row mean.
+    b draws. ``noise`` (S, b, m) holds their standard normal vectors, a draw
+    of member j in the first out_dim entries of its row: n gives the term
+    (tau/sigma²) H_jᵀH_j (x_s - R(H_j x_s + sigma n, H_j)). A seed's b terms
+    sit in a (b, n) buffer whose sum is divided by b (for n = 1 numpy sums
+    that column pairwise, which a running sum does not reproduce); a single
+    draw is its term plus 0.0, the bits of that one-row mean.
 
-    Each group of draws gets one degrade ``H._apply``, ``restore`` and gram
-    ``H._adjoint(H._apply(·))``. When the restorer has a stacked posterior
-    of the members (``ExactMmse.stacked``, a cached lookup), all S b draws
-    are one group, a ``DiagonalRows`` block; otherwise the groups are (batch
-    slot, member) pairs, at most b * min(S, J) for J members. The operands are
-    arrays the solver loop made, so the products call the operator cores;
-    ``restore`` still checks s in ``posterior_mean``. A row is its seed's
-    own step bit for bit wherever those calls run row by row, as every
-    call on a ``DiagonalRows`` block does.
+    When the restorer has a stacked posterior of the members
+    (``ExactMmse.stacked``, a cached lookup), all S b draws are one
+    ``DiagonalRows`` block, taken first: one degrade, ``restore`` and gram
+    ``H._adjoint(H._apply(·))``, degrading and scaling in place. Otherwise
+    each (batch slot, member) pair drawn gets its own, at most b * min(S, J)
+    groups for J members. The operands are arrays the solver loop made, so
+    the products call the operator cores; ``restore`` still checks s in
+    ``posterior_mean``. A row is its seed's own step bit for bit wherever
+    those calls run row by row, as every call on a ``DiagonalRows`` block
+    does.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
     seeds, batch = members.shape
-    draws = members.ravel().tolist()  # row s * b + i: seed s's draw i
-    widths = [ens.members[j].out_dim for j in draws]
-    noise = np.empty((len(draws), max(widths)))
-    for i, m in enumerate(widths):
-        rngs[i // batch].standard_normal(out=noise[i, :m])
+    noise = noise.reshape(seeds * batch, -1)  # row s * b + i: seed s's draw i
     stack = restorer.exact.stacked(ens.members)
     if stack is not None:
-        H = DiagonalRows(ens.members, stack.obs.H.diag, stack.obs.H.denoms, members.ravel())
-        groups = [(H, slice(None), x if batch == 1 else np.repeat(x, batch, axis=0))]
+        H = stack.obs.H.rows(members.ravel())
+        xg = x if batch == 1 else np.repeat(x, batch, axis=0)
+        s = ens.sigma * noise
+        s += H._apply(xg)
+        terms = H._adjoint(H._apply(xg - restorer.restore(s, H)))
+        terms *= scale
     else:
+        draws = members.ravel().tolist()
         slots = {}  # (slot, member) -> its draws' rows
         for i, j in enumerate(draws):
             slots.setdefault((i % batch, j), []).append(i)
-        groups = [(ens.members[j], _rows(idx), x[_rows([i // batch for i in idx])])
-                  for (_, j), idx in slots.items()]
-    terms = np.empty((len(draws), x.shape[-1])) if len(groups) > 1 else None
-    for H, rows, xg in groups:
-        s = H._apply(xg) + ens.sigma * noise[rows, : H.out_dim]
-        term = scale * H._adjoint(H._apply(xg - restorer.restore(s, H)))
-        if terms is None:
-            terms = term
-        else:
-            terms[rows] = term
+        terms = np.empty((len(draws), x.shape[-1])) if len(slots) > 1 else None
+        for (_, j), idx in slots.items():
+            H, rows, xg = ens.members[j], _rows(idx), x[_rows([i // batch for i in idx])]
+            s = H._apply(xg) + ens.sigma * noise[rows, : H.out_dim]
+            term = scale * H._adjoint(H._apply(xg - restorer.restore(s, H)))
+            if terms is None:
+                terms = term
+            else:
+                terms[rows] = term
     if batch == 1:
-        return terms + 0.0
+        terms += 0.0
+        return terms
     return np.sum(terms.reshape(seeds, batch, -1), axis=1) / batch
 
 

@@ -611,8 +611,8 @@ class DegradationEnsemble:
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         sigma = float(sigma)
-        if not 0 < sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+        if not (sigma > 0 and 0 < sigma * sigma < np.inf):
+            raise ValueError(f"sigma must be positive and finite, as must sigma², got {sigma!r}")
         weights.flags.writeable = False
         self.members = members
         self.weights = weights

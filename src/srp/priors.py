@@ -180,8 +180,8 @@ class ObservationModel:
 
     def __init__(self, H, sigma):
         sigma = float(sigma)
-        if not 0 < sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+        if not (sigma > 0 and 0 < sigma * sigma < np.inf):
+            raise ValueError(f"sigma must be positive and finite, as must sigma², got {sigma!r}")
         self.H = H
         self.sigma = sigma
 
@@ -310,15 +310,18 @@ class LinearGaussianPosterior:
 
 
 class DiagonalRows:
-    """A block whose row i is observed through ``members[index[i]]`` (row i
-    member i for ``slice(None)``), member j the diagonal ``diagonals[j]``
-    with innovation denominators ``denoms[j]`` (c_k d_j² + σ², shape
+    """A block whose row i is observed through ``members[index[i]]``, member
+    j the diagonal with innovation denominators c_k d_j² + σ² (shape
     (K, m)): H v = v * D and the innovation solves divide by the rows'
-    denominators, both gathered."""
+    denominators. The members' own block (``index`` ``slice(None)``) holds
+    them stacked, and ``rows`` gathers a block of other rows from it."""
 
-    def __init__(self, members, diagonals, denoms, index):
-        self.members, self.index, self.out_dim = members, index, diagonals.shape[-1]
-        self.diag, self.denoms = diagonals[index], denoms[index]
+    def __init__(self, members, diag, denoms, index=slice(None)):
+        self.members, self.index, self.out_dim = members, index, diag.shape[-1]
+        self.diag, self.denoms = diag, denoms
+
+    def rows(self, idx):
+        return DiagonalRows(self.members, self.diag.take(idx, 0), self.denoms.take(idx, 0), idx)
 
     def _apply(self, v):
         return v * self.diag
@@ -349,12 +352,12 @@ class StackedPosterior(LinearGaussianPosterior):
         members = tuple(p.obs.H for p in posteriors)
         denoms = np.stack([p.obs.H._innovation_denominator(p._ccol, p.sigma2)
                            for p in posteriors])
-        block = DiagonalRows(members, np.stack(diagonals), denoms, slice(None))
+        block = DiagonalRows(members, np.stack(diagonals), denoms)
         return cls(posteriors[0], block, np.stack([p.h_mu for p in posteriors]),
                    np.stack([p._logdets for p in posteriors]))
 
     def rows(self, H):
-        return StackedPosterior(self, H, self.h_mu[H.index], self._logdets[H.index])
+        return StackedPosterior(self, H, *(a.take(H.index, 0) for a in (self.h_mu, self._logdets)))
 
     def _weighted_means(self, resp):
         return (resp[..., None, :] @ self.prior.means)[..., 0, :]

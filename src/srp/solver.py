@@ -11,8 +11,8 @@ in that order. Selection strategies therefore never perturb the noise
 stream, so a one-member ensemble under iid selection is bit-identical to a
 fixed-index run at the same seed. A ``run`` call advances its seeds in
 lockstep as one (S, n) block, a single seed as a (1, n) block; each seed
-keeps its own two streams and draws its noise in its own draw order, so
-the protocol is per seed.
+keeps its own two streams and draws a chunk's noise in one call: the values,
+in order, of one ``standard_normal(out_dim)`` per draw. The protocol is per seed.
 
 The auditor checks the biased-SGD bound
 
@@ -135,6 +135,15 @@ def solver_streams(seed):
     """(selection_rng, noise_rng) exactly as the solver derives them."""
     sel_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(sel_seq), np.random.default_rng(noise_seq)
+
+
+def _draw_noise(rng, out, widths):
+    """One standard_normal call fills ``out`` (c, b, m): draw [j, i] its first widths[j, i]."""
+    if widths.min() == out.shape[-1]:
+        out[...] = rng.standard_normal(out.shape)
+    else:
+        fits = np.arange(out.shape[-1]) < widths[..., None]
+        out[fits] = rng.standard_normal(np.count_nonzero(fits))
 
 
 def _selection_stream(cfg, ens, rng):
@@ -260,7 +269,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     seeds, t = len(cfgs), cfg.iterations
     streams = [solver_streams(c.seed) for c in cfgs]
     draws = np.stack([_selection_stream(cfg, ens, sel) for sel, _ in streams], axis=1)
-    rngs = [noise for _, noise in streams]  # the block rows' noise streams
+    widths = np.array([H.out_dim for H in ens.members])[draws]  # (t, S, b)
     x = np.stack([_initial_point(c, p) for c, p in zip(cfgs, problems)])
     y = np.stack([p.y for p in problems])
     n = x.shape[1]
@@ -285,6 +294,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     # the closed forms and the scorer all work row by row.
     chunk = min(_DIAG_CHUNK, t)
     ghat_buf = np.empty((chunk, seeds, n))
+    noise = np.empty((chunk, seeds, cfg.batch, widths.max()))  # [j, s]: seed s's draws
     if forms is not None:
         fg_buf, r_buf = np.empty((chunk, seeds, n)), np.empty((chunk, seeds, y.shape[1]))
 
@@ -296,12 +306,14 @@ def _lockstep(problems, reg, restorer, cfgs, score):
             c = min(chunk, t - k0)
             x_buf = np.empty((c + 1, seeds, n))  # new, so the scorer may keep its rows
             x_buf[0, live] = x
+            for s in ids:
+                _draw_noise(streams[s][1], noise[:c, s], widths[k0:k0 + c, s])
             for j in range(c):
                 k = k0 + j
                 fg = A._adjoint(r)
                 if forms is not None:
                     fg_buf[j, live] = fg
-                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], rngs)
+                ghat = fg + regularizer_step(reg, restorer, x, draws[k, live], noise[j, live])
                 x_new = x - cfg.gamma * ghat
                 diff = x_new - x
                 sq = np.vecdot(diff, diff)  # not finite whenever a row of x_new is not
@@ -315,7 +327,6 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                             break
                         x, x_new, ghat, diff, sq, y = (
                             a[finite] for a in (x, x_new, ghat, diff, sq, y))
-                        rngs = [g for g, keep in zip(rngs, finite) if keep]
                         live = np.array(ids)
                 step_sq[live, k] = sq
                 ghat_buf[j, live] = ghat

@@ -7,6 +7,8 @@ tests keep them as independent references for those paths. Every Monte
 Carlo draw still comes from the library's one loop over
 ``DegradationEnsemble.observe``, and every estimator that restores draws
 goes through its one kernel, ``restoration._residual_moments``.
+``step_noise`` draws one iteration's noise for ``regularizer_step``
+through the solver's own draw routine.
 
 The module is not called ``reference``: ``bench/tests`` imports
 ``bench/reference.py`` under that name in the same test session.
@@ -17,10 +19,23 @@ import numpy as np
 from srp.objective import _posteriors
 from srp.operators import DimensionMismatch
 from srp.restoration import ExactMmse, _mc_point, _residual_moments, restore_with_exact
+from srp.solver import _draw_noise
 
 
 def fidelity_grad(problem, x):
     return problem.A.adjoint_apply(problem.A.apply(x) - problem.y)
+
+
+def step_noise(ens, members, rngs):
+    """One iteration's ``noise`` argument of ``objective.regularizer_step``
+    for the (S, b) ``members``, drawn as the solver draws a one-iteration
+    chunk: seed s's b draws in one ``standard_normal`` call on ``rngs[s]``."""
+    members = np.asarray(members)
+    widths = np.array([H.out_dim for H in ens.members])[members]
+    noise = np.empty(members.shape + (widths.max(),))
+    for out, w, rng in zip(noise, widths, rngs):
+        _draw_noise(rng, out[None], w[None])
+    return noise
 
 
 def sample_degradation(ens, rng):

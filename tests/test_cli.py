@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -608,6 +609,49 @@ class TestAudit:
         assert "audit error" in capsys.readouterr().err
 
 
+class TestSquaredParameters:
+    """The step divides by ensemble.sigma squared and PSNR by the peak
+    squared: a value whose square is 0 or overflows is one config error
+    before anything runs; values near either end of the range still run."""
+
+    @staticmethod
+    def run_with(tmp_path, capsys, block, key, value):
+        path = write_config(tmp_path, iterations=5)
+        cfg = json.loads(path.read_text())
+        cfg[block][key] = value
+        path.write_text(json.dumps(cfg))
+        code = main(["run", str(path), "--quiet"])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("ensemble", "sigma", 1e-300), ("ensemble", "sigma", 1e200),
+        ("metrics", "psnr_peak", 1e-320)])
+    def test_refused(self, tmp_path, capsys, block, key, value):
+        code, err = self.run_with(tmp_path, capsys, block, key, value)
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: {block}.{key} must be a number with a finite "
+                       f"square > 0, got {value!r}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("ensemble", "sigma", 1.3e154), ("metrics", "psnr_peak", 1e-160)])
+    def test_the_range_ends_run(self, tmp_path, capsys, block, key, value):
+        code, err = self.run_with(tmp_path, capsys, block, key, value)
+        assert (code, err) == (EXIT_OK, [])
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(row.split(",")[2])) for row in rows)  # PSNR
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e200])
+    def test_library_callers_get_the_same_rule(self, sigma):
+        from srp.operators import DegradationEnsemble, Identity
+        from srp.priors import ObservationModel
+        for make in (lambda: DegradationEnsemble([Identity(2)], sigma=sigma),
+                     lambda: ObservationModel(Identity(2), sigma)):
+            with pytest.raises(ValueError, match="as must sigma²"):
+                make()
+
+
 def test_audit_refuses_a_zero_step_size(tmp_path):
     # the bound's transient term divides by gamma * iterations; a run at
     # gamma 0 is valid
@@ -634,6 +678,24 @@ class TestSweep:
         assert len(index) == 3  # header + 2 combos
         assert (tmp_path / "sweep" / "sweep_000" / "summary.csv").exists()
         assert (tmp_path / "sweep" / "sweep_001" / "summary.csv").exists()
+
+    def test_index_quotes_list_values(self, tmp_path):
+        # a list value's commas stay inside its cell; scalar cells keep the
+        # repr they were written with before the index was a csv.writer's
+        path = write_config(tmp_path, iterations=3)
+        grid = tmp_path / "grid.json"
+        weights = [[0.5, 0.5], [0.25, 0.75]]
+        grid.write_text(json.dumps({"ensemble.weights": weights, "solver.gamma": [0.1],
+                                    "solver.selection.strategy": ["iid-by-weights"]}))
+        assert main(["sweep", str(path), "--grid", str(grid), "--quiet",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        text = (tmp_path / "sweep" / "sweep_index.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["sweep_id", "ensemble.weights", "solver.gamma",
+                           "solver.selection.strategy"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert [json.loads(row[1]) for row in rows[1:]] == weights
+        assert text.splitlines()[1] == "sweep_000,\"[0.5, 0.5]\",0.1,'iid-by-weights'"
 
     def test_sweep_sets_the_strategy_of_an_absent_selection(self, tmp_path):
         path = write_config(tmp_path, iterations=5)

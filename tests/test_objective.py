@@ -37,6 +37,7 @@ from references import (
     fidelity_grad,
     reg_grad_with_se,
     reg_value_mc,
+    step_noise,
     variance_probe,
 )
 
@@ -226,8 +227,11 @@ class TestClosedFormsCache:
 
 
 def step_row(reg, restorer, x, members, rng):
-    """``regularizer_step`` on the one-row block of x: its row."""
-    return regularizer_step(reg, restorer, x[None], np.asarray(members)[None], [rng])[0]
+    """``regularizer_step`` on the one-row block of x, its noise drawn from
+    ``rng`` as the solver draws it: its row."""
+    members = np.asarray(members)[None]
+    noise = step_noise(reg.ens, members, [rng])
+    return regularizer_step(reg, restorer, x[None], members, noise)[0]
 
 
 class TestRegularizerStep:

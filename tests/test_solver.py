@@ -41,7 +41,7 @@ from srp.solver import (
     solver_streams,
 )
 
-from references import fidelity_grad, sample_degradation
+from references import fidelity_grad, sample_degradation, step_noise
 
 
 def normal_prior(n=1, mean=None, var=1.0):
@@ -275,7 +275,8 @@ def lambda_reference_run(problem, reg, restorer, cfg, psnr_fn=None):
         if grad_fn:
             cols["grad_true_norm"].append(np.linalg.norm(grad_fn(x)))
         ghat = fidelity_grad(problem, x) + regularizer_step(
-            reg, restorer, x[None], draws[k:k + 1], [noise_rng])[0]
+            reg, restorer, x[None], draws[k:k + 1],
+            step_noise(ens, draws[k:k + 1], [noise_rng]))[0]
         x_new = x - cfg.gamma * ghat
         op_index.append(draws[k, 0])
         step_sq.append(float(np.dot(x_new - x, x_new - x)))
@@ -557,7 +558,8 @@ class TestLockstep:
         x = np.random.default_rng(0).standard_normal((3, n))
         members = np.array([[0, 1], [1, 1], [1, 0]])[:, :batch]
         block_rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
-        got = regularizer_step(reg, restorer, x, members, block_rngs)
+        got = regularizer_step(reg, restorer, x, members,
+                               step_noise(ens, members, block_rngs))
         for row, x_row, draws, seed, rng in zip(got, x, members, (4, 5, 6), block_rngs):
             solo_rng = np.random.default_rng(seed)
             want = vector_step(reg, restorer, x_row, draws, solo_rng)
@@ -885,6 +887,100 @@ class TestChunkedDiagnostics:
         _, trace = run(problem, reg, restorer, cfg,
                        psnr_fn=lambda x: seen.append(x) or 0.0)
         assert np.array_equal(np.array(seen), trace.iterates[1:])
+
+
+class CountingNoise:
+    """A noise generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class TestChunkNoise:
+    """Each live seed draws a chunk's noise in one ``standard_normal`` call:
+    the values, in order, of one call per draw, so every row is still the
+    vector loop's, bit for bit."""
+
+    @pytest.mark.parametrize("widths", [[4], [1], [512, 256], [4, 2, 4]])
+    def test_one_call_is_the_per_draw_calls(self, widths):
+        # three iterations of batch 2, the draws cycling through the widths
+        c, b = 3, 2
+        drawn = np.resize(widths, c * b).reshape(c, b)
+        out = np.full((c, b, max(widths)), np.nan)
+        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+        srp.solver._draw_noise(rng, out, drawn)
+        for row, m in zip(out.reshape(c * b, -1), drawn.ravel()):
+            assert np.array_equal(row[:m], ref.standard_normal(m))
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @staticmethod
+    def cfgs(t, batch, x0s=("zeros", "adjoint", np.array([1.0, -2.0, 0.5, 3.0])),
+             gamma=0.3):
+        return [SolverConfig(gamma=gamma, iterations=t, seed=seed, batch=batch, x0=x0,
+                             record_iterates=True) for seed, x0 in zip((3, 8, 5), x0s)]
+
+    @pytest.mark.parametrize("name", ["masks", "mixed-widths"])
+    @pytest.mark.parametrize("t", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_block_rows_are_the_vector_loop(self, name, t, batch):
+        problem, reg, restorer = lockstep_instance(name)
+        cfgs = self.cfgs(t, batch)
+        for cfg, trace in zip(cfgs, TestLockstep.block(problem, reg, restorer, cfgs)):
+            x_ref, ref = vector_loop(problem, reg, restorer, cfg,
+                                     lambda x, c=cfg: float(x[0] - c.seed))
+            assert np.array_equal(trace.x_final, x_ref)
+            assert np.array_equal(trace.iterates, ref.iterates)
+            assert trace.csv_text() == ref.csv_text()
+
+    def test_a_seed_diverging_mid_chunk_leaves_the_survivors_exact(self):
+        problem, reg, restorer = lockstep_instance("masks")
+        cfgs = self.cfgs(40, 3, x0s=("zeros", np.full(4, 1e300), "adjoint"), gamma=2.5)
+        outcomes = TestLockstep.block(problem, reg, restorer, cfgs)
+        assert isinstance(outcomes[1], DivergenceError)
+        assert _DIAG_CHUNK < outcomes[1].iteration < 2 * _DIAG_CHUNK  # mid second chunk
+        with pytest.raises(DivergenceError) as solo:
+            run(problem, reg, restorer, cfgs[1])
+        assert outcomes[1].iteration == solo.value.iteration
+        assert np.array_equal(outcomes[1].last_iterate, solo.value.last_iterate)
+        for i in (0, 2):
+            _, ref = vector_loop(problem, reg, restorer, cfgs[i],
+                                 lambda x, c=cfgs[i]: float(x[0] - c.seed))
+            assert outcomes[i].csv_text() == ref.csv_text()
+            assert np.array_equal(outcomes[i].iterates, ref.iterates)
+
+    @staticmethod
+    def counted_noise(monkeypatch):
+        """The runs' noise generators from now on, each counting its calls."""
+        noises = []
+
+        def streams(seed):
+            sel, noise = solver_streams(seed)
+            noises.append(CountingNoise(noise))
+            return sel, noises[-1]
+
+        monkeypatch.setattr(srp.solver, "solver_streams", streams)
+        return noises
+
+    @pytest.mark.parametrize("name", ["masks", "mixed-widths"])
+    @pytest.mark.parametrize("t,batch", [(1, 1), (16, 3), (33, 1), (40, 2)])
+    def test_one_noise_call_per_live_seed_per_chunk(self, name, t, batch, monkeypatch):
+        problem, reg, restorer = lockstep_instance(name)
+        noises = self.counted_noise(monkeypatch)
+        run([problem] * 3, reg, restorer, self.cfgs(t, batch))
+        assert [g.calls for g in noises] == [-(-t // _DIAG_CHUNK)] * 3
+
+    def test_a_diverged_seed_draws_no_later_chunk(self, monkeypatch):
+        problem, reg, restorer = lockstep_instance("masks")
+        noises = self.counted_noise(monkeypatch)
+        cfgs = self.cfgs(40, 3, x0s=("zeros", np.full(4, 1e300), "adjoint"), gamma=2.5)
+        outcomes = run([problem] * 3, reg, restorer, cfgs)
+        # the diverged seed drew its first two chunks; the survivors all three
+        assert _DIAG_CHUNK < outcomes[1].iteration < 2 * _DIAG_CHUNK
+        assert [g.calls for g in noises] == [3, 2, 3]
 
 
 class TestTraceCsv:
