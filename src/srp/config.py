@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import arrayio
-from .metrics import _SSIM_WINDOW
+from .metrics import _SSIM_WINDOW, _ssim_constants, magnitude
 from .operators import (
     CircularConvolution, Composition, ConvexCombination, CoordinateMask, DegradationEnsemble,
     DenseMatrix, DimensionMismatch, DiscreteFourier, FoldDownsample, Identity, Scale,
@@ -447,6 +447,11 @@ def build_experiment(cfg):
     if ssim_on and min(image["shape"]) < _SSIM_WINDOW:
         raise ConfigError(f"image.shape {image['shape']} is smaller than the {_SSIM_WINDOW}x"
                           f"{_SSIM_WINDOW} SSIM window; set metrics.ssim to false")
+    peak = cfg.metrics["psnr_peak"]
+    if ssim_on and peak is not None and _ssim_constants(peak) is None:
+        raise ConfigError(f"metrics.psnr_peak {peak!r} makes SSIM's C1 C2 = (0.01 peak)² "
+                          "(0.03 peak)² overflow; set a peak of at most 6.68e78 or "
+                          "metrics.ssim to false")
     gt, truth = cfg.problem["ground_truth"], None
     if gt["source"] == "file":
         if not gt["path"]:
@@ -457,16 +462,24 @@ def build_experiment(cfg):
                               f"prior dim is {prior.dim}")
         if not np.all(np.isfinite(truth)):
             raise ConfigError(f"ground truth file {gt['path']} has non-finite entries")
-        # PSNR, and SSIM of a 2-D image, default to the truth's largest magnitude as peak
-        scored = cfg.metrics["psnr"] or ssim_on
-        if scored and cfg.metrics["psnr_peak"] is None and not np.any(truth):
-            raise ConfigError(f"ground truth file {gt['path']} is all zeros, so PSNR and SSIM "
-                              "have no peak (the truth's largest magnitude); "
-                              "set metrics.psnr_peak")
         truth.setflags(write=False)  # one vector for every seed
     n = image and int(np.prod(image["shape"])) * (1 + image["complex"])
     if n and n != prior.dim:
         raise ConfigError(f"image spec implies vectors of length {n}, prior dim is {prior.dim}")
+    # PSNR, and SSIM of a 2-D image, default to a file truth's largest pixel
+    # magnitude as peak, held to the rules a set peak meets
+    if truth is not None and (cfg.metrics["psnr"] or ssim_on) and peak is None:
+        top = float(np.max(magnitude(truth) if image and image["complex"] else np.abs(truth)))
+        what = None
+        if top == 0:
+            what = "is all zeros"
+        elif not 0 < top * top < math.inf:
+            what = f"has largest magnitude {top!r}, whose square is {top * top!r}"
+        elif ssim_on and _ssim_constants(top) is None:
+            what = f"has largest magnitude {top!r}, past SSIM's 6.68e78"
+        if what:
+            raise ConfigError(f"ground truth file {gt['path']} {what}, so PSNR and SSIM have "
+                              "no peak (the truth's largest magnitude); set metrics.psnr_peak")
     scfg = build_solver_config(cfg.solver, cfg.seed)
     if scfg.selection == "fixed" and scfg.fixed_index >= ensemble.size:
         raise ConfigError(f"solver.selection.index {scfg.fixed_index} out of range for "

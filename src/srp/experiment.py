@@ -27,7 +27,7 @@ import numpy as np
 
 from . import arrayio
 from .config import BuiltExperiment, build_experiment
-from .metrics import magnitude, mean_squared_error, psnr, psnr_db, ssim
+from .metrics import mean_squared_error, psnr, psnr_db, ssim
 from .objective import Problem, Regularizer
 from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
 from .priors import GmmPrior
@@ -186,10 +186,11 @@ def _solve(inputs, problems, scfgs, score=None):
 
 def _pixels(built, v):
     """The image pixels of v along its last axis: the magnitudes of a
-    complex image, else v itself."""
+    complex image, read through a complex view of v (``metrics.magnitude``
+    without its copy), else v itself."""
     image = built.cfg.image
     if image is not None and image["complex"]:
-        return magnitude(v)
+        return np.abs(np.ascontiguousarray(v, dtype=float).view(np.complex128))
     return np.asarray(v, dtype=float)
 
 
@@ -203,9 +204,10 @@ def _block_psnr(built, U, refs):
     """The lockstep block's PSNR scorer (``solver.run``'s ``psnr_fn``),
     called once per chunk of iterations: the live seeds' iterates of the
     chunk, stacked row by row with each row's seed in ``ids``, behind the
-    head U when it is not None, are mapped back by one ``U.adjoint_apply``
-    and scored row by row against their seeds' truth images, each row
-    ``metrics.psnr(...).db`` bit for bit."""
+    head U when it is not None, are mapped back by one ``U._adjoint`` and
+    scored row by row against their seeds' truth images, each row
+    ``metrics.psnr(...).db`` bit for bit. The block is the solver loop's
+    own array, so the core adjoint runs unchecked."""
     truths = np.stack([img.ravel() for img, _ in refs])
     peaks = np.array([peak for _, peak in refs])
     if not np.all(peaks > 0):
@@ -213,7 +215,7 @@ def _block_psnr(built, U, refs):
 
     def score(x, ids):
         if U is not None:
-            x = U.adjoint_apply(x)
+            x = U._adjoint(x)
         return psnr_db(mean_squared_error(_pixels(built, x), truths[ids]), peaks[ids])[0]
 
     return score

@@ -5,8 +5,9 @@ PSNR uses a caller-supplied peak; an exact match, or any value at or above
 squared error overflows reports -inf dB. ``psnr`` scores one estimate;
 ``psnr_db`` applies the same rule to row-wise errors of a block. SSIM is the
 uniform-window variant, window 7, C1 = (0.01 peak)², C2 = (0.03 peak)²,
-averaged over windows fully inside the image. These are module constants,
-not parameters; ``report.json``'s notes state the SSIM ones.
+averaged over windows fully inside the image; a peak above about 6.68e78,
+where C1 C2 overflows and every SSIM would read nan, is refused. These are
+module constants, not parameters; ``report.json``'s notes state the SSIM ones.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ def psnr(x_hat, x_true, peak):
     return PsnrValue(float(value), bool(capped))
 
 
+def _ssim_constants(peak):
+    """SSIM's (C1, C2) = ((0.01 peak)², (0.03 peak)²), or None when C1 C2
+    overflows, a peak above about 6.68e78, with which every SSIM is nan."""
+    try:
+        with np.errstate(over="ignore"):
+            c1, c2 = (_SSIM_K1 * peak) ** 2, (_SSIM_K2 * peak) ** 2
+            finite = np.isfinite(c1 * c2)
+    except OverflowError:  # a Python float squared past the float range
+        finite = False
+    return (c1, c2) if finite else None
+
+
 def ssim(x_hat, x_true, peak):
     """Mean local structural similarity over uniform sliding windows."""
     a = np.asarray(x_hat, dtype=float)
@@ -74,8 +87,11 @@ def ssim(x_hat, x_true, peak):
         raise ValueError("ssim expects 2-D images")
     if min(a.shape) < _SSIM_WINDOW:
         raise ValueError(f"image smaller than the {_SSIM_WINDOW}x{_SSIM_WINDOW} window")
-    c1 = (_SSIM_K1 * peak) ** 2
-    c2 = (_SSIM_K2 * peak) ** 2
+    constants = _ssim_constants(peak)
+    if constants is None:
+        raise ValueError(f"peak {peak!r} makes the SSIM constants' product "
+                         "(0.01 peak)² (0.03 peak)² overflow")
+    c1, c2 = constants
 
     uf = lambda img: uniform_filter(img, size=_SSIM_WINDOW, mode="constant")
     mu_a = uf(a)

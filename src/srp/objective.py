@@ -33,6 +33,7 @@ from .restoration import (
     Smoothing,
     _mc_point,
     _residual_moments,
+    perturb,
     restore_with_exact,
 )
 
@@ -212,16 +213,16 @@ def regularizer_step(reg, restorer, x, members, noise):
     that column pairwise, which a running sum does not reproduce); a single
     draw is its term plus 0.0, the bits of that one-row mean.
 
-    When the restorer has a stacked posterior of the members
-    (``ExactMmse.stacked``, a cached lookup), all S b draws are one
-    ``DiagonalRows`` block, taken first: one degrade, ``restore`` and gram
-    ``H._adjoint(H._apply(·))``, degrading and scaling in place. Otherwise
-    each (batch slot, member) pair drawn gets its own, at most b * min(S, J)
+    With a stacked posterior of the members (``ExactMmse.stacked``, a
+    cached lookup) all S b draws are one block, taken first and built into
+    no operator or posterior: the degrade and gram multiply by the draws'
+    gathered diagonals in place, and one ``StackedPosterior.restore`` by
+    member index is ``perturb``ed. Otherwise each (batch slot, member) pair
+    drawn gets its own degrade, ``restore`` and gram, at most b * min(S, J)
     groups for J members. The operands are arrays the solver loop made, so
-    the products call the operator cores; ``restore`` still checks s in
-    ``posterior_mean``. A row is its seed's own step bit for bit wherever
-    those calls run row by row, as every call on a ``DiagonalRows`` block
-    does.
+    the products call the operator cores; the restores still check s. A row
+    is its seed's own step bit for bit wherever those calls run row by row,
+    as every stacked call does.
     """
     ens = reg.ens
     scale = reg.tau / (ens.sigma * ens.sigma)
@@ -229,11 +230,14 @@ def regularizer_step(reg, restorer, x, members, noise):
     noise = noise.reshape(seeds * batch, -1)  # row s * b + i: seed s's draw i
     stack = restorer.exact.stacked(ens.members)
     if stack is not None:
-        H = stack.obs.H.rows(members.ravel())
+        idx = members.ravel()
+        d = stack.diag.take(idx, 0)  # H v = v d for each draw's member
         xg = x if batch == 1 else np.repeat(x, batch, axis=0)
         s = ens.sigma * noise
-        s += H._apply(xg)
-        terms = H._adjoint(H._apply(xg - restorer.restore(s, H)))
+        s += xg * d
+        terms = xg - perturb(restorer, stack.restore(s, idx))
+        terms *= d
+        terms *= d
         terms *= scale
     else:
         draws = members.ravel().tolist()

@@ -196,9 +196,8 @@ class LinearGaussianPosterior:
     c = (c_1..c_K)ᵀ against the stacked residuals, shape (..., K, m). Other
     priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1,
     which takes the operator's dense Cholesky path, one solve per component.
-    ``StackedPosterior`` runs the same arithmetic on rows observed through
-    different diagonal members: its ``DiagonalRows`` block answers the
-    innovation solves, and it overrides only the weighted means.
+    ``StackedPosterior`` runs the same isotropic arithmetic,
+    ``_isotropic_mean``, on rows observed through different diagonal members.
     """
 
     def __init__(self, prior, obs):
@@ -214,7 +213,6 @@ class LinearGaussianPosterior:
         count = prior.n_components
         if self._iso:
             self._cvals = [float(c) for c in prior.covariances]
-            self._ccol = np.array(self._cvals)[:, None]
             self._ops = [H] * count
         else:
             hd = H.to_dense()
@@ -225,34 +223,30 @@ class LinearGaussianPosterior:
                 whiten = DenseMatrix(chol if chol.ndim == 2 else np.diag(chol))
                 self._ops.append(Composition([whiten, H]))
                 self._cross.append(prior.cov_matrix(k) @ hd.T)
+        self._ccol = np.array(self._cvals)[:, None]
         self._logdets = np.array([op.innovation_logdet(c, self.sigma2)
                                   for op, c in zip(self._ops, self._cvals)])
 
     def _solve(self, k, r):
         return self._ops[k].innovation_solve(self._cvals[k], self.sigma2, r)
 
-    def _shift(self, k, z):
-        """Sigma_k Hᵀ z: component k's correction to its prior mean."""
-        if self._iso:
-            return self._cvals[k] * self.obs.H._adjoint(z)
-        return z @ self._cross[k].T
+    def _solve_each(self, c, sigma2, r):
+        """``innovation_solve`` with the column c for a non-isotropic prior:
+        one solve per component of the (..., K, m) stack r."""
+        return np.stack([self._solve(k, r[..., k, :]) for k in range(len(c))], axis=-2)
 
     def _weighted_means(self, resp):
         return resp @ self.prior.means
 
-    def _innovations(self, s):
-        """Per-component log N(s; H mu_k, S_k), shape (..., K), and the
-        innovation solves z_k = S_k^{-1} (s - H mu_k) behind them, stacked
-        to shape (..., K, m)."""
-        r = s[..., None, :] - self.h_mu
-        if self._iso:
-            z = self.obs.H.innovation_solve(self._ccol, self.sigma2, r)
-        else:
-            z = np.stack([self._solve(k, r[..., k, :])
-                          for k in range(self.prior.n_components)], axis=-2)
-        m = self.obs.H.out_dim
+    def _innovations(self, s, h_mu, logdets, solve):
+        """Per-component log N(s; h_mu_k, S_k), shape (..., K), and the
+        innovation solves z_k = S_k^{-1} (s - h_mu_k) behind them, stacked
+        to shape (..., K, m) by ``solve(c, sigma², r)`` with c the column of
+        the c_k; ``logdets`` holds the log det S_k."""
+        r = s[..., None, :] - h_mu
+        z = solve(self._ccol, self.sigma2, r)
         r *= z  # r is not read again; in place saves one (..., K, m) stack
-        loglik = -0.5 * (np.sum(r, axis=-1) + self._logdets + m * _LOG_2PI)
+        loglik = -0.5 * (np.sum(r, axis=-1) + logdets + r.shape[-1] * _LOG_2PI)
         return loglik, z
 
     def _responsibilities(self, loglik):
@@ -269,7 +263,8 @@ class LinearGaussianPosterior:
     def component_loglik(self, s):
         """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
         s = _as_vec(s, self.obs.H.out_dim, "point")
-        return self._innovations(s)[0]
+        solve = self.obs.H.innovation_solve if self._iso else self._solve_each
+        return self._innovations(s, self.h_mu, self._logdets, solve)[0]
 
     def logpdf(self, s):
         with np.errstate(all="ignore"):  # rows of all -inf terms warn on their way to -inf
@@ -286,22 +281,38 @@ class LinearGaussianPosterior:
         the per-component form to rounding, every other case bit for bit.
         """
         s = _as_vec(s, self.obs.H.out_dim, "point")
-        means = self.prior.means
-        if self.prior.n_components == 1:
-            return means[0] + self._shift(0, self._solve(0, s - self.h_mu[..., 0, :]))
-        loglik, z = self._innovations(s)
-        resp = self._responsibilities(loglik)
         if self._iso:
-            # z_k scaled in place by c_k r_k, then summed over k from +0.0
-            # as Python's sum() adds its terms (a start of +0.0 turns a
-            # -0.0 first term into +0.0)
-            z *= (resp * self._ccol[:, 0])[..., None]
-            acc = z.sum(axis=-2, initial=0.0)
-            return self._weighted_means(resp) + self.obs.H._adjoint(acc)
+            H = self.obs.H
+            return self._isotropic_mean(s, self.h_mu, self._logdets, H.innovation_solve,
+                                        H._adjoint)
+        means, cross = self.prior.means, self._cross
+        if len(means) == 1:
+            return means[0] + self._solve(0, s - self.h_mu[..., 0, :]) @ cross[0].T
+        loglik, z = self._innovations(s, self.h_mu, self._logdets, self._solve_each)
+        resp = self._responsibilities(loglik)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
-        for k in range(self.prior.n_components):
-            mean += resp[..., k, None] * (means[k] + self._shift(k, z[..., k, :]))
+        for k in range(len(means)):
+            mean += resp[..., k, None] * (means[k] + z[..., k, :] @ cross[k].T)
         return mean
+
+    def _isotropic_mean(self, s, h_mu, logdets, solve, adjoint):
+        """E[x | s] under the isotropic prior, for an observation with mean
+        images ``h_mu``, log det S_k ``logdets``, innovation solve
+        ``solve(c, sigma², r)`` (a scalar c or the column of the c_k) and
+        adjoint Hᵀ ``adjoint``: the one implementation of the isotropic mean.
+        """
+        c = self._cvals
+        if len(c) == 1:
+            z = solve(c[0], self.sigma2, s - h_mu[..., 0, :])
+            return self.prior.means[0] + c[0] * adjoint(z)
+        loglik, z = self._innovations(s, h_mu, logdets, solve)
+        resp = self._responsibilities(loglik)
+        # z_k scaled in place by c_k r_k, then summed over k from +0.0 as
+        # Python's sum() adds its terms (a start of +0.0 turns a -0.0 first
+        # term into +0.0)
+        z *= (resp * self._ccol[:, 0])[..., None]
+        acc = z.sum(axis=-2, initial=0.0)
+        return self._weighted_means(resp) + adjoint(acc)
 
     def score(self, s):
         """∇_s log p(s | H) via the restoration residual identity."""
@@ -309,55 +320,34 @@ class LinearGaussianPosterior:
         return (self.obs.H.apply(self.posterior_mean(s)) - s) / self.sigma2
 
 
-class DiagonalRows:
-    """A block whose row i is observed through ``members[index[i]]``, member
-    j the diagonal with innovation denominators c_k d_j² + σ² (shape
-    (K, m)): H v = v * D and the innovation solves divide by the rows'
-    denominators. The members' own block (``index`` ``slice(None)``) holds
-    them stacked, and ``rows`` gathers a block of other rows from it."""
-
-    def __init__(self, members, diag, denoms, index=slice(None)):
-        self.members, self.index, self.out_dim = members, index, diag.shape[-1]
-        self.diag, self.denoms = diag, denoms
-
-    def rows(self, idx):
-        return DiagonalRows(self.members, self.diag.take(idx, 0), self.denoms.take(idx, 0), idx)
-
-    def _apply(self, v):
-        return v * self.diag
-
-    _adjoint = _apply
-
-    def innovation_solve(self, c, sigma2, r):
-        """A column c solves all K systems, a scalar c (K = 1) the first; the
-        denominators already hold c and σ²."""
-        return r / (self.denoms if getattr(c, "ndim", 0) else self.denoms[..., 0, :])
-
-
 class StackedPosterior(LinearGaussianPosterior):
-    """The isotropic posterior of a ``DiagonalRows`` block, every row with
-    its member posterior's bits. ``of`` stacks J members' posteriors for the
-    block whose row j is member j: h_mu and c_k d_j² + σ² to (J, K, m),
-    log-determinants to (J, K). ``rows`` gathers them for another block."""
+    """The isotropic posteriors of J diagonal members, stacked so that one
+    call restores a block whose rows are observed through different members.
+    Member j is diag(d_j) with innovation denominators c_k d_j² + σ²; the
+    stack holds the diagonals (J, m), h_mu and the denominators (J, K, m) and
+    the log-determinants (J, K) of the members' ``posteriors``, which share
+    one prior and sigma. It has no single operator: ``restore`` is its one
+    entry point."""
 
-    def __init__(self, post, H, h_mu, logdets):
-        # ``post`` has the same prior and sigma and lends what they alone set
-        self.prior, self.sigma2, self.log_w, self._iso = post.prior, post.sigma2, post.log_w, True
-        self._cvals, self._ccol, self._ops = post._cvals, post._ccol, [H] * len(post._cvals)
-        self.obs = ObservationModel(H, post.obs.sigma)
-        self.h_mu, self._logdets = h_mu, logdets
+    def __init__(self, posteriors, diagonals):
+        post = posteriors[0]  # lends what the prior and sigma alone set
+        self.prior, self.sigma2, self.log_w = post.prior, post.sigma2, post.log_w
+        self._cvals, self._ccol = post._cvals, post._ccol
+        self.diag = np.stack(diagonals)
+        self.denoms = np.stack([p.obs.H._innovation_denominator(p._ccol, p.sigma2)
+                                for p in posteriors])
+        self.h_mu = np.stack([p.h_mu for p in posteriors])
+        self._logdets = np.stack([p._logdets for p in posteriors])
 
-    @classmethod
-    def of(cls, posteriors, diagonals):
-        members = tuple(p.obs.H for p in posteriors)
-        denoms = np.stack([p.obs.H._innovation_denominator(p._ccol, p.sigma2)
-                           for p in posteriors])
-        block = DiagonalRows(members, np.stack(diagonals), denoms)
-        return cls(posteriors[0], block, np.stack([p.h_mu for p in posteriors]),
-                   np.stack([p._logdets for p in posteriors]))
-
-    def rows(self, H):
-        return StackedPosterior(self, H, *(a.take(H.index, 0) for a in (self.h_mu, self._logdets)))
+    def restore(self, s, idx):
+        """Row i of s restored through member idx[i], with the bits of that
+        member's ``posterior_mean``. One ``take`` per stacked array gathers
+        the rows' members; H v = v d and the innovation solves divide by the
+        gathered denominators, which already hold c and σ²."""
+        d, denoms = self.diag.take(idx, 0), self.denoms.take(idx, 0)
+        solve = lambda c, sigma2, r: r / (denoms if getattr(c, "ndim", 0) else denoms[..., 0, :])
+        return self._isotropic_mean(_as_vec(s, d.shape[-1], "point"), self.h_mu.take(idx, 0),
+                                    self._logdets.take(idx, 0), solve, lambda z: z * d)
 
     def _weighted_means(self, resp):
         return (resp[..., None, :] @ self.prior.means)[..., 0, :]

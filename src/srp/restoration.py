@@ -33,7 +33,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .operators import DimensionMismatch
-from .priors import DiagonalRows, LinearGaussianPosterior, ObservationModel, StackedPosterior
+from .priors import LinearGaussianPosterior, ObservationModel, StackedPosterior
 
 
 class ExactMmse:
@@ -44,7 +44,8 @@ class ExactMmse:
     operator's estimate, innermost first (none).
 
     Posteriors are built on first use and kept: one per operator, and per
-    member tuple the ``stacked`` posterior or None.
+    member tuple the ``stacked`` posterior (which restores by member index)
+    or None.
     """
 
     perturbations = ()
@@ -66,13 +67,11 @@ class ExactMmse:
         when every member is diagonal and the prior isotropic, else None."""
         if members not in self._stacks:
             diags = [H._diagonal_entries() for H in members] if self.prior.is_isotropic else [None]
-            self._stacks[members] = None if any(d is None for d in diags) else StackedPosterior.of(
+            self._stacks[members] = None if any(d is None for d in diags) else StackedPosterior(
                 [self._posterior(H) for H in members], diags)
         return self._stacks[members]
 
     def _posterior(self, H):
-        if isinstance(H, DiagonalRows):  # a block over a stack's members
-            return self._stacks[H.members].rows(H)
         post = self._posteriors.get(H)
         if post is None:
             post = self._posteriors[H] = LinearGaussianPosterior(
@@ -124,19 +123,23 @@ class Biased:
         self.perturbations = (*inner.perturbations, perturbation)
 
     def restore(self, s, H):
-        return restore_with_exact(self, s, H)[1]
+        return perturb(self, self.exact.restore(s, H))
 
 
 def restore_with_exact(restorer, s, H):
-    """(R*(s, H), R(s, H)) from one restore: the exact estimate of
-    ``restorer.exact``, then R's perturbations applied to it, innermost
-    first. The second is ``restorer.restore(s, H)`` bit for bit.
-    """
+    """(R*(s, H), R(s, H)) from one restore of ``restorer.exact``; the
+    second is ``restorer.restore(s, H)`` bit for bit."""
+    exact_est = restorer.exact.restore(s, H)
+    return exact_est, perturb(restorer, exact_est)
+
+
+def perturb(restorer, est):
+    """``est``, an estimate of ``restorer.exact``, through the restorer's
+    perturbations, innermost first."""
     exact = restorer.exact
-    est = exact_est = exact.restore(s, H)
     for p in restorer.perturbations:
         est = p.perturb(est, exact)
-    return exact_est, est
+    return est
 
 
 def _mc_point(ens, x, mc_samples):

@@ -266,12 +266,14 @@ class TestInputErrors:
         proc = run_cli("run", str(path), "--quiet")
         self.assert_input_error(proc, f"config error: ground truth file {gt} has non-finite")
 
-    def check_all_zero_ground_truth(self, tmp_path, metrics, peak, image=None, scored=True):
-        # PSNR's and SSIM's peak defaults to the truth's largest magnitude, 0
-        # here: a config that scores either is refused before any solve
-        # unless it sets a peak
+    def check_all_zero_ground_truth(self, tmp_path, metrics, peak, image=None, scored=True,
+                                    fill=0.0, refusal="is all zeros"):
+        # PSNR's and SSIM's peak defaults to the truth's largest magnitude,
+        # ``fill`` (0 by default): a config that scores either is refused
+        # before any solve with ``refusal`` unless it sets a peak or the
+        # refusal is None
         gt = tmp_path / "truth.f64"
-        write_array(gt, np.zeros(64))
+        write_array(gt, np.full(64, fill))
         metrics = dict(metrics)
         if peak is not None:
             metrics["psnr_peak"] = peak
@@ -293,8 +295,8 @@ class TestInputErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         proc = run_cli("run", str(path), "--quiet")
-        if scored and peak is None:
-            self.assert_input_error(proc, f"config error: ground truth file {gt} is all zeros")
+        if scored and peak is None and refusal is not None:
+            self.assert_input_error(proc, f"config error: ground truth file {gt} {refusal}")
             assert not (tmp_path / "out").exists()
             return None
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -314,6 +316,34 @@ class TestInputErrors:
             for row in rows[1:]:
                 cells = dict(zip(header, row.split(",")))
                 assert cells["psnr_db"] == "" and 0.0 < float(cells["ssim"]) < 1.0
+
+    @pytest.mark.parametrize("fill,refusal", [
+        (1e-170, "has largest magnitude 1e-170, whose square is 0.0, so PSNR"),
+        (1e155, "has largest magnitude 1e+155, whose square is inf, so PSNR"),
+        (1e-150, None), (1e150, None)])
+    def test_ground_truth_peak_must_square_finite_and_positive(self, tmp_path, fill, refusal):
+        # the default peak is held to the rule a set metrics.psnr_peak meets:
+        # a truth peak whose square is 0 or inf is refused, and one near
+        # either end of the range runs with a finite PSNR
+        rows = self.check_all_zero_ground_truth(tmp_path, {"psnr": True, "ssim": False}, None,
+                                                fill=fill, refusal=refusal)
+        if rows is not None:
+            header = rows[0].split(",")
+            cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+            assert len(cells) == 2
+            assert all(math.isfinite(float(c["psnr_db"])) for c in cells)
+
+    @pytest.mark.parametrize("fill,refusal", [
+        (1e80, "has largest magnitude 1e+80, past SSIM's 6.68e78, so PSNR"), (1e77, None)])
+    def test_ground_truth_peak_must_fit_the_ssim_constants(self, tmp_path, fill, refusal):
+        # with SSIM on, the default peak must also keep C1 C2 finite
+        rows = self.check_all_zero_ground_truth(tmp_path, {"psnr": False, "ssim": True}, None,
+                                                image={"shape": [8, 8]}, fill=fill,
+                                                refusal=refusal)
+        if rows is not None:
+            header = rows[0].split(",")
+            assert all(math.isfinite(float(dict(zip(header, row.split(",")))["ssim"]))
+                       for row in rows[1:])
 
     def test_all_zero_ground_truth_without_image_scores(self, tmp_path):
         # SSIM of a vector that is not a 2-D image is never scored, so it
@@ -641,6 +671,33 @@ class TestSquaredParameters:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert all(math.isfinite(float(row.split(",")[2])) for row in rows)  # PSNR
+
+    @pytest.mark.parametrize("peak,ssim,refused", [
+        (1e80, True, True), (1e79, True, True), (1e77, True, False), (1e80, False, False)])
+    def test_an_ssim_peak_must_keep_its_constants_finite(self, tmp_path, capsys, peak, ssim,
+                                                          refused):
+        # SSIM's C1 C2 = (0.01 peak)² (0.03 peak)² overflows above about
+        # 6.68e78, which made every SSIM nan; PSNR alone takes such a peak
+        path = write_config(tmp_path, iterations=5)
+        cfg = json.loads(path.read_text())
+        cfg["metrics"].update(psnr_peak=peak, ssim=ssim)
+        path.write_text(json.dumps(cfg))
+        code = main(["run", str(path), "--quiet"])
+        err = capsys.readouterr().err.splitlines()
+        if refused:
+            assert code == EXIT_CONFIG
+            assert err == [f"config error: metrics.psnr_peak {peak!r} makes SSIM's C1 C2 = "
+                           "(0.01 peak)² (0.03 peak)² overflow; set a peak of at most "
+                           "6.68e78 or metrics.ssim to false"]
+            assert not (tmp_path / "out").exists()
+            return
+        assert (code, err) == (EXIT_OK, [])
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        for row in rows[1:]:
+            cells = dict(zip(header, row.split(",")))
+            assert math.isfinite(float(cells["psnr_db"]))
+            assert (cells["ssim"] == "") != ssim and (not ssim or float(cells["ssim"]) == 1.0)
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e200])
     def test_library_callers_get_the_same_rule(self, sigma):

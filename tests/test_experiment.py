@@ -694,14 +694,16 @@ def test_no_peel_runs_the_unpeeled_solve_bit_for_bit(tmp_path, name):
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
 def test_two_seed_audit_restores_once_per_iteration(monkeypatch, index):
     # the bench's audit instances have identity and mask members: the block
-    # restores both seeds' draws together, 500 times in all, and the exact
-    # audit terms restore once more per member
+    # restores both seeds' draws together in one stacked restore, 500 times
+    # in all, and the exact audit terms restore once more per member
     spec, _, _ = load_bench_workloads().audit_instances(1)[index]
     spec["solver"]["gamma"] = 0.3
     rows = []
-    mean = LinearGaussianPosterior.posterior_mean
+    mean, restore = LinearGaussianPosterior.posterior_mean, StackedPosterior.restore
     monkeypatch.setattr(LinearGaussianPosterior, "posterior_mean",
                         lambda self, s: rows.append(len(s)) or mean(self, s))
+    monkeypatch.setattr(StackedPosterior, "restore",
+                        lambda self, s, idx: rows.append(len(s)) or restore(self, s, idx))
     audit_experiment(ExperimentConfig.from_dict(spec))
     assert len(rows) == 500 + len(spec["ensemble"]["members"])
     assert rows[:500] == [2] * 500

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from srp.arrayio import ArrayFileError, read_array, write_array
 from srp.metrics import magnitude, mean_squared_error, psnr, psnr_db, ssim
@@ -85,6 +86,28 @@ class TestSsim:
     def test_requires_2d(self):
         with pytest.raises(ValueError):
             ssim(np.zeros(10), np.zeros(10), peak=1.0)
+
+    @pytest.mark.parametrize("peak", [1e80, 6.7e78, np.float64(1e80), 1e200])
+    def test_a_peak_whose_constants_overflow_is_refused(self, peak):
+        # C1 C2 = (0.01 peak)² (0.03 peak)² overflows: every window would be nan
+        a = np.random.default_rng(0).random((8, 8))
+        with pytest.raises(ValueError, match="overflow"):
+            ssim(a, a + 0.01, peak)
+
+    @pytest.mark.parametrize("peak", [1.0, 0.37, np.float64(2.5), 1e77, 6.6e78])
+    def test_peaks_below_the_limit_keep_their_bits(self, peak):
+        # the unguarded formula is the reference, bit for bit
+        rng = np.random.default_rng(1)
+        a, b = rng.random((9, 8)), rng.random((9, 8))
+        c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+        uf = lambda img: uniform_filter(img, size=7, mode="constant")
+        mu_a, mu_b = uf(a), uf(b)
+        var_a, var_b = uf(a * a) - mu_a * mu_a, uf(b * b) - mu_b * mu_b
+        cov = uf(a * b) - mu_a * mu_b
+        smap = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
+        want = float(np.mean(smap[3:6, 3:5]))
+        assert ssim(a, b, peak) == want
 
     def test_window_must_fit(self):
         with pytest.raises(ValueError):

@@ -433,7 +433,7 @@ class TestPosteriorFastPath:
         assert np.any(resp == 0.0) == (post.prior.n_components > 1)
         _assert_same_bits(post._responsibilities(post.component_loglik(s)), resp)
         if prior_name == "isotropic":
-            z = post._innovations(s)[1]
+            z = post._innovations(s, post.h_mu, post._logdets, post.obs.H.innovation_solve)[1]
             acc = sum((c * resp[..., k, None]) * z[..., k, :]
                       for k, c in enumerate(post._cvals))
             want = resp @ post.prior.means + post.obs.H.adjoint_apply(acc)
@@ -471,8 +471,9 @@ class TestPosteriorFastPath:
 
     @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
     def test_one_solve_per_component(self, op_name, prior_name):
-        # isotropic mixtures solve all K systems in one batched call on H;
-        # other priors solve component by component on their whitened operators
+        # isotropic priors, one component or more, solve all K systems in one
+        # batched call on H; other priors solve component by component on
+        # their whitened operators
         post, s = self._setup(op_name, prior_name)
         H, calls = post.obs.H, {"solve": 0, "innovation_solve": 0, "adjoint": 0}
 
@@ -487,7 +488,7 @@ class TestPosteriorFastPath:
         H._adjoint = counted("adjoint", H._adjoint)  # the posterior calls the core
         post.posterior_mean(s)
         k, iso = post.prior.n_components, post.prior.is_isotropic
-        assert calls["solve"] == (1 if k == 1 else 0 if iso else k)
+        assert calls["solve"] == (0 if iso else k)
         assert calls["innovation_solve"] == (1 if iso else 0)
         assert calls["adjoint"] == (1 if iso else 0)
 

@@ -21,11 +21,13 @@ from srp.operators import (
     CoordinateMask,
     DegradationEnsemble,
     DenseMatrix,
+    DimensionMismatch,
     FoldDownsample,
     Identity,
+    LinearOperator,
     Scale,
 )
-from srp.priors import GmmPrior, StackedPosterior
+from srp.priors import GmmPrior, LinearGaussianPosterior, ObservationModel, StackedPosterior
 from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
 from srp.solver import (
     AuditError,
@@ -479,6 +481,16 @@ LOCKSTEP_ATOL = 64 * np.finfo(float).eps
 TRACE_COLUMNS = ("step_sq", "grad_hat_norm", "grad_true_norm", "f_value", "psnr")
 
 
+def count_restores(monkeypatch, rows):
+    """Appends the row count of every restore to ``rows``: a member's
+    ``ExactMmse.restore`` on the grouped path, ``StackedPosterior.restore``
+    with the rows' member indices on the stacked path."""
+    for cls in (ExactMmse, StackedPosterior):
+        restore = cls.restore
+        monkeypatch.setattr(cls, "restore", lambda self, s, H, restore=restore:
+                            rows.append(len(s)) or restore(self, s, H))
+
+
 class TestLockstep:
     """S seeds advance as one (S, n) block: one seed is the vector loop bit
     for bit; each row of a block is its solo run, bit for bit where every
@@ -602,9 +614,7 @@ class TestLockstep:
         40-iteration block of ``seeds`` seeds on ``lockstep_instance(name)``."""
         problem, reg, restorer = lockstep_instance(name)
         calls = []
-        restore = ExactMmse.restore
-        monkeypatch.setattr(ExactMmse, "restore",
-                            lambda self, s, H: calls.append(len(s)) or restore(self, s, H))
+        count_restores(monkeypatch, calls)
         cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, batch=batch, x0="zeros")
                 for s in range(seeds)]
         starts = each_iteration(lambda: len(calls))  # restores before each iteration
@@ -694,9 +704,7 @@ class TestStackedRestore:
         cfgs = self.cfgs(batch)
         refs = [vector_loop(problem, reg, restorer, c) for c in cfgs]
         rows = []
-        restore = ExactMmse.restore
-        monkeypatch.setattr(ExactMmse, "restore",
-                            lambda self, s, H: rows.append(len(s)) or restore(self, s, H))
+        count_restores(monkeypatch, rows)
         block = run([problem] * 3, reg, restorer, cfgs)
         assert rows == [3 * batch] * 40  # the stacked path: one restore per iteration
         for cfg, out, (x_ref, ref) in zip(cfgs, block, refs):
@@ -706,6 +714,42 @@ class TestStackedRestore:
                 assert np.array_equal(trace.iterates, ref.iterates)
                 assert trace.csv_text() == ref.csv_text()
         assert len(rows) == 40 + 3 * 40  # the solo runs restore once per iteration too
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_a_row_is_its_member_posterior(self, components):
+        # row i of one stacked restore is ExactMmse's restore of s[i] through
+        # members[idx[i]], bit for bit, for identity, mask, scale and
+        # convex-of-mask members and rows of repeated and interleaved members
+        _, reg, restorer = self.instance(components, "offset")
+        members = reg.ens.members
+        stack = restorer.exact.stacked(members)
+        idx = np.array([0, 1, 2, 3, 3, 1, 0, 2, 2])
+        s = 1.5 * np.random.default_rng(7).standard_normal((len(idx), 4))
+        s[4, 0] = -0.0
+        got = stack.restore(s, idx)
+        exact = ExactMmse(reg.prior, 0.7)
+        for i, j in enumerate(idx):
+            assert got[i].tobytes() == exact.restore(s[i], members[j]).tobytes()
+        with pytest.raises(DimensionMismatch):
+            stack.restore(s[:, :3], idx)
+
+    @pytest.mark.parametrize("name", ["masks", "biased-gain"])
+    def test_no_iteration_builds_an_operator_or_posterior(self, name, monkeypatch):
+        # a second run reuses the first run's stack: its stacked restores
+        # build no operator, observation model or posterior of any kind
+        if name == "masks":
+            problem, reg, restorer = lockstep_instance("masks")
+        else:
+            problem, reg, restorer = self.instance(2, "gain")
+        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, x0="zeros") for s in range(3)]
+        run([problem] * 3, reg, restorer, cfgs)
+        built = []
+        for cls in (LinearOperator, ObservationModel, LinearGaussianPosterior, StackedPosterior):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                                built.append(type(self).__name__) or init(self, *args))
+        run([problem] * 3, reg, restorer, cfgs)
+        assert built == []
 
     def test_one_restorer_serves_two_ensembles(self):
         # each ensemble gets its own stack on the shared restorer, so runs
