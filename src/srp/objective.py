@@ -138,9 +138,9 @@ class SingleGaussianForms:
         for post, H, p in zip(_posteriors(reg), ens.members, ens.weights):
             hd = H.to_dense()
             m = H.out_dim
-            sinv_h = post._solve(0, hd.T).T
+            sinv_h = post._solve(hd.T[:, None, :])[:, 0, :].T
             curvature += p * hd.T @ sinv_h
-            trinv = float(np.trace(post._solve(0, np.eye(m))))
+            trinv = float(np.trace(post._solve(np.eye(m)[:, None, :])[:, 0, :]))
             const += p * 0.5 * (m * _LOG_2PI + post._logdets[0] + sigma2 * trinv)
         self.curvature = self.tau * curvature
         self.curvature.flags.writeable = False
@@ -282,6 +282,13 @@ class AuditTerms(NamedTuple):
 _AFFINE_PERTURBATIONS = (ConstantOffset, Gain, Smoothing)
 
 
+def _same_prior(a, b):
+    """True when priors a and b are one object or have equal weights, means
+    and covariances."""
+    return a is b or (np.array_equal(a.weights, b.weights) and np.array_equal(a.means, b.means)
+                      and all(map(np.array_equal, a.covariances, b.covariances)))
+
+
 def exact_audit_terms(reg, restorer, points):
     """ν²(x) and b(x) at each probe point in closed form, without drawing.
 
@@ -299,10 +306,16 @@ def exact_audit_terms(reg, restorer, points):
 
     L_j = R(I_m) - R(0_m) comes from the same batched restore as R(H_j x),
     once per member for all points. Raises ``ClosedFormUnavailable`` unless
-    the restorer is an exact posterior mean of a one-component prior of
-    dimension at most the dense cap, wrapped only in those perturbations.
+    the restorer is an exact posterior mean at the regularizer's sigma and
+    prior (``_same_prior``), of one component and of dimension at most the
+    dense cap, wrapped only in those perturbations: b(x) measures against
+    the regularizer's R*, which is then the restorer's ``exact``.
     """
-    prior = restorer.exact.prior
+    exact = restorer.exact
+    if exact.sigma != reg.ens.sigma or not _same_prior(exact.prior, reg.prior):
+        raise ClosedFormUnavailable(
+            "exact audit terms need the restorer's exact prior and sigma to be the regularizer's")
+    prior = exact.prior
     if prior.n_components != 1:
         raise ClosedFormUnavailable("exact audit terms need a one-component prior")
     if prior.dim > _DENSE_CAP_DIM:

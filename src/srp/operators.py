@@ -14,10 +14,11 @@ private scipy API; its outputs are pinned bit for bit against
 ``scipy.fft.fftn``/``ifftn`` and ``np.fft.rfft``/``irfft`` by the test suite.
 The layer runs single-threaded, so ``scipy.fft.set_workers`` does not reach it.
 
-An operator's parameters are fixed at construction. Its caches (dense form,
-H Hᵀ description, innovation factorizations and denominators) are filled
-lazily on first use and never rewritten, so they do not change observable
-behavior; filling them is not synchronized across threads.
+An operator's parameters are fixed at construction. Its caches (dense form
+and H Hᵀ description) are filled lazily on first use and never rewritten, so
+they do not change observable behavior; filling them is not synchronized
+across threads. ``InnovationSystem`` prepares systems (c H Hᵀ + σ² I) z = r
+from the description, once, for the posterior that solves them.
 """
 
 from __future__ import annotations
@@ -126,18 +127,10 @@ class LinearOperator:
     ``adjoint_apply`` and ``gram_apply`` validate their operand once and
     delegate to the cores: they are the boundary for outside callers. The
     solver loop, whose operands are arrays it made itself after validating
-    its inputs at entry, calls the cores. The ``innovation_*`` methods
-    solve against (c * H Hᵀ + σ² I) through ``_gram_dual``, which describes
-    H Hᵀ once per operator from the structural hooks: as a diagonal, as the
-    DFT eigenvalues of a circulant (solved by real FFTs), or as a dense
-    matrix (solved by a cached Cholesky factor). Nothing an innovation
-    solve needs but its right-hand side is computed twice: the description
-    once per operator, and per (c, σ²) the diagonal and circulant paths'
-    denominator c λ + σ² once (``_innovation_denominator``) and the dense
-    path's factor once.
-    ``_innovation_factor`` is the one place an innovation covariance is
-    factored: it climbs the jitter ladder (0, 1e-12, 1e-10) and raises
-    ``FactorizationError`` past its end.
+    its inputs at entry, calls the cores. ``_gram_dual`` describes H Hᵀ
+    once per operator from the structural hooks: as a diagonal, as the DFT
+    eigenvalues of a circulant, or as a dense matrix. ``InnovationSystem``
+    and ``gram_operator_norm`` read that description.
     """
 
     kind = "abstract"
@@ -147,8 +140,6 @@ class LinearOperator:
         self.out_dim = int(out_dim)
         self._dense = None
         self._dual = None
-        self._innovation_cache = {}  # (c, σ²) -> Cholesky factor, dense path
-        self._denominators = {}  # (c, σ²) -> c λ + σ², diagonal and circulant paths
 
     # -- core action ------------------------------------------------------
 
@@ -185,7 +176,7 @@ class LinearOperator:
             self._dense = mat
         return self._dense
 
-    # -- innovation system (c * H Hᵀ + σ² I) --------------------------------
+    # -- H Hᵀ description ------------------------------------------------------
 
     @property
     def has_orthonormal_rows(self):
@@ -222,70 +213,6 @@ class LinearOperator:
             dual[1].flags.writeable = False
             self._dual = dual
         return self._dual
-
-    def _innovation_factor(self, c, sigma2):
-        """Lower Cholesky factor of c H Hᵀ + σ² I, cached per (c, σ²)."""
-        key = (float(c), float(sigma2))
-        if key not in self._innovation_cache:
-            s = c * self._gram_dual()[1] + sigma2 * np.eye(self.out_dim)
-            self._innovation_cache[key] = _chol_with_jitter(
-                s, f"{self.kind} innovation covariance")
-        return self._innovation_cache[key]
-
-    def _innovation_denominator(self, c, sigma2):
-        """c λ + σ² for the diagonal and circulant paths, with λ the diagonal
-        of H Hᵀ or the half spectrum of its circulant; computed once per
-        (c, σ²) and read-only. A column c is keyed by its shape and bytes."""
-        if isinstance(c, np.ndarray) and c.ndim:
-            key = (c.shape, c.tobytes(), float(sigma2))
-        else:
-            key = (float(c), float(sigma2))
-        denom = self._denominators.get(key)
-        if denom is None:
-            kind, data = self._gram_dual()
-            if kind == "circulant":
-                data = data[: self.out_dim // 2 + 1]
-            denom = c * data + sigma2
-            denom.flags.writeable = False
-            self._denominators[key] = denom
-        return denom
-
-    def innovation_solve(self, c, sigma2, r):
-        """Solve (c H Hᵀ + σ² I) z = r, batched over leading axes of r.
-
-        ``c`` is a scalar or a column of shape (K, 1); a column solves K
-        systems at once, row k of ``r``'s (..., K, m) trailing block against
-        c[k]. Every row is bit-identical to its scalar solve: the diagonal
-        path broadcasts the division, the circulant path runs one real-FFT
-        pair over all rows, and the dense path solves the rows in turn with
-        each c[k]'s cached factor. The denominator (diagonal and circulant
-        paths) and the factor (dense path) are computed on the first solve
-        with a given (c, σ²) and reused by every later one.
-        """
-        kind = self._gram_dual()[0]
-        if kind == "diagonal":
-            return r / self._innovation_denominator(c, sigma2)
-        if kind == "circulant":
-            return _irfft(_rfft(r) / self._innovation_denominator(c, sigma2), self.out_dim)
-        r = np.asarray(r, dtype=float)
-        if np.ndim(c) == 0:
-            return self._cholesky_solve(c, sigma2, r)
-        return np.stack([self._cholesky_solve(ck, sigma2, r[..., k, :])
-                         for k, ck in enumerate(np.ravel(c))], axis=-2)
-
-    def _cholesky_solve(self, c, sigma2, r):
-        chol = self._innovation_factor(c, sigma2)
-        flat = r.reshape(-1, self.out_dim)
-        z = scipy.linalg.cho_solve((chol, True), flat.T).T
-        return z.reshape(r.shape)
-
-    def innovation_logdet(self, c, sigma2):
-        """log det(c H Hᵀ + σ² I)."""
-        kind, data = self._gram_dual()
-        if kind != "dense":
-            return float(np.sum(np.log(c * data + sigma2)))
-        chol = self._innovation_factor(c, sigma2)
-        return float(2.0 * np.sum(np.log(np.diag(chol))))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.out_dim}x{self.in_dim}>"
@@ -583,6 +510,52 @@ class ConvexCombination(LinearOperator):
         if t is None:
             return None
         return (1.0 - self.alpha) + self.alpha * t
+
+
+# -- innovation systems -------------------------------------------------------
+
+
+class InnovationSystem:
+    """The K systems (c_k H Hᵀ + σ² I) z_k = r_k of one operator H and a
+    (K, 1) column c, prepared from H's ``_gram_dual``: all a solve needs but
+    r. ``denom`` holds c λ + σ² (K, m) on the diagonal path, λ the diagonal
+    of H Hᵀ, and over the half spectrum on the circulant path, which solves
+    by a real-FFT pair. The dense path holds one Cholesky factor per c_k in
+    ``chols``, the one place an innovation covariance is factored: it climbs
+    the jitter ladder (0, 1e-12, 1e-10) and raises ``FactorizationError``
+    past its end. ``logdets`` holds the K log det(c_k H Hᵀ + σ² I).
+    """
+
+    def __init__(self, H, c, sigma2):
+        self.kind, data = H._gram_dual()
+        self.out_dim = m = H.out_dim
+        c = np.asarray(c, dtype=float).reshape(-1, 1)
+        self.denom, self.chols = None, ()
+        if self.kind == "dense":
+            eye, what = sigma2 * np.eye(m), f"{H.kind} innovation covariance"
+            self.chols = tuple(_chol_with_jitter(ck * data + eye, what) for ck in c[:, 0])
+            self.logdets = np.array([2.0 * np.sum(np.log(np.diag(f))) for f in self.chols])
+            return
+        denom = c * data + sigma2
+        self.logdets = np.sum(np.log(denom), axis=-1)
+        if self.kind == "circulant":
+            denom = np.ascontiguousarray(denom[:, : m // 2 + 1])
+        denom.flags.writeable = False
+        self.denom = denom
+
+    def solve(self, r):
+        """z_k = (c_k H Hᵀ + σ² I)⁻¹ r_k for the rows of the trailing (K, m)
+        block of r, batched over its leading axes. Each row has the bits of
+        its own one-row solve."""
+        if self.kind == "diagonal":
+            return r / self.denom
+        if self.kind == "circulant":
+            return _irfft(_rfft(r) / self.denom, self.out_dim)
+        r = np.asarray(r, dtype=float)
+        m = self.out_dim
+        z = [scipy.linalg.cho_solve((chol, True), r[..., k, :].reshape(-1, m).T).T
+             for k, chol in enumerate(self.chols)]
+        return np.stack(z, axis=-2).reshape(r.shape)
 
 
 # -- degradation ensembles --------------------------------------------------

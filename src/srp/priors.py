@@ -23,6 +23,7 @@ from .operators import (
     DenseMatrix,
     DimensionMismatch,
     FactorizationError,
+    InnovationSystem,
     _as_vec,
     _chol_with_jitter,
 )
@@ -186,54 +187,18 @@ class ObservationModel:
         self.sigma = sigma
 
 
-class LinearGaussianPosterior:
-    """Precomputed closed-form machinery for one (prior, H, sigma) triple.
+class _MixtureTerms:
+    """What a posterior's arithmetic takes from the prior and σ alone: the
+    log-weights, the column ``_ccol`` of the c_k (Sigma_k for an isotropic
+    prior, else 1) and the steps that ``LinearGaussianPosterior`` and
+    ``StackedPosterior`` share."""
 
-    Component k's innovation system S_k = c_k W_k W_kᵀ + sigma² I is solved
-    by the operator W_k's innovation hooks. Isotropic priors use W_k = H and
-    c_k = Sigma_k (cheap for masks, Fourier compositions and circulants), and
-    solve all K systems in one ``H.innovation_solve`` call with the column
-    c = (c_1..c_K)ᵀ against the stacked residuals, shape (..., K, m). Other
-    priors use the whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1,
-    which takes the operator's dense Cholesky path, one solve per component.
-    ``StackedPosterior`` runs the same isotropic arithmetic,
-    ``_isotropic_mean``, on rows observed through different diagonal members.
-    """
-
-    def __init__(self, prior, obs):
+    def __init__(self, prior, sigma2):
         self.prior = prior
-        self.obs = obs
-        H, sigma = obs.H, obs.sigma
-        if H.in_dim != prior.dim:
-            raise DimensionMismatch("observation operator in_dim", prior.dim, H.in_dim)
-        self.sigma2 = sigma * sigma
-        self.h_mu = np.stack([H.apply(mu) for mu in prior.means])
+        self.sigma2 = sigma2
         self.log_w = np.log(prior.weights)
         self._iso = prior.is_isotropic
-        count = prior.n_components
-        if self._iso:
-            self._cvals = [float(c) for c in prior.covariances]
-            self._ops = [H] * count
-        else:
-            hd = H.to_dense()
-            self._cvals = [1.0] * count
-            self._ops, self._cross = [], []
-            for k in range(count):
-                chol = prior._component_chol(k)
-                whiten = DenseMatrix(chol if chol.ndim == 2 else np.diag(chol))
-                self._ops.append(Composition([whiten, H]))
-                self._cross.append(prior.cov_matrix(k) @ hd.T)
-        self._ccol = np.array(self._cvals)[:, None]
-        self._logdets = np.array([op.innovation_logdet(c, self.sigma2)
-                                  for op, c in zip(self._ops, self._cvals)])
-
-    def _solve(self, k, r):
-        return self._ops[k].innovation_solve(self._cvals[k], self.sigma2, r)
-
-    def _solve_each(self, c, sigma2, r):
-        """``innovation_solve`` with the column c for a non-isotropic prior:
-        one solve per component of the (..., K, m) stack r."""
-        return np.stack([self._solve(k, r[..., k, :]) for k in range(len(c))], axis=-2)
+        self._ccol = np.array([float(c) if self._iso else 1.0 for c in prior.covariances])[:, None]
 
     def _weighted_means(self, resp):
         return resp @ self.prior.means
@@ -241,10 +206,9 @@ class LinearGaussianPosterior:
     def _innovations(self, s, h_mu, logdets, solve):
         """Per-component log N(s; h_mu_k, S_k), shape (..., K), and the
         innovation solves z_k = S_k^{-1} (s - h_mu_k) behind them, stacked
-        to shape (..., K, m) by ``solve(c, sigma², r)`` with c the column of
-        the c_k; ``logdets`` holds the log det S_k."""
+        to shape (..., K, m) by ``solve(r)``; ``logdets`` holds the log det S_k."""
         r = s[..., None, :] - h_mu
-        z = solve(self._ccol, self.sigma2, r)
+        z = solve(r)
         r *= z  # r is not read again; in place saves one (..., K, m) stack
         loglik = -0.5 * (np.sum(r, axis=-1) + logdets + r.shape[-1] * _LOG_2PI)
         return loglik, z
@@ -260,11 +224,70 @@ class LinearGaussianPosterior:
         loglik /= loglik.sum(axis=-1, keepdims=True)
         return loglik
 
+    def _isotropic_mean(self, s, h_mu, logdets, solve, adjoint):
+        """E[x | s] under the isotropic prior, for an observation with mean
+        images ``h_mu``, log det S_k ``logdets``, innovation solves
+        ``solve(r)`` of a (..., K, m) stack and adjoint Hᵀ ``adjoint``: the
+        one implementation of the isotropic mean.
+        """
+        c = self._ccol[:, 0]
+        if len(c) == 1:
+            z = solve(s[..., None, :] - h_mu)[..., 0, :]
+            return self.prior.means[0] + c[0] * adjoint(z)
+        loglik, z = self._innovations(s, h_mu, logdets, solve)
+        resp = self._responsibilities(loglik)
+        # z_k scaled in place by c_k r_k, then summed over k from +0.0 as
+        # Python's sum() adds its terms (a start of +0.0 turns a -0.0 first
+        # term into +0.0)
+        z *= (resp * c)[..., None]
+        acc = z.sum(axis=-2, initial=0.0)
+        return self._weighted_means(resp) + adjoint(acc)
+
+
+class LinearGaussianPosterior(_MixtureTerms):
+    """Precomputed closed-form machinery for one (prior, H, sigma) triple.
+
+    Component k's innovation system S_k = c_k W_k W_kᵀ + sigma² I is
+    prepared once, here, as an ``InnovationSystem``. Isotropic priors use
+    W_k = H and c_k = Sigma_k (cheap for masks, Fourier compositions and
+    circulants): one system of H with the column c = (c_1..c_K)ᵀ solves all
+    K against the stacked residuals, shape (..., K, m). Other priors use the
+    whitened W_k = H L_k with L_k L_kᵀ = Sigma_k and c_k = 1, one system
+    per component, which takes the dense Cholesky path.
+    """
+
+    def __init__(self, prior, obs):
+        H = obs.H
+        if H.in_dim != prior.dim:
+            raise DimensionMismatch("observation operator in_dim", prior.dim, H.in_dim)
+        super().__init__(prior, obs.sigma * obs.sigma)
+        self.obs = obs
+        self.h_mu = np.stack([H.apply(mu) for mu in prior.means])
+        if self._iso:
+            self._systems = (InnovationSystem(H, self._ccol, self.sigma2),)
+        else:
+            hd = H.to_dense()
+            systems, self._cross = [], []
+            for k in range(prior.n_components):
+                chol = prior._component_chol(k)
+                whiten = DenseMatrix(chol if chol.ndim == 2 else np.diag(chol))
+                systems.append(InnovationSystem(Composition([whiten, H]), self._ccol[k],
+                                                self.sigma2))
+                self._cross.append(prior.cov_matrix(k) @ hd.T)
+            self._systems = tuple(systems)
+        self._logdets = np.concatenate([system.logdets for system in self._systems])
+
+    def _solve(self, r):
+        """The innovation solves of the (..., K, m) stack r: row k against S_k."""
+        if self._iso:
+            return self._systems[0].solve(r)
+        return np.concatenate([system.solve(r[..., k:k + 1, :])
+                               for k, system in enumerate(self._systems)], axis=-2)
+
     def component_loglik(self, s):
         """log N(s; H mu_k, S_k) for each component, batched; shape (..., K)."""
         s = _as_vec(s, self.obs.H.out_dim, "point")
-        solve = self.obs.H.innovation_solve if self._iso else self._solve_each
-        return self._innovations(s, self.h_mu, self._logdets, solve)[0]
+        return self._innovations(s, self.h_mu, self._logdets, self._solve)[0]
 
     def logpdf(self, s):
         with np.errstate(all="ignore"):  # rows of all -inf terms warn on their way to -inf
@@ -273,46 +296,26 @@ class LinearGaussianPosterior:
     def posterior_mean(self, s):
         """E[x | s, H], batched over leading axes of s.
 
-        The innovation solves (one batched call for isotropic mixtures, one
-        per component otherwise) feed both the responsibilities and the
-        shift. With one component the responsibilities are exactly 1 and are
+        The innovation solves (one system for isotropic mixtures, one per
+        component otherwise) feed both the responsibilities and the shift.
+        With one component the responsibilities are exactly 1 and are
         skipped. Isotropic mixtures fold the K adjoints into one,
         Hᵀ Σ_k r_k c_k z_k, which reorders the sum: that case agrees with
         the per-component form to rounding, every other case bit for bit.
         """
         s = _as_vec(s, self.obs.H.out_dim, "point")
         if self._iso:
-            H = self.obs.H
-            return self._isotropic_mean(s, self.h_mu, self._logdets, H.innovation_solve,
-                                        H._adjoint)
+            return self._isotropic_mean(s, self.h_mu, self._logdets, self._systems[0].solve,
+                                        self.obs.H._adjoint)
         means, cross = self.prior.means, self._cross
         if len(means) == 1:
-            return means[0] + self._solve(0, s - self.h_mu[..., 0, :]) @ cross[0].T
-        loglik, z = self._innovations(s, self.h_mu, self._logdets, self._solve_each)
+            return means[0] + self._solve(s[..., None, :] - self.h_mu)[..., 0, :] @ cross[0].T
+        loglik, z = self._innovations(s, self.h_mu, self._logdets, self._solve)
         resp = self._responsibilities(loglik)
         mean = np.zeros(s.shape[:-1] + (self.prior.dim,))
         for k in range(len(means)):
             mean += resp[..., k, None] * (means[k] + z[..., k, :] @ cross[k].T)
         return mean
-
-    def _isotropic_mean(self, s, h_mu, logdets, solve, adjoint):
-        """E[x | s] under the isotropic prior, for an observation with mean
-        images ``h_mu``, log det S_k ``logdets``, innovation solve
-        ``solve(c, sigma², r)`` (a scalar c or the column of the c_k) and
-        adjoint Hᵀ ``adjoint``: the one implementation of the isotropic mean.
-        """
-        c = self._cvals
-        if len(c) == 1:
-            z = solve(c[0], self.sigma2, s - h_mu[..., 0, :])
-            return self.prior.means[0] + c[0] * adjoint(z)
-        loglik, z = self._innovations(s, h_mu, logdets, solve)
-        resp = self._responsibilities(loglik)
-        # z_k scaled in place by c_k r_k, then summed over k from +0.0 as
-        # Python's sum() adds its terms (a start of +0.0 turns a -0.0 first
-        # term into +0.0)
-        z *= (resp * self._ccol[:, 0])[..., None]
-        acc = z.sum(axis=-2, initial=0.0)
-        return self._weighted_means(resp) + adjoint(acc)
 
     def score(self, s):
         """∇_s log p(s | H) via the restoration residual identity."""
@@ -320,22 +323,19 @@ class LinearGaussianPosterior:
         return (self.obs.H.apply(self.posterior_mean(s)) - s) / self.sigma2
 
 
-class StackedPosterior(LinearGaussianPosterior):
+class StackedPosterior(_MixtureTerms):
     """The isotropic posteriors of J diagonal members, stacked so that one
     call restores a block whose rows are observed through different members.
     Member j is diag(d_j) with innovation denominators c_k d_j² + σ²; the
-    stack holds the diagonals (J, m), h_mu and the denominators (J, K, m) and
-    the log-determinants (J, K) of the members' ``posteriors``, which share
-    one prior and sigma. It has no single operator: ``restore`` is its one
-    entry point."""
+    stack holds the diagonals (J, m), and h_mu, the prepared denominators
+    (J, K, m) and the log-determinants (J, K) of the members' ``posteriors``,
+    which share one prior and sigma. It has no single operator: ``restore``
+    is its one entry point."""
 
     def __init__(self, posteriors, diagonals):
-        post = posteriors[0]  # lends what the prior and sigma alone set
-        self.prior, self.sigma2, self.log_w = post.prior, post.sigma2, post.log_w
-        self._cvals, self._ccol = post._cvals, post._ccol
+        super().__init__(posteriors[0].prior, posteriors[0].sigma2)
         self.diag = np.stack(diagonals)
-        self.denoms = np.stack([p.obs.H._innovation_denominator(p._ccol, p.sigma2)
-                                for p in posteriors])
+        self.denoms = np.stack([p._systems[0].denom for p in posteriors])
         self.h_mu = np.stack([p.h_mu for p in posteriors])
         self._logdets = np.stack([p._logdets for p in posteriors])
 
@@ -345,9 +345,9 @@ class StackedPosterior(LinearGaussianPosterior):
         the rows' members; H v = v d and the innovation solves divide by the
         gathered denominators, which already hold c and σ²."""
         d, denoms = self.diag.take(idx, 0), self.denoms.take(idx, 0)
-        solve = lambda c, sigma2, r: r / (denoms if getattr(c, "ndim", 0) else denoms[..., 0, :])
         return self._isotropic_mean(_as_vec(s, d.shape[-1], "point"), self.h_mu.take(idx, 0),
-                                    self._logdets.take(idx, 0), solve, lambda z: z * d)
+                                    self._logdets.take(idx, 0), lambda r: r / denoms,
+                                    lambda z: z * d)
 
     def _weighted_means(self, resp):
         return (resp[..., None, :] @ self.prior.means)[..., 0, :]

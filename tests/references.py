@@ -8,7 +8,9 @@ Carlo draw still comes from the library's one loop over
 ``DegradationEnsemble.observe``, and every estimator that restores draws
 goes through its one kernel, ``restoration._residual_moments``.
 ``step_noise`` draws one iteration's noise for ``regularizer_step``
-through the solver's own draw routine.
+through the solver's own draw routine. ``one_row_solve`` and
+``one_row_logdet`` read a single system (c H Hᵀ + σ² I) through a one-row
+``InnovationSystem``.
 
 The module is not called ``reference``: ``bench/tests`` imports
 ``bench/reference.py`` under that name in the same test session.
@@ -17,7 +19,7 @@ The module is not called ``reference``: ``bench/tests`` imports
 import numpy as np
 
 from srp.objective import _posteriors
-from srp.operators import DimensionMismatch
+from srp.operators import DimensionMismatch, InnovationSystem
 from srp.restoration import ExactMmse, _mc_point, _residual_moments, restore_with_exact
 from srp.solver import _draw_noise
 
@@ -36,6 +38,17 @@ def step_noise(ens, members, rngs):
     for out, w, rng in zip(noise, widths, rngs):
         _draw_noise(rng, out[None], w[None])
     return noise
+
+
+def one_row_solve(op, c, sigma2, r):
+    """(c H Hᵀ + σ² I)⁻¹ r for one coefficient c and r of shape (..., m),
+    through the one-row system of ``op``."""
+    return InnovationSystem(op, c, sigma2).solve(np.asarray(r)[..., None, :])[..., 0, :]
+
+
+def one_row_logdet(op, c, sigma2):
+    """log det(c H Hᵀ + σ² I), through the one-row system of ``op``."""
+    return float(InnovationSystem(op, c, sigma2).logdets[0])
 
 
 def sample_degradation(ens, rng):

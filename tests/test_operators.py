@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from srp.operators import (
@@ -17,6 +18,8 @@ from srp.operators import (
     DiscreteFourier,
     FoldDownsample,
     Identity,
+    InnovationSystem,
+    LinearOperator,
     Scale,
     _fftn,
     _irfft,
@@ -31,7 +34,7 @@ from srp.operators import (
     uniform_row_mask,
 )
 
-from references import sample_degradation
+from references import one_row_logdet, one_row_solve, sample_degradation
 
 
 def operator_zoo(rng):
@@ -288,13 +291,13 @@ class TestInnovationSystem:
             s_mat = c * hd @ hd.T + sigma2 * np.eye(op.out_dim)
             r = rng.standard_normal(op.out_dim)
             np.testing.assert_allclose(
-                op.innovation_solve(c, sigma2, r),
+                one_row_solve(op, c, sigma2, r),
                 np.linalg.solve(s_mat, r),
                 atol=1e-9,
                 err_msg=op.kind,
             )
             np.testing.assert_allclose(
-                op.innovation_logdet(c, sigma2),
+                one_row_logdet(op, c, sigma2),
                 np.linalg.slogdet(s_mat)[1],
                 atol=1e-9,
             )
@@ -311,9 +314,9 @@ class TestInnovationSystem:
             op = Composition([stage])
             r = rng.standard_normal((3, op.out_dim))
             np.testing.assert_array_equal(
-                op.innovation_solve(0.7, 0.2, r), stage.innovation_solve(0.7, 0.2, r)
+                one_row_solve(op, 0.7, 0.2, r), one_row_solve(stage, 0.7, 0.2, r)
             )
-            assert op.innovation_logdet(0.7, 0.2) == stage.innovation_logdet(0.7, 0.2)
+            assert one_row_logdet(op, 0.7, 0.2) == one_row_logdet(stage, 0.7, 0.2)
             assert op._gram_dual()[0] == kind
             assert op._dense is None
         # a one-stage head of a fold keeps the fold spectral
@@ -334,10 +337,10 @@ class TestInnovationSystem:
         op = masked_fourier((4, 4), np.array([True, True, False, False]))
         rng = np.random.default_rng(9)
         r = rng.standard_normal((5, 32))
-        batch = op.innovation_solve(0.4, 0.2, r)
+        batch = one_row_solve(op, 0.4, 0.2, r)
         for i in range(5):
             np.testing.assert_allclose(
-                batch[i], op.innovation_solve(0.4, 0.2, r[i]), atol=1e-12
+                batch[i], one_row_solve(op, 0.4, 0.2, r[i]), atol=1e-12
             )
 
 
@@ -395,41 +398,40 @@ class TestSpectralProperties:
         s_mat = c * dense @ dense.T + sigma2 * np.eye(op.out_dim)
         r = rng.standard_normal(op.out_dim)
         np.testing.assert_allclose(
-            op.innovation_solve(c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
+            one_row_solve(op, c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
         )
         np.testing.assert_allclose(
-            op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
+            one_row_logdet(op, c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
         )
 
     @given(circulant_systems())
     def test_divisible_folds_take_the_spectral_path(self, system):
         op, _, c, sigma2, rng = system
-        op.innovation_solve(c, sigma2, rng.standard_normal(op.out_dim))
+        prepared = InnovationSystem(op, c, sigma2)
         fold = op.stages[-1] if isinstance(op, Composition) else None
         spectral = fold is None or fold.in_dim % fold.factor == 0
         assert (op._gram_dual()[0] == "circulant") == spectral
-        assert (not op._innovation_cache) == spectral
+        assert (not prepared.chols) == spectral
 
     @given(circulant_systems())
-    def test_cached_denominator_solves_as_the_uncached_expression(self, system):
+    def test_prepared_denominator_solves_as_the_expression(self, system):
         op, _, c, sigma2, rng = system
         if op._gram_dual()[0] != "circulant":
             return
         m = op.out_dim
         r = rng.standard_normal((2, m))
         want = _irfft(_rfft(r) / (c * op._gram_dual()[1][: m // 2 + 1] + sigma2), m)
-        for _ in range(2):  # the first solve builds the denominator, the second reads it
-            np.testing.assert_array_equal(op.innovation_solve(c, sigma2, r), want)
-        (denom,) = op._denominators.values()
-        assert op._innovation_denominator(c, sigma2) is denom
-        assert not denom.flags.writeable
+        prepared = InnovationSystem(op, c, sigma2)
+        for _ in range(2):  # a solve leaves the prepared denominator as it was
+            np.testing.assert_array_equal(prepared.solve(r[:, None, :])[:, 0, :], want)
+        assert not prepared.denom.flags.writeable
 
     @given(circulant_systems())
     def test_batched_solve_matches_rows(self, system):
         op, _, c, sigma2, rng = system
         r = rng.standard_normal((4, op.out_dim))
-        batch = op.innovation_solve(c, sigma2, r)
-        rows = np.stack([op.innovation_solve(c, sigma2, row) for row in r])
+        batch = one_row_solve(op, c, sigma2, r)
+        rows = np.stack([one_row_solve(op, c, sigma2, row) for row in r])
         if op._gram_dual()[0] == "circulant":
             np.testing.assert_array_equal(batch, rows)
         else:
@@ -616,7 +618,7 @@ class TestFftLayer:
         kind, lam = op._gram_dual()
         assert kind == "circulant"
         want = np.fft.irfft(np.fft.rfft(r, axis=-1) / (0.7 * lam[:5] + 0.2), n=8, axis=-1)
-        _assert_same_bits(op.innovation_solve(0.7, 0.2, r), want)
+        _assert_same_bits(InnovationSystem(op, 0.7, 0.2).solve([r])[0], want)
 
 
 @st.composite
@@ -670,14 +672,14 @@ class TestDiagonalAndDenseProperties:
         s_mat = c * dense @ dense.T + sigma2 * np.eye(op.out_dim)
         r = rng.standard_normal(op.out_dim)
         np.testing.assert_allclose(
-            op.innovation_solve(c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
+            one_row_solve(op, c, sigma2, r), np.linalg.solve(s_mat, r), atol=1e-9
         )
         np.testing.assert_allclose(
-            op.innovation_logdet(c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
+            one_row_logdet(op, c, sigma2), np.linalg.slogdet(s_mat)[1], atol=1e-9
         )
         diagonal = kind != "dense"
         assert (op._gram_dual()[0] == "diagonal") == diagonal
-        assert (not op._innovation_cache) == diagonal
+        assert (not InnovationSystem(op, c, sigma2).chols) == diagonal
 
 
 @st.composite
@@ -711,66 +713,123 @@ def column_systems(draw):
 
 
 class TestColumnSolve:
-    """A column c solves K systems in one call, each bit for bit its scalar solve."""
+    """A column c solves K systems in one call, each bit for bit its one-row solve."""
 
     @given(column_systems())
     def test_column_matches_scalar_solves(self, system):
         kind, op, c, sigma2, r = system
-        got = op.innovation_solve(c, sigma2, r)
-        expected = np.stack([op.innovation_solve(float(ck), sigma2, r[..., k, :])
+        got = InnovationSystem(op, c, sigma2).solve(r)
+        expected = np.stack([one_row_solve(op, float(ck), sigma2, r[..., k, :])
                              for k, ck in enumerate(c[:, 0])], axis=-2)
         assert got.shape == r.shape
         np.testing.assert_array_equal(got, expected)
         assert op._gram_dual()[0] == kind
 
     @given(column_systems())
-    def test_cached_denominator_solves_as_the_uncached_expression(self, system):
-        # for the column and for the scalar c of its first row, the first
-        # solve builds the denominator c λ + σ² and later ones read it
+    def test_prepared_denominator_solves_as_the_expression(self, system):
+        # for the column and for the one-row system of its first c, the
+        # prepared denominator c λ + σ² solves as the expression, every time
         kind, op, c, sigma2, r = system
         m = op.out_dim
-        cases = [(c, r), (float(c[0, 0]), r[..., 0, :])]
+        cases = [(c, r), (c[:1], r[..., :1, :])]
         for ck, rk in cases:
+            prepared = InnovationSystem(op, ck, sigma2)
             data = op._gram_dual()[1]
             if kind == "diagonal":
                 want = rk / (ck * data + sigma2)
             elif kind == "circulant":
                 want = _irfft(_rfft(rk) / (ck * data[: m // 2 + 1] + sigma2), m)
             else:
-                want = op.innovation_solve(ck, sigma2, rk)
+                want = prepared.solve(rk)
             for _ in range(2):
-                np.testing.assert_array_equal(op.innovation_solve(ck, sigma2, rk), want)
-        if kind == "dense":
-            assert not op._denominators
-            return
-        assert len(op._denominators) == 2  # one per (c, σ²): the column, the scalar
-        for ck, _ in cases:
-            denom = op._innovation_denominator(ck, sigma2)
-            assert op._innovation_denominator(ck, sigma2) is denom
-            assert not denom.flags.writeable
-        op._innovation_denominator(c, sigma2 + 1.0)
-        assert len(op._denominators) == 3
+                np.testing.assert_array_equal(prepared.solve(rk), want)
+            if kind == "dense":
+                assert prepared.denom is None and len(prepared.chols) == len(ck)
+            else:
+                assert not prepared.denom.flags.writeable and not prepared.chols
 
-    def test_columns_of_equal_bytes_and_other_shapes_keep_their_own_denominators(self):
-        # c of shape (1, 1) and (1,) hold the same bytes; each solve keeps
-        # the shape it would have without the cache
+    def test_a_scalar_vector_or_column_c_prepares_one_row(self):
+        # c of shape (1, 1), (1,) or () is the same one-row column
         op = CoordinateMask(5, [0, 2, 3])
-        r = np.arange(5.0)
+        r = np.arange(5.0)[None, :]
         for c in (np.array([[0.5]]), np.array([0.5]), 0.5):
-            got = op.innovation_solve(c, 0.3, r)
-            want = r / (c * op.indicator ** 2 + 0.3)
-            assert got.shape == want.shape
+            got = InnovationSystem(op, c, 0.3).solve(r)
+            want = r / (0.5 * op.indicator ** 2 + 0.3)
+            assert got.shape == want.shape == (1, 5)
             np.testing.assert_array_equal(got, want)
-        assert len(op._denominators) == 3
 
-    def test_dense_column_does_not_reenter_the_public_solve(self):
+    def test_dense_system_factors_each_row_once_when_prepared(self, monkeypatch):
+        # one factor per c_k, all while preparing; solves factor nothing
         op = DenseMatrix(np.random.default_rng(19).standard_normal((4, 6)))
         calls = []
-        solve = op.innovation_solve
-        op.innovation_solve = lambda *args: calls.append(args) or solve(*args)
-        op.innovation_solve(np.array([[0.5], [1.5], [0.5]]), 0.3, np.ones((2, 3, 4)))
-        assert len(calls) == 1
-        assert set(op._innovation_cache) == {(0.5, 0.3), (1.5, 0.3)}
+        cholesky = scipy.linalg.cholesky
+        monkeypatch.setattr(scipy.linalg, "cholesky",
+                            lambda *args, **kw: calls.append(1) or cholesky(*args, **kw))
+        prepared = InnovationSystem(op, np.array([[0.5], [1.5], [0.5]]), 0.3)
+        assert len(calls) == len(prepared.chols) == 3
+        np.testing.assert_array_equal(prepared.chols[0], prepared.chols[2])
+        z = prepared.solve(np.ones((2, 3, 4)))
+        assert len(calls) == 3 and z.shape == (2, 3, 4)
+        np.testing.assert_array_equal(z[:, 0], z[:, 2])
+
+
+class _Diagonal(LinearOperator):
+    """diag(d) for arbitrary entries d: a diagonal H Hᵀ of varied entries."""
+
+    kind = "test-diagonal"
+
+    def __init__(self, d):
+        super().__init__(d.size, d.size)
+        self.d = d
+
+    def _apply(self, v):
+        return v * self.d
+
+    def _adjoint(self, u):
+        return u * self.d
+
+    def _diagonal_entries(self):
+        return self.d
+
+
+PREPARED_WIDTHS = [1, 8, 9, 129, 257, 2048, 4097]
+
+
+class TestPreparedSystemFormulas:
+    """Each row of a prepared system solves, and each log-determinant sums,
+    bit for bit as the independent one-row formula on H Hᵀ's λ."""
+
+    C = np.array([[0.3], [1.7], [0.05], [4.0]])
+    SIGMA2 = 0.09
+
+    def _check(self, op, lam, solve_row):
+        rng = np.random.default_rng(op.out_dim)
+        r = rng.standard_normal((3, len(self.C), op.out_dim))
+        prepared = InnovationSystem(op, self.C, self.SIGMA2)
+        z = prepared.solve(r)
+        for k, ck in enumerate(self.C[:, 0]):
+            _assert_same_bits(z[:, k, :], solve_row(r[:, k, :], ck))
+            assert prepared.logdets[k] == np.sum(np.log(ck * lam + self.SIGMA2))
+
+    @pytest.mark.parametrize("m", PREPARED_WIDTHS)
+    def test_diagonal_path(self, m):
+        d = np.random.default_rng(m).uniform(-2.0, 2.0, size=m)
+        op = _Diagonal(d)
+        assert op._gram_dual()[0] == "diagonal"
+        lam = d * d
+        self._check(op, lam, lambda r, ck: r / (ck * lam + self.SIGMA2))
+
+    @pytest.mark.parametrize("m", PREPARED_WIDTHS)
+    def test_circulant_path(self, m):
+        kernel = np.random.default_rng(m).standard_normal(min(m, 9))
+        op = CircularConvolution(m, kernel)
+        padded = np.zeros(m)
+        padded[: kernel.size] = kernel
+        lam = np.abs(np.fft.fft(padded)) ** 2
+        half = lam[: m // 2 + 1]
+        assert op._gram_dual()[0] == "circulant"
+        self._check(op, lam, lambda r, ck: np.fft.irfft(np.fft.rfft(r) / (ck * half + self.SIGMA2),
+                                                        n=m))
 
 
 @st.composite

@@ -12,6 +12,7 @@ from srp.operators import (
     DenseMatrix,
     FoldDownsample,
     Identity,
+    InnovationSystem,
     Scale,
     masked_fourier,
     uniform_row_mask,
@@ -26,6 +27,9 @@ from srp.priors import (
     observation_logpdf,
     observation_score,
 )
+from srp.restoration import ExactMmse
+
+from references import one_row_solve
 
 
 def standard_normal_prior(n=1):
@@ -348,11 +352,16 @@ def reference_posterior_mean(post, s):
         r = s - H.apply(prior.means[k])
         if prior.is_isotropic:
             c = float(prior.covariances[k])
-            shift = c * H.adjoint_apply(H.innovation_solve(c, post.sigma2, r))
+            shift = c * H.adjoint_apply(one_row_solve(H, c, post.sigma2, r))
         else:
-            shift = post._solve(k, r) @ (prior.cov_matrix(k) @ H.to_dense().T).T
+            shift = component_solve(post, k, r) @ (prior.cov_matrix(k) @ H.to_dense().T).T
         mean += resp[..., k, None] * (prior.means[k] + shift)
     return mean
+
+
+def component_solve(post, k, r):
+    """S_k⁻¹ r for component k of a non-isotropic posterior, r of shape (..., m)."""
+    return post._systems[k].solve(r[..., None, :])[..., 0, :]
 
 
 def _assert_same_bits(got, want):
@@ -433,30 +442,29 @@ class TestPosteriorFastPath:
         assert np.any(resp == 0.0) == (post.prior.n_components > 1)
         _assert_same_bits(post._responsibilities(post.component_loglik(s)), resp)
         if prior_name == "isotropic":
-            z = post._innovations(s, post.h_mu, post._logdets, post.obs.H.innovation_solve)[1]
+            z = post._innovations(s, post.h_mu, post._logdets, post._solve)[1]
             acc = sum((c * resp[..., k, None]) * z[..., k, :]
-                      for k, c in enumerate(post._cvals))
+                      for k, c in enumerate(post._ccol[:, 0]))
             want = resp @ post.prior.means + post.obs.H.adjoint_apply(acc)
             _assert_same_bits(post.posterior_mean(s), want)
 
     @pytest.mark.parametrize("op_name", ["coordinate-mask", "masked-fourier", "blur-fold",
                                          "convex-combo"])
-    def test_denominator_built_once_per_posterior(self, op_name):
-        # an isotropic posterior solves against one column c: its operator
-        # holds one denominator for it, built by the first solve
+    def test_denominator_prepared_once_per_posterior(self, op_name):
+        # an isotropic posterior solves against one column c: it prepares
+        # one system, whose one denominator every later solve reads
         post, s = self._setup(op_name, "isotropic")
         H = post.obs.H
-        assert not H._denominators
+        (system,) = post._systems
+        denom = system.denom
         first = post.posterior_mean(s)
-        (denom,) = H._denominators.values()
         for _ in range(2):
             np.testing.assert_array_equal(post.posterior_mean(s), first)
-            assert list(H._denominators.values()) == [denom]
-            assert H._denominators[next(iter(H._denominators))] is denom
+            assert post._systems == (system,) and system.denom is denom
         other = LinearGaussianPosterior(post.prior, ObservationModel(H, 0.9))
         other.posterior_mean(s)
-        assert len(H._denominators) == 2  # a second σ², a second denominator
-        assert not H._innovation_cache
+        assert other._systems[0].denom is not denom  # a second σ², a second denominator
+        assert not system.chols
 
     def test_blur_fold_builds_no_dense_form(self):
         # f | n makes the member's innovation system circulant: a silent
@@ -467,15 +475,15 @@ class TestPosteriorFastPath:
         H = post.obs.H
         assert H.in_dim % H.stages[-1].factor == 0
         assert H._dense is None
-        assert not H._innovation_cache
+        assert not post._systems[0].chols
 
     @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
     def test_one_solve_per_component(self, op_name, prior_name):
         # isotropic priors, one component or more, solve all K systems in one
-        # batched call on H; other priors solve component by component on
-        # their whitened operators
+        # batched call of H's one system; other priors solve component by
+        # component, each on its whitened operator's system
         post, s = self._setup(op_name, prior_name)
-        H, calls = post.obs.H, {"solve": 0, "innovation_solve": 0, "adjoint": 0}
+        H, calls = post.obs.H, {"solve": 0, "adjoint": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -483,14 +491,32 @@ class TestPosteriorFastPath:
                 return fn(*args, **kwargs)
             return wrapper
 
-        post._solve = counted("solve", post._solve)
-        H.innovation_solve = counted("innovation_solve", H.innovation_solve)
+        for system in post._systems:
+            system.solve = counted("solve", system.solve)
         H._adjoint = counted("adjoint", H._adjoint)  # the posterior calls the core
         post.posterior_mean(s)
         k, iso = post.prior.n_components, post.prior.is_isotropic
-        assert calls["solve"] == (0 if iso else k)
-        assert calls["innovation_solve"] == (1 if iso else 0)
+        assert len(post._systems) == (1 if iso else k)
+        assert calls["solve"] == (1 if iso else k)
         assert calls["adjoint"] == (1 if iso else 0)
+
+    @pytest.mark.parametrize("op_name,prior_name", FAST_PATH_CASES)
+    def test_systems_are_prepared_only_by_the_constructor(self, op_name, prior_name,
+                                                          monkeypatch):
+        # one system for an isotropic prior, one per component otherwise,
+        # all in __init__; no restore, likelihood or score prepares another
+        prepared = []
+        init = InnovationSystem.__init__
+        monkeypatch.setattr(InnovationSystem, "__init__",
+                            lambda self, *args: prepared.append(args) or init(self, *args))
+        post, s = self._setup(op_name, prior_name)
+        k, iso = post.prior.n_components, post.prior.is_isotropic
+        assert len(prepared) == (1 if iso else k)
+        post.posterior_mean(s)
+        post.component_loglik(s)
+        post.logpdf(s)
+        post.score(s[0])
+        assert len(prepared) == (1 if iso else k)
 
     @pytest.mark.parametrize("sigma", [0.6, 0.05])
     @pytest.mark.parametrize("shape", ["rows", "single", "grid"])
@@ -513,9 +539,9 @@ def per_component_reference(post, s):
     for k in range(count):
         r = s - H.apply(prior.means[k])
         if prior.is_isotropic:
-            z = H.innovation_solve(float(prior.covariances[k]), post.sigma2, r)
+            z = one_row_solve(H, float(prior.covariances[k]), post.sigma2, r)
         else:
-            z = post._solve(k, r)
+            z = component_solve(post, k, r)
         logliks.append(-0.5 * (np.sum(r * z, axis=-1) + post._logdets[k]
                                + H.out_dim * np.log(2.0 * np.pi)))
         zs.append(z)
@@ -609,8 +635,24 @@ class TestNonIsotropicInnovationProperties:
         for k in range(prior.n_components):
             s_mat = hd @ prior.cov_matrix(k) @ hd.T + post.sigma2 * np.eye(H.out_dim)
             r = rng.standard_normal(H.out_dim)
-            np.testing.assert_allclose(post._solve(k, r), np.linalg.solve(s_mat, r),
+            np.testing.assert_allclose(component_solve(post, k, r), np.linalg.solve(s_mat, r),
                                        atol=1e-9)
             np.testing.assert_allclose(post._logdets[k], np.linalg.slogdet(s_mat)[1],
                                        atol=1e-9)
-            assert (1.0, post.sigma2) in post._ops[k]._innovation_cache
+            assert len(post._systems[k].chols) == 1
+
+
+class TestStackedPosterior:
+    def test_restore_is_its_only_posterior_method(self):
+        # it stacks what its members' posteriors prepared; it has no
+        # operator or observation model to take one point at a time
+        prior = GmmPrior([0.4, 0.6], [np.zeros(3), np.ones(3)], [np.asarray(0.5), np.asarray(2.0)])
+        members = (Identity(3), CoordinateMask(3, [0, 2]))
+        stack = ExactMmse(prior, 0.5).stacked(members)
+        for name in ("posterior_mean", "component_loglik", "logpdf", "score", "obs"):
+            assert not hasattr(stack, name)
+        s = np.array([[0.3, -1.0, 2.0], [0.5, 0.0, 1.5]])
+        idx = np.array([1, 0])
+        got = stack.restore(s, idx)
+        for i, j in enumerate(idx):
+            np.testing.assert_array_equal(got[i], ExactMmse(prior, 0.5).restore(s[i], members[j]))

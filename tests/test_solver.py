@@ -5,6 +5,7 @@ import pytest
 
 import srp.solver
 from srp.objective import (
+    ClosedFormUnavailable,
     Problem,
     Regularizer,
     SingleGaussianForms,
@@ -24,6 +25,7 @@ from srp.operators import (
     DimensionMismatch,
     FoldDownsample,
     Identity,
+    InnovationSystem,
     LinearOperator,
     Scale,
 )
@@ -751,6 +753,21 @@ class TestStackedRestore:
         run([problem] * 3, reg, restorer, cfgs)
         assert built == []
 
+    @pytest.mark.parametrize("name", ["masks", "mixed-widths", "mixture", "diagonal-mixture",
+                                      "full"])
+    def test_no_step_prepares_an_innovation_system(self, name, monkeypatch):
+        # the stacked and the grouped path solve on the systems their
+        # posteriors prepared: a second run prepares none
+        problem, reg, restorer = lockstep_instance(name)
+        cfgs = [SolverConfig(gamma=0.3, iterations=40, seed=s, x0="zeros") for s in range(3)]
+        run([problem] * 3, reg, restorer, cfgs)
+        prepared = []
+        init = InnovationSystem.__init__
+        monkeypatch.setattr(InnovationSystem, "__init__",
+                            lambda self, *args: prepared.append(args) or init(self, *args))
+        run([problem] * 3, reg, restorer, cfgs)
+        assert prepared == []
+
     def test_one_restorer_serves_two_ensembles(self):
         # each ensemble gets its own stack on the shared restorer, so runs
         # on either, in turn, keep the bits of runs on a fresh restorer
@@ -1180,6 +1197,51 @@ class TestAudit:
         trace.f_initial = 2.0
         with pytest.raises(AuditError, match="single-Gaussian closed forms: .*one component"):
             audit_convergence(problem, reg, restorer, cfg, [trace])
+
+    @pytest.mark.parametrize("prior", [normal_prior(mean=[2.0], var=0.3),
+                                       normal_prior(var=2.0), normal_prior(mean=[0.5])],
+                             ids=["mean-and-variance", "variance", "mean"])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_refuses_a_restorer_of_another_prior(self, prior, wrapped):
+        # b(x) measures against the regularizer's R*: a restorer whose exact
+        # operator is another posterior mean is refused, not read as eps = 0
+        problem, reg, _ = one_d_instance()
+        restorer = ExactMmse(prior, 1.0)
+        if wrapped:
+            restorer = Biased(restorer, ConstantOffset([0.1]))
+        cfgs = [SolverConfig(gamma=0.25, iterations=300, seed=s, x0="zeros",
+                             record_iterates=True) for s in range(20)]
+        traces = run([problem] * 20, reg, restorer, cfgs)
+        with pytest.raises(AuditError, match="exact nu² and eps: .* the regularizer's"):
+            audit_convergence(problem, reg, restorer, cfgs[0], traces)
+        with pytest.raises(ClosedFormUnavailable, match="prior and sigma"):
+            exact_audit_terms(reg, restorer, [np.zeros(1)])
+
+    def test_refuses_a_restorer_at_another_sigma(self):
+        # the solver refuses such a restorer; the audit does too, whatever
+        # traces it is given
+        problem, reg, restorer = one_d_instance()
+        cfg = SolverConfig(gamma=0.25, iterations=50, seed=0, x0="zeros", record_iterates=True)
+        trace = run(problem, reg, restorer, cfg)[1]
+        other = ExactMmse(reg.prior, 0.5)
+        with pytest.raises(AuditError, match="exact nu² and eps: .* the regularizer's"):
+            audit_convergence(problem, reg, other, cfg, [trace])
+        with pytest.raises(ClosedFormUnavailable, match="prior and sigma"):
+            exact_audit_terms(reg, other, [np.zeros(1)])
+
+    def test_a_distinct_but_equal_prior_audits_as_the_same_object(self):
+        problem, reg, _ = one_d_instance()
+        cfgs = [SolverConfig(gamma=0.3, iterations=100, seed=s, x0="zeros",
+                             record_iterates=True) for s in range(5)]
+        reports = []
+        for prior in (reg.prior, normal_prior()):
+            assert (prior is reg.prior) == (not reports)
+            restorer = Biased(ExactMmse(prior, 1.0), ConstantOffset([0.1]))
+            traces = run([problem] * 5, reg, restorer, cfgs)
+            reports.append(audit_convergence(problem, reg, restorer, cfgs[0], traces))
+        assert reports[1].to_text() == reports[0].to_text()
+        assert reports[1].to_json_dict() == reports[0].to_json_dict()
+        np.testing.assert_allclose(reports[1].epsilon_hat, 0.1, atol=1e-12)
 
     def test_refuses_without_probes_or_iterates(self):
         problem, reg, restorer = one_d_instance()
