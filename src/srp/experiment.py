@@ -27,9 +27,9 @@ import numpy as np
 
 from . import arrayio
 from .config import BuiltExperiment, build_experiment
-from .metrics import mean_squared_error, psnr, psnr_db, ssim
+from .metrics import psnr, psnr_db, ssim
 from .objective import Problem, Regularizer
-from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity
+from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity, _fftn
 from .priors import GmmPrior
 from .restoration import Biased, ConstantOffset, ExactMmse, Gain
 from .solver import DivergenceError, audit_convergence, run as solver_run
@@ -134,6 +134,14 @@ def _peel(built):
     return HeadPeel(U, ops[0], ensemble, prior, restorer)
 
 
+def _kept(built, key, make):
+    """make(built), made on first use and kept on ``built`` under ``key``."""
+    cache = vars(built)
+    if key not in cache:
+        cache[key] = make(built)
+    return cache[key]
+
+
 def shared_head_peel(built):
     """The experiment's inputs behind a shared unitary DFT head, or None.
 
@@ -147,15 +155,10 @@ def shared_head_peel(built):
     for bit. The peel is built on first use and kept on ``built``, so the
     peeled posteriors' caches persist across passes.
     """
-    cache = vars(built)
-    if "_head_peel" not in cache:
-        cache["_head_peel"] = _peel(built)
-    return cache["_head_peel"]
+    return _kept(built, "_head_peel", _peel)
 
 
-def _solver_inputs(built):
-    """(A, regularizer, restorer, U): behind the shared head U when one
-    peels, else the experiment's own inputs with U None."""
+def _inputs(built):
     peel = shared_head_peel(built)
     if peel is None:
         reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
@@ -164,9 +167,18 @@ def _solver_inputs(built):
     return peel.A, reg, peel.restorer, peel.U
 
 
-def _solve(inputs, problems, scfgs, score=None):
+def _solver_inputs(built):
+    """(A, regularizer, restorer, U): behind the shared head U when one
+    peels, else the experiment's own inputs with U None. They are built on
+    first use and kept on ``built``, as the peel is, so the regularizer's
+    closed forms persist across passes."""
+    return _kept(built, "_solver_inputs", _inputs)
+
+
+def _solve(inputs, problems, scfgs, seed_values, score=None):
     """``solver.run`` on ``_solver_inputs`` for S seeds in lockstep, one
-    problem per seed; returns a Trace or ``DivergenceError`` per seed.
+    problem per seed; returns a Trace or ``DivergenceError`` per seed, each
+    error naming its seed value and every diverged seed of the block.
     Behind a head U, an explicit start point is moved to U x0, the PSNR
     scorer sees iterates behind the head, and final and last finite
     iterates are mapped back to the original coordinates."""
@@ -175,22 +187,27 @@ def _solve(inputs, problems, scfgs, score=None):
         scfgs = [c if isinstance(c.x0, str) else replace(c, x0=U.apply(c.x0))
                  for c in scfgs]
     outcomes = solver_run(problems, reg, restorer, scfgs, psnr_fn=score)
-    if U is not None:
-        for out in outcomes:
-            if isinstance(out, DivergenceError):
+    errors = []
+    for seed_value, out in zip(seed_values, outcomes):
+        if isinstance(out, DivergenceError):
+            out.seed = seed_value
+            errors.append(out)
+            if U is not None:
                 out.last_iterate = U.adjoint_apply(out.last_iterate)
-            else:
-                out.x_final = U.adjoint_apply(out.x_final)
+        elif U is not None:
+            out.x_final = U.adjoint_apply(out.x_final)
+    for err in errors:
+        err.diverged = [(e.seed, e.iteration) for e in errors]
     return outcomes
 
 
-def _pixels(built, v):
-    """The image pixels of v along its last axis: the magnitudes of a
-    complex image, read through a complex view of v (``metrics.magnitude``
-    without its copy), else v itself."""
+def _pixels(built, v, out=None):
+    """The image pixels of v along its last axis: for a complex image its
+    magnitudes, read through a complex view of v (``metrics.magnitude``
+    without its copy) and written into ``out`` when given; else v itself."""
     image = built.cfg.image
     if image is not None and image["complex"]:
-        return np.abs(np.ascontiguousarray(v, dtype=float).view(np.complex128))
+        return np.abs(np.ascontiguousarray(v, dtype=float).view(np.complex128), out=out)
     return np.asarray(v, dtype=float)
 
 
@@ -204,19 +221,36 @@ def _block_psnr(built, U, refs):
     """The lockstep block's PSNR scorer (``solver.run``'s ``psnr_fn``),
     called once per chunk of iterations: the live seeds' iterates of the
     chunk, stacked row by row with each row's seed in ``ids``, behind the
-    head U when it is not None, are mapped back by one ``U._adjoint`` and
+    head U when it is not None, are mapped back by one inverse DFT and
     scored row by row against their seeds' truth images, each row
-    ``metrics.psnr(...).db`` bit for bit. The block is the solver loop's
-    own array, so the core adjoint runs unchecked."""
+    ``metrics.psnr(...).db`` bit for bit.
+
+    The block is the solver loop's own array, which the scorer reads and
+    does not keep. The spectrum and the squared errors go into buffers kept
+    for the run, beside the truths gathered by ``ids``; they are made again
+    only when ``ids`` is not a prefix of the rows last gathered, as when a
+    seed leaves the block (a shorter final chunk is such a prefix)."""
     truths = np.stack([img.ravel() for img, _ in refs])
     peaks = np.array([peak for _, peak in refs])
     if not np.all(peaks > 0):
         raise ValueError("peak must be positive")
+    seen, truth, peak, spec, err = [], None, None, None, None
 
     def score(x, ids):
+        nonlocal seen, truth, peak, spec, err
+        ids, rows = list(ids), len(ids)
+        if seen[:rows] != ids:
+            seen, truth, peak = ids, truths[ids], peaks[ids]
+            err = np.empty_like(truth)
+            spec = None if U is None else np.empty((rows, *U.shape), dtype=complex)
         if U is not None:
-            x = U._adjoint(x)
-        return psnr_db(mean_squared_error(_pixels(built, x), truths[ids]), peaks[ids])[0]
+            z = np.ascontiguousarray(x).view(np.complex128).reshape(spec[:rows].shape)
+            x = _fftn(z, len(U.shape), True, out=spec[:rows]).reshape(rows, -1).view(np.float64)
+        sq = err[:rows]
+        with np.errstate(over="ignore"):
+            np.subtract(_pixels(built, x, out=sq), truth[:rows], out=sq)
+            np.square(sq, out=sq)
+        return psnr_db(np.mean(sq, axis=-1), peak[:rows])[0]
 
     return score
 
@@ -245,7 +279,7 @@ def run_seeds(built, seed_values):
     score = _block_psnr(built, inputs[3], refs) if want_psnr else None
 
     problems = [Problem(inputs[0], y) for y in ys]
-    outcomes = _solve(inputs, problems, scfgs, score)
+    outcomes = _solve(inputs, problems, scfgs, seed_values, score)
     wall_ms = 1000.0 * (time.perf_counter() - t0) / len(seed_values)
     results = []
     for seed_value, trace, x_true, ref in zip(seed_values, outcomes, truths, refs):
@@ -388,7 +422,7 @@ def audit_experiment(cfg, probes=None):
              for s in cfg.seeds]
     inputs = _solver_inputs(built)
     problem = Problem(inputs[0], y)
-    traces = _solve(inputs, [problem] * len(scfgs), scfgs)
+    traces = _solve(inputs, [problem] * len(scfgs), scfgs, cfg.seeds)
     for trace in traces:
         if isinstance(trace, DivergenceError):
             raise trace

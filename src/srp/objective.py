@@ -217,9 +217,10 @@ def regularizer_step(reg, restorer, x, members, noise):
     cached lookup) all S b draws are one block, taken first and built into
     no operator or posterior: the degrade and gram multiply by the draws'
     gathered diagonals in place, and one ``StackedPosterior.restore`` by
-    member index is ``perturb``ed. Otherwise each (batch slot, member) pair
-    drawn gets its own degrade, ``restore`` and gram, at most b * min(S, J)
-    groups for J members. The operands are arrays the solver loop made, so
+    member index, handed those diagonals, is ``perturb``ed. Otherwise each
+    (batch slot, member) pair drawn gets its own degrade, ``restore`` and
+    gram, at most b * min(S, J) groups for J members. No argument is
+    written. The operands are arrays the solver loop made, so
     the products call the operator cores; the restores still check s. A row
     is its seed's own step bit for bit wherever those calls run row by row,
     as every stacked call does.
@@ -235,7 +236,7 @@ def regularizer_step(reg, restorer, x, members, noise):
         xg = x if batch == 1 else np.repeat(x, batch, axis=0)
         s = ens.sigma * noise
         s += xg * d
-        terms = xg - perturb(restorer, stack.restore(s, idx))
+        terms = xg - perturb(restorer, stack.restore(s, idx, d))
         terms *= d
         terms *= d
         terms *= scale

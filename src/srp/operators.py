@@ -68,11 +68,12 @@ def _chol_with_jitter(mat, what):
 # refuse lists and integer arrays, and would run float32 in single precision.
 
 
-def _fftn(z, ndim, inverse):
+def _fftn(z, ndim, inverse, out=None):
     """Unitary DFT over the last ``ndim`` axes, taking z as complex;
-    scipy.fft.(i)fftn(z, norm="ortho") for complex z."""
+    scipy.fft.(i)fftn(z, norm="ortho") for complex z, written into ``out``
+    (a C-contiguous complex array of z's shape) when one is given."""
     z = np.asarray(z, dtype=complex)
-    return _pocketfft.c2c(z, tuple(range(-ndim, 0)), not inverse, 1, None, 1)
+    return _pocketfft.c2c(z, tuple(range(-ndim, 0)), not inverse, 1, out, 1)
 
 
 def _rfft(v):

@@ -339,14 +339,18 @@ class StackedPosterior(_MixtureTerms):
         self.h_mu = np.stack([p.h_mu for p in posteriors])
         self._logdets = np.stack([p._logdets for p in posteriors])
 
-    def restore(self, s, idx):
+    def restore(self, s, idx, d=None):
         """Row i of s restored through member idx[i], with the bits of that
         member's ``posterior_mean``. One ``take`` per stacked array gathers
-        the rows' members; H v = v d and the innovation solves divide by the
-        gathered denominators, which already hold c and σ²."""
-        d, denoms = self.diag.take(idx, 0), self.denoms.take(idx, 0)
+        the rows' members, the diagonals unless the caller passes them as
+        ``d`` (read, not written); H v = v d, and the innovation solves
+        divide by the gathered denominators, which already hold c and σ²,
+        in place: the gather is this call's own array."""
+        d = self.diag.take(idx, 0) if d is None else d
+        denoms = self.denoms.take(idx, 0)
         return self._isotropic_mean(_as_vec(s, d.shape[-1], "point"), self.h_mu.take(idx, 0),
-                                    self._logdets.take(idx, 0), lambda r: r / denoms,
+                                    self._logdets.take(idx, 0),
+                                    lambda r: np.divide(r, denoms, out=denoms),
                                     lambda z: z * d)
 
     def _weighted_means(self, resp):

@@ -55,15 +55,29 @@ _DIAG_CHUNK = 16
 
 
 class DivergenceError(RuntimeError):
-    """Iterates left the finite range; carries the last finite iterate."""
+    """Iterates left the finite range; carries the iteration, the last finite
+    iterate and the seed: the solver config's seed from ``run``, the
+    config's seed value from ``srp.experiment``. ``diverged`` lists (seed,
+    iteration) of this seed alone, or, as ``srp.experiment`` fills it, of
+    every seed of the block that diverged, in block order; the message
+    names each."""
 
-    def __init__(self, iteration, last_iterate):
+    def __init__(self, iteration, last_iterate, seed=None):
+        super().__init__(iteration, last_iterate, seed)
         self.iteration = int(iteration)
         self.last_iterate = last_iterate
-        super().__init__(
-            f"non-finite iterate at iteration {iteration}; "
-            "reduce the step size (last finite iterate attached)"
-        )
+        self.seed = seed
+        self.diverged = [(seed, self.iteration)]
+
+    def __str__(self):
+        text = f"non-finite iterate at iteration {self.iteration}"
+        if self.seed is not None:
+            text += f" of seed {self.seed}"
+        text += "; reduce the step size (last finite iterate attached)"
+        if len(self.diverged) > 1:
+            text += f"; {len(self.diverged)} seeds diverged: " + ", ".join(
+                f"seed {s} at iteration {i}" for s, i in self.diverged)
+        return text
 
 
 @dataclass
@@ -206,7 +220,9 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     iteration with the seeds in block order within each, ``ids`` lists the
     config index of each row's seed, and it returns the c S' PSNR values in
     row order. A seed that diverges has no trace, so the iterates of its
-    last chunk are not scored. The scorer may keep the arrays it is handed.
+    last chunk are not scored. X may be a view of the loop's run-long
+    buffer, which the next chunk overwrites, so a block scorer must not
+    keep it; the one-seed callable is handed a copy of each iterate.
 
     Every call runs one loop: the seeds advance as one (S, n) iterate block
     with an (S, m) residual block, each with its own selection and noise
@@ -235,7 +251,7 @@ def run(problem, reg, restorer, cfg, *, psnr_fn=None):
     stacked call each, every entry bit for bit its per-iteration value.
     """
     if isinstance(cfg, SolverConfig):
-        score = None if psnr_fn is None else (lambda X, ids: [psnr_fn(x) for x in X])
+        score = None if psnr_fn is None else (lambda X, ids: [psnr_fn(x.copy()) for x in X])
         (out,) = _lockstep([problem], reg, restorer, [cfg], score)
         if isinstance(out, DivergenceError):
             raise out
@@ -293,7 +309,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
     # every entry the bits of its per-iteration value, since the row dots,
     # the closed forms and the scorer all work row by row.
     chunk = min(_DIAG_CHUNK, t)
-    ghat_buf = np.empty((chunk, seeds, n))
+    ghat_buf, x_buf = np.empty((chunk, seeds, n)), np.empty((chunk + 1, seeds, n))
     noise = np.empty((chunk, seeds, cfg.batch, widths.max()))  # [j, s]: seed s's draws
     if forms is not None:
         fg_buf, r_buf = np.empty((chunk, seeds, n)), np.empty((chunk, seeds, y.shape[1]))
@@ -304,7 +320,6 @@ def _lockstep(problems, reg, restorer, cfgs, score):
         f_initial = None if forms is None else 0.5 * np.vecdot(r, r) + forms.value(x)
         for k0 in range(0, t, chunk):
             c = min(chunk, t - k0)
-            x_buf = np.empty((c + 1, seeds, n))  # new, so the scorer may keep its rows
             x_buf[0, live] = x
             for s in ids:
                 _draw_noise(streams[s][1], noise[:c, s], widths[k0:k0 + c, s])
@@ -320,7 +335,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
                 if not np.isfinite(sq).all():
                     finite = np.isfinite(x_new).all(axis=1)
                     for i in np.flatnonzero(~finite):
-                        outcomes[ids[i]] = DivergenceError(k + 1, x[i])
+                        outcomes[ids[i]] = DivergenceError(k + 1, x[i], cfgs[ids[i]].seed)
                     if not finite.all():
                         ids = [s for s, keep in zip(ids, finite) if keep]
                         if not ids:
@@ -343,7 +358,7 @@ def _lockstep(problems, reg, restorer, cfgs, score):
             cols = live, slice(k0, k0 + c)
             g = ghat_buf[:c, live]
             grad_hat_norm[cols] = np.vecdot(g, g).T
-            x_next = x_buf[1:, live]
+            x_next = x_buf[1:c + 1, live]
             if forms is not None:
                 true_grad = fg_buf[:c, live] + forms.grad(x_buf[:c, live])
                 grad_true_norm[cols] = np.vecdot(true_grad, true_grad).T

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import load_bench_workloads
-from srp import arrayio
+from srp import arrayio, experiment
 from srp.arrayio import read_array, write_array
 from srp.cli import EXIT_DIVERGENCE, main
 from srp.config import ExperimentConfig, build_experiment, build_solver_config
@@ -13,6 +14,7 @@ from srp.experiment import (
     SUMMARY_HEADER,
     _block_psnr,
     _seed_streams,
+    _solve,
     _solver_inputs,
     _to_image,
     audit_experiment,
@@ -23,9 +25,9 @@ from srp.experiment import (
 )
 from srp.metrics import magnitude, psnr
 from srp.objective import Problem, Regularizer, SingleGaussianForms
-from srp.operators import CoordinateMask, Identity
+from srp.operators import CoordinateMask, Identity, InnovationSystem
 from srp.priors import LinearGaussianPosterior, StackedPosterior
-from srp.solver import AuditProbes, DivergenceError, audit_convergence, run
+from srp.solver import _DIAG_CHUNK, AuditProbes, DivergenceError, audit_convergence, run
 
 
 def run_single(built, seed_value):
@@ -300,6 +302,47 @@ class TestDivergenceInABlock:
             "final_seed1.f64", "final_seed3.f64", "trace_seed1.csv", "trace_seed3.csv",
             "truth_seed1.f64", "truth_seed3.f64"]
 
+    NAMED = ("non-finite iterate at iteration 3 of seed 2; reduce the step size (last "
+             "finite iterate attached); 2 seeds diverged: seed 2 at iteration 3, seed 4 "
+             "at iteration 3")
+
+    def test_the_error_names_every_diverged_seed(self, tmp_path):
+        # seeds 2 and 4 diverge at iteration 3 and seed 1 finishes: the error
+        # raised is seed 2's, as its solo run raises it, and names both
+        built = build_experiment(_with(diverging_config(tmp_path / "out"), seeds=[1, 2, 4]))
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(built)
+        with pytest.raises(DivergenceError) as solo:
+            run_single(built, 2)
+        assert err.value.seed == solo.value.seed == 2
+        assert err.value.iteration == solo.value.iteration == 3
+        assert np.array_equal(err.value.last_iterate, solo.value.last_iterate)
+        assert err.value.diverged == [(2, 3), (4, 3)]
+        assert str(err.value) == self.NAMED
+        assert str(solo.value) == ("non-finite iterate at iteration 3 of seed 2; reduce "
+                                   "the step size (last finite iterate attached)")
+
+    def test_cli_names_every_diverged_seed(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        cfg = _with(diverging_config(tmp_path / "out"), seeds=[1, 2, 4])
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["run", str(path), "--quiet"]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == f"divergence: {self.NAMED}\n"
+
+    def test_an_audit_raises_the_first_diverged_seed_in_config_order(self, tmp_path):
+        # the audit's seeds share one problem: seed 4 finishes, seeds 2 and 1
+        # diverge, and seed 2 comes first in the config
+        cfg = _with(diverging_config(tmp_path / "out"), seeds=[4, 2, 1])
+        with pytest.raises(DivergenceError) as err:
+            audit_experiment(cfg)
+        with pytest.raises(DivergenceError) as solo:
+            audit_experiment(_with(cfg, seeds=[2]))
+        assert err.value.seed == solo.value.seed == 2
+        assert err.value.iteration == solo.value.iteration == 3
+        assert np.array_equal(err.value.last_iterate, solo.value.last_iterate)
+        assert err.value.diverged == [(2, 3), (1, 3)]
+        assert solo.value.diverged == [(2, 3)]
+
     def test_the_rows_left_are_scored_against_their_own_truths(self, tmp_path):
         # the middle seed starts near overflow and leaves the block; the
         # block scorer then sees the other two rows, each scored against
@@ -324,27 +367,88 @@ class TestBlockPsnr:
     """One scorer per iteration scores the live block: each row is
     ``metrics.psnr(...).db`` of its iterate, bit for bit."""
 
-    @pytest.mark.parametrize("name", ["demo", "superres"])
-    def test_trace_column_is_psnr_of_each_iterate(self, tmp_path, name):
-        # demo: complex images, solved behind the DFT head; superres: real
-        # vectors, no head
-        bench = load_bench_workloads()
-        spec = getattr(bench, f"{name}_config")(1, smoke=True)
+    @staticmethod
+    def smoke(tmp_path, name, **solver):
+        spec = getattr(load_bench_workloads(), f"{name}_config")(1, smoke=True)
         spec["output_dir"] = str(tmp_path)
-        built = build_experiment(ExperimentConfig.from_dict(spec))
-        built.solver = replace(built.solver, record_iterates=True)
+        spec["solver"].update(solver)
+        return build_experiment(ExperimentConfig.from_dict(spec))
+
+    @staticmethod
+    def want(built, x_true, iterates):
+        """``metrics.psnr(...).db`` of each iterate, taken behind the head
+        when the experiment peels one."""
         U = _solver_inputs(built)[3]
-        assert (U is not None) == (name == "demo")
         back = (lambda v: v) if U is None else U.adjoint_apply
+        img_true = _to_image(built, x_true).ravel()
+        peak = float(np.max(np.abs(img_true)))
+        return [psnr(_to_image(built, back(x)).ravel(), img_true, peak).db for x in iterates]
+
+    @pytest.mark.parametrize("t", [1, 10, 16, 17, 33])
+    @pytest.mark.parametrize("name", ["demo", "superres"])
+    def test_trace_column_is_psnr_of_each_iterate(self, tmp_path, name, t):
+        # demo: complex images, solved behind the DFT head; superres: real
+        # vectors, no head. t = 17 and 33 end on a one-iteration chunk,
+        # scored in the leading rows of the buffers the first chunk sized
+        built = self.smoke(tmp_path, name, iterations=t)
+        built.solver = replace(built.solver, record_iterates=True)
+        assert (_solver_inputs(built)[3] is not None) == (name == "demo")
         results = run_seeds(built, built.cfg.seeds)
         assert len(results) == len(built.cfg.seeds) > 1
         for row, trace, x_final, x_true in results:
-            img_true = _to_image(built, x_true).ravel()
-            peak = float(np.max(np.abs(img_true)))
-            want = [psnr(_to_image(built, back(x)).ravel(), img_true, peak).db
-                    for x in trace.iterates[1:]]
+            want = self.want(built, x_true, trace.iterates[1:])
+            assert len(want) == t
             assert trace.psnr.tolist() == want
             assert row.psnr_db == want[-1]
+
+    def test_a_seed_leaving_mid_chunk_regathers_the_truths(self, tmp_path):
+        # gamma 0.8 is unstable on the demo instance: seed 2 starts near the
+        # overflow point and leaves the block in the third chunk, after two
+        # chunks scored all three seeds; the last chunk is partial
+        built = self.smoke(tmp_path, "demo")
+        inputs = _solver_inputs(built)
+        truths, ys = zip(*(simulate_measurement(built, _seed_streams(built.cfg.seed, s)[0])
+                           for s in (1, 2, 3)))
+        refs = [(img, float(np.max(np.abs(img)))) for img in (_to_image(built, x) for x in truths)]
+        big = np.full(built.A.in_dim, 1e140)
+        cfgs = [replace(built.solver, gamma=0.8, iterations=50, seed=s,
+                        x0=big if s == 2 else "adjoint", record_iterates=True) for s in (1, 2, 3)]
+        outcomes = _solve(inputs, [Problem(inputs[0], y) for y in ys], cfgs, [1, 2, 3],
+                          _block_psnr(built, inputs[3], refs))
+        assert isinstance(outcomes[1], DivergenceError)
+        assert 2 * _DIAG_CHUNK + 1 < outcomes[1].iteration < 3 * _DIAG_CHUNK
+        for i in (0, 2):
+            want = self.want(built, truths[i], outcomes[i].iterates[1:])
+            assert np.all(np.isfinite(want))
+            assert outcomes[i].psnr.tolist() == want
+
+    def test_calls_after_the_first_allocate_less_than_a_pixel_block(self, tmp_path, monkeypatch):
+        # one chunk's pixel block on the demo config: c S pixels of float64,
+        # 16 * 3 * 1024 * 8 bytes = 384 KiB
+        built = self.smoke(tmp_path, "demo", iterations=3 * _DIAG_CHUNK)
+        seeds, pixels = len(built.cfg.seeds), int(np.prod(built.cfg.image["shape"]))
+        assert (seeds, pixels) == (3, 1024)
+        make, peaks = experiment._block_psnr, []
+
+        def traced(*args):
+            score = make(*args)
+
+            def call(x, ids):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = score(x, ids)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                return out
+            return call
+
+        monkeypatch.setattr(experiment, "_block_psnr", traced)
+        tracemalloc.start()
+        try:
+            run_seeds(built, built.cfg.seeds)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks[1:]) < _DIAG_CHUNK * seeds * pixels * 8
 
     def test_caps_and_overflow_row_by_row(self, tmp_path):
         built = build_experiment(diverging_config(tmp_path))
@@ -703,10 +807,29 @@ def test_two_seed_audit_restores_once_per_iteration(monkeypatch, index):
     monkeypatch.setattr(LinearGaussianPosterior, "posterior_mean",
                         lambda self, s: rows.append(len(s)) or mean(self, s))
     monkeypatch.setattr(StackedPosterior, "restore",
-                        lambda self, s, idx: rows.append(len(s)) or restore(self, s, idx))
+                        lambda self, s, idx, *d: rows.append(len(s)) or restore(self, s, idx, *d))
     audit_experiment(ExperimentConfig.from_dict(spec))
     assert len(rows) == 500 + len(spec["ensemble"]["members"])
     assert rows[:500] == [2] * 500
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
+def test_a_second_audit_pass_prepares_no_system_or_closed_forms(monkeypatch, index):
+    # the solver inputs, and with them the regularizer's closed forms, are
+    # built once per BuiltExperiment and kept for later passes
+    spec, _, _ = load_bench_workloads().audit_instances(1, smoke=True)[index]
+    spec["solver"]["gamma"] = 0.3
+    built = build_experiment(ExperimentConfig.from_dict(spec))
+    first = audit_experiment(built)
+    built_now = {InnovationSystem: 0, SingleGaussianForms: 0}
+    for cls in built_now:
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            built_now[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    second = audit_experiment(built)
+    assert built_now == {InnovationSystem: 0, SingleGaussianForms: 0}
+    assert second.to_text() == first.to_text()
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])

@@ -594,6 +594,24 @@ class TestFftLayer:
             _assert_same_bits(got, want)
             assert not np.shares_memory(got, z) and not np.shares_memory(got, half)
 
+    @given(fft_cases(), st.integers(0, 3), st.booleans())
+    def test_out_holds_the_public_result(self, case, spare, inverse):
+        # ``out`` is the leading rows of a larger C buffer, whose spare rows
+        # must stay untouched
+        x, ndim, layout = case
+        grid = x.shape[x.ndim - ndim:]
+        z = x.reshape(-1, *grid).astype(complex)
+        z.imag = z.real[..., ::-1]
+        z = _with_layout(z, layout)
+        buf = np.full((len(z) + spare, *grid), 7.0 - 3.0j)
+        public = scipy.fft.ifftn if inverse else scipy.fft.fftn
+        with np.errstate(all="ignore"):
+            got = _fftn(z, ndim, inverse, out=buf[:len(z)])
+            want = public(z, axes=tuple(range(-ndim, 0)), norm="ortho")
+        assert got.size == 0 or np.shares_memory(got, buf)  # an empty array shares none
+        _assert_same_bits(buf[:len(z)], want)
+        assert np.all(buf[len(z):] == 7.0 - 3.0j)
+
     @pytest.mark.parametrize("n", [*range(1, 65), 2731, 4623])
     def test_irfft_scales_as_numpy_at_every_length(self, n):
         # pocketfft's own 1/n rounds differently from numpy's at n = 2731, 4623

@@ -489,8 +489,8 @@ def count_restores(monkeypatch, rows):
     with the rows' member indices on the stacked path."""
     for cls in (ExactMmse, StackedPosterior):
         restore = cls.restore
-        monkeypatch.setattr(cls, "restore", lambda self, s, H, restore=restore:
-                            rows.append(len(s)) or restore(self, s, H))
+        monkeypatch.setattr(cls, "restore", lambda self, s, H, *d, restore=restore:
+                            rows.append(len(s)) or restore(self, s, H, *d))
 
 
 class TestLockstep:
