@@ -24,8 +24,9 @@ from .operators import (
     DenseMatrix, DimensionMismatch, DiscreteFourier, FoldDownsample, Identity, Scale,
     interleave, masked_fourier, random_row_mask, uniform_row_mask,
 )
+from .objective import Regularizer
 from .priors import GmmPrior, smooth_random_field
-from .restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
+from .restoration import Biased, ConstantOffset, Gain, Smoothing
 from .solver import SolverConfig
 
 CONFIG_VERSION = 1
@@ -385,16 +386,17 @@ def build_ensemble(v):
     return DegradationEnsemble(members, sigma=v["sigma"], weights=weights)
 
 
-def build_restorer(spec, prior, sigma):
+def build_restorer(spec, exact):
+    """A checked ``restorer`` block's restorer, built on ``exact``."""
     v = RESTORER(spec, "restorer")
     if v["type"] == "exact-mmse":
-        return ExactMmse(prior, sigma)
-    inner, p = build_restorer(v["inner"], prior, sigma), v["perturbation"]
+        return exact
+    inner, p = build_restorer(v["inner"], exact), v["perturbation"]
     if p["type"] == "gain":
         return Biased(inner, Gain(p["lam"]))
     if p["type"] == "smoothing":
         return Biased(inner, Smoothing(p["strength"]))
-    offset = p["offset"]
+    offset, prior = p["offset"], exact.prior
     if not isinstance(offset, list):
         offset = np.full(prior.dim, offset)
     elif len(offset) != prior.dim:
@@ -422,14 +424,19 @@ def build_solver_config(v, seed):
 
 @dataclass
 class BuiltExperiment:
+    """A checked config's parts; ``tau``, ``prior`` and ``ensemble`` read
+    ``reg``, on whose ``exact`` the restorer is built."""
+
     cfg: ExperimentConfig
     A: object
-    prior: GmmPrior
-    ensemble: DegradationEnsemble
+    reg: Regularizer
     restorer: object
-    tau: float  # the regularizer weight, ``cfg.solver["tau"]``
     truth: np.ndarray | None  # a file ground truth, read once; None: sampled from the prior
     solver: SolverConfig  # at the config's root seed; each run replaces the seed
+
+    tau = property(lambda self: self.reg.tau)
+    prior = property(lambda self: self.reg.prior)
+    ensemble = property(lambda self: self.reg.ens)
 
 
 def build_experiment(cfg):
@@ -437,11 +444,12 @@ def build_experiment(cfg):
     A = build_operator(cfg.problem["operator"])
     prior = build_prior(cfg.prior)
     ensemble = build_ensemble(cfg.ensemble)
-    restorer = build_restorer(cfg.restorer, prior, ensemble.sigma)
     if A.in_dim != prior.dim:
         raise ConfigError(f"measurement operator in_dim {A.in_dim} != prior dim {prior.dim}")
     if ensemble.in_dim != prior.dim:
         raise ConfigError(f"ensemble in_dim {ensemble.in_dim} != prior dim {prior.dim}")
+    reg = Regularizer(tau=cfg.solver["tau"], prior=prior, ens=ensemble)
+    restorer = build_restorer(cfg.restorer, reg.exact)
     image = cfg.image
     ssim_on = cfg.metrics["ssim"] and image is not None and len(image["shape"]) == 2
     if ssim_on and min(image["shape"]) < _SSIM_WINDOW:
@@ -487,5 +495,4 @@ def build_experiment(cfg):
     if not isinstance(scfg.x0, str) and len(scfg.x0) != prior.dim:
         raise ConfigError(f"solver.x0 must have {prior.dim} entries (the prior dim), "
                           f"got {len(scfg.x0)}")
-    return BuiltExperiment(cfg=cfg, A=A, prior=prior, ensemble=ensemble, restorer=restorer,
-                           tau=cfg.solver["tau"], truth=truth, solver=scfg)
+    return BuiltExperiment(cfg=cfg, A=A, reg=reg, restorer=restorer, truth=truth, solver=scfg)

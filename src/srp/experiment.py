@@ -26,12 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import arrayio
-from .config import BuiltExperiment, build_experiment
+from .config import BuiltExperiment, ConfigError, build_experiment
 from .metrics import psnr, psnr_db, ssim
 from .objective import Problem, Regularizer
 from .operators import Composition, DegradationEnsemble, DiscreteFourier, Identity, _fftn
 from .priors import GmmPrior
-from .restoration import Biased, ConstantOffset, ExactMmse, Gain
+from .restoration import Biased, ConstantOffset, Gain
 from .solver import DivergenceError, audit_convergence, run as solver_run
 
 SUMMARY_HEADER = "run_id,seed,psnr_db,ssim,f_final,iters,wall_ms"
@@ -79,24 +79,29 @@ def _seed_streams(root_seed, seed_value):
 
 
 def simulate_measurement(built, rng):
-    """Ground truth (the file's, else sampled) and measurement y = A x + e."""
+    """Ground truth (the file's, else sampled) and measurement y = A x + e;
+    a y that overflows is the config's ``ConfigError``."""
     x_true = built.prior.sample(rng) if built.truth is None else built.truth
-    y = built.A.apply(x_true)
     sigma = built.cfg.problem["noise_sigma"]
-    if sigma > 0:
-        y = y + sigma * rng.standard_normal(built.A.out_dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        y = built.A.apply(x_true)
+        if sigma > 0:
+            y = y + sigma * rng.standard_normal(built.A.out_dim)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("the simulated measurement y = A x + e has non-finite entries; "
+                          "scale problem.operator or the prior down")
     return x_true, y
 
 
 class HeadPeel(NamedTuple):
-    """A unitary DFT U that heads ``A`` and every member, and the
-    experiment's inputs in the coordinates x̂ = U x."""
+    """The experiment's solver inputs in the coordinates x̂ = U x, for a
+    unitary DFT U that heads ``A`` and every member, in the order of
+    ``_solver_inputs``: the restorer is built on the peeled ``reg.exact``."""
 
-    U: DiscreteFourier
     A: object
-    ensemble: DegradationEnsemble
-    prior: GmmPrior
+    reg: Regularizer
     restorer: object
+    U: DiscreteFourier
 
 
 def _behind_head(op, shape):
@@ -110,17 +115,17 @@ def _behind_head(op, shape):
 
 
 def _peel(built):
-    A = built.A
+    A, reg = built.A, built.reg
     U = A.stages[0] if isinstance(A, Composition) else A
-    if not isinstance(U, DiscreteFourier) or not built.prior.is_isotropic:
+    if not isinstance(U, DiscreteFourier) or not reg.prior.is_isotropic:
         return None
-    ops = [_behind_head(H, U.shape) for H in (A, *built.ensemble.members)]
-    exact = built.restorer.exact
-    if any(op is None for op in ops) or exact.prior is not built.prior:
+    ops = [_behind_head(H, U.shape) for H in (A, *reg.ens.members)]
+    exact, prior, ens = built.restorer.exact, reg.prior, reg.ens
+    if any(op is None for op in ops) or exact.prior is not prior or exact.sigma != ens.sigma:
         return None
-    prior = built.prior
     prior = GmmPrior(prior.weights, U.apply(prior.means), list(prior.covariances))
-    restorer = ExactMmse(prior, exact.sigma)
+    reg = Regularizer(reg.tau, prior, DegradationEnsemble(ops[1:], ens.sigma, ens.weights))
+    restorer = reg.exact
     for p in built.restorer.perturbations:
         # an offset c becomes U c; a gain commutes with U, since its centre
         # is the peeled prior's mean U μ̄; smoothing does not commute
@@ -129,17 +134,7 @@ def _peel(built):
         elif not isinstance(p, Gain):
             return None
         restorer = Biased(restorer, p)
-    ens = built.ensemble
-    ensemble = DegradationEnsemble(ops[1:], ens.sigma, ens.weights)
-    return HeadPeel(U, ops[0], ensemble, prior, restorer)
-
-
-def _kept(built, key, make):
-    """make(built), made on first use and kept on ``built`` under ``key``."""
-    cache = vars(built)
-    if key not in cache:
-        cache[key] = make(built)
-    return cache[key]
+    return HeadPeel(ops[0], reg, restorer, U)
 
 
 def shared_head_peel(built):
@@ -149,30 +144,27 @@ def shared_head_peel(built):
     members lose their head (a masked Fourier operator becomes a bare mask),
     and the prior becomes (U μ_k, c_k I). The peel is taken when ``A`` and
     every member start with a ``DiscreteFourier`` of one shape, the prior is
-    isotropic and the restorer is the exact posterior mean of that prior,
-    wrapped only in constant offsets and gains; otherwise this returns None.
-    Solves behind the head agree with the unpeeled ones to rounding, not bit
-    for bit. The peel is built on first use and kept on ``built``, so the
-    peeled posteriors' caches persist across passes.
+    isotropic and the restorer is the exact posterior mean of that prior at
+    the ensemble's sigma, wrapped only in constant offsets and gains;
+    otherwise this returns None. The peeled restorer is built on the peeled
+    regularizer's ``exact``. Solves behind the head agree with the unpeeled
+    ones to rounding, not bit for bit. The peel is built on first use and
+    kept on ``built``, so the peeled regularizer's posteriors and closed
+    forms persist across passes.
     """
-    return _kept(built, "_head_peel", _peel)
-
-
-def _inputs(built):
-    peel = shared_head_peel(built)
-    if peel is None:
-        reg = Regularizer(tau=built.tau, prior=built.prior, ens=built.ensemble)
-        return built.A, reg, built.restorer, None
-    reg = Regularizer(tau=built.tau, prior=peel.prior, ens=peel.ensemble)
-    return peel.A, reg, peel.restorer, peel.U
+    cache = vars(built)
+    if "_head_peel" not in cache:
+        cache["_head_peel"] = _peel(built)
+    return cache["_head_peel"]
 
 
 def _solver_inputs(built):
-    """(A, regularizer, restorer, U): behind the shared head U when one
-    peels, else the experiment's own inputs with U None. They are built on
-    first use and kept on ``built``, as the peel is, so the regularizer's
-    closed forms persist across passes."""
-    return _kept(built, "_solver_inputs", _inputs)
+    """(A, regularizer, restorer, U): the kept peel behind the shared head U
+    when one peels, else the experiment's own, with U None. Either way the
+    restorer is built on the regularizer's ``exact``, kept with it, so the
+    posteriors and closed forms persist across passes."""
+    peel = shared_head_peel(built)
+    return (built.A, built.reg, built.restorer, None) if peel is None else peel
 
 
 def _solve(inputs, problems, scfgs, seed_values, score=None):

@@ -7,12 +7,13 @@ whose gradient reduces exactly to the averaged restoration residual
 
     ∇h(x) = (tau / sigma²) E[ Hᵀ H (x - R*(s, H)) ].
 
-Exact evaluation of h, its gradient and its curvature is available for
+The regularizer's ``exact``, the exact MMSE operator R*, owns the members'
+exact posteriors. From them, h, its gradient and its curvature are exact for
 single-Gaussian priors (Gaussian cross-entropy, ``SingleGaussianForms``).
-For any prior, ``reg_grad_exact`` estimates ∇h by Monte Carlo through the
-exact posterior mean, and ``regularizer_step`` computes the solver's per-step
-term. The tests keep Monte Carlo references for h, the step's variance and
-the bias vector in ``tests/references.py``.
+For any prior, ``reg_grad_exact`` estimates ∇h by Monte Carlo through R*,
+and ``regularizer_step`` computes the solver's per-step term. The tests keep
+Monte Carlo references for h, the step's variance and the bias vector in
+``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .operators import DimensionMismatch, gram_operator_norm
-from .priors import LinearGaussianPosterior, ObservationModel, _LOG_2PI
+from .priors import _LOG_2PI
 from .restoration import (
     ConstantOffset,
     ExactMmse,
@@ -58,14 +59,18 @@ class Problem:
             raise DimensionMismatch(
                 f"measurement y must be a vector, got shape {self.y.shape}",
                 self.A.out_dim, self.y.size)
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("measurement y has non-finite entries")
 
 
 @dataclass(frozen=True)
 class Regularizer:
     """Regularization strength tau, prior, and the degradation ensemble.
 
-    Frozen: the single-Gaussian closed forms are built from the three on
-    first use and kept, like an operator's caches.
+    Frozen: the exact MMSE operator ``exact`` (at the ensemble's sigma), the
+    one owner of the members' exact posteriors, and the single-Gaussian
+    closed forms read from them are built on first use and kept, like an
+    operator's caches.
     """
 
     tau: float
@@ -73,10 +78,14 @@ class Regularizer:
     ens: object
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if self.ens.in_dim != self.prior.dim:
             raise DimensionMismatch("ensemble in_dim", self.prior.dim, self.ens.in_dim)
+
+    @cached_property
+    def exact(self):
+        return ExactMmse(self.prior, self.ens.sigma)
 
     @cached_property
     def gaussian_forms(self):
@@ -99,14 +108,6 @@ def fidelity_lipschitz(problem):
     return gram_operator_norm(problem.A)
 
 
-def _posteriors(reg):
-    sigma = reg.ens.sigma
-    return [
-        LinearGaussianPosterior(reg.prior, ObservationModel(H, sigma))
-        for H in reg.ens.members
-    ]
-
-
 # -- values -----------------------------------------------------------------------
 
 
@@ -118,7 +119,7 @@ class SingleGaussianForms:
         C    = tau * sum_j p_j H_jᵀ S_j^{-1} H_j,
     with S_j = H_j Sigma H_jᵀ + sigma² I, which also yields the exact gradient
     and the exact curvature bound used by the convergence auditor. Every
-    S_j^{-1} and log det S_j comes from member j's posterior.
+    S_j^{-1} and log det S_j comes from ``reg.exact``'s posterior of H_j.
     """
 
     def __init__(self, reg):
@@ -135,8 +136,8 @@ class SingleGaussianForms:
         sigma2 = ens.sigma ** 2
         curvature = np.zeros((prior.dim, prior.dim))
         const = 0.0
-        for post, H, p in zip(_posteriors(reg), ens.members, ens.weights):
-            hd = H.to_dense()
+        for H, p in zip(ens.members, ens.weights):
+            post, hd = reg.exact._posterior(H), H.to_dense()
             m = H.out_dim
             sinv_h = post._solve(hd.T[:, None, :])[:, 0, :].T
             curvature += p * hd.T @ sinv_h
@@ -169,13 +170,12 @@ class SingleGaussianForms:
 def reg_grad_exact(reg, x, mc_samples, rng):
     """Monte Carlo estimator of ∇h built on the exact posterior mean.
 
-    The integrand uses the exact restoration operator, so the estimator is
-    unbiased for the true gradient of h.
+    The integrand uses the exact restoration operator ``reg.exact``, so the
+    estimator is unbiased for the true gradient of h.
     """
     x = _mc_point(reg.ens, x, mc_samples)
-    exact = ExactMmse(reg.prior, reg.ens.sigma)
     return _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
-                             lambda s, H: x - exact.restore(s, H))[0]
+                             lambda s, H: x - reg.exact.restore(s, H))[0]
 
 
 def regularizer_curvature_bound(reg):

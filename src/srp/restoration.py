@@ -16,9 +16,9 @@ The one draw-and-restore kernel, ``_residual_moments``, takes moments of
 
 over draws H ~ weights, s = H x + sigma n from ``DegradationEnsemble.observe``.
 The library estimates the gradient of h with it (``objective.reg_grad_exact``,
-r = x - R*). The test references in ``tests/references.py`` estimate the
-stochastic step's trace-variance (r = x - R) and the bias vector
-(r = R* - R) with it,
+r = x - R*, R* its regularizer's ``exact``). The test references in
+``tests/references.py`` estimate the stochastic step's trace-variance
+(r = x - R) and the bias vector (r = R* - R) with it,
 
     b(x) = (tau / sigma²) E_{H, s}[ Hᵀ H (R*(s, H) - R(s, H)) ].
 

@@ -94,8 +94,8 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= self.gamma < np.inf:  # NaN fails too
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.batch < 1:
@@ -186,6 +186,8 @@ def _initial_point(cfg, problem):
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (problem.A.in_dim,):
         raise ValueError(f"x0 must have length {problem.A.in_dim}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 has non-finite entries")
     return x0.copy()
 
 

@@ -18,9 +18,8 @@ The module is not called ``reference``: ``bench/tests`` imports
 
 import numpy as np
 
-from srp.objective import _posteriors
 from srp.operators import DimensionMismatch, InnovationSystem
-from srp.restoration import ExactMmse, _mc_point, _residual_moments, restore_with_exact
+from srp.restoration import _mc_point, _residual_moments, restore_with_exact
 from srp.solver import _draw_noise
 
 
@@ -66,9 +65,8 @@ def reg_grad_with_se(reg, x, mc_samples, rng):
     """``objective.reg_grad_exact`` and the per-coordinate standard error of
     its mean, from the same draws: the mean is its value bit for bit."""
     x = _mc_point(reg.ens, x, mc_samples)
-    exact = ExactMmse(reg.prior, reg.ens.sigma)
     mean, mean_sq = _residual_moments(reg.ens, x, reg.tau, mc_samples, rng,
-                                      lambda s, H: x - exact.restore(s, H))
+                                      lambda s, H: x - reg.exact.restore(s, H))
     n = int(mc_samples)
     return mean, np.sqrt(_sample_variance(mean, mean_sq, n) / n)
 
@@ -78,13 +76,13 @@ def reg_value_mc(reg, x, mc_samples, rng):
 
     Draws come from ``DegradationEnsemble.observe``, so two calls with
     identically seeded generators share their randomness; that is what makes
-    common-random-number finite differences work.
+    common-random-number finite differences work. Each member's log p(s | H)
+    comes from its posterior in ``reg.exact``.
     """
     x = _mc_point(reg.ens, x, mc_samples)
-    posts = _posteriors(reg)
     vals = np.empty(int(mc_samples))
-    for j, _, rows, s in reg.ens.observe(x, mc_samples, rng):
-        vals[rows] = -posts[j].logpdf(s)
+    for _, H, rows, s in reg.ens.observe(x, mc_samples, rng):
+        vals[rows] = -reg.exact._posterior(H).logpdf(s)
     est = reg.tau * float(np.mean(vals))
     se = reg.tau * float(np.std(vals, ddof=1) / np.sqrt(mc_samples))
     return est, se

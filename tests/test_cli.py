@@ -256,6 +256,25 @@ class TestInputErrors:
         self.assert_input_error(proc, f"input error: {folder}: Is a directory")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_measurement(self, tmp_path):
+        # a finite prior mean through a finite operator can overflow y; that
+        # is refused as the config's, not reported as a divergence
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "version": 1, "name": "overflow", "seed": 1, "seeds": [1],
+            "output_dir": str(tmp_path / "out"),
+            "problem": {"operator": {"kind": "dense-matrix",
+                                     "matrix": [[1e300, 1e300], [0.0, 1.0]]},
+                        "noise_sigma": 0.0},
+            "prior": {"type": "explicit", "weights": [1.0], "means": [[1e300, 1e300]],
+                      "covariances": [1.0]},
+            "ensemble": {"members": [{"kind": "identity", "dim": 2}], "sigma": 1.0},
+            "restorer": {"type": "exact-mmse"},
+            "solver": {"gamma": 0.1, "tau": 1.0, "iterations": 5}}))
+        proc = run_cli("run", str(path), "--quiet")
+        self.assert_input_error(
+            proc, "config error: the simulated measurement y = A x + e has non-finite entries")
+
     def test_non_finite_ground_truth_file(self, tmp_path):
         gt = tmp_path / "truth.f64"
         write_array(gt, np.r_[np.zeros(127), np.nan])

@@ -345,7 +345,7 @@ class TestRestorerSpecs:
             },
             "perturbation": {"type": "constant-offset", "offset": 0.1},
         }
-        r = build_restorer(spec, prior, 0.5)
+        r = build_restorer(spec, ExactMmse(prior, 0.5))
         assert isinstance(r, Biased) and len(r.perturbations) == 2
         assert isinstance(r.exact, ExactMmse)
         assert r.exact.sigma == 0.5
@@ -370,7 +370,7 @@ class TestRestorerSpecs:
         spec = {"type": "biased", "inner": {"type": "exact-mmse"},
                 "perturbation": perturbation}
         with pytest.raises(ConfigError, match=re.escape(message)):
-            build_restorer(spec, prior, 0.5)
+            build_restorer(spec, ExactMmse(prior, 0.5))
 
     def test_offsets_and_integral_numbers_accepted(self):
         prior = build_prior({"type": "gmm-recipe", "dim": 3, "components": 1,
@@ -378,7 +378,7 @@ class TestRestorerSpecs:
 
         def perturbation(p):
             spec = {"type": "biased", "inner": {"type": "exact-mmse"}, "perturbation": p}
-            return build_restorer(spec, prior, 0.5).perturbations[-1]
+            return build_restorer(spec, ExactMmse(prior, 0.5)).perturbations[-1]
 
         vector = perturbation({"type": "constant-offset", "offset": [0.1, -0.2, 0]})
         np.testing.assert_array_equal(vector.offset, [0.1, -0.2, 0.0])

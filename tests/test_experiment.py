@@ -1,5 +1,7 @@
+import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from srp.metrics import magnitude, psnr
 from srp.objective import Problem, Regularizer, SingleGaussianForms
 from srp.operators import CoordinateMask, Identity, InnovationSystem
 from srp.priors import LinearGaussianPosterior, StackedPosterior
+from srp.restoration import ExactMmse
 from srp.solver import _DIAG_CHUNK, AuditProbes, DivergenceError, audit_convergence, run
 
 
@@ -639,8 +642,9 @@ class TestSharedHeadPeel:
         built = build_experiment(cfg)
         peel = shared_head_peel(built)
         assert peel is not None and shared_head_peel(built) is peel
+        assert peel.restorer.exact is peel.reg.exact
         assert isinstance(peel.A, CoordinateMask)
-        assert all(isinstance(H, CoordinateMask) for H in peel.ensemble.members)
+        assert all(isinstance(H, CoordinateMask) for H in peel.reg.ens.members)
         for seed in cfg.seeds:
             row, trace, x_final, _ = run_single(built, seed)
             x_ref, ref = _unpeeled_run(built, seed)
@@ -659,14 +663,14 @@ class TestSharedHeadPeel:
         built = build_experiment(small_complex_config(tmp_path, seeds=(1,)))
         assert "_head_peel" not in vars(built)  # nothing is peeled at build time
         run_single(built, 1)
-        posteriors = dict(shared_head_peel(built).restorer._posteriors)
-        stacks = dict(shared_head_peel(built).restorer._stacks)
+        posteriors = dict(shared_head_peel(built).reg.exact._posteriors)
+        stacks = dict(shared_head_peel(built).reg.exact._stacks)
         assert len(posteriors) == built.ensemble.size
-        assert list(stacks) == [shared_head_peel(built).ensemble.members]
+        assert list(stacks) == [shared_head_peel(built).reg.ens.members]
         assert all(isinstance(v, StackedPosterior) for v in stacks.values())
         run_single(built, 1)
-        assert shared_head_peel(built).restorer._posteriors == posteriors
-        assert shared_head_peel(built).restorer._stacks == stacks
+        assert shared_head_peel(built).reg.exact._posteriors == posteriors
+        assert shared_head_peel(built).reg.exact._stacks == stacks
 
     def test_explicit_start_and_divergence_in_original_coordinates(self, tmp_path):
         cfg = small_complex_config(tmp_path, seeds=(1,), iterations=10)
@@ -813,6 +817,17 @@ def test_two_seed_audit_restores_once_per_iteration(monkeypatch, index):
     assert rows[:500] == [2] * 500
 
 
+def _count_builds(monkeypatch, *classes):
+    """{class: instances built}, counting from now on."""
+    built_now = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            built_now[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built_now
+
+
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
 def test_a_second_audit_pass_prepares_no_system_or_closed_forms(monkeypatch, index):
     # the solver inputs, and with them the regularizer's closed forms, are
@@ -821,15 +836,24 @@ def test_a_second_audit_pass_prepares_no_system_or_closed_forms(monkeypatch, ind
     spec["solver"]["gamma"] = 0.3
     built = build_experiment(ExperimentConfig.from_dict(spec))
     first = audit_experiment(built)
-    built_now = {InnovationSystem: 0, SingleGaussianForms: 0}
-    for cls in built_now:
-        def counted(self, *args, cls=cls, init=cls.__init__):
-            built_now[cls] += 1
-            init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
+    built_now = _count_builds(monkeypatch, InnovationSystem, SingleGaussianForms)
     second = audit_experiment(built)
     assert built_now == {InnovationSystem: 0, SingleGaussianForms: 0}
     assert second.to_text() == first.to_text()
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
+def test_one_posterior_and_system_per_member_per_experiment(monkeypatch, index):
+    # the restorer is the regularizer's exact operator, whose posteriors the
+    # closed forms, the lockstep block and the audit terms all read
+    spec, _, _ = load_bench_workloads().audit_instances(1, smoke=True)[index]
+    spec["solver"]["gamma"] = 0.3
+    built_now = _count_builds(monkeypatch, LinearGaussianPosterior, InnovationSystem)
+    built = build_experiment(ExperimentConfig.from_dict(spec))
+    audit_experiment(built)
+    members = len(spec["ensemble"]["members"])
+    assert built_now == {LinearGaussianPosterior: members, InnovationSystem: members}
+    assert built.restorer.exact is built.reg.exact
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["audit-4d", "audit-1d-biased"])
@@ -841,13 +865,37 @@ def test_bench_audit_instances_are_exact(index):
     assert len(report.to_json_dict()["members"]) == len(spec["ensemble"]["members"])
 
 
+def test_a_restorer_at_another_sigma_is_not_peeled_and_is_refused(tmp_path):
+    # the peeled restorer is built on the ensemble's sigma, so a restorer at
+    # another sigma stays unpeeled, where the solver's sigma check refuses it
+    built = build_experiment(small_complex_config(tmp_path, seeds=(1,), iterations=10))
+    other = replace(built, restorer=ExactMmse(built.prior, 2 * built.ensemble.sigma))
+    assert shared_head_peel(built) is not None and shared_head_peel(other) is None
+    with pytest.raises(ValueError, match="restorer noise level"):
+        run_single(other, 1)
+
+
+def test_a_dropped_build_frees_its_posteriors_by_refcount(tmp_path):
+    # no reference cycle holds a build's exact operators, so dropping the
+    # build frees its posteriors without a garbage collection
+    built = build_experiment(small_complex_config(tmp_path, seeds=(1,), iterations=10))
+    run_single(built, 1)
+    held = [weakref.ref(built.reg.exact), weakref.ref(shared_head_peel(built).reg.exact)]
+    gc.disable()
+    try:
+        del built
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_bare_fourier_head_peels_to_identity(tmp_path):
     cfg = small_complex_config(tmp_path, seeds=(1,), iterations=10)
     head = {"kind": "discrete-fourier", "shape": [8, 8]}
     built = build_experiment(_with(cfg, ensemble=dict(
         cfg.ensemble, members=cfg.ensemble["members"] + [head])))
     peel = shared_head_peel(built)
-    assert isinstance(peel.ensemble.members[-1], Identity)
+    assert isinstance(peel.reg.ens.members[-1], Identity)
     _, _, x_final, _ = run_single(built, 1)
     x_ref, _ = _unpeeled_run(built, 1)
     assert np.max(np.abs(x_final - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))

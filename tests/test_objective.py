@@ -29,7 +29,7 @@ from srp.operators import (
     Identity,
     Scale,
 )
-from srp.priors import GmmPrior
+from srp.priors import GmmPrior, LinearGaussianPosterior
 from srp.restoration import Biased, ConstantOffset, ExactMmse, Gain, Smoothing
 
 from references import (
@@ -208,6 +208,27 @@ class TestClosedFormsCache:
         assert reg == Regularizer(tau=0.9, prior=prior, ens=ens)
         with pytest.raises(dataclasses.FrozenInstanceError):
             reg.tau = 1.0
+
+    def test_one_posterior_per_member_for_forms_and_gradients(self, monkeypatch):
+        # the closed forms and every reg_grad_exact call read reg.exact
+        prior = GmmPrior([1.0], [[0.5, -0.3, 0.2]], [np.diag([0.8, 1.1, 0.6])])
+        ens = DegradationEnsemble([Identity(3), CoordinateMask(3, [0, 2]),
+                                   DenseMatrix([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]])],
+                                  sigma=0.6)
+        reg = Regularizer(tau=0.9, prior=prior, ens=ens)
+        x = np.array([0.3, -1.1, 0.7])
+        fresh = [reg_grad_exact(Regularizer(tau=0.9, prior=prior, ens=ens), x, 64,
+                                np.random.default_rng(seed)) for seed in (1, 2)]
+        builds = []
+        init = LinearGaussianPosterior.__init__
+        monkeypatch.setattr(LinearGaussianPosterior, "__init__",
+                            lambda self, *args: builds.append(args) or init(self, *args))
+        reg.gaussian_forms
+        for seed, want in zip((1, 2), fresh):
+            got = reg_grad_exact(reg, x, 64, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+        assert len(builds) == ens.size
+        assert reg.exact is reg.exact and reg.exact.sigma == ens.sigma
 
     def test_mixture_refuses_every_time(self):
         reg = Regularizer(tau=1.0, prior=GmmPrior([0.5, 0.5], [[0.0], [1.0]],

@@ -62,6 +62,25 @@ def one_d_instance():
     return problem, reg, restorer
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field,message", [
+    ("tau", "tau must be positive and finite"),
+    ("gamma", "gamma must be non-negative and finite"),
+    ("x0", "x0 has non-finite entries"),
+    ("y", "measurement y has non-finite entries")], ids=["tau", "gamma", "x0", "y"])
+def test_non_finite_inputs_refused_by_name(field, message, bad):
+    # refused where they enter, not reported later as a diverged iterate
+    problem, reg, restorer = one_d_instance()
+    enter = {
+        "tau": lambda: Regularizer(tau=bad, prior=reg.prior, ens=reg.ens),
+        "gamma": lambda: SolverConfig(gamma=bad, iterations=3),
+        "x0": lambda: run(problem, reg, restorer, SolverConfig(gamma=0.5, iterations=3, x0=[bad])),
+        "y": lambda: Problem(problem.A, [bad]),
+    }[field]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        enter()
+
+
 class TestRunBasics:
     def test_one_unit_step_reaches_target(self):
         # tau -> 0 limit: pure gradient descent on 0.5||x - y||^2, one step at

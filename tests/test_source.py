@@ -21,6 +21,16 @@ REACHED_FROM_OUTSIDE = {
     "regularizer_curvature_bound": "bench/workloads.py",
 }
 
+# The only functions of src/srp (qualified ``Class.method`` inside a class)
+# that may construct each class: one exact MMSE operator per regularizer,
+# which keeps one posterior per member, and the one-shot entry points of
+# ``priors`` that build a posterior for a single call.
+CONSTRUCTED_ONLY_IN = {
+    "ExactMmse": {"Regularizer.exact"},
+    "LinearGaussianPosterior": {"ExactMmse._posterior", "observation_logpdf",
+                                "mmse_restore", "observation_score"},
+}
+
 
 def _identifiers(node):
     """Every name a node refers to: bare names, attributes and imports."""
@@ -109,6 +119,33 @@ def _unreferenced():
                 defined.add(owner)
             used.update(name for name in _identifiers(stmt) if name != owner)
     return defined - used, defined
+
+
+def _constructors(names):
+    """{name: the qualified names of the src/srp functions that call
+    ``name(...)`` or ``module.name(...)``}; a module-level call is
+    ``<module>``."""
+    found = {name: set() for name in names}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in found:
+                    found[name].add(owner)
+            visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_exact_operators_and_posteriors_have_one_constructor_each():
+    assert _constructors(CONSTRUCTED_ONLY_IN) == CONSTRUCTED_ONLY_IN
 
 
 def test_every_module_level_name_has_a_caller():
